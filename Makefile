@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test check perf bench-kernel fuzz trace trace-test suite suite-check workloads workload-test scale fluid-test capacity capacity-check capacity-test gate gate-test geo geo-check geo-test read read-check read-test shard shard-check shard-test
+.PHONY: test check perf bench-kernel fuzz trace trace-test suite suite-check workloads workload-test scale fluid-test capacity capacity-check capacity-test gate gate-test geo geo-check geo-test read read-check read-test
 
 ## tier-1 verification: the full unit/property/bench-harness suite
 ## (includes the seeded fault-injection smoke, marker: faults)
@@ -131,19 +131,3 @@ read-check:
 ## default-path guard)
 read-test:
 	$(PYTHON) -m pytest -q -m read
-
-## full sharded-runtime benchmark: pingpong + tiered_write across shard
-## counts with the shards-1-vs-N identity flag and sync-overhead
-## accounting; writes BENCH_shard.json (override: SHARDS=1,2,4)
-shard:
-	$(PYTHON) benchmarks/bench_shard.py $(if $(SHARDS),--shards $(SHARDS))
-
-## shard smoke: small scenarios, identity asserts only, no JSON
-shard-check:
-	$(PYTHON) benchmarks/bench_shard.py --check
-
-## shard-marked tier-1 tests only (conservative-sync planner, partition
-## determinism, inbox ordering, cross-shard-count identity, lookahead
-## safety property)
-shard-test:
-	$(PYTHON) -m pytest -q -m shard

@@ -217,66 +217,11 @@ def _report_cprofile(stats: pstats.Stats, top: int) -> None:
         )
 
 
-def profile_by_host(args: argparse.Namespace) -> None:
-    """Events-per-host attribution for a shard-native scenario.
-
-    Runs the scenario once on a single shard (`repro.sim.shard` counts
-    deliveries + process spawns per host as it goes — the count is part
-    of the deterministic view, so one run is enough), prints the
-    per-host table, and previews how ``partition_hosts`` would balance
-    the measured weights at a few shard counts.  This is the
-    inspect-before-you-shard step: a partition balanced on measured
-    events, not host count, is what keeps the conservative windows from
-    being bounded by one overloaded shard.
-    """
-    from repro.sim.shard import (
-        ScenarioSpec,
-        balance_report,
-        partition_hosts,
-        run_sharded,
-    )
-
-    spec = ScenarioSpec.make(args.scenario)
-    print(f"\n=== by-host attribution: {args.scenario} ===")
-    start = time.perf_counter()
-    report = run_sharded(spec, shards=1)
-    wall = time.perf_counter() - start
-    per_host = report["per_host"]
-    weights = {host: float(rec["_events"]) for host, rec in per_host.items()}
-    total = sum(weights.values())
-    print(
-        f"  wall {wall * 1e3:8.1f} ms   sim {report['sim_time_s']:6.2f} s   "
-        f"{report['kernel_events']:,} kernel events   "
-        f"{int(total):,} host-attributed events"
-    )
-    print(f"  {'host':<16} {'events':>10} {'share':>7}")
-    for host in sorted(weights, key=lambda h: (-weights[h], h)):
-        share = weights[host] / total if total else 0.0
-        print(f"  {host:<16} {int(weights[host]):>10,} {share:>6.1%}")
-    for shards in (2, 4, 8):
-        assignment = partition_hosts(sorted(weights), shards, weights=weights)
-        balance = balance_report(assignment, weights)
-        loads = ", ".join(f"{load:,.0f}" for load in balance["loads"])
-        print(
-            f"  partition shards={shards}: imbalance "
-            f"{balance['imbalance']:.3f} (loads: {loads})"
-        )
-
-
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--system", choices=[*ADAPTERS, "all"], default="all",
         help="which message path to profile",
-    )
-    parser.add_argument(
-        "--by-host", action="store_true",
-        help="attribute events per host for a shard-native scenario and "
-        "preview partition balance at 2/4/8 shards (repro.sim.shard)",
-    )
-    parser.add_argument(
-        "--scenario", default="tiered_write",
-        help="shard scenario for --by-host (default: tiered_write)",
     )
     parser.add_argument("--rate", type=float, default=20_000.0)
     parser.add_argument("--duration", type=float, default=3.0)
@@ -295,9 +240,6 @@ def main() -> None:
         help="skip the cProfile pass (counters only)",
     )
     args = parser.parse_args()
-    if args.by_host:
-        profile_by_host(args)
-        return
     systems = list(ADAPTERS) if args.system == "all" else [args.system]
     for name in systems:
         profile_system(name, args)

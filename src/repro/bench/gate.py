@@ -2,17 +2,17 @@
 
 The repo commits its performance trajectory as ``BENCH_*.json`` files
 (kernel microbenchmarks, the figure suite, workload experiments, the
-fluid-scale report, the capacity map, the sharded-runtime report).
-Nothing guarded them: a
-regression could land silently and only be noticed when a full suite
-re-run happened to be eyeballed.  The gate closes that hole in three
-layers, cheapest first:
+fluid-scale report, the capacity map, the geo-replication and read-path
+reports).  Nothing guarded them: a regression could land silently and
+only be noticed when a full suite re-run happened to be eyeballed.  The
+gate closes that hole in three layers, cheapest first:
 
-1. **structure** — every committed file parses and satisfies its
-   schema contract (suite scenarios all ``ok``, capacity points all
-   discrete-confirmed, geo failover points violation-free with a
-   measured RTO and in-bound staleness, ...), and scenarios recorded
-   in more than one file agree on their deterministic fields;
+1. **structure** — every committed file parses, has a schema contract
+   (an uncontracted ``BENCH_*.json`` is itself a drift) and satisfies it
+   (suite scenarios all ``ok``, capacity points all discrete-confirmed,
+   geo failover points violation-free with a measured RTO and in-bound
+   staleness, ...), and scenarios recorded in more than one file agree
+   on their deterministic fields;
 2. **smoke re-runs** — a configurable subset of scenarios is re-run
    fresh and compared field by field against the committed records:
    deterministic fields (kernel events, simulated time, figure
@@ -269,7 +269,15 @@ def structure_checks(files: Dict[str, dict], min_capacity_points: int = 6) -> Li
             f"expected {want}, got {got!r}",
         ))
 
-    kernel = files.get("BENCH_kernel.json")
+    contracted = set()
+
+    def contract(fname: str) -> Optional[dict]:
+        """The committed file a contract below is about; asking is what
+        marks *fname* as contracted, so the list cannot go stale."""
+        contracted.add(fname)
+        return files.get(fname)
+
+    kernel = contract("BENCH_kernel.json")
     if kernel is not None:
         scenarios = kernel.get("scenarios") or {}
         if not scenarios:
@@ -280,7 +288,7 @@ def structure_checks(files: Dict[str, dict], min_capacity_points: int = 6) -> Li
                     "record with events + stats")
 
     for fname in ("BENCH_suite.json", "BENCH_workload.json"):
-        report = files.get(fname)
+        report = contract(fname)
         if report is None:
             continue
         scenarios = _suite_scenarios(report)
@@ -295,11 +303,11 @@ def structure_checks(files: Dict[str, dict], min_capacity_points: int = 6) -> Li
         ):
             bad(fname, "results_identical_across_jobs", False, "true")
 
-    scale = files.get("BENCH_scale.json")
+    scale = contract("BENCH_scale.json")
     if scale is not None and not (scale.get("scenarios") or {}):
         bad("BENCH_scale.json", "scenarios", {}, "non-empty scenario dict")
 
-    capacity = files.get("BENCH_capacity.json")
+    capacity = contract("BENCH_capacity.json")
     if capacity is not None:
         points = capacity.get("points") or []
         if len(points) < min_capacity_points:
@@ -314,7 +322,7 @@ def structure_checks(files: Dict[str, dict], min_capacity_points: int = 6) -> Li
                 bad("BENCH_capacity.json", f"points[{label}].converged",
                     point.get("converged"), "converged bracket")
 
-    geo = files.get("BENCH_geo.json")
+    geo = contract("BENCH_geo.json")
     if geo is not None:
         points = geo.get("points") or []
         if len(points) < 6:
@@ -348,7 +356,7 @@ def structure_checks(files: Dict[str, dict], min_capacity_points: int = 6) -> Li
                         f"points[{label}].max_lag_at_admission", lag,
                         f"admission lag within the {bound}B staleness bound")
 
-    read = files.get("BENCH_read.json")
+    read = contract("BENCH_read.json")
     if read is not None:
         points = (read.get("fanout") or {}).get("points") or []
         if not any(p.get("readers", 0) >= 1000 for p in points):
@@ -392,49 +400,6 @@ def structure_checks(files: Dict[str, dict], min_capacity_points: int = 6) -> Li
         if "seed" not in read:
             bad("BENCH_read.json", "seed", sorted(read), "a recorded seed")
 
-    shard = files.get("BENCH_shard.json")
-    if shard is not None:
-        scenarios = shard.get("scenarios") or []
-        if len(scenarios) < 2:
-            bad("BENCH_shard.json", "scenarios", len(scenarios),
-                ">= 2 shard scenarios (incl. a fig10a-class heavy one)")
-        for scenario in scenarios:
-            label = f"scenarios[{scenario.get('name')}]"
-            if not scenario.get("identical_across_shards", False):
-                bad("BENCH_shard.json", f"{label}.identical_across_shards",
-                    scenario.get("identical_across_shards"),
-                    "results identical across all shard counts")
-            runs = scenario.get("runs") or []
-            counts = sorted({r.get("shards") for r in runs})
-            if len(counts) < 3:
-                bad("BENCH_shard.json", f"{label}.runs", counts,
-                    ">= 3 distinct shard counts")
-            elif 1 not in counts:
-                bad("BENCH_shard.json", f"{label}.runs", counts,
-                    "a shards=1 baseline run")
-            for run in runs:
-                rlabel = f"{label}.runs[shards={run.get('shards')}]"
-                sync = run.get("sync")
-                if not isinstance(sync, dict):
-                    bad("BENCH_shard.json", f"{rlabel}.sync",
-                        sync, "a sync-overhead record")
-                    continue
-                for key in (
-                    "rounds", "null_messages", "lookahead_s",
-                    "avg_window_s", "lookahead_utilization", "ipc_wall_s",
-                ):
-                    if key not in sync:
-                        bad("BENCH_shard.json", f"{rlabel}.sync.{key}",
-                            sorted(sync), f"a {key} field")
-                if run.get("shards", 0) > 1:
-                    if not sync.get("lookahead_s", 0) > 0:
-                        bad("BENCH_shard.json", f"{rlabel}.sync.lookahead_s",
-                            sync.get("lookahead_s"),
-                            "a strictly positive conservative lookahead")
-                    if not sync.get("rounds", 0) > 0:
-                        bad("BENCH_shard.json", f"{rlabel}.sync.rounds",
-                            sync.get("rounds"), "> 0 synchronization rounds")
-
     # Cross-file agreement: a scenario recorded in two files must agree
     # on its deterministic fields (wall fields are per-run).
     suite = files.get("BENCH_suite.json")
@@ -451,6 +416,10 @@ def structure_checks(files: Dict[str, dict], min_capacity_points: int = 6) -> Li
                         f"scenarios[{record['name']}].{key}",
                         record.get(key),
                         f"agreement with BENCH_suite.json ({twin.get(key)!r})")
+
+    # A committed file no contract asked for is guarded by nothing.
+    for fname in sorted(set(files) - contracted):
+        bad(fname, "", "no contract", "a structure contract in repro.bench.gate")
     return drifts
 
 

@@ -96,15 +96,21 @@ class WorkloadSpec:
     #: set.  Strictly an approximation: steady-state stretches are
     #: integrated analytically, transitions stay exact.
     fluid: Optional[object] = None
-    #: multi-process sharding request (repro.sim.shard).  The discrete
-    #: Pravega/Kafka/Pulsar adapters call across host objects through
-    #: shared Python state, so they cannot be process-partitioned:
-    #: asking for ``shards > 1`` here records ``extra["shard.refusal"]``
-    #: and runs single-shard — the same refusal ladder the fluid mode
-    #: uses for unsupported scenarios.  Shard-native actor scenarios run
-    #: through ``repro.sim.shard.run_sharded`` instead (see DESIGN.md
-    #: §14).
-    shards: int = 1
+
+    def __post_init__(self) -> None:
+        # bad configs fail here, not mid-run: tick=0 never advances the
+        # clock, producers=0 divides by zero inside a process, and a
+        # typo'd key_mode would silently mean "random"
+        for name, low in (
+            ("event_size", 1), ("partitions", 1), ("producers", 1),
+            ("bench_hosts", 1), ("consumers", 0),
+        ):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)!r}")
+        if not self.tick > 0:
+            raise ValueError(f"tick must be > 0, got {self.tick!r}")
+        if self.key_mode not in ("random", "none"):
+            raise ValueError(f"key_mode must be 'random' or 'none', got {self.key_mode!r}")
 
     @property
     def peak_rate(self) -> float:
@@ -186,15 +192,9 @@ class WorkloadEngine:
         self.epoch = 0.0
         self.load_end = 0.0
         fluid_spec = spec.fluid
-        if fluid_spec is None and os.environ.get("REPRO_FLUID"):
+        if fluid_spec is None and os.environ.get("REPRO_FLUID", "") not in ("", "0"):
             fluid_spec = FluidSpec()
         self._fluid_spec = fluid_spec
-        shards = spec.shards
-        if shards == 1 and os.environ.get("REPRO_SHARDS"):
-            shards = max(1, int(os.environ["REPRO_SHARDS"]))
-        #: sharding request after the env toggle (``--shards`` plumbing);
-        #: >1 on a discrete adapter records the refusal at finalize.
-        self._shards_requested = shards
         #: the hybrid-mode controller (None when fully discrete)
         self.fluid: Optional[FluidController] = None
 
@@ -444,11 +444,6 @@ class WorkloadEngine:
             result.extra["fluid.recalibrations"] = float(fluid.recalibrations)
             if fluid.refusal is not None:
                 result.extra["fluid.refusal"] = fluid.refusal
-        if self._shards_requested > 1:
-            result.extra["shard.refusal"] = (
-                "discrete adapters share in-process state across hosts; "
-                "ran single-shard (shard-native scenarios: repro.sim.shard)"
-            )
         return result
 
 

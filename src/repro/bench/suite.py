@@ -88,9 +88,7 @@ def _registry() -> Dict[str, Scenario]:
     entries: Dict[str, Scenario] = {}
     for i, (name, module, func, weight) in enumerate(figure):
         entries[name] = Scenario(name, module, func, seed=1000 + i, weight=weight)
-    for i, system in enumerate(
-        ("pravega", "kafka", "pulsar", "workload", "geo", "read", "shard")
-    ):
+    for i, system in enumerate(("pravega", "kafka", "pulsar", "workload", "geo", "read")):
         name = f"smoke_{system}"
         entries[name] = Scenario(
             name, "", f"_smoke_{system}", seed=2000 + i, weight=1, smoke=True
@@ -222,29 +220,6 @@ def _smoke_read(benchmark) -> None:
         "replay.coalesced_fetches": on["coalesced_fetches"],
         "replay.delivered_bytes": on["delivered_bytes"],
         "replay.bytes_equal": on["delivered_bytes"] == off["delivered_bytes"],
-    })
-
-
-def _smoke_shard(benchmark) -> None:
-    """Sharded runtime end to end: a pingpong run on 1 shard and on
-    ``REPRO_SHARDS`` (default 2) worker processes, asserting the
-    deterministic views are identical — the shards-1-vs-N identity
-    contract exercised on every --check."""
-    from repro.sim.shard import ScenarioSpec, deterministic_view, run_sharded
-
-    shards = max(2, int(os.environ.get("REPRO_SHARDS", "2") or 2))
-    spec = ScenarioSpec.make("pingpong", pairs=2, rounds=150, nbytes=1024)
-    single = run_sharded(spec, shards=1)
-    sharded = run_sharded(spec, shards=shards)
-    identical = deterministic_view(single) == deterministic_view(sharded)
-    assert identical, "sharded pingpong diverged from the single-shard run"
-    benchmark.extra_info.update({
-        "shards": sharded["shards"],
-        "identical_to_single": identical,
-        "rounds_completed": sharded["metrics"]["rounds_completed"],
-        "rtt_p50_us": sharded["metrics"]["rtt_p50_us"],
-        "sync_rounds": sharded["sync"]["rounds"],
-        "null_messages": sharded["sync"]["null_messages"],
     })
 
 
@@ -396,8 +371,7 @@ def run_suite(
     # a measured --jobs 1 wall vs a measured --jobs N wall instead.
     serial_estimate = sum(r["wall_s"] for r in per_scenario)
     # The scenario that bounds the whole run: no jobs count can push the
-    # suite wall below it — shrinking it takes intra-scenario
-    # parallelism (repro.sim.shard), so it is the sharding baseline.
+    # suite wall below it.
     longest = max(per_scenario, key=lambda r: r["wall_s"]) if per_scenario else None
     return {
         "jobs": jobs,
@@ -493,23 +467,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         "fluid model cannot carry fall back to discrete automatically",
     )
     parser.add_argument(
-        "--shards", type=int, default=None,
-        help="request N-way sharded execution (sets REPRO_SHARDS for this "
-        "process and its workers).  Shard-native scenarios (smoke_shard, "
-        "repro.sim.shard registry) split across N event-loop processes; "
-        "discrete-adapter scenarios cannot shard and record a "
-        "shard.refusal extra while running single-shard (default off)",
-    )
-    parser.add_argument(
         "--list", action="store_true", help="list scenarios and exit"
     )
     args = parser.parse_args(argv)
     if args.fluid:
         os.environ["REPRO_FLUID"] = "1"
-    if args.shards is not None:
-        if args.shards < 1:
-            raise SystemExit(f"--shards must be >= 1, got {args.shards}")
-        os.environ["REPRO_SHARDS"] = str(args.shards)
 
     if args.list:
         for name, scenario in SCENARIOS.items():

@@ -474,13 +474,9 @@ class Simulator:
     def schedule_at(self, when: float, callback: Callable[[], None]) -> _ScheduledEvent:
         """Run ``callback`` at the *absolute* simulated time ``when``.
 
-        The remote-event injection point for sharded execution
-        (``repro.sim.shard``): a cross-shard message carries the exact
-        delivery instant its sender computed, and injecting it via an
-        absolute timestamp — rather than ``schedule(when - now, ...)`` —
-        avoids the float round-trip that could shift the heap time by an
-        ulp and break cross-shard-count determinism.  ``when`` in the
-        past is a conservative-synchronization violation and raises.
+        For callers that already hold an exact instant: unlike
+        ``schedule(when - now, ...)`` there is no float round-trip that
+        could shift the heap time by an ulp.  ``when`` in the past raises.
         """
         now = self._now
         if when < now:
@@ -835,39 +831,6 @@ class Simulator:
             executed += 1
         if until is not None and self._now < until:
             self._now = until
-
-    def next_event_time(self) -> Optional[float]:
-        """Time of the earliest runnable entry, or None when drained.
-
-        Used by the shard synchronizer to announce this simulator's next
-        local event — dead heads (cancelled events, stale fast timers)
-        are pruned first so the announcement never under-promises.
-        """
-        return self._next_time()
-
-    def run_horizon(self, horizon: float) -> Optional[float]:
-        """Shard-aware clock advance: the conservative-window primitive.
-
-        Executes every pending event with time *strictly below*
-        ``horizon`` — unlike :meth:`_run_core`'s deadline (which may
-        dispatch one event past it), an event at or beyond the horizon
-        is never executed, because a conservatively synchronized shard
-        has no delivery guarantee there yet.  The clock then advances to
-        ``horizon`` (the shard's lookahead promises to its neighbours
-        are anchored on it) and the time of the earliest remaining event
-        is returned (None when the queue drained).
-        """
-        while True:
-            head = self._next_time()
-            if head is None:
-                if horizon > self._now:
-                    self._now = horizon
-                return None
-            if head >= horizon:
-                if horizon > self._now:
-                    self._now = horizon
-                return head
-            self.step()
 
     def run_until_complete(
         self, awaitable: SimFuture, timeout: Optional[float] = None

@@ -424,8 +424,6 @@ class FluidController:
     def _preflight(self) -> Optional[str]:
         eng = self.engine
         spec = eng.spec
-        if spec.producers < 1:
-            return "no-producers"
         if spec.consumers > 0:
             return "consumers"
         if spec.drain:

@@ -111,71 +111,8 @@ class Network:
         delay = (serialized_at - sim._now) + spec.rtt * 0.5 + extra
         return sim.resolve_after(delay, payload)
 
-    def send_delay(self, src: str, dst: str, nbytes: int) -> float:
-        """Perform the send-side work of a transfer; return the delay
-        until delivery.
-
-        This is the cross-shard delivery primitive (``repro.sim.shard``):
-        the sender pays NIC serialization, counters and the fault hook
-        exactly as :meth:`transfer` would, but instead of scheduling a
-        local delivery event the *delay* is returned — the shard engine
-        turns it into an absolute delivery instant, routes it through
-        the synchronizer when ``dst`` lives on another shard, and into
-        the destination host's ordered inbox when it is local.  The
-        arithmetic mirrors :meth:`transfer` line for line (keep the two
-        in sync): a message must cost the same simulated time whether
-        its destination is in this process or another.
-
-        One divergence, and it is load-bearing: the result is clamped to
-        :meth:`lookahead`.  ``(serialized_at - now)`` can round one ulp
-        below the service floor when ``now`` is large, and a delivery
-        priced an ulp under the advertised lookahead may land *before* a
-        horizon granted on that promise — the receiving shard would see
-        an event in its past.  :meth:`transfer` keeps the raw value: its
-        delivery event fires in the same process where an ulp is
-        harmless, and re-pricing it would invalidate committed goldens.
-        """
-        if nbytes < 0:
-            raise SimulationError(f"negative message size: {nbytes}")
-        sender = self._hosts.get(src)
-        if sender is None:
-            sender = self.host(src)
-        sender.bytes_sent += nbytes
-        sender.messages_sent += 1
-        extra = 0.0
-        if self.faults is not None:
-            extra = self.faults.net_message(src, dst)
-        spec = self.spec
-        if src == dst:
-            return spec.local_latency + extra
-        service = spec.per_message_overhead + nbytes / spec.bandwidth
-        serialized_at = sender._egress.occupy(service)
-        delay = (serialized_at - self.sim._now) + spec.rtt * 0.5 + extra
-        floor = spec.per_message_overhead + spec.rtt * 0.5
-        return delay if delay >= floor else floor
-
     def rtt_between(self, src: str, dst: str) -> float:
         """Nominal round-trip time between two hosts."""
         if src == dst:
             return 2.0 * self.spec.local_latency
         return self.spec.rtt
-
-    def lookahead(self, src: str, dst: str) -> float:
-        """Minimum possible delivery delay ``src -> dst`` — the link's
-        conservative-PDES lookahead.
-
-        For distinct hosts this is the serialization floor of a 0-byte
-        message plus half an RTT of propagation; everything else only
-        *adds* delay: payload bytes extend serialization, NIC backlog
-        defers the start, and fault-injected ``net_delay``/``net_drop``
-        extras are non-negative with a per-link FIFO clamp that never
-        rewinds (the safety invariant is property-tested in
-        tests/test_shard_lookahead.py).  A shard that has received
-        every message timestamped below ``neighbour_clock + lookahead``
-        may therefore advance to that bound without ever seeing an
-        event in its past.
-        """
-        spec = self.spec
-        if src == dst:
-            return spec.local_latency
-        return spec.per_message_overhead + spec.rtt * 0.5

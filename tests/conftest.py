@@ -1,8 +1,8 @@
 """Suite-wide collection honesty.
 
-The suite grew domain markers (``perf``, ``faults``, ``trace``,
-``workload``, ``fluid``, ``capacity``, ``gate``, ``geo``) that Make
-targets select with ``-m``.  Two silent-skip hazards come with that:
+The suite grew domain markers (``DOMAIN_MARKERS`` below, registered in
+pyproject) that Make targets select with ``-m``.  Two silent-skip
+hazards come with that:
 
 * a typo'd ``-m`` expression (or a typo'd marker on a test) deselects
   tests without any trace — ``--strict-markers`` (pyproject) rejects
@@ -29,7 +29,6 @@ DOMAIN_MARKERS = (
     "gate",
     "geo",
     "read",
-    "shard",
 )
 
 _deselected: List[object] = []

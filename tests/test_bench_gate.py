@@ -244,60 +244,13 @@ def test_structure_check_rejects_bad_read_report(committed):
     assert any(d.path.endswith(".caught_up") for d in drifts)
 
 
-def test_structure_check_rejects_bad_shard_report(committed):
-    # a shard count whose results diverged from the shards=1 baseline
+def test_structure_check_rejects_uncontracted_file(committed):
+    # a new or renamed bench file must not be "guarded" by nothing
     files = copy.deepcopy(committed)
-    record = files["BENCH_shard.json"]["scenarios"][0]
-    record["identical_across_shards"] = False
+    files["BENCH_bogus.json"] = {}
     drifts = structure_checks(files)
-    assert any(
-        d.path.endswith(".identical_across_shards")
-        and d.file == "BENCH_shard.json"
-        for d in drifts
-    )
-
-    # a thinned sweep (fewer than 3 distinct shard counts)
-    files = copy.deepcopy(committed)
-    record = files["BENCH_shard.json"]["scenarios"][0]
-    record["runs"] = record["runs"][:2]
-    drifts = structure_checks(files)
-    assert any(d.path.endswith(".runs") and ">= 3" in d.message for d in drifts)
-
-    # a sweep that lost its shards=1 identity baseline
-    files = copy.deepcopy(committed)
-    record = files["BENCH_shard.json"]["scenarios"][0]
-    record["runs"] = [r for r in record["runs"] if r["shards"] != 1]
-    record["runs"].append(dict(record["runs"][-1], shards=8))
-    drifts = structure_checks(files)
-    assert any("shards=1 baseline" in d.message for d in drifts)
-
-    # a run missing part of the sync-overhead accounting
-    files = copy.deepcopy(committed)
-    for run in files["BENCH_shard.json"]["scenarios"][0]["runs"]:
-        if run["shards"] > 1:
-            del run["sync"]["null_messages"]
-            break
-    drifts = structure_checks(files)
-    assert any(d.path.endswith(".sync.null_messages") for d in drifts)
-
-    # a multi-shard run claiming a degenerate (zero) lookahead
-    files = copy.deepcopy(committed)
-    for run in files["BENCH_shard.json"]["scenarios"][0]["runs"]:
-        if run["shards"] > 1:
-            run["sync"]["lookahead_s"] = 0.0
-            break
-    drifts = structure_checks(files)
-    assert any(d.path.endswith(".sync.lookahead_s") for d in drifts)
-
-    # a single scenario is not a sweep
-    files = copy.deepcopy(committed)
-    files["BENCH_shard.json"]["scenarios"] = (
-        files["BENCH_shard.json"]["scenarios"][:1]
-    )
-    drifts = structure_checks(files)
-    assert any(
-        d.path == "scenarios" and d.file == "BENCH_shard.json" for d in drifts
-    )
+    assert [d.file for d in drifts] == ["BENCH_bogus.json"]
+    assert drifts[0].kind == "structure"
 
 
 def test_cross_file_disagreement_is_reported(committed):

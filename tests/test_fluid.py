@@ -63,11 +63,22 @@ def _spec(**overrides) -> WorkloadSpec:
 # ----------------------------------------------------------------------
 # Off means off
 # ----------------------------------------------------------------------
-def test_fluid_off_creates_no_controller():
+@pytest.mark.parametrize("env", [None, "", "0"])
+def test_fluid_off_creates_no_controller(monkeypatch, env):
+    # "" and "0" are off, the same rule as REPRO_BENCH_FULL
+    if env is not None:
+        monkeypatch.setenv("REPRO_FLUID", env)
     sim = Simulator()
     result = run_workload(sim, PravegaAdapter(sim), _spec(duration=1.0))
     assert "fluid.spans" not in result.extra
     assert "fluid.refusal" not in result.extra
+
+
+def test_fluid_env_toggle_on(monkeypatch):
+    monkeypatch.setenv("REPRO_FLUID", "1")
+    sim = Simulator()
+    result = run_workload(sim, PravegaAdapter(sim), _spec(duration=1.0))
+    assert "fluid.spans" in result.extra
 
 
 def test_fluid_off_golden_kernel_byte_identical():

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import ast
 import fnmatch
+import re
 from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
@@ -120,6 +121,40 @@ def test_every_registered_marker_is_applied_somewhere():
 def test_domain_marker_registry_matches_conftest():
     from conftest import DOMAIN_MARKERS
 
-    registered = set(_registered_markers())
-    missing = set(DOMAIN_MARKERS) - registered
-    assert not missing, f"conftest audits unregistered markers: {sorted(missing)}"
+    # both directions: a marker removed from one list but not the other
+    # is either audited-but-unselectable or selectable-but-unaudited
+    assert sorted(DOMAIN_MARKERS) == sorted(_registered_markers())
+
+
+def _selected_markers(makefile_text):
+    """Every marker name in any ``-m`` argument (bare or quoted, anywhere
+    on the line) that follows ``pytest``."""
+    names = set()
+    for rest in re.findall(r"pytest\b(.*)$", makefile_text, flags=re.M):
+        for quoted, alt, bare in re.findall(
+            r"""(?<!\S)-m[ =]*(?:"([^"]*)"|'([^']*)'|(\S+))""", rest
+        ):
+            names.update(re.findall(r"[A-Za-z_]\w*", quoted or alt or bare))
+    return names - {"and", "or", "not"}
+
+
+def test_selected_markers_reads_quoted_expressions_and_trailing_flags():
+    line = "\t$(PYTHON) -m pytest -q -m \"perf and not trace\" -x -m geo\n"
+    assert _selected_markers(line) == {"perf", "trace", "geo"}
+    assert _selected_markers("\t$(PYTHON) -m repro.bench gate\n") == set()
+
+
+def test_makefile_has_no_dangling_targets_markers_or_scripts():
+    text = (REPO / "Makefile").read_text().replace("\\\n", " ")
+    rules = set(re.findall(r"^([A-Za-z][\w-]*):", text, flags=re.M))
+    phony = set(re.search(r"^\.PHONY:(.*)$", text, flags=re.M).group(1).split())
+    assert phony <= rules, f".PHONY names without a rule: {sorted(phony - rules)}"
+
+    selected = _selected_markers(text)
+    unknown = selected - set(_registered_markers())
+    assert not unknown, f"`-m` selects unregistered markers: {sorted(unknown)}"
+
+    scripts = set(re.findall(r"\$\(PYTHON\) ([\w/]+\.py)", text))
+    missing = sorted(s for s in scripts if not (REPO / s).exists())
+    assert selected and scripts, "Makefile parse found nothing to audit"
+    assert not missing, f"rules invoke missing scripts: {missing}"

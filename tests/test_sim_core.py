@@ -629,3 +629,32 @@ class TestCombinators:
         index, value = sim.run_until_complete(any_of(sim, futures))
         assert (index, value) == (1, "fast")
         assert sim.now == 1.0
+
+
+# ----------------------------------------------------------------------
+# schedule_at: absolute-instant scheduling
+# ----------------------------------------------------------------------
+def test_schedule_at_rejects_the_past():
+    sim = Simulator()
+    sim.schedule(1.0, lambda: None)
+    sim.run(until=1.0)
+    with pytest.raises(SimulationError):
+        sim.schedule_at(0.5, lambda: None)
+
+
+def test_schedule_at_now_runs_as_microtask_without_clock_motion():
+    sim = Simulator()
+    fired = []
+    sim.schedule_at(0.0, lambda: fired.append(sim.now))
+    sim.run(until=0.0)
+    assert fired == [0.0]
+
+
+def test_schedule_at_absolute_instant_is_exact():
+    # the whole point of the API: no now + (when - now) float round-trip
+    sim = Simulator()
+    when = 0.1 + 0.2  # famously != 0.3
+    seen = []
+    sim.schedule_at(when, lambda: seen.append(sim.now))
+    sim.run(until=1.0)
+    assert seen == [when]

@@ -88,10 +88,6 @@ def test_longest_scenario_tracks_the_critical_path():
     assert report["total_wall_s"] == pytest.approx(sum(walls.values()))
 
 
-def test_shard_smoke_is_registered():
-    assert "smoke_shard" in SMOKE
-
-
 def test_unknown_scenario_is_rejected():
     with pytest.raises(SystemExit):
         run_suite(["no_such_scenario"], jobs=1, progress=False)

@@ -120,6 +120,19 @@ def test_load_timeout_override():
     assert WorkloadSpec(load_timeout=42.0).effective_load_timeout == 42.0
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("tick", 0), ("tick", -0.01), ("producers", 0), ("partitions", 0),
+        ("bench_hosts", 0), ("event_size", 0), ("consumers", -1),
+        ("key_mode", "ranodm"),
+    ],
+)
+def test_bad_spec_fails_at_construction(field, value):
+    with pytest.raises(ValueError, match=field):
+        WorkloadSpec(**{field: value})
+
+
 # ----------------------------------------------------------------------
 # Fault composition: fault-under-burst
 # ----------------------------------------------------------------------
