@@ -79,7 +79,7 @@ WALL_RATIO = 10.0
 #: wall values under this (seconds) are noise; ratio checks skip them
 WALL_FLOOR = 0.05
 
-DEFAULT_SMOKE = "kernel:timeout_churn+cancel_storm,suite:table1+fig05c,workload:workload_slo,capacity:pravega/uniform"
+DEFAULT_SMOKE = "kernel:timeout_churn+ping_pong_sliced+cancel_storm,suite:table1+fig05c,workload:workload_slo,capacity:pravega/uniform"
 
 
 @dataclass(frozen=True)
@@ -286,6 +286,20 @@ def structure_checks(files: Dict[str, dict], min_capacity_points: int = 6) -> Li
             if "events" not in record or "stats" not in record:
                 bad("BENCH_kernel.json", f"scenarios.{name}", sorted(record),
                     "record with events + stats")
+        if not isinstance(kernel.get("cpu_count"), int):
+            bad("BENCH_kernel.json", "cpu_count", kernel.get("cpu_count"),
+                "the core count the walls were measured on")
+        # The before-numbers: a named commit, measured at today's event
+        # counts (a wall-clock pair means nothing otherwise).
+        baseline = kernel.get("baseline") or {}
+        if not baseline.get("commit") or not baseline.get("scenarios"):
+            bad("BENCH_kernel.json", "baseline", sorted(baseline),
+                "commit + scenarios of the parent's run")
+        for name, before in (baseline.get("scenarios") or {}).items():
+            after = scenarios.get(name, {}).get("events")
+            if after is not None and before.get("events") != after:
+                bad("BENCH_kernel.json", f"baseline.scenarios.{name}.events",
+                    before.get("events"), f"{after}, as scenarios.{name}.events")
 
     for fname in ("BENCH_suite.json", "BENCH_workload.json"):
         report = contract(fname)

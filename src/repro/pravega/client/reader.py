@@ -21,6 +21,7 @@ from repro.pravega.client.serializers import (
     unframe_events,
     unframe_fixed,
 )
+from repro.pravega.container.cache import CacheFullError
 from repro.sim.core import SimFuture, Simulator
 from repro.sim.resources import Store
 
@@ -165,7 +166,7 @@ class EventStreamReader:
                     continue  # segment was released while the read was out
                 try:
                     result = fut.value
-                except (SegmentError, StreamError) as exc:
+                except (SegmentError, StreamError, CacheFullError) as exc:
                     raise ReaderError(f"read segment {number}@{offset}: {exc}") from exc
                 if result.end_of_segment:
                     yield from self._complete_segment(number)

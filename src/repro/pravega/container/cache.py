@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, List, Optional
+from typing import Deque, Iterator, List, Optional
 
 from repro.common.errors import ReproError
 from repro.common.payload import Payload
@@ -75,51 +75,28 @@ class CacheSpec:
         return self.max_blocks * self.block_size
 
 
-class _Buffer:
-    """One contiguous region: block metadata + per-block payload fragments."""
-
-    __slots__ = ("index", "used", "length", "prev", "next_free", "free_head", "free_count", "fragments")
-
-    def __init__(self, index: int, blocks: int) -> None:
-        self.index = index
-        self.used = [False] * blocks
-        self.length = [0] * blocks
-        self.prev = [NO_ADDRESS] * blocks
-        self.next_free = [i + 1 for i in range(blocks)]
-        self.next_free[-1] = NO_ADDRESS
-        self.free_head = 0
-        self.free_count = blocks
-        self.fragments: List[Optional[List[Payload]]] = [None] * blocks
-
-    def allocate(self) -> int:
-        block = self.free_head
-        assert block != NO_ADDRESS
-        self.free_head = self.next_free[block]
-        self.next_free[block] = NO_ADDRESS
-        self.used[block] = True
-        self.length[block] = 0
-        self.prev[block] = NO_ADDRESS
-        self.fragments[block] = []
-        self.free_count -= 1
-        return block
-
-    def free(self, block: int) -> None:
-        assert self.used[block]
-        self.used[block] = False
-        self.length[block] = 0
-        self.prev[block] = NO_ADDRESS
-        self.fragments[block] = None
-        self.next_free[block] = self.free_head
-        self.free_head = block
-        self.free_count += 1
-
-
 class BlockCache:
-    """The Fig. 4 cache: buffers of daisy-chained blocks."""
+    """The Fig. 4 cache: buffers of daisy-chained blocks.
+
+    An address is ``buffer * blocks_per_buffer + block``.  Block metadata
+    lives in flat columns indexed by address, grown one buffer at a time,
+    so a chain walk is list indexing with no per-block address arithmetic;
+    the free lists stay per buffer (Fig. 4's small concurrency domains).
+    """
 
     def __init__(self, spec: Optional[CacheSpec] = None) -> None:
         self.spec = spec or CacheSpec()
-        self._buffers: List[_Buffer] = []
+        self._hard_max_blocks = self.spec.hard_max_buffers * self.spec.blocks_per_buffer
+        self._used: List[bool] = []
+        self._length: List[int] = []
+        #: the block before this one in its entry's chain
+        self._prev: List[int] = []
+        self._fragments: List[Optional[List[Payload]]] = []
+        #: the next free block of the same buffer
+        self._next_free: List[int] = []
+        #: per buffer: first free block and number of free blocks
+        self._free_head: List[int] = []
+        self._free_count: List[int] = []
         #: queue of buffer indices that have free blocks (Fig. 4's
         #: "queue of cache buffers with available blocks")
         self._available: Deque[int] = deque()
@@ -127,21 +104,6 @@ class BlockCache:
         self.inserts = 0
         self.appends = 0
         self.evictions = 0
-
-    # ------------------------------------------------------------------
-    # Address arithmetic: addr = buffer_index * blocks_per_buffer + block
-    # ------------------------------------------------------------------
-    def _split(self, address: int) -> tuple[_Buffer, int]:
-        buffer_index, block = divmod(address, self.spec.blocks_per_buffer)
-        if not (0 <= buffer_index < len(self._buffers)):
-            raise ReproError(f"bad cache address {address}")
-        buffer = self._buffers[buffer_index]
-        if not buffer.used[block]:
-            raise ReproError(f"cache address {address} points at a free block")
-        return buffer, block
-
-    def _join(self, buffer: _Buffer, block: int) -> int:
-        return buffer.index * self.spec.blocks_per_buffer + block
 
     # ------------------------------------------------------------------
     # Allocation
@@ -163,96 +125,127 @@ class BlockCache:
         """Above the target capacity (ingestion should be throttled)."""
         return self._used_blocks > self.spec.max_blocks
 
-    def _allocate_block(self) -> tuple[_Buffer, int]:
-        while self._available:
-            buffer = self._buffers[self._available[0]]
-            if buffer.free_count > 0:
-                block = buffer.allocate()
-                if buffer.free_count == 0:
-                    self._available.popleft()
-                self._used_blocks += 1
-                return buffer, block
-            self._available.popleft()
-        if len(self._buffers) < self.spec.hard_max_buffers:
-            buffer = _Buffer(len(self._buffers), self.spec.blocks_per_buffer)
-            self._buffers.append(buffer)
-            self._available.append(buffer.index)
-            return self._allocate_block()
-        raise CacheFullError(
-            f"cache full: {self._used_blocks} blocks "
-            f"(target {self.spec.max_blocks}, hard cap reached)"
-        )
+    def _reserve(self, size: int) -> None:
+        """Raise unless fresh blocks for ``size`` more bytes fit under the
+        hard cap.  Insert and append call this before they touch anything,
+        which is what makes them all-or-nothing."""
+        blocks = -(-size // self.spec.block_size)
+        if self._used_blocks + blocks > self._hard_max_blocks:
+            raise CacheFullError(
+                f"cache full: {self._used_blocks} blocks + {blocks} wanted "
+                f"(target {self.spec.max_blocks}, hard cap reached)"
+            )
 
-    def _release_block(self, buffer: _Buffer, block: int) -> None:
-        had_free = buffer.free_count > 0
-        buffer.free(block)
+    def _allocate_block(self, prev: int) -> int:
+        """Take an empty block off the first available buffer's free list
+        (a new buffer when none has one) and chain it after ``prev``."""
+        available = self._available
+        if not available:
+            blocks = self.spec.blocks_per_buffer
+            base = len(self._used)
+            self._used += [False] * blocks
+            self._length += [0] * blocks
+            self._prev += [NO_ADDRESS] * blocks
+            self._fragments += [None] * blocks
+            self._next_free += range(base + 1, base + blocks)
+            self._next_free.append(NO_ADDRESS)
+            available.append(len(self._free_head))
+            self._free_head.append(base)
+            self._free_count.append(blocks)
+        buffer = available[0]
+        address = self._free_head[buffer]
+        self._free_head[buffer] = self._next_free[address]
+        self._next_free[address] = NO_ADDRESS
+        self._free_count[buffer] -= 1
+        if not self._free_count[buffer]:
+            available.popleft()
+        self._used[address] = True
+        self._prev[address] = prev
+        self._fragments[address] = []
+        self._used_blocks += 1
+        return address
+
+    def _release_block(self, address: int) -> None:
+        buffer = address // self.spec.blocks_per_buffer
+        self._used[address] = False
+        self._length[address] = 0
+        self._prev[address] = NO_ADDRESS
+        self._fragments[address] = None
+        self._next_free[address] = self._free_head[buffer]
+        self._free_head[buffer] = address
+        if not self._free_count[buffer]:
+            self._available.append(buffer)
+        self._free_count[buffer] += 1
         self._used_blocks -= 1
-        if not had_free:
-            self._available.append(buffer.index)
+
+    def _bad_address(self, address: int) -> ReproError:
+        if 0 <= address < len(self._used):
+            return ReproError(f"cache address {address} points at a free block")
+        return ReproError(f"bad cache address {address}")
+
+    def _chain(self, address: int) -> Iterator[int]:
+        """The entry's block addresses, last block first; every block is
+        checked to be in range and in use.  The consumer may free the block
+        it was just handed."""
+        used = self._used
+        while address != NO_ADDRESS:
+            if not (0 <= address < len(used) and used[address]):
+                raise self._bad_address(address)
+            previous = self._prev[address]
+            yield address
+            address = previous
 
     # ------------------------------------------------------------------
     # Entry operations
     # ------------------------------------------------------------------
     def insert(self, payload: Payload) -> int:
-        """Store a new entry; returns its address (the last block's)."""
+        """Store a new entry; returns its address (the last block's).
+
+        Raises :class:`CacheFullError`, leaving the cache untouched, when
+        the entry does not fit."""
+        self._reserve(max(payload.size, 1))  # an empty entry holds a block
         self.inserts += 1
-        address = NO_ADDRESS
-        remaining = payload
-        offset = 0
-        block_size = self.spec.block_size
-        while True:
-            buffer, block = self._allocate_block()
-            take = min(block_size, payload.size - offset)
-            if take > 0:
-                _add_fragment(
-                    buffer.fragments[block], payload.slice(offset, offset + take)
-                )
-            buffer.length[block] = take
-            buffer.prev[block] = address
-            address = self._join(buffer, block)
-            offset += take
-            if offset >= payload.size:
-                return address
+        return self._extend(self._allocate_block(NO_ADDRESS), payload)
 
     def append(self, address: int, payload: Payload) -> int:
         """Append to an existing entry; returns the (possibly new) address.
 
         O(1) to locate the tail: the entry's address *is* its last block.
+        Raises :class:`CacheFullError`, leaving the entry untouched, when
+        the blocks past the tail's remaining capacity do not fit.
         """
+        if not (0 <= address < len(self._used) and self._used[address]):
+            raise self._bad_address(address)
+        overflow = payload.size + self._length[address] - self.spec.block_size
+        if overflow > 0:
+            self._reserve(overflow)
         self.appends += 1
-        buffer, block = self._split(address)
+        return self._extend(address, payload)
+
+    def _extend(self, address: int, payload: Payload) -> int:
+        """Fill the remaining capacity of block ``address`` in place, then
+        chain fresh blocks for the rest; returns the last block."""
         block_size = self.spec.block_size
-        offset = 0
-        # Fill remaining capacity of the last block in place.
-        space = block_size - buffer.length[block]
-        if space > 0 and payload.size > 0:
-            take = min(space, payload.size)
-            _add_fragment(buffer.fragments[block], payload.slice(0, take))
-            buffer.length[block] += take
-            offset = take
-        current = address
-        while offset < payload.size:
-            new_buffer, new_block = self._allocate_block()
-            take = min(block_size, payload.size - offset)
-            _add_fragment(
-                new_buffer.fragments[new_block],
-                payload.slice(offset, offset + take),
-            )
-            new_buffer.length[new_block] = take
-            new_buffer.prev[new_block] = current
-            current = self._join(new_buffer, new_block)
+        size = payload.size
+        offset = min(block_size - self._length[address], size)
+        if offset > 0:
+            head = payload if offset == size else payload.slice(0, offset)
+            _add_fragment(self._fragments[address], head)
+            self._length[address] += offset
+        while offset < size:
+            address = self._allocate_block(address)
+            take = min(block_size, size - offset)
+            self._fragments[address].append(payload.slice(offset, offset + take))
+            self._length[address] = take
             offset += take
-        return current
+        return address
 
     def get(self, address: int) -> Payload:
         """Reconstruct the whole entry by walking the chain backwards."""
         pieces: List[Payload] = []
-        current = address
-        while current != NO_ADDRESS:
-            buffer, block = self._split(current)
-            frags = buffer.fragments[block]
+        for current in self._chain(address):
+            frags = self._fragments[current]
             pieces.append(frags[0] if len(frags) == 1 else Payload.concat(frags))
-            current = buffer.prev[block]
         pieces.reverse()
         return Payload.concat(pieces)
 
@@ -263,69 +256,73 @@ class BlockCache:
         The chain is addressed from its *last* block, so the walk visits
         only the suffix overlapping the range — a tail read of an entry
         touches O(range / block_size) blocks instead of reconstructing
-        the whole entry as :meth:`get` + slice would.
+        the whole entry as :meth:`get` + slice would.  Like
+        :meth:`Payload.concat`, the result is synthetic as soon as one
+        overlapping block holds a synthetic fragment; from there on the
+        walk only checks the blocks it passes.
         """
         if not (0 <= start <= end <= length):
             raise ReproError(f"bad range [{start}, {end}) of {length} bytes")
         if start == end:
             return Payload.empty()
-        pieces: List[Payload] = []
-        current = address
+        used = self._used
+        lengths = self._length
+        previous = self._prev
+        limit = len(used)
+        chunks: List[bytes] = []
+        synthetic = False
         block_end = length
-        while current != NO_ADDRESS and block_end > start:
-            buffer, block = self._split(current)
-            blen = buffer.length[block]
+        while block_end > start:
+            if not (0 <= address < limit and used[address]):
+                if address == NO_ADDRESS:
+                    raise ReproError(f"entry is shorter than {length} bytes")
+                raise self._bad_address(address)
+            blen = lengths[address]
             block_start = block_end - blen
-            if blen and block_start < end:
-                lo = start - block_start if start > block_start else 0
-                hi = blen if end >= block_end else end - block_start
-                frags = buffer.fragments[block]
-                if len(frags) == 1:
-                    frag = frags[0]
-                    piece = frag if lo == 0 and hi == blen else frag.slice(lo, hi)
+            if blen and block_start < end and not synthetic:
+                frags = self._fragments[address]
+                frag = frags[0] if len(frags) == 1 else Payload.concat(frags)
+                chunk = frag.content
+                if chunk is None:
+                    synthetic = True
                 else:
-                    piece = Payload.concat(frags).slice(lo, hi)
-                pieces.append(piece)
-            current = buffer.prev[block]
+                    lo = start - block_start if start > block_start else 0
+                    chunks.append(chunk[lo : end - block_start])
+            address = previous[address]
             block_end = block_start
-        if len(pieces) == 1:
-            return pieces[0]
-        pieces.reverse()
-        return Payload.concat(pieces)
+        chunks.reverse()
+        return Payload._trusted(end - start, None if synthetic else b"".join(chunks))
 
     def entry_size(self, address: int) -> int:
-        total = 0
-        current = address
-        while current != NO_ADDRESS:
-            buffer, block = self._split(current)
-            total += buffer.length[block]
-            current = buffer.prev[block]
-        return total
+        return sum(self._length[current] for current in self._chain(address))
 
     def delete(self, address: int) -> int:
         """Free every block of the entry; returns bytes released."""
         released = 0
-        current = address
-        while current != NO_ADDRESS:
-            buffer, block = self._split(current)
-            previous = buffer.prev[block]
-            released += buffer.length[block]
-            self._release_block(buffer, block)
-            current = previous
+        for current in self._chain(address):
+            released += self._length[current]
+            self._release_block(current)
         self.evictions += 1
         return released
 
     # ------------------------------------------------------------------
     def check_invariants(self) -> None:
-        """Free lists and used blocks partition each buffer; chains acyclic."""
-        for buffer in self._buffers:
+        """Free lists and used blocks partition each buffer; the buffer
+        queue holds exactly the buffers with a free block."""
+        blocks = self.spec.blocks_per_buffer
+        for buffer, free_count in enumerate(self._free_count):
+            base = buffer * blocks
             free_seen = set()
-            cursor = buffer.free_head
+            cursor = self._free_head[buffer]
             while cursor != NO_ADDRESS:
+                assert base <= cursor < base + blocks, "free list left its buffer"
                 assert cursor not in free_seen, "free list cycle"
-                assert not buffer.used[cursor], "used block on free list"
+                assert not self._used[cursor], "used block on free list"
                 free_seen.add(cursor)
-                cursor = buffer.next_free[cursor]
-            assert len(free_seen) == buffer.free_count
-            used = sum(1 for u in buffer.used if u)
-            assert used + buffer.free_count == self.spec.blocks_per_buffer
+                cursor = self._next_free[cursor]
+            assert len(free_seen) == free_count
+            assert sum(self._used[base : base + blocks]) + free_count == blocks
+        assert sum(self._used) == self._used_blocks
+        assert sorted(self._available) == [
+            buffer for buffer, free in enumerate(self._free_count) if free
+        ]

@@ -297,6 +297,9 @@ def _noop() -> None:
     return None
 
 
+_INF = float("inf")
+
+
 class _TimedFuture(SimFuture):
     """A future whose *own heap entry* resolves it (delayed delivery).
 
@@ -325,6 +328,14 @@ class _ScheduledEvent:
         self.callback = callback
         self.cancelled = False
         self.in_heap = in_heap
+
+
+def _is_live(seq: int, obj: Any) -> bool:
+    """Whether the heap entry ``(when, seq, obj)`` still has to run: a
+    cancelled event is dead, and so is a timer whose owner moved on."""
+    if type(obj) is _ScheduledEvent:
+        return not obj.cancelled
+    return obj._timer_seq == seq
 
 
 class SimStats:
@@ -524,7 +535,11 @@ class Simulator:
             self._compact()
 
     def _compact(self) -> None:
-        """Rebuild the heap without dead entries (cancelled or stale)."""
+        """Rebuild the heap without dead entries (cancelled or stale).
+
+        In place: a callback may cancel — and so compact — from inside
+        the dispatch loop, which holds the queue in a local.
+        """
         alive = []
         for entry in self._queue:
             obj = entry[2]
@@ -535,7 +550,7 @@ class Simulator:
                 alive.append(entry)
         heapify(alive)
         self._cancellations_skipped += len(self._queue) - len(alive)
-        self._queue = alive
+        self._queue[:] = alive
         self._heap_cancelled = 0
         self._compactions += 1
 
@@ -587,126 +602,79 @@ class Simulator:
         """Drop dead entries (cancelled events, stale fast timers) off the
         top of the heap without advancing the clock."""
         queue = self._queue
-        while queue:
-            _, seq, obj = queue[0]
-            if type(obj) is _ScheduledEvent:
-                if not obj.cancelled:
-                    return
-            elif obj._timer_seq == seq:
-                return
+        while queue and not _is_live(queue[0][1], queue[0][2]):
             heappop(queue)
             self._cancellations_skipped += 1
             if self._heap_cancelled:
                 self._heap_cancelled -= 1
 
-    def _prune_micro_head(self) -> None:
-        micro = self._micro
-        while micro and micro[0].cancelled:
-            micro.popleft()
-            self._cancellations_skipped += 1
+    def _live_within(self, until: float) -> bool:
+        """Whether a live entry is due at or before ``until`` — the
+        ``max_events`` look-ahead.  A scan rather than a prune, so the
+        backstop never disturbs the queue it watches."""
+        return any(not event.cancelled for event in self._micro) or any(
+            when <= until and _is_live(seq, obj) for when, seq, obj in self._queue
+        )
 
-    def _next_time(self) -> Optional[float]:
-        """Time of the next runnable entry, or None if the loop is drained."""
-        self._prune_micro_head()
-        self._prune_heap_head()
-        micro = self._micro
-        queue = self._queue
-        if micro:
-            if queue and queue[0][0] < micro[0].time:
-                return queue[0][0]
-            return micro[0].time
-        if queue:
-            return queue[0][0]
-        return None
-
-    def step(self) -> bool:
-        """Execute the next scheduled event.  Returns False if none remain.
+    def _run_core(
+        self,
+        stop_on: Optional[SimFuture],
+        deadline: float = _INF,
+        until: float = _INF,
+        max_events: Optional[int] = None,
+    ) -> None:
+        """The one dispatch loop, behind ``run`` and ``run_until_complete``:
+        run until the queue drains, ``stop_on`` (when given) resolves,
+        ``self.now`` reaches ``deadline``, or nothing live is left at or
+        before ``until``.
 
         Ordering contract: among all pending entries, the one with the
         smallest ``(time, seq)`` runs first — microtasks carry the seq they
         were enqueued with, so zero-delay events interleave with same-time
-        heap events exactly as they did when everything lived on one heap.
-        """
-        micro = self._micro
-        queue = self._queue
-        now = self._now
-        if micro:
-            self._prune_micro_head()
-            self._prune_heap_head()
-            if micro:
-                mev = micro[0]
-                # A microtask's time is its enqueue time, which is <= now;
-                # a heap event only precedes it when scheduled for a time
-                # already reached AND with a smaller seq.
-                if not queue or queue[0][0] > now or queue[0][1] > mev.seq:
-                    micro.popleft()
-                    self._microtasks_executed += 1
-                    mev.callback()
-                    return True
-        # Heap dispatch, with dead entries (cancelled events, stale fast
-        # timers) skipped inline.
-        while queue:
-            when, seq, obj = heappop(queue)
-            if type(obj) is _ScheduledEvent:
-                if obj.cancelled:
-                    self._cancellations_skipped += 1
-                    if self._heap_cancelled:
-                        self._heap_cancelled -= 1
-                    continue
-                if when < now:
-                    raise SimulationError("event queue went backwards")
-                self._now = when
-                self._events_executed += 1
-                obj.callback()
-                return True
-            if obj._timer_seq != seq:
-                self._cancellations_skipped += 1
-                if self._heap_cancelled:
-                    self._heap_cancelled -= 1
-                continue
-            if when < now:
-                raise SimulationError("event queue went backwards")
-            self._now = when
-            self._events_executed += 1
-            obj._timer_seq = -1
-            if type(obj) is _TimedFuture:
-                obj.set_result(obj._payload)
-            else:
-                obj._step(None, None)
-            return True
-        return False
+        heap events exactly as if everything lived on one heap.
 
-    def _run_core(
-        self, stop_on: Optional[SimFuture], deadline: float = float("inf")
-    ) -> None:
-        """The hot dispatch loop: run until the queue drains, ``stop_on``
-        (when given) resolves, or ``self.now`` reaches ``deadline``.
-
-        Identical dispatch rules to :meth:`step`, inlined with hoisted
-        locals — this loop executes every event of a typical benchmark,
-        both for ``run()`` (stop=None) and ``run_until_complete``.  The
-        deadline check runs *between* dispatches (an event scheduled past
-        the deadline may still execute and resolve ``stop_on``), matching
-        the historical step()-based timeout loop.
+        ``until`` is a horizon: the heap head is peeked before it is
+        popped, dead heads are dropped, and a live head past the horizon
+        stays queued while the clock moves to ``until`` (as it does when
+        the queue drains first).  ``deadline`` is checked *between*
+        dispatches instead — an event scheduled past it may still execute
+        and resolve ``stop_on``.  ``max_events`` raises once that many
+        events ran and another is due within the horizon.
         """
         queue = self._queue
         micro = self._micro
         pop = heappop
         event_cls = _ScheduledEvent
         timed_cls = _TimedFuture
+        bounded = until != _INF
+        capped = max_events is not None
+        # deadline and max_events are the rare modes; one flag keeps them
+        # off the per-event path.
+        guarded = capped or deadline != _INF
+        if capped:
+            limit = self._events_executed + self._microtasks_executed + max_events
         while True:
             if stop_on is not None and stop_on._done:
                 return
-            if self._now >= deadline:
-                return
+            if guarded:
+                if self._now >= deadline:
+                    return
+                if (
+                    capped
+                    and self._events_executed + self._microtasks_executed >= limit
+                    and self._live_within(until)
+                ):
+                    raise SimulationError(f"exceeded max_events={max_events}")
             if micro:
-                # Inlined microtask dispatch (mirrors step() — keep the
-                # two in sync): drop dead microtask heads, then run the
-                # microtask unless a heap event precedes it in (time, seq).
-                # The heap head is *not* pruned first: a dead head that
-                # wins the comparison routes control to the heap branch,
-                # which skips it and loops back here — ordering stays
-                # exact without an eager prune pass per microtask.
+                # Drop dead microtask heads, then run the microtask unless
+                # a heap event precedes it in (time, seq).  A microtask's
+                # time is its enqueue time, which is <= now; a heap event
+                # only precedes it when scheduled for a time already
+                # reached AND with a smaller seq.  The heap head is *not*
+                # pruned first: a dead head that wins the comparison routes
+                # control to the heap branch, which skips it and loops back
+                # here — ordering stays exact without an eager prune pass
+                # per microtask.
                 while micro[0].cancelled:
                     micro.popleft()
                     self._cancellations_skipped += 1
@@ -722,7 +690,12 @@ class Simulator:
                 else:
                     continue
             if not queue:
-                return
+                break
+            if bounded and queue[0][0] > until:
+                self._prune_heap_head()
+                if queue and queue[0][0] <= until:
+                    continue
+                break
             when, seq, obj = pop(queue)
             if type(obj) is event_cls:
                 if obj.cancelled:
@@ -800,6 +773,8 @@ class Simulator:
                         cbs.append(cb)
                 continue
             obj._wait_target(target)
+        if bounded and self._now < until:
+            self._now = until
 
     def run(
         self,
@@ -808,29 +783,19 @@ class Simulator:
         max_events: Optional[int] = None,
     ) -> None:
         """Run until the queue drains, ``until`` is reached, or ``condition``
-        resolves — whichever comes first.
+        resolves — whichever comes first.  The clock ends at ``until``
+        unless ``condition`` stopped the run earlier; an ``until`` already
+        in the past raises, like ``schedule_at``.
 
         ``max_events`` is a runaway-loop backstop for tests.
         """
-        if until is None and max_events is None:
-            self._run_core(condition)
-            return
-        executed = 0
-        while True:
-            if condition is not None and condition._done:
-                return
-            head_time = self._next_time()
-            if head_time is None:
-                break
-            if until is not None and head_time > until:
-                self._now = until
-                return
-            if max_events is not None and executed >= max_events:
-                raise SimulationError(f"exceeded max_events={max_events}")
-            self.step()
-            executed += 1
-        if until is not None and self._now < until:
-            self._now = until
+        if until is None:
+            until = _INF
+        elif until < self._now:
+            raise SimulationError(
+                f"cannot run into the past (until={until} < now={self._now})"
+            )
+        self._run_core(condition, until=until, max_events=max_events)
 
     def run_until_complete(
         self, awaitable: SimFuture, timeout: Optional[float] = None

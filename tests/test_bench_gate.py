@@ -197,6 +197,21 @@ def test_structure_check_rejects_bad_geo_points(committed):
     )
 
 
+def test_structure_check_rejects_bad_kernel_baseline(committed):
+    # a before/after wall pair is only a pair at identical event counts
+    files = copy.deepcopy(committed)
+    files["BENCH_kernel.json"]["baseline"]["scenarios"]["ping_pong_sliced"]["events"] += 1
+    drifts = structure_checks(files)
+    assert [d.path for d in drifts] == ["baseline.scenarios.ping_pong_sliced.events"]
+
+    # ... and says which commit and which box it was measured on
+    files = copy.deepcopy(committed)
+    del files["BENCH_kernel.json"]["baseline"]["commit"]
+    del files["BENCH_kernel.json"]["cpu_count"]
+    drifts = structure_checks(files)
+    assert {d.path for d in drifts} == {"baseline", "cpu_count"}
+
+
 def test_structure_check_rejects_bad_read_report(committed):
     # no mass fan-out point: every point is dropped below 1000 readers
     files = copy.deepcopy(committed)

@@ -8,10 +8,12 @@ so only a catastrophic kernel regression trips it).  Also runnable as
 Also guards the tracing subsystem's zero-cost-when-disabled contract:
 a disabled ``repro.obs.Tracer`` wired through the full Pravega write
 path must allocate no spans and stay within 5% of the untraced
-baseline's wall time.
+baseline's host time (paired ratios, see the test).
 """
 
+import gc
 import os
+import statistics
 import subprocess
 import sys
 import time
@@ -44,7 +46,9 @@ def test_kernel_perf_smoke():
 
 
 def _timed_mini_run(tracer):
-    """One small Pravega run through the bench driver; returns wall seconds."""
+    """One small Pravega run through the bench driver (~20 ms); returns
+    the host CPU seconds it took, with the collector quiesced so neither
+    side pays for the other's garbage."""
     from repro.bench import PravegaAdapter, WorkloadSpec, run_workload
 
     sim = Simulator()
@@ -57,12 +61,17 @@ def _timed_mini_run(tracer):
         partitions=2,
         producers=1,
         consumers=0,
-        duration=1.0,
-        warmup=0.2,
+        duration=0.3,
+        warmup=0.1,
     )
-    start = time.perf_counter()
-    run_workload(sim, adapter, spec, tracer=tracer)
-    return time.perf_counter() - start
+    gc.collect()
+    gc.disable()
+    try:
+        start = time.process_time()
+        run_workload(sim, adapter, spec, tracer=tracer)
+        return time.process_time() - start
+    finally:
+        gc.enable()
 
 
 @pytest.mark.perf
@@ -151,30 +160,47 @@ def test_tail_reads_skip_avl_and_allocate_no_spans():
 @pytest.mark.perf
 @pytest.mark.trace
 def test_tracing_disabled_is_zero_cost():
-    """Disabled tracer: zero span allocations and <= 5% wall overhead.
+    """Disabled tracer: zero span allocations and <= 5% host-time overhead.
 
-    Runs are interleaved and we compare min-of-N wall times so transient
-    machine noise (GC, scheduler) can't fail either side spuriously; the
-    simulation itself is deterministic, so min-of-N converges fast.
+    A fixed number of back-to-back (untraced, disabled-tracer) pairs,
+    alternating which side runs first, judged on the per-pair ratios — a
+    slow stretch of the machine hits both halves of a pair and cancels.
+    Every pair always runs: no early exit on a lucky or unlucky sample.
+    Many short runs rather than few long ones: host speed on a shared box
+    switches between regimes 40% apart for seconds at a time, and the
+    closer the two halves of a pair lie, the less of that they see.
+
+    The bar is held against a one-sided 98% confidence bound on the
+    median ratio (sign test: the 14th smallest of 41 lies below the true
+    median with that confidence), so what fails the test is evidence of
+    more than 5%, not an unlucky median.  Measured on such a box, true
+    overhead near +0.3%: over 120 trials the median of the 41 ratios
+    ranged 0.91-1.06 (past the bar once; with 15 pairs of 60 ms runs, one
+    trial in 15), the bound never exceeded 1.001; with +8% injected the
+    bound fails 34 trials in 40, with +10% 38 in 40.
     """
-    repeats = 5
-    baseline = []
-    disabled = []
+    pairs = 41
     tracer = Tracer(Simulator(), enabled=False)
     # Untimed warmup pass: pay one-time import/allocator costs up front.
     _timed_mini_run(None)
     _timed_mini_run(tracer)
-    for _ in range(repeats):
-        baseline.append(_timed_mini_run(None))
-        disabled.append(_timed_mini_run(tracer))
+    ratios = []
+    for pair in range(pairs):
+        if pair % 2:
+            disabled = _timed_mini_run(tracer)
+            baseline = _timed_mini_run(None)
+        else:
+            baseline = _timed_mini_run(None)
+            disabled = _timed_mini_run(tracer)
+        ratios.append(disabled / baseline)
     assert tracer.spans_created == 0, (
         f"disabled tracer allocated {tracer.spans_created} spans"
     )
     assert not tracer.spans
-    best_baseline = min(baseline)
-    best_disabled = min(disabled)
-    assert best_disabled <= best_baseline * 1.05, (
-        f"disabled tracing overhead {best_disabled / best_baseline - 1:+.1%} "
-        f"exceeds 5% budget (baseline {best_baseline * 1e3:.1f} ms, "
-        f"disabled {best_disabled * 1e3:.1f} ms)"
+    ratios.sort()
+    assert ratios[13] <= 1.05, (
+        f"disabled tracing overhead is credibly above the 5% budget: median "
+        f"of {pairs} paired ratios {statistics.median(ratios) - 1:+.1%}, 98% "
+        f"lower bound {ratios[13] - 1:+.1%} (quartiles "
+        f"{ratios[10]:.3f} / {ratios[30]:.3f})"
     )

@@ -6,6 +6,7 @@ import pytest
 from repro.common.errors import ReaderError
 from repro.pravega import ScalingPolicy, StreamConfiguration
 from repro.pravega.client.reader import ReaderConfig
+from repro.pravega.container import CacheFullError
 from repro.sim import Simulator
 
 from helpers import build_cluster, drain_reader, make_stream, run
@@ -106,6 +107,28 @@ class TestReading:
         fut = reader.read_next()
         sim.run(until=sim.now + 1)
         assert isinstance(fut.exception, ReaderError)
+
+
+    def test_cache_full_surfaces_as_reader_error(self, sim, cluster, monkeypatch):
+        """A container that cannot make room for an LTS fetch fails the
+        read with CacheFullError; the reader reports it like any other
+        segment failure instead of letting it escape unwrapped."""
+        _, _, reader = setup_reader(sim, cluster, segments=1, writer_events=5)
+        segment = reader._segments[0][0]
+        container = cluster.store_cluster.store_for_segment(segment).container_for(
+            segment
+        )
+        run(sim, container.storage_writer.flush_all())
+        container.read_indexes[segment].drop_all()  # next read goes to LTS
+
+        def full(payload):
+            raise CacheFullError("cache full")
+
+        monkeypatch.setattr(container.cache, "insert", full)
+        fut = reader.read_next()
+        sim.run(until=sim.now + 1)
+        assert isinstance(fut.exception, ReaderError)
+        assert isinstance(fut.exception.__cause__, CacheFullError)
 
 
 class TestCoordination:

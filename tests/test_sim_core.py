@@ -55,6 +55,18 @@ class TestScheduling:
         sim.run(until=42.0)
         assert sim.now == 42.0
 
+    @pytest.mark.parametrize("pending", [False, True])
+    def test_run_until_in_the_past_rejected(self, sim, pending):
+        """Time never moves backwards, whether or not anything is queued."""
+        sim.run(until=2.0)
+        if pending:
+            sim.schedule(5.0, lambda: None)
+        with pytest.raises(SimulationError):
+            sim.run(until=1.0)
+        assert sim.now == 2.0
+        sim.run(until=2.0)  # the present is not the past
+        assert sim.now == 2.0
+
     def test_nested_scheduling(self, sim):
         fired = []
 
@@ -73,6 +85,19 @@ class TestScheduling:
         sim.call_soon(forever)
         with pytest.raises(SimulationError):
             sim.run(max_events=100)
+
+    def test_max_events_counts_only_what_the_run_would_execute(self, sim):
+        fired = []
+        for i in range(5):
+            sim.schedule(1.0 + i, lambda i=i: fired.append(i))
+        sim.cancel(sim.schedule(3.5, lambda: fired.append("dead")))
+        sim.run(until=3.0, max_events=3)  # exactly three are due: no error
+        assert fired == [0, 1, 2] and sim.now == 3.0
+        with pytest.raises(SimulationError):
+            sim.run(max_events=1)
+        assert fired == [0, 1, 2, 3]
+        sim.run(max_events=1)  # one live event left behind the dead one
+        assert fired == [0, 1, 2, 3, 4]
 
 
 class TestFuture:
@@ -529,6 +554,49 @@ class TestCancellationCompaction:
         max_compactions = cancels // (2 * live // 3) + 1
         assert stats.compactions <= max_compactions
         assert len(keepers) == live
+
+    @staticmethod
+    def _arm_and_cancel(sim, fired, batches=3, timers=400):
+        """One process arms ``timers`` long timers per batch and cancels
+        all but the first a tick later — enough cancellations for the heap
+        to compact *inside* a callback, under the dispatch loop's feet."""
+
+        def armer():
+            for batch in range(batches):
+                handles = [
+                    sim.schedule(50.0, lambda b=batch, i=i: fired.append((b, i)))
+                    for i in range(timers)
+                ]
+                yield 0.001
+                for handle in handles[1:]:
+                    sim.cancel(handle)
+
+        sim.process(armer())
+
+    def test_compaction_inside_a_run_keeps_the_loop_on_the_live_heap(self, sim):
+        """Regression: ``_compact`` used to rebind the queue while the
+        dispatch loop held the old list, so the run drained a stale heap,
+        returned early, and the next run fired survivors a second time."""
+        fired = []
+        self._arm_and_cancel(sim, fired)
+        sim.run()
+        assert sim.stats.compactions > 0
+        assert fired == [(0, 0), (1, 0), (2, 0)]
+        assert sim.stats.heap_size == 0
+        sim.run()
+        assert fired == [(0, 0), (1, 0), (2, 0)]
+
+    def test_compaction_under_sliced_runs_matches_one_run(self, sim):
+        fired = []
+        self._arm_and_cancel(sim, fired)
+        sim.run()
+        sliced = Simulator()
+        sliced_fired = []
+        self._arm_and_cancel(sliced, sliced_fired)
+        while sliced.stats.heap_size or sliced.stats.microtask_backlog:
+            sliced.run(until=sliced.now + 0.0004)
+        assert sliced_fired == fired
+        assert sliced.stats.snapshot() == sim.stats.snapshot()
 
     def test_cancel_is_idempotent(self, sim):
         handle = sim.schedule(1.0, lambda: None)
