@@ -33,8 +33,11 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_kernel.py --json OUT # custom path
 
 The full run writes ``BENCH_kernel.json`` next to this file: per-scenario
-wall seconds, events executed, events/second, and the kernel's own
-``Simulator.stats`` counters (when the running kernel exposes them).
+wall seconds, events executed, events/second, the kernel's own
+``Simulator.stats`` counters (when the running kernel exposes them) and
+``gc_collections`` — how often the cyclic collector ran (gen0, gen1, gen2)
+inside the best repeat, read from ``gc.get_stats()``; its time lands on
+whichever frame allocates, so a profile cannot attribute it.
 ``--check`` runs trimmed scenarios under a generous wall-clock budget and
 exits non-zero on gross regressions — wire it into ``make perf``.
 """
@@ -42,6 +45,7 @@ exits non-zero on gross regressions — wire it into ``make perf``.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -171,12 +175,18 @@ def run_scenario(name: str, fn: Callable[[], Simulator], repeats: int = 3) -> Di
     """Run ``fn`` ``repeats`` times; report the best wall time (least noise)."""
     best: Optional[float] = None
     sim: Optional[Simulator] = None
+    collections = [0, 0, 0]
     for _ in range(repeats):
+        before = [generation["collections"] for generation in gc.get_stats()]
         start = time.perf_counter()
         sim = fn()
         elapsed = time.perf_counter() - start
         if best is None or elapsed < best:
             best = elapsed
+            collections = [
+                generation["collections"] - was
+                for generation, was in zip(gc.get_stats(), before)
+            ]
     stats = _kernel_stats(sim)
     events = stats.get("events_executed", 0) + stats.get("microtasks_executed", 0)
     record = {
@@ -186,6 +196,7 @@ def run_scenario(name: str, fn: Callable[[], Simulator], repeats: int = 3) -> Di
         "events_per_second": (events / best) if events and best else None,
         "ns_per_event": (best / events * 1e9) if events and best else None,
         "stats": stats,
+        "gc_collections": collections,
     }
     rate = f"{record['events_per_second']:,.0f} ev/s" if events else "n/a"
     per = f"{record['ns_per_event']:,.0f} ns/ev" if events else ""
@@ -240,21 +251,24 @@ SCENARIOS = [
 
 #: The parent commit under this same script (``--repeats 5``) on the same
 #: box, back to back with the run committed as ``BENCH_kernel.json``.  At
-#: 2757afc ``run(until=)`` still polled ``_next_time()`` + ``step()`` per
-#: event, which is what ``ping_pong_sliced`` paid.  Walls on this box
-#: swing 20% between invocations: pairs were repeated, order alternating,
-#: until the four scenarios no bounded run dominates agreed within 5%
-#: (third pair), and that pair was kept.  Event counts equal today's; the
-#: gate checks that they still do.
+#: ff6eb34 every spawn put a ``_ScheduledEvent`` + bound ``_start`` on the
+#: microtask deque, every wait a bound method + a one-element list on its
+#: future, and every request on the Pravega write path ran closure
+#: generators — what ``ping_pong`` (one wait per event) and
+#: ``mini_workload`` paid, the latter mostly as collector passes
+#: (``gc_collections``).  Walls on this box swing 20% between invocations:
+#: the pair kept is the third of three, parent run immediately before
+#: the change.  Event counts equal today's; the gate checks that they
+#: still do.
 BASELINE = {
-    "commit": "2757afc",
+    "commit": "ff6eb34",
     "scenarios": {
-        "timeout_churn": {"wall_seconds": 0.1110, "events": 200100},
-        "ping_pong": {"wall_seconds": 0.1404, "events": 100100},
-        "ping_pong_sliced": {"wall_seconds": 0.1744, "events": 100100},
-        "cancel_storm": {"wall_seconds": 0.0670, "events": 1001},
-        "mini_workload": {"wall_seconds": 0.6416, "events": 109326},
-        "mini_tracer_off": {"wall_seconds": 0.6408, "events": 109326},
+        "timeout_churn": {"wall_seconds": 0.1077, "events": 200100, "gc_collections": [0, 0, 0]},
+        "ping_pong": {"wall_seconds": 0.1382, "events": 100100, "gc_collections": [0, 0, 0]},
+        "ping_pong_sliced": {"wall_seconds": 0.1356, "events": 100100, "gc_collections": [0, 0, 0]},
+        "cancel_storm": {"wall_seconds": 0.0654, "events": 1001, "gc_collections": [19, 2, 0]},
+        "mini_workload": {"wall_seconds": 0.6215, "events": 109326, "gc_collections": [68, 7, 0]},
+        "mini_tracer_off": {"wall_seconds": 0.6891, "events": 109326, "gc_collections": [68, 6, 1]},
     },
 }
 

@@ -155,13 +155,11 @@ class _PravegaConsumer:
         sim.run_until_complete(self.reader.join(), timeout=60)
 
     def receive(self):
-        sim = self.reader.sim
+        return self.reader.sim.process(self._receive())
 
-        def run():
-            batch = yield self.reader.read_next()
-            return batch.segment_number, batch.event_count, batch.byte_count
-
-        return sim.process(run())
+    def _receive(self):
+        batch = yield self.reader.read_next()
+        return batch.segment_number, batch.event_count, batch.byte_count
 
 
 class PravegaAdapter:
@@ -354,18 +352,16 @@ class _KafkaConsumerHandle:
         )
 
     def receive(self):
-        sim = self.consumer.sim
+        return self.consumer.sim.process(self._receive())
 
-        def run():
-            while True:
-                batches = yield self.consumer.poll()
-                if batches:
-                    partition = batches[0].partition
-                    count = sum(b.record_count for b in batches)
-                    nbytes = sum(b.byte_count for b in batches)
-                    return partition, count, nbytes
-
-        return sim.process(run())
+    def _receive(self):
+        while True:
+            batches = yield self.consumer.poll()
+            if batches:
+                partition = batches[0].partition
+                count = sum(b.record_count for b in batches)
+                nbytes = sum(b.byte_count for b in batches)
+                return partition, count, nbytes
 
 
 class KafkaAdapter:
@@ -497,15 +493,13 @@ class _PulsarConsumerHandle:
         )
 
     def receive(self):
-        sim = self.consumer.sim
+        return self.consumer.sim.process(self._receive())
 
-        def run():
-            while True:
-                batch = yield self.consumer.receive()
-                if batch.record_count:
-                    return batch.partition, batch.record_count, batch.byte_count
-
-        return sim.process(run())
+    def _receive(self):
+        while True:
+            batch = yield self.consumer.receive()
+            if batch.record_count:
+                return batch.partition, batch.record_count, batch.byte_count
 
 
 class PulsarAdapter:

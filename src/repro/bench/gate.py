@@ -73,6 +73,10 @@ WALL_PATTERNS = (
     "*suite_wall*",
     "*serial_wall*",
 )
+# Fields that describe the interpreter process the run happened in (how
+# often the cyclic collector ran): their shape is contracted by
+# ``structure_checks``, their value is never compared.
+PROCESS_PATTERNS = ("*gc_collections*",)
 #: fresh wall time may be up to this factor off the committed one in
 #: either direction before it counts as drift
 WALL_RATIO = 10.0
@@ -174,6 +178,8 @@ def compare(
 ) -> List[Drift]:
     """Recursive structured diff of a committed record vs a fresh one."""
     drifts: List[Drift] = []
+    if any(fnmatch.fnmatch(path, pat) for pat in PROCESS_PATTERNS):
+        return drifts
     if isinstance(committed, dict) and isinstance(fresh, dict):
         for key in committed:
             sub = f"{path}.{key}" if path else str(key)
@@ -286,6 +292,14 @@ def structure_checks(files: Dict[str, dict], min_capacity_points: int = 6) -> Li
             if "events" not in record or "stats" not in record:
                 bad("BENCH_kernel.json", f"scenarios.{name}", sorted(record),
                     "record with events + stats")
+            collections = record.get("gc_collections")
+            if not (
+                isinstance(collections, list)
+                and len(collections) == 3
+                and all(type(n) is int and n >= 0 for n in collections)
+            ):
+                bad("BENCH_kernel.json", f"scenarios.{name}.gc_collections",
+                    collections, "collector runs [gen0, gen1, gen2] of the best repeat")
         if not isinstance(kernel.get("cpu_count"), int):
             bad("BENCH_kernel.json", "cpu_count", kernel.get("cpu_count"),
                 "the core count the walls were measured on")

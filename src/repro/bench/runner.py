@@ -29,6 +29,7 @@ from __future__ import annotations
 import os
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.common.errors import ReproError
@@ -234,6 +235,8 @@ class WorkloadEngine:
         }
         trackers[GLOBAL_TRACKER] = deque()
         self._trackers = trackers
+        #: only a consumer drains the send log, so only then is it kept
+        tracked = spec.consumers > 0
         producers_done = self.producers_done
         producers_running = [spec.producers]
 
@@ -292,10 +295,9 @@ class WorkloadEngine:
                 in_window = window_start <= now < window_end
                 if keyless:
                     fut = send_group(None, count, event_size)
-                    fut.add_callback(
-                        lambda f, n=count, t=now, w=in_window: _ack(f, n, t, w)
-                    )
-                    trackers[GLOBAL_TRACKER].append((count, now))
+                    fut.add_callback(partial(_ack, count, now, in_window))
+                    if tracked:
+                        trackers[GLOBAL_TRACKER].append((count, now))
                 else:
                     if router is not None:
                         shares = router.shares(count, now - epoch)
@@ -305,16 +307,15 @@ class WorkloadEngine:
                         rotate += 1
                     for partition, share in shares:
                         fut = send_group(partition, share, event_size)
-                        fut.add_callback(
-                            lambda f, n=share, t=now, w=in_window: _ack(f, n, t, w)
-                        )
-                        trackers[partition].append((share, now))
+                        fut.add_callback(partial(_ack, share, now, in_window))
+                        if tracked:
+                            trackers[partition].append((share, now))
             yield handle.flush()
             producers_running[0] -= 1
             if producers_running[0] == 0 and not producers_done.done:
                 producers_done.set_result(None)
 
-        def _ack(fut: SimFuture, n: int, send_time: float, in_window: bool) -> None:
+        def _ack(n: int, send_time: float, in_window: bool, fut: SimFuture) -> None:
             if fut.exception is not None:
                 counters.errors += 1
                 if observer is not None:

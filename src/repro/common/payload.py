@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 __all__ = ["Payload"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Payload:
     """An immutable run of bytes, possibly content-free (synthetic)."""
 

@@ -197,88 +197,92 @@ class KafkaCluster:
         leader) have the batch — with the per-replica durability mode the
         brokers were configured with.
         """
-        replicas = self.assignments[tp]
+        return self.sim.process(self._produce(
+            client_host, tp, self.assignments[tp], payload, record_count,
+            producer_id, sequence, acks_all, span,
+        ))
+
+    def _produce(
+        self, client_host, tp, replicas, payload, record_count, producer_id,
+        sequence, acks_all, span,
+    ):
         leader = self.brokers[replicas[0]]
         wire = payload.size + BATCH_OVERHEAD + RPC_OVERHEAD
-
-        def run():
+        if span is not None:
+            t_request = self.sim.now
+        yield self.network.transfer(client_host, leader.name, wire)
+        if span is not None:
+            span.component("network", self.sim.now - t_request)
+        if not leader.alive:
             if span is not None:
-                t_request = self.sim.now
-            yield self.network.transfer(client_host, leader.name, wire)
-            if span is not None:
-                span.component("network", self.sim.now - t_request)
-            if not leader.alive:
-                if span is not None:
-                    span.annotate("leader-down")
-                    span.finish()
-                raise KafkaError(f"leader {leader.name} is down")
-            yield leader.request_processing_time
-            append_span = None
-            if span is not None:
-                append_span = span.child(
-                    "kafka.log.append", actor=leader.name, bytes=payload.size
-                )
-            leader_done = leader.append_local(
-                tp, payload, record_count, producer_id, sequence, span=append_span
-            )
-            needed = (self.min_insync_replicas - 1) if acks_all else 0
-            follower_acks = self.sim.future()
-            state = {"acked": 0, "failed": 0}
-            followers = replicas[1:]
-            if needed == 0:
-                follower_acks.set_result(None)
-
-            def on_follower(fut: SimFuture) -> None:
-                if fut.exception is None:
-                    state["acked"] += 1
-                else:
-                    state["failed"] += 1
-                if follower_acks.done:
-                    return
-                if state["acked"] >= needed:
-                    follower_acks.set_result(None)
-                elif state["failed"] > len(followers) - needed:
-                    follower_acks.set_exception(
-                        NotEnoughReplicasError(f"{tp}: in-sync replicas unavailable")
-                    )
-
-            for follower_name in followers:
-                follower = self.brokers[follower_name]
-
-                def start_replication(_: SimFuture, follower=follower) -> None:
-                    transfer = self.network.transfer(leader.name, follower.name, wire)
-
-                    def replicate(__: SimFuture) -> None:
-                        follower.append_local(
-                            tp, payload, record_count, producer_id, sequence
-                        ).add_callback(on_follower)
-
-                    transfer.add_callback(replicate)
-
-                # Follower-fetch round: data leaves the leader only when the
-                # follower's next fetch arrives.
-                self.sim.timeout(self.replication_poll_delay).add_callback(
-                    start_replication
-                )
-
-            yield leader_done
-            if span is not None:
-                if append_span is not None:
-                    span.absorb(append_span)
-                t_leader = self.sim.now
-            yield follower_acks
-            if span is not None:
-                # Incremental wait for the in-sync followers beyond the
-                # leader's own append (they replicate concurrently).
-                span.component("quorum", self.sim.now - t_leader)
-                t_reply = self.sim.now
-            yield self.network.transfer(leader.name, client_host, RPC_OVERHEAD)
-            if span is not None:
-                span.component("network", self.sim.now - t_reply)
+                span.annotate("leader-down")
                 span.finish()
-            return self.brokers[replicas[0]].logs[tp].leo
+            raise KafkaError(f"leader {leader.name} is down")
+        yield leader.request_processing_time
+        append_span = None
+        if span is not None:
+            append_span = span.child(
+                "kafka.log.append", actor=leader.name, bytes=payload.size
+            )
+        leader_done = leader.append_local(
+            tp, payload, record_count, producer_id, sequence, span=append_span
+        )
+        needed = (self.min_insync_replicas - 1) if acks_all else 0
+        follower_acks = self.sim.future()
+        state = {"acked": 0, "failed": 0}
+        followers = replicas[1:]
+        if needed == 0:
+            follower_acks.set_result(None)
 
-        return self.sim.process(run())
+        def on_follower(fut: SimFuture) -> None:
+            if fut.exception is None:
+                state["acked"] += 1
+            else:
+                state["failed"] += 1
+            if follower_acks.done:
+                return
+            if state["acked"] >= needed:
+                follower_acks.set_result(None)
+            elif state["failed"] > len(followers) - needed:
+                follower_acks.set_exception(
+                    NotEnoughReplicasError(f"{tp}: in-sync replicas unavailable")
+                )
+
+        for follower_name in followers:
+            follower = self.brokers[follower_name]
+
+            def start_replication(_: SimFuture, follower=follower) -> None:
+                transfer = self.network.transfer(leader.name, follower.name, wire)
+
+                def replicate(__: SimFuture) -> None:
+                    follower.append_local(
+                        tp, payload, record_count, producer_id, sequence
+                    ).add_callback(on_follower)
+
+                transfer.add_callback(replicate)
+
+            # Follower-fetch round: data leaves the leader only when the
+            # follower's next fetch arrives.
+            self.sim.timeout(self.replication_poll_delay).add_callback(
+                start_replication
+            )
+
+        yield leader_done
+        if span is not None:
+            if append_span is not None:
+                span.absorb(append_span)
+            t_leader = self.sim.now
+        yield follower_acks
+        if span is not None:
+            # Incremental wait for the in-sync followers beyond the
+            # leader's own append (they replicate concurrently).
+            span.component("quorum", self.sim.now - t_leader)
+            t_reply = self.sim.now
+        yield self.network.transfer(leader.name, client_host, RPC_OVERHEAD)
+        if span is not None:
+            span.component("network", self.sim.now - t_reply)
+            span.finish()
+        return self.brokers[replicas[0]].logs[tp].leo
 
     # ------------------------------------------------------------------
     # Fetch path (consumers)

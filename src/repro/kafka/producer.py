@@ -99,6 +99,8 @@ class KafkaProducer:
         self._cpu = FifoServer(sim, name=f"cpu:{self.producer_id}")
         self._sticky_partition = 0
         self._unacked = 0
+        #: bound once — every send registers it on its ack future
+        self._count_ack = self._on_acked
         self.records_sent = 0
         self.bytes_sent = 0
         #: optional repro.obs.Tracer; None keeps the send path untraced
@@ -130,7 +132,7 @@ class KafkaProducer:
             return self._send_split(size, key, count, wire)
         fut = self.sim.future()
         self._unacked += 1
-        fut.add_callback(self._on_acked)
+        fut.add_callback(self._count_ack)
         partition = self._partition_for(key)
         span = None
         if self.tracer is not None:

@@ -128,59 +128,54 @@ class EventStreamReader:
         """
         if not self._joined:
             raise ReaderError(f"{self.reader_id} has not joined the group")
+        return self.sim.process(self._read_next())
 
-        def run():
-            segments = self._segments
-            outstanding = self._outstanding
-            completions = self._completions
-            offsets = self._offsets
-            stores = self._stores
-            host = self.host
-            read_size = self.config.read_size
-            ready_get = self._ready.get
-            while True:
-                if not segments:
-                    yield self.sim.timeout(self.config.acquire_interval)
-                    yield from self._acquire()
+    def _read_next(self):
+        segments = self._segments
+        outstanding = self._outstanding
+        completions = self._completions
+        offsets = self._offsets
+        stores = self._stores
+        host = self.host
+        read_size = self.config.read_size
+        ready_get = self._ready.get
+        while True:
+            if not segments:
+                yield self.sim.timeout(self.config.acquire_interval)
+                yield from self._acquire()
+                continue
+            # Ensure one outstanding read per assigned segment.
+            for number, (qualified, store_host) in segments.items():
+                if number in outstanding:
                     continue
-                # Ensure one outstanding read per assigned segment.
-                for number, (qualified, store_host) in segments.items():
-                    if number in outstanding:
-                        continue
-                    offset = offsets[number]
-                    read = stores[store_host].rpc_read(
-                        host, qualified, offset, read_size
-                    )
-                    outstanding[number] = (offset, read)
-                    callback = completions.get(number)
-                    if callback is None:
-                        callback = completions[number] = partial(
-                            self._note_ready, number
-                        )
-                    read.add_callback(callback)
-                number = yield ready_get()
-                if number not in outstanding:
-                    continue  # stale completion (segment released)
-                offset, fut = outstanding.pop(number)
-                if number not in segments:
-                    continue  # segment was released while the read was out
-                try:
-                    result = fut.value
-                except (SegmentError, StreamError, CacheFullError) as exc:
-                    raise ReaderError(f"read segment {number}@{offset}: {exc}") from exc
-                if result.end_of_segment:
-                    yield from self._complete_segment(number)
-                    continue
-                batch = self._decode(number, offset, result.payload)
-                offsets[number] = offset + result.payload.size
-                if batch.event_count == 0:
-                    # Only a partial frame arrived; keep reading.
-                    continue
-                self.events_read += batch.event_count
-                self.bytes_read += batch.byte_count
-                return batch
-
-        return self.sim.process(run())
+                offset = offsets[number]
+                read = stores[store_host].rpc_read(host, qualified, offset, read_size)
+                outstanding[number] = (offset, read)
+                callback = completions.get(number)
+                if callback is None:
+                    callback = completions[number] = partial(self._note_ready, number)
+                read.add_callback(callback)
+            number = yield ready_get()
+            if number not in outstanding:
+                continue  # stale completion (segment released)
+            offset, fut = outstanding.pop(number)
+            if number not in segments:
+                continue  # segment was released while the read was out
+            try:
+                result = fut.value
+            except (SegmentError, StreamError, CacheFullError) as exc:
+                raise ReaderError(f"read segment {number}@{offset}: {exc}") from exc
+            if result.end_of_segment:
+                yield from self._complete_segment(number)
+                continue
+            batch = self._decode(number, offset, result.payload)
+            offsets[number] = offset + result.payload.size
+            if batch.event_count == 0:
+                # Only a partial frame arrived; keep reading.
+                continue
+            self.events_read += batch.event_count
+            self.bytes_read += batch.byte_count
+            return batch
 
     def _note_ready(self, number: int, _future) -> None:
         self._ready.put(number)

@@ -67,7 +67,7 @@ class WriterConfig:
     max_retries: int = 8
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class _PendingEvent:
     payload: Payload
     event_count: int
@@ -81,10 +81,13 @@ class _PendingEvent:
     span: Optional[object] = None
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class _Batch:
+    # eq=False on both: in-flight batches are found and removed by identity.
     events: List[_PendingEvent] = field(default_factory=list)
     size: int = 0
+    #: application events in the batch (an entry may stand for a group)
+    event_count: int = 0
     first_event_number: int = 0
     last_event_number: int = 0
     open_time: float = 0.0
@@ -158,6 +161,7 @@ class _SegmentWriter:
             event = self.queue.popleft()
             batch.events.append(event)
             batch.size += event.payload.size
+            batch.event_count += event.event_count
             if len(batch.events) == 1:
                 batch.first_event_number = self.next_event_number + 1
             self.next_event_number += event.event_count
@@ -174,7 +178,7 @@ class _SegmentWriter:
     def _send(self, batch: _Batch):
         parent = self.parent
         config = parent.config
-        event_count = sum(e.event_count for e in batch.events)
+        event_count = batch.event_count
         first_span = batch.events[0].span if batch.events else None
         rpc_span = None
         if first_span is not None:
@@ -308,6 +312,8 @@ class EventStreamWriter:
         self.events_written = 0
         self.bytes_written = 0
         self._unacked = 0
+        #: bound once — every send registers it on its ack future
+        self._count_ack = self._on_acked
         #: optional repro.obs.Tracer; None keeps the write path untraced
         self.tracer = None
         #: extra attributes stamped on every root write span (e.g. the
@@ -384,21 +390,20 @@ class EventStreamWriter:
                 )
             return all_of(self.sim, pending)
 
-        def run():
-            yield self._ensure_ready()
-            segments = max(len(self._locations), 1)
-            base, remainder = divmod(count, segments)
-            pending = []
-            for i in range(segments):
-                share = base + (1 if i < remainder else 0)
-                if share <= 0:
-                    continue
-                pending.append(
-                    self._write(Payload.synthetic(share * framed), share, None)
-                )
-            yield all_of(self.sim, pending)
+        return self.sim.process(self._write_spread(count, framed))
 
-        return self.sim.process(run())
+    def _write_spread(self, count: int, framed: int):
+        """A keyless group: one share per active segment (round-robin)."""
+        yield self._ensure_ready()
+        segments = max(len(self._locations), 1)
+        base, remainder = divmod(count, segments)
+        pending = []
+        for i in range(segments):
+            share = base + (1 if i < remainder else 0)
+            if share <= 0:
+                continue
+            pending.append(self._write(Payload.synthetic(share * framed), share, None))
+        yield all_of(self.sim, pending)
 
     def _write(
         self, payload: Payload, event_count: int, routing_key: Optional[str]
@@ -419,20 +424,20 @@ class EventStreamWriter:
             payload, event_count, fut, self.sim.now, routing_key, span=span
         )
         self._unacked += 1
-        fut.add_callback(self._on_acked)
-
-        def run():
-            yield self._ensure_ready()
-            location = self._segment_for_key(routing_key)
-            writer = self._segment_writers[location.segment_number]
-            if writer.sealed:
-                yield from self._refresh_segments()
-                location = self._segment_for_key(routing_key)
-                writer = self._segment_writers[location.segment_number]
-            writer.enqueue(event)
-
-        self.sim.process(run())
+        fut.add_callback(self._count_ack)
+        self.sim.process(self._route(event))
         return fut
+
+    def _route(self, event: _PendingEvent):
+        """Hand ``event`` to the writer of the segment covering its key."""
+        yield self._ensure_ready()
+        location = self._segment_for_key(event.routing_key)
+        writer = self._segment_writers[location.segment_number]
+        if writer.sealed:
+            yield from self._refresh_segments()
+            location = self._segment_for_key(event.routing_key)
+            writer = self._segment_writers[location.segment_number]
+        writer.enqueue(event)
 
     def _on_acked(self, fut: SimFuture) -> None:
         self._unacked -= 1

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.common.errors import (
@@ -149,6 +148,35 @@ class ReadResult:
     payload: Payload
     offset: int
     end_of_segment: bool = False
+
+
+def _finish_read(read_span, source: str) -> None:
+    if read_span is not None:
+        read_span.attrs["source"] = source
+        read_span.finish()
+
+
+class _AppendAck(SimFuture):
+    """A fast-path append's result, registered as the callback of its own
+    WAL future: one object per append instead of future + partial + bound
+    method."""
+
+    __slots__ = ("container", "op")
+
+    def __init__(self, container: "SegmentContainer", op: AppendOperation) -> None:
+        super().__init__(container.sim)
+        self.container = container
+        self.op = op
+
+    def __call__(self, wal: SimFuture) -> None:
+        exc = wal.exception
+        if exc is not None:
+            container = self.container
+            container._unapplied_bytes -= self.op.payload.size
+            container.storage_writer.release_check()
+            self.set_exception(exc)
+        else:
+            self.set_result(AppendResult(offset=self.op.offset))
 
 
 class SegmentContainer:
@@ -468,81 +496,75 @@ class SegmentContainer:
             self._track_rates(segment, event_count, payload.size)
             self._count_op()
             self._unapplied_bytes += payload.size
-            result = SimFuture(self.sim)
-            self.durable_log.add(op).add_callback(
-                partial(self._append_acked, result, op)
-            )
+            result = _AppendAck(self, op)
+            self.durable_log.add(op).add_callback(result)
             return result
 
-        def run():
-            append_span = None
-            if span is not None:
-                append_span = span.child(
-                    "container.append",
-                    actor=f"container-{self.container_id}",
-                    segment=segment,
-                    bytes=payload.size,
-                )
-            gate = self.storage_writer.admission_gate()
-            if not gate.done:
-                self.metrics.counter("append.throttled").add()
-                if append_span is not None:
-                    append_span.annotate("admission-throttled")
-                yield gate
-            # Cache pressure also throttles ingestion: unflushed data is
-            # pinned, so an overflowing cache means tiering is behind.
-            while self.cache.overflowing and self._online:
-                self.metrics.counter("append.cache_throttled").add()
-                self.cache_manager.advance_generation()
-                self.cache_manager.maybe_evict()
-                yield self.sim.timeout(0.005)
-            # Re-validate after a potential wait.
-            current = self._state(segment)
-            if current.sealed:
-                raise SegmentSealedError(segment)
-            op = AppendOperation(
-                segment,
-                payload=payload,
-                writer_id=writer_id,
-                event_number=event_number,
-                event_count=event_count,
+        return self.sim.process(
+            self._admit_append(
+                segment, payload, writer_id, event_number, event_count, span
             )
-            op.offset = current.length
-            current.length += payload.size
-            if writer_id and event_number >= 0:
-                current.attributes[writer_id] = event_number
-            self._track_rates(segment, event_count, payload.size)
-            self._count_op()
-            self._unapplied_bytes += payload.size
-            if append_span is not None:
-                op.trace_span = append_span
-            try:
-                yield self.durable_log.add(op)
-            except BaseException:
-                self._unapplied_bytes -= payload.size
-                self.storage_writer.release_check()
-                if append_span is not None:
-                    append_span.annotate("wal-error")
-                    append_span.finish()
-                raise
-            if append_span is not None:
-                append_span.finish()
-                span.absorb(append_span)
-            return AppendResult(offset=op.offset)
+        )
 
-        return self.sim.process(run())
-
-    def _append_acked(
-        self, result: SimFuture, op: AppendOperation, wal: SimFuture
-    ) -> None:
-        """Resolve a fast-path append once its WAL write settles."""
-        exc = wal.exception
-        if exc is not None:
-            self._unapplied_bytes -= op.payload.size
+    def _admit_append(
+        self, segment, payload, writer_id, event_number, event_count, span
+    ):
+        """The waiting append path: tracing on, throttle gate closed or
+        cache overflowing."""
+        append_span = None
+        if span is not None:
+            append_span = span.child(
+                "container.append",
+                actor=f"container-{self.container_id}",
+                segment=segment,
+                bytes=payload.size,
+            )
+        gate = self.storage_writer.admission_gate()
+        if not gate.done:
+            self.metrics.counter("append.throttled").add()
+            if append_span is not None:
+                append_span.annotate("admission-throttled")
+            yield gate
+        # Cache pressure also throttles ingestion: unflushed data is
+        # pinned, so an overflowing cache means tiering is behind.
+        while self.cache.overflowing and self._online:
+            self.metrics.counter("append.cache_throttled").add()
+            self.cache_manager.advance_generation()
+            self.cache_manager.maybe_evict()
+            yield self.sim.timeout(0.005)
+        # Re-validate after a potential wait.
+        current = self._state(segment)
+        if current.sealed:
+            raise SegmentSealedError(segment)
+        op = AppendOperation(
+            segment,
+            payload=payload,
+            writer_id=writer_id,
+            event_number=event_number,
+            event_count=event_count,
+        )
+        op.offset = current.length
+        current.length += payload.size
+        if writer_id and event_number >= 0:
+            current.attributes[writer_id] = event_number
+        self._track_rates(segment, event_count, payload.size)
+        self._count_op()
+        self._unapplied_bytes += payload.size
+        if append_span is not None:
+            op.trace_span = append_span
+        try:
+            yield self.durable_log.add(op)
+        except BaseException:
+            self._unapplied_bytes -= payload.size
             self.storage_writer.release_check()
-            result.set_exception(exc)
-        else:
-            result.set_result(AppendResult(offset=op.offset))
+            if append_span is not None:
+                append_span.annotate("wal-error")
+                append_span.finish()
+            raise
+        if append_span is not None:
+            append_span.finish()
+            span.absorb(append_span)
+        return AppendResult(offset=op.offset)
 
     def _track_rates(self, segment: str, events: int, nbytes: int) -> None:
         now = self.sim.now
@@ -841,89 +863,85 @@ class SegmentContainer:
                 waiters[waiter] = (offset, max_bytes, True)
                 return waiter
 
-        def run():
-            read_span = None
-            if span is not None:
-                read_span = span.child(
-                    "container.read",
-                    actor=f"container-{self.container_id}",
-                    segment=segment,
-                    offset=offset,
-                )
-            waited = False
+        return self.sim.process(self._serve_read(segment, offset, max_bytes, span))
 
-            def done(source: str):
-                if read_span is not None:
-                    read_span.attrs["source"] = source
-                    read_span.finish()
+    def _serve_read(self, segment: str, offset: int, max_bytes: int, span):
+        """The waiting read path: tail park, LTS fetch, or tracing on."""
+        read_span = None
+        if span is not None:
+            read_span = span.child(
+                "container.read",
+                actor=f"container-{self.container_id}",
+                segment=segment,
+                offset=offset,
+            )
+        waited = False
 
-            try:
-                while True:
-                    state = self._state(segment)
-                    available = state.applied_length - offset
-                    if available <= 0:
-                        if state.sealed:
-                            done("eos")
-                            return ReadResult(Payload.empty(), offset, end_of_segment=True)
-                        waiter = self.sim.future()
-                        waiters = self._tail_waiters.get(segment)
-                        if waiters is None:
-                            waiters = self._tail_waiters[segment] = {}
-                        waiters[waiter] = (offset, max_bytes, False)
-                        wait_from = self.sim.now if read_span is not None else 0.0
-                        try:
-                            wake = yield waiter
-                        except BaseException:
-                            # Reader detached mid-wait (interrupt) or the
-                            # waiter failed: drop the registration so the
-                            # wakeup list doesn't pin this future.
-                            live = self._tail_waiters.get(segment)
-                            if live is not None:
-                                live.pop(waiter, None)
-                            raise
-                        waited = True
-                        if read_span is not None:
-                            read_span.component("tail_wait", self.sim.now - wait_from)
-                        if wake is True:
-                            done("eos")
-                            return ReadResult(Payload.empty(), offset, end_of_segment=True)
-                        if wake is not False:
-                            # Shared fan-out delivered the payload directly.
-                            self._read_cache_hits.add()
-                            self._read_cache_bytes.add(wake.payload.size)
-                            done("tail")
-                            return wake
-                        continue
-                    want = min(max_bytes, available)
-                    index = self._read_index(segment)
-                    cached = index.read_cached(offset, want)
-                    if cached is not None and cached.size > 0:
-                        self._read_cache_hits.add()
-                        self._read_cache_bytes.add(cached.size)
-                        done("tail" if waited else "cache")
-                        return ReadResult(cached, offset)
-                    # Cache miss: fetch the chunk covering `offset` from LTS and
-                    # prefetch the next chunks in parallel (Fig. 12).
-                    self._read_cache_misses.add()
-                    fetch_from = self.sim.now if read_span is not None else 0.0
-                    yield from self._fetch_from_lts(segment, offset, read_span)
+        try:
+            while True:
+                state = self._state(segment)
+                available = state.applied_length - offset
+                if available <= 0:
+                    if state.sealed:
+                        _finish_read(read_span, "eos")
+                        return ReadResult(Payload.empty(), offset, end_of_segment=True)
+                    waiter = self.sim.future()
+                    waiters = self._tail_waiters.get(segment)
+                    if waiters is None:
+                        waiters = self._tail_waiters[segment] = {}
+                    waiters[waiter] = (offset, max_bytes, False)
+                    wait_from = self.sim.now if read_span is not None else 0.0
+                    try:
+                        wake = yield waiter
+                    except BaseException:
+                        # Reader detached mid-wait (interrupt) or the
+                        # waiter failed: drop the registration so the
+                        # wakeup list doesn't pin this future.
+                        live = self._tail_waiters.get(segment)
+                        if live is not None:
+                            live.pop(waiter, None)
+                        raise
+                    waited = True
                     if read_span is not None:
-                        read_span.component("lts", self.sim.now - fetch_from)
-                    cached = index.read_cached(offset, want)
-                    if cached is not None and cached.size > 0:
-                        self.metrics.counter("read.lts_bytes").add(cached.size)
-                        done("lts")
-                        return ReadResult(cached, offset)
-                    raise StreamError(
-                        f"data unavailable at {segment}@{offset} "
-                        f"(applied={state.applied_length}, "
-                        f"flushed={self.storage_writer.flushed_offset(segment)})"
-                    )
-            finally:
-                if read_span is not None and read_span.end is None:
-                    read_span.finish()
-
-        return self.sim.process(run())
+                        read_span.component("tail_wait", self.sim.now - wait_from)
+                    if wake is True:
+                        _finish_read(read_span, "eos")
+                        return ReadResult(Payload.empty(), offset, end_of_segment=True)
+                    if wake is not False:
+                        # Shared fan-out delivered the payload directly.
+                        self._read_cache_hits.add()
+                        self._read_cache_bytes.add(wake.payload.size)
+                        _finish_read(read_span, "tail")
+                        return wake
+                    continue
+                want = min(max_bytes, available)
+                index = self._read_index(segment)
+                cached = index.read_cached(offset, want)
+                if cached is not None and cached.size > 0:
+                    self._read_cache_hits.add()
+                    self._read_cache_bytes.add(cached.size)
+                    _finish_read(read_span, "tail" if waited else "cache")
+                    return ReadResult(cached, offset)
+                # Cache miss: fetch the chunk covering `offset` from LTS and
+                # prefetch the next chunks in parallel (Fig. 12).
+                self._read_cache_misses.add()
+                fetch_from = self.sim.now if read_span is not None else 0.0
+                yield from self._fetch_from_lts(segment, offset, read_span)
+                if read_span is not None:
+                    read_span.component("lts", self.sim.now - fetch_from)
+                cached = index.read_cached(offset, want)
+                if cached is not None and cached.size > 0:
+                    self.metrics.counter("read.lts_bytes").add(cached.size)
+                    _finish_read(read_span, "lts")
+                    return ReadResult(cached, offset)
+                raise StreamError(
+                    f"data unavailable at {segment}@{offset} "
+                    f"(applied={state.applied_length}, "
+                    f"flushed={self.storage_writer.flushed_offset(segment)})"
+                )
+        finally:
+            if read_span is not None and read_span.end is None:
+                read_span.finish()
 
     def _fetch_from_lts(self, segment: str, offset: int, read_span=None):
         chunks = self.storage_writer.chunks_for_range(segment, offset, 1)

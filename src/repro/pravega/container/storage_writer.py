@@ -86,6 +86,9 @@ class StorageWriter:
         #: optional repro.obs.Tracer; traces LTS chunk writes when set
         self.tracer = None
         self._pending: Dict[str, _PendingData] = {}
+        #: sum of ``size`` over ``_pending``, kept at every mutation site
+        #: (the throttle gate reads it twice per append)
+        self._backlog_bytes = 0
         #: segments with a flush loop currently running (one per segment)
         self._flushing: set[str] = set()
         #: flushed-to offset per segment (persisted via container checkpoints)
@@ -123,6 +126,7 @@ class StorageWriter:
             self.sim.process(self._age_timer(segment, pending))
         pending.pieces.append(payload)
         pending.size += payload.size
+        self._backlog_bytes += payload.size
         pending.sequences.append(sequence)
         self._outstanding[sequence] = True
         if pending.size >= self.config.flush_threshold:
@@ -134,11 +138,11 @@ class StorageWriter:
 
     @property
     def backlog_bytes(self) -> int:
-        return sum(p.size for p in self._pending.values())
+        return self._backlog_bytes
 
     @property
     def total_backlog_bytes(self) -> int:
-        return self.backlog_bytes + self.external_backlog_provider()
+        return self._backlog_bytes + self.external_backlog_provider()
 
     @property
     def throttled(self) -> bool:
@@ -209,6 +213,7 @@ class StorageWriter:
                 pending = self._pending.pop(segment, None)
                 if pending is None or pending.size == 0:
                     return
+                self._backlog_bytes -= pending.size
                 # The buffer was swapped out: appends arriving during the
                 # flush accumulate into a fresh buffer.
                 payload = Payload.concat(pending.pieces)
@@ -278,6 +283,7 @@ class StorageWriter:
 
     def _requeue(self, segment: str, pending: _PendingData) -> None:
         """Put a failed flush buffer back, in front of any newer buffer."""
+        self._backlog_bytes += pending.size
         follow_on = self._pending.get(segment)
         if follow_on is not None:
             pending.pieces.extend(follow_on.pieces)
@@ -336,7 +342,9 @@ class StorageWriter:
             for chunk in self.chunks.pop(segment, []):
                 yield self.lts.delete_chunk(chunk.chunk_name)
             self.storage_length.pop(segment, None)
-            self._pending.pop(segment, None)
+            dropped = self._pending.pop(segment, None)
+            if dropped is not None:
+                self._backlog_bytes -= dropped.size
 
         return self.sim.process(run())
 

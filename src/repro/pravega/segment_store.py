@@ -141,37 +141,46 @@ class SegmentStore:
         self,
         client_host: str,
         request_bytes: int,
-        handler: Callable[[], SimFuture],
-        reply_bytes: int = RPC_OVERHEAD,
+        method: Callable[..., Any],
+        segment: str,
+        args: tuple = (),
         span=None,
     ) -> SimFuture:
-        """Request transfer -> processing -> handler -> reply transfer."""
-
-        def run():
-            try:
-                if span is not None:
-                    t_request = self.sim.now
-                yield self.network.transfer(client_host, self.name, request_bytes)
-                if span is not None:
-                    span.component("network", self.sim.now - t_request)
-                if not self.alive:
-                    raise ContainerOfflineError(f"store {self.name} is down")
-                yield self.config.request_processing_time
-                value = yield handler()
-                if span is not None:
-                    t_reply = self.sim.now
-                yield self.network.transfer(self.name, client_host, reply_bytes)
-                if span is not None:
-                    span.component("network", self.sim.now - t_reply)
-                return value
-            finally:
-                if span is not None:
-                    span.finish()
-
-        # A Process is itself a SimFuture resolving with run()'s return
-        # value (or exception) — hand it back directly rather than
+        """One non-read RPC: ``method`` (a plain ``SegmentContainer``
+        function, so no per-request closure or bound method) is called on
+        the container owning ``segment`` with ``(segment, *args)`` once
+        the request has arrived."""
+        # A Process is itself a SimFuture resolving with the generator's
+        # return value (or exception) — hand it back directly rather than
         # bridging through a second future + callback per RPC.
-        return self.sim.process(run())
+        return self.sim.process(
+            self._serve(client_host, request_bytes, method, segment, args, span)
+        )
+
+    def _serve(self, client_host, request_bytes, method, segment, args, span):
+        """Request transfer -> processing -> container call -> reply transfer."""
+        try:
+            if span is not None:
+                t_request = self.sim.now
+            yield self.network.transfer(client_host, self.name, request_bytes)
+            if span is not None:
+                span.component("network", self.sim.now - t_request)
+            if not self.alive:
+                raise ContainerOfflineError(f"store {self.name} is down")
+            yield self.config.request_processing_time
+            value = method(self.container_for(segment), segment, *args)
+            if isinstance(value, SimFuture):
+                # Queries answer at once; everything else waits on the WAL.
+                value = yield value
+            if span is not None:
+                t_reply = self.sim.now
+            yield self.network.transfer(self.name, client_host, RPC_OVERHEAD)
+            if span is not None:
+                span.component("network", self.sim.now - t_reply)
+            return value
+        finally:
+            if span is not None:
+                span.finish()
 
     def rpc_append(
         self,
@@ -185,135 +194,115 @@ class SegmentStore:
     ) -> SimFuture:
         """Append a (batched) payload to a segment; resolves with AppendResult."""
         self.bytes_ingested += payload.size
-
-        def handler():
-            return self.container_for(segment).append(
-                segment, payload, writer_id, event_number, event_count, span=span
-            )
-
         return self._rpc(
-            client_host, RPC_OVERHEAD + payload.size, handler, span=span
+            client_host,
+            RPC_OVERHEAD + payload.size,
+            SegmentContainer.append,
+            segment,
+            (payload, writer_id, event_number, event_count, span),
+            span,
         )
 
     def rpc_read(
         self, client_host: str, segment: str, offset: int, max_bytes: int, span=None
     ) -> SimFuture:
         """Read from a segment; resolves with ReadResult (tail reads wait)."""
+        return self.sim.process(
+            self._serve_read(client_host, segment, offset, max_bytes, span)
+        )
 
-        def run():
+    def _serve_read(self, client_host, segment, offset, max_bytes, span):
+        try:
+            if span is not None:
+                t_request = self.sim.now
+            yield self.network.transfer(client_host, self.name, RPC_OVERHEAD)
+            if span is not None:
+                span.component("network", self.sim.now - t_request)
+            if not self.alive:
+                raise ContainerOfflineError(f"store {self.name} is down")
+            yield self.config.request_processing_time
+            container = self.container_for(segment)
+            inner = container.read(segment, offset, max_bytes, span=span)
             try:
-                if span is not None:
-                    t_request = self.sim.now
-                yield self.network.transfer(client_host, self.name, RPC_OVERHEAD)
-                if span is not None:
-                    span.component("network", self.sim.now - t_request)
-                if not self.alive:
-                    raise ContainerOfflineError(f"store {self.name} is down")
-                yield self.config.request_processing_time
-                container = self.container_for(segment)
-                inner = container.read(segment, offset, max_bytes, span=span)
-                try:
-                    value = yield inner
-                except Interrupt:
-                    # Client cancelled the read (reader released/reassigned
-                    # its segments): propagate into the container so a
-                    # parked tail waiter deregisters instead of pinning
-                    # the wakeup list.  Process-backed reads deregister
-                    # themselves on interrupt; bare direct-delivery
-                    # futures are dropped explicitly.
-                    interrupt = getattr(inner, "interrupt", None)
-                    if interrupt is not None:
-                        if not inner.done:
-                            interrupt()
-                    else:
-                        container.cancel_tail_read(segment, inner)
-                    raise
-                if span is not None:
-                    t_reply = self.sim.now
-                yield self.network.transfer(
-                    self.name, client_host, RPC_OVERHEAD + value.payload.size
-                )
-                if span is not None:
-                    span.component("network", self.sim.now - t_reply)
-                return value
-            finally:
-                if span is not None:
-                    span.finish()
-
-        return self.sim.process(run())
+                value = yield inner
+            except Interrupt:
+                # Client cancelled the read (reader released/reassigned
+                # its segments): propagate into the container so a
+                # parked tail waiter deregisters instead of pinning
+                # the wakeup list.  Process-backed reads deregister
+                # themselves on interrupt; bare direct-delivery
+                # futures are dropped explicitly.
+                interrupt = getattr(inner, "interrupt", None)
+                if interrupt is not None:
+                    if not inner.done:
+                        interrupt()
+                else:
+                    container.cancel_tail_read(segment, inner)
+                raise
+            if span is not None:
+                t_reply = self.sim.now
+            yield self.network.transfer(
+                self.name, client_host, RPC_OVERHEAD + value.payload.size
+            )
+            if span is not None:
+                span.component("network", self.sim.now - t_reply)
+            return value
+        finally:
+            if span is not None:
+                span.finish()
 
     def rpc_get_info(self, client_host: str, segment: str) -> SimFuture:
-        def handler():
-            fut = self.sim.future()
-            try:
-                fut.set_result(self.container_for(segment).get_info(segment))
-            except Exception as exc:  # noqa: BLE001
-                fut.set_exception(exc)
-            return fut
-
-        return self._rpc(client_host, RPC_OVERHEAD, handler)
+        return self._rpc(client_host, RPC_OVERHEAD, SegmentContainer.get_info, segment)
 
     def rpc_get_attribute(self, client_host: str, segment: str, writer_id: str) -> SimFuture:
         """The writer-reconnect handshake (§3.2): last event number."""
-
-        def handler():
-            fut = self.sim.future()
-            try:
-                fut.set_result(
-                    self.container_for(segment).get_attribute(segment, writer_id)
-                )
-            except Exception as exc:  # noqa: BLE001
-                fut.set_exception(exc)
-            return fut
-
-        return self._rpc(client_host, RPC_OVERHEAD, handler)
+        return self._rpc(
+            client_host, RPC_OVERHEAD, SegmentContainer.get_attribute, segment, (writer_id,)
+        )
 
     def rpc_create_segment(
         self, client_host: str, segment: str, is_table: bool = False
     ) -> SimFuture:
-        def handler():
-            return self.container_for(segment).create_segment(segment, is_table)
-
-        return self._rpc(client_host, RPC_OVERHEAD, handler)
+        return self._rpc(
+            client_host, RPC_OVERHEAD, SegmentContainer.create_segment, segment, (is_table,)
+        )
 
     def rpc_seal_segment(self, client_host: str, segment: str) -> SimFuture:
-        def handler():
-            return self.container_for(segment).seal_segment(segment)
-
-        return self._rpc(client_host, RPC_OVERHEAD, handler)
+        return self._rpc(client_host, RPC_OVERHEAD, SegmentContainer.seal_segment, segment)
 
     def rpc_truncate_segment(
         self, client_host: str, segment: str, offset: int
     ) -> SimFuture:
-        def handler():
-            return self.container_for(segment).truncate_segment(segment, offset)
-
-        return self._rpc(client_host, RPC_OVERHEAD, handler)
+        return self._rpc(
+            client_host,
+            RPC_OVERHEAD,
+            SegmentContainer.truncate_segment,
+            segment,
+            (offset,),
+        )
 
     def rpc_delete_segment(self, client_host: str, segment: str) -> SimFuture:
-        def handler():
-            return self.container_for(segment).delete_segment(segment)
-
-        return self._rpc(client_host, RPC_OVERHEAD, handler)
+        return self._rpc(client_host, RPC_OVERHEAD, SegmentContainer.delete_segment, segment)
 
     def rpc_table_update(
         self, client_host: str, segment: str, updates: Dict[str, Tuple[Any, Optional[int]]]
     ) -> SimFuture:
-        def handler():
-            return self.container_for(segment).table_update(segment, updates)
-
-        return self._rpc(client_host, RPC_OVERHEAD + 64 * len(updates), handler)
+        return self._rpc(
+            client_host,
+            RPC_OVERHEAD + 64 * len(updates),
+            SegmentContainer.table_update,
+            segment,
+            (updates,),
+        )
 
     def rpc_table_get(self, client_host: str, segment: str, keys: List[str]) -> SimFuture:
-        def handler():
-            fut = self.sim.future()
-            try:
-                fut.set_result(self.container_for(segment).table_get(segment, keys))
-            except Exception as exc:  # noqa: BLE001
-                fut.set_exception(exc)
-            return fut
-
-        return self._rpc(client_host, RPC_OVERHEAD + 32 * len(keys), handler)
+        return self._rpc(
+            client_host,
+            RPC_OVERHEAD + 32 * len(keys),
+            SegmentContainer.table_get,
+            segment,
+            (keys,),
+        )
 
     # ------------------------------------------------------------------
     def load_report(self) -> Dict[str, Tuple[float, float]]:

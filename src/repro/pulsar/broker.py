@@ -187,91 +187,92 @@ class PulsarBroker:
         span=None,
     ) -> SimFuture:
         """One producer batch -> one Bookkeeper entry."""
+        return self.sim.process(
+            self._publish(client_host, partition, payload, record_count, span)
+        )
 
-        def run():
+    def _publish(self, client_host, partition, payload, record_count, span):
+        if span is not None:
+            t_request = self.sim.now
+        yield self.network.transfer(
+            client_host, self.name, payload.size + RPC_OVERHEAD
+        )
+        if span is not None:
+            span.component("network", self.sim.now - t_request)
+        if self.faults is not None:
+            self.faults.node_op(self.name)
+        if not self.alive:
             if span is not None:
-                t_request = self.sim.now
-            yield self.network.transfer(
-                client_host, self.name, payload.size + RPC_OVERHEAD
-            )
-            if span is not None:
-                span.component("network", self.sim.now - t_request)
-            if self.faults is not None:
-                self.faults.node_op(self.name)
-            if not self.alive:
-                if span is not None:
-                    span.annotate("broker-down")
-                    span.finish()
-                raise BrokerCrashedError(self.name)
-            yield self.config.request_processing_time
-            # Track replication memory from entry *receipt*: bytes held by
-            # the broker — queued for its CPU, in flight to bookies, or
-            # awaiting the full write quorum — all occupy the pending
-            # buffer.  Counting only post-CPU entries hid the dominant
-            # overload mode: a CPU-saturated broker accumulates its
-            # backlog upstream of the bookie write path and never
-            # reached the old (post-CPU) limit check.
-            self.replication_buffer += payload.size
-            if self.replication_buffer > self.config.memory_limit:
-                self.crash("replication buffer exceeded memory limit")
-                if span is not None:
-                    span.annotate("replication-buffer-oom")
-                    span.finish()
-                raise BrokerCrashedError(self.name)
-            yield self.cpu.submit(
-                self.config.per_entry_cpu + payload.size / self.config.cpu_bandwidth
-            )
-            if not self.alive:
-                # Crashed (OOM or injected fault) while this entry sat in
-                # the CPU queue; it must not reach a dead broker's ledger.
-                if span is not None:
-                    span.annotate("broker-down")
-                    span.finish()
-                raise BrokerCrashedError(self.name)
-            managed = self.ledgers[partition]
-            ledger = managed.current
-            offset = managed.length
-            managed.length += payload.size
-            managed.records += record_count
-            ledger.size += payload.size
-            managed.entries.append(
-                _EntryIndex(offset, payload.size, record_count, ledger)
-            )
-            managed.entry_offsets.append(offset)
-            append = managed.current.handle.append(payload, span=span)
-
-            def full_replication_done(_: SimFuture) -> None:
-                self.replication_buffer = max(
-                    0, self.replication_buffer - payload.size
-                )
-
-            # ackQuorum acks complete `append`; the *full* write quorum is
-            # what frees the buffer.  With aQ == wQ they coincide; with
-            # aQ < wQ the slowest bookie's lag keeps memory occupied — we
-            # model the lag as an extra journal-backlog delay on the
-            # slowest bookie.
-            lag = self._slowest_bookie_lag()
-            if self.config.ack_quorum >= self.config.write_quorum:
-                append.add_callback(full_replication_done)
-            else:
-                def after_ack(fut: SimFuture) -> None:
-                    self.sim.schedule(lag, lambda: full_replication_done(fut))
-
-                append.add_callback(after_ack)
-            yield append
-            self.entries_written += 1
-            self.bytes_written += payload.size
-            managed.maybe_rollover()
-            self._wake_dispatch(partition)
-            if span is not None:
-                t_reply = self.sim.now
-            yield self.network.transfer(self.name, client_host, RPC_OVERHEAD)
-            if span is not None:
-                span.component("network", self.sim.now - t_reply)
+                span.annotate("broker-down")
                 span.finish()
-            return offset
+            raise BrokerCrashedError(self.name)
+        yield self.config.request_processing_time
+        # Track replication memory from entry *receipt*: bytes held by
+        # the broker — queued for its CPU, in flight to bookies, or
+        # awaiting the full write quorum — all occupy the pending
+        # buffer.  Counting only post-CPU entries hid the dominant
+        # overload mode: a CPU-saturated broker accumulates its
+        # backlog upstream of the bookie write path and never
+        # reached the old (post-CPU) limit check.
+        self.replication_buffer += payload.size
+        if self.replication_buffer > self.config.memory_limit:
+            self.crash("replication buffer exceeded memory limit")
+            if span is not None:
+                span.annotate("replication-buffer-oom")
+                span.finish()
+            raise BrokerCrashedError(self.name)
+        yield self.cpu.submit(
+            self.config.per_entry_cpu + payload.size / self.config.cpu_bandwidth
+        )
+        if not self.alive:
+            # Crashed (OOM or injected fault) while this entry sat in
+            # the CPU queue; it must not reach a dead broker's ledger.
+            if span is not None:
+                span.annotate("broker-down")
+                span.finish()
+            raise BrokerCrashedError(self.name)
+        managed = self.ledgers[partition]
+        ledger = managed.current
+        offset = managed.length
+        managed.length += payload.size
+        managed.records += record_count
+        ledger.size += payload.size
+        managed.entries.append(
+            _EntryIndex(offset, payload.size, record_count, ledger)
+        )
+        managed.entry_offsets.append(offset)
+        append = managed.current.handle.append(payload, span=span)
 
-        return self.sim.process(run())
+        def full_replication_done(_: SimFuture) -> None:
+            self.replication_buffer = max(
+                0, self.replication_buffer - payload.size
+            )
+
+        # ackQuorum acks complete `append`; the *full* write quorum is
+        # what frees the buffer.  With aQ == wQ they coincide; with
+        # aQ < wQ the slowest bookie's lag keeps memory occupied — we
+        # model the lag as an extra journal-backlog delay on the
+        # slowest bookie.
+        lag = self._slowest_bookie_lag()
+        if self.config.ack_quorum >= self.config.write_quorum:
+            append.add_callback(full_replication_done)
+        else:
+            def after_ack(fut: SimFuture) -> None:
+                self.sim.schedule(lag, lambda: full_replication_done(fut))
+
+            append.add_callback(after_ack)
+        yield append
+        self.entries_written += 1
+        self.bytes_written += payload.size
+        managed.maybe_rollover()
+        self._wake_dispatch(partition)
+        if span is not None:
+            t_reply = self.sim.now
+        yield self.network.transfer(self.name, client_host, RPC_OVERHEAD)
+        if span is not None:
+            span.component("network", self.sim.now - t_reply)
+            span.finish()
+        return offset
 
     def _slowest_bookie_lag(self) -> float:
         """Extra time until the slowest replica confirms, estimated from

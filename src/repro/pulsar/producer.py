@@ -79,6 +79,8 @@ class PulsarProducer:
         self._cpu = FifoServer(sim, name=f"cpu:{self.producer_id}")
         self._round_robin = 0
         self._unacked = 0
+        #: bound once — every send registers it on its ack future
+        self._count_ack = self._on_acked
         self.records_sent = 0
         self.bytes_sent = 0
         #: optional repro.obs.Tracer; None keeps the publish path untraced
@@ -151,7 +153,7 @@ class PulsarProducer:
             return done
         fut = self.sim.future()
         self._unacked += 1
-        fut.add_callback(self._on_acked)
+        fut.add_callback(self._count_ack)
         partition = self._partition_for(key)
         span = None
         if self.tracer is not None:

@@ -65,6 +65,10 @@ class SimFuture:
     A future resolves exactly once, either with a value
     (:meth:`set_result`) or an exception (:meth:`set_exception`).
     Callbacks added after resolution run immediately.
+
+    ``_callbacks`` is ``None``, the one registered callable, or — from the
+    second registration on — a list in registration order.  Most futures
+    get exactly one callback, so a wait usually allocates nothing.
     """
 
     __slots__ = ("sim", "_done", "_value", "_exception", "_callbacks")
@@ -74,8 +78,7 @@ class SimFuture:
         self._done = False
         self._value: Any = None
         self._exception: Optional[BaseException] = None
-        # Lazily allocated: most futures get exactly one callback, many none.
-        self._callbacks: Optional[list[Callable[["SimFuture"], None]]] = None
+        self._callbacks: Any = None
 
     @property
     def done(self) -> bool:
@@ -98,10 +101,14 @@ class SimFuture:
     def add_callback(self, fn: Callable[["SimFuture"], None]) -> None:
         if self._done:
             fn(self)
-        elif self._callbacks is None:
-            self._callbacks = [fn]
+            return
+        callbacks = self._callbacks
+        if callbacks is None:
+            self._callbacks = fn
+        elif callbacks.__class__ is list:
+            callbacks.append(fn)
         else:
-            self._callbacks.append(fn)
+            self._callbacks = [callbacks, fn]
 
     def set_result(self, value: Any = None) -> None:
         # set_result/set_exception share no helper: the extra call layer
@@ -113,8 +120,11 @@ class SimFuture:
         callbacks = self._callbacks
         if callbacks is not None:
             self._callbacks = None
-            for fn in callbacks:
-                fn(self)
+            if callbacks.__class__ is list:
+                for fn in callbacks:
+                    fn(self)
+            else:
+                callbacks(self)
 
     def set_exception(self, exc: BaseException) -> None:
         if not isinstance(exc, BaseException):
@@ -126,8 +136,11 @@ class SimFuture:
         callbacks = self._callbacks
         if callbacks is not None:
             self._callbacks = None
-            for fn in callbacks:
-                fn(self)
+            if callbacks.__class__ is list:
+                for fn in callbacks:
+                    fn(self)
+            else:
+                callbacks(self)
 
 
 class Process(SimFuture):
@@ -143,9 +156,20 @@ class Process(SimFuture):
       allocation-free fast path (no future is created).
 
     The process itself resolves with the generator's ``return`` value.
+
+    A process is its own kernel bookkeeping: it sits on the microtask
+    deque as its own start entry (``seq`` / ``cancelled`` /
+    :meth:`callback` are the entry protocol of :class:`_ScheduledEvent`)
+    and registers *itself* as the callback of the future it waits on
+    (:meth:`__call__`), so neither a spawn nor a wait allocates anything.
     """
 
-    __slots__ = ("_gen", "_waiting_on", "_interrupts", "_timer_seq", "_timer_time")
+    __slots__ = (
+        "_gen", "_waiting_on", "_interrupts", "_timer_seq", "_timer_time", "seq",
+    )
+
+    #: a start entry is never cancelled (nobody else holds it as an event)
+    cancelled = False
 
     def __init__(self, sim: "Simulator", gen: Generator[Any, Any, Any]) -> None:
         if not hasattr(gen, "send"):
@@ -158,18 +182,20 @@ class Process(SimFuture):
         self._callbacks = None
         self._gen = gen
         self._waiting_on: Optional[SimFuture] = None
-        self._interrupts: list[Interrupt] = []
+        #: pending interrupts, oldest first; allocated on the first one
+        self._interrupts: Optional[list[Interrupt]] = None
         #: seq of the pending fast-path timer heap entry, or -1 when not
         #: waiting on one; the heap entry is stale unless its seq matches.
         self._timer_seq = -1
         self._timer_time = 0.0
         # Start the process at the current simulation time, but asynchronously
         # so the creator finishes its own step first (inlined call_soon).
-        seq = sim._seq
+        self.seq = seq = sim._seq
         sim._seq = seq + 1
-        sim._micro.append(_ScheduledEvent(sim._now, seq, self._start, False))
+        sim._micro.append(self)
 
-    def _start(self) -> None:
+    def callback(self) -> None:
+        """The start microtask: run the generator to its first yield."""
         self._step(None, None)
 
     @property
@@ -180,7 +206,10 @@ class Process(SimFuture):
         """Throw :class:`Interrupt` into the process at its current yield."""
         if self._done:
             return
-        self._interrupts.append(Interrupt(cause))
+        if self._interrupts is None:
+            self._interrupts = [Interrupt(cause)]
+        else:
+            self._interrupts.append(Interrupt(cause))
         sim = self.sim
         if self._timer_seq != -1:
             # Orphan the fast-path timer: its heap entry goes stale (seq
@@ -201,7 +230,9 @@ class Process(SimFuture):
         exc = self._interrupts.pop(0)
         self._step(None, exc)
 
-    def _on_wait_done(self, fut: SimFuture) -> None:
+    def __call__(self, fut: SimFuture) -> None:
+        """The wake-up: the process is the callback of the future it
+        waits on."""
         if self._waiting_on is not fut:
             # The wait was cancelled by an interrupt; drop the wakeup.
             return
@@ -258,15 +289,16 @@ class Process(SimFuture):
             # _wait_target + add_callback exactly, including the synchronous
             # fire when the target is already resolved.
             self._waiting_on = target
-            cb = self._on_wait_done
             if target._done:
-                cb(target)
+                self(target)
             else:
                 cbs = target._callbacks
                 if cbs is None:
-                    target._callbacks = [cb]
+                    target._callbacks = self
+                elif cbs.__class__ is list:
+                    cbs.append(self)
                 else:
-                    cbs.append(cb)
+                    target._callbacks = [cbs, self]
             return
         self._wait_target(target)
 
@@ -279,14 +311,14 @@ class Process(SimFuture):
         """Handle a non-fast-path yield target (future, exotic number, junk)."""
         if isinstance(target, SimFuture):
             self._waiting_on = target
-            target.add_callback(self._on_wait_done)
+            target.add_callback(self)
             return
         if isinstance(target, (int, float)):
             # Numeric but not exactly int/float (bool, numeric subclasses):
             # take the general timeout path.
             target = self.sim.timeout(target)
             self._waiting_on = target
-            target.add_callback(self._on_wait_done)
+            target.add_callback(self)
             return
         self.set_exception(
             SimulationError(f"process yielded non-awaitable: {target!r}")
@@ -407,8 +439,9 @@ class Simulator:
         #: the ``yield <number>`` fast path — the Process itself; a Process
         #: entry is live iff its _timer_seq matches the tuple's seq.
         self._queue: list[tuple[float, int, Any]] = []
-        #: FIFO of zero-delay _ScheduledEvents, in seq order.
-        self._micro: Deque[_ScheduledEvent] = deque()
+        #: FIFO of zero-delay _ScheduledEvents and unstarted Processes (a
+        #: process is its own start entry), in seq order.
+        self._micro: Deque[Any] = deque()
         self._heap_cancelled = 0
         self._events_executed = 0
         self._microtasks_executed = 0
@@ -762,15 +795,16 @@ class Simulator:
             if isinstance(target, SimFuture):
                 # Inlined wait registration — mirrors Process._step.
                 obj._waiting_on = target
-                cb = obj._on_wait_done
                 if target._done:
-                    cb(target)
+                    obj(target)
                 else:
                     cbs = target._callbacks
                     if cbs is None:
-                        target._callbacks = [cb]
+                        target._callbacks = obj
+                    elif cbs.__class__ is list:
+                        cbs.append(obj)
                     else:
-                        cbs.append(cb)
+                        target._callbacks = [cbs, obj]
                 continue
             obj._wait_target(target)
         if bounded and self._now < until:

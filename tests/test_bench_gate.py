@@ -212,6 +212,36 @@ def test_structure_check_rejects_bad_kernel_baseline(committed):
     assert {d.path for d in drifts} == {"baseline", "cpu_count"}
 
 
+def test_kernel_gc_collections_are_contracted_but_never_compared(committed):
+    # How often the collector ran belongs to the interpreter process, not
+    # to the simulation: a fresh run may report any counts ...
+    base = committed["BENCH_kernel.json"]["scenarios"]["mini_workload"]
+    fresh = copy.deepcopy(base)
+    fresh["gc_collections"] = [n + 17 for n in base["gc_collections"]]
+    assert compare("BENCH_kernel.json", "scenarios.mini_workload", base, fresh) == []
+    # ... but it must report them,
+    del fresh["gc_collections"]
+    drifts = compare("BENCH_kernel.json", "scenarios.mini_workload", base, fresh)
+    assert [(d.kind, d.path) for d in drifts] == [
+        ("missing", "scenarios.mini_workload.gc_collections")
+    ]
+    # ... and the committed record must hold three non-negative ints.
+    for broken in ([1, 2], [1, 2, -1], [1.0, 2, 3], [True, 2, 3], None, "1/2/3"):
+        files = copy.deepcopy(committed)
+        files["BENCH_kernel.json"]["scenarios"]["cancel_storm"]["gc_collections"] = broken
+        drifts = structure_checks(files)
+        assert [d.path for d in drifts] == ["scenarios.cancel_storm.gc_collections"], broken
+    files = copy.deepcopy(committed)
+    del files["BENCH_kernel.json"]["scenarios"]["timeout_churn"]["gc_collections"]
+    assert [d.path for d in structure_checks(files)] == [
+        "scenarios.timeout_churn.gc_collections"
+    ]
+    # The scenario's simulated counters stay exact beside it.
+    fresh = copy.deepcopy(base)
+    fresh["stats"]["events_executed"] += 1
+    assert [d.kind for d in compare("BENCH_kernel.json", "s", base, fresh)] == ["exact"]
+
+
 def test_structure_check_rejects_bad_read_report(committed):
     # no mass fan-out point: every point is dropped below 1000 readers
     files = copy.deepcopy(committed)

@@ -19,7 +19,7 @@ from repro.bench import (
     run_workload,
 )
 from repro.bench.adapters import scaled_disk_spec, scaled_network_spec
-from repro.bench.runner import _spread
+from repro.bench.runner import WorkloadEngine, _drive, _spread
 
 
 class TestKeyTables:
@@ -169,3 +169,21 @@ class TestRunWorkload:
             sim, PravegaAdapter(sim), self._spec(consumers=0)
         )
         assert result.extra["produced_total"] >= result.produce_rate * 1.0
+
+    @pytest.mark.parametrize("key_mode", ["random", "none"])
+    @pytest.mark.parametrize("consumers", [0, 1])
+    def test_send_log_kept_only_for_a_consumer(self, key_mode, consumers):
+        """Only a consumer drains the per-partition send log; a write-only
+        run (the WorkloadSpec default) must not grow it for nothing."""
+        sim = Simulator()
+        adapter = PravegaAdapter(sim)
+        spec = self._spec(consumers=consumers, key_mode=key_mode)
+        adapter.setup(spec.partitions)
+        engine = WorkloadEngine(sim, adapter, spec).start()
+        _drive(sim, [engine])
+        result = engine.finalize()
+        assert result.errors == 0 and result.write_latency.count > 0
+        if consumers:
+            assert result.e2e_latency.count > 0
+        else:
+            assert all(not queue for queue in engine._trackers.values())

@@ -4,6 +4,7 @@ import pytest
 
 from repro.common.errors import SimulationError
 from repro.sim import Interrupt, Simulator, all_of, any_of
+from repro.sim.core import Process
 
 
 @pytest.fixture()
@@ -480,6 +481,225 @@ class TestInterruptFutureRace:
         sim.run()
         assert outcomes == ["interrupted"]
         assert proc.done
+
+
+class TestCallbackSlot:
+    """``SimFuture._callbacks`` is None, the one callable, or a list from
+    the second registration on; a waiting process registers itself."""
+
+    @pytest.mark.parametrize("count", [0, 1, 2, 3, 7])
+    @pytest.mark.parametrize("fail", [False, True])
+    def test_callbacks_fire_once_in_registration_order(self, sim, count, fail):
+        fut = sim.future()
+        fired = []
+        for i in range(count):
+            fut.add_callback(lambda f, i=i: fired.append((i, f.exception is None)))
+        if fail:
+            fut.set_exception(ValueError("boom"))
+        else:
+            fut.set_result("v")
+        assert fired == [(i, not fail) for i in range(count)]
+        # Nothing is left behind to fire again.
+        assert fut._callbacks is None
+        with pytest.raises(SimulationError):
+            fut.set_result("again")
+        assert len(fired) == count
+
+    def test_one_slot_is_promoted_to_a_list_on_the_second_registration(self, sim):
+        fut = sim.future()
+        first, second, third = (lambda f: None), (lambda f: None), (lambda f: None)
+        assert fut._callbacks is None
+        fut.add_callback(first)
+        assert fut._callbacks is first
+        fut.add_callback(second)
+        assert fut._callbacks == [first, second]
+        fut.add_callback(third)
+        assert fut._callbacks == [first, second, third]
+
+    @pytest.mark.parametrize("before", [0, 1, 2])
+    @pytest.mark.parametrize("after", [0, 1, 2])
+    def test_waiting_process_keeps_its_place_among_plain_callbacks(
+        self, sim, before, after
+    ):
+        fut = sim.future()
+        order = []
+
+        def body():
+            order.append(("proc", (yield fut)))
+
+        for i in range(before):
+            fut.add_callback(lambda f, i=i: order.append(("before", i)))
+        proc = sim.process(body())
+        sim.run()  # the process starts and parks on the future
+        if before == 0:
+            assert fut._callbacks is proc  # a wait allocates nothing
+        for i in range(after):
+            fut.add_callback(lambda f, i=i: order.append(("after", i)))
+        fut.set_result("v")
+        assert order == (
+            [("before", i) for i in range(before)]
+            + [("proc", "v")]
+            + [("after", i) for i in range(after)]
+        )
+        assert proc.done
+
+    def test_add_callback_from_inside_a_firing_callback_runs_immediately(self, sim):
+        fut = sim.future()
+        order = []
+
+        def outer(f):
+            order.append("outer")
+            f.add_callback(lambda g: order.append("nested"))
+            order.append("outer-end")
+
+        fut.add_callback(outer)
+        fut.add_callback(lambda f: order.append("second"))
+        fut.set_result(None)
+        assert order == ["outer", "nested", "outer-end", "second"]
+
+    @pytest.mark.parametrize("others", [0, 1, 3])
+    def test_interrupt_drops_only_the_process_own_wakeup(self, sim, others):
+        fut = sim.future()
+        seen = []
+        outcomes = []
+
+        def body():
+            try:
+                outcomes.append(("value", (yield fut)))
+            except Interrupt as intr:
+                outcomes.append(("interrupt", intr.cause))
+            outcomes.append(("slept", (yield 1.0)))
+
+        if others:
+            fut.add_callback(lambda f: seen.append("first"))
+        proc = sim.process(body())
+        sim.run()
+        for i in range(1, others):
+            fut.add_callback(lambda f, i=i: seen.append(i))
+        proc.interrupt("stop")
+        sim.run(until=0.5)
+        assert outcomes == [("interrupt", "stop")]
+        # The future resolves while the process sleeps on something else:
+        # the other callbacks fire exactly once, the stale wake-up is dropped.
+        fut.set_result("late")
+        assert seen == (["first"] + list(range(1, others)) if others else [])
+        sim.run()
+        assert outcomes == [("interrupt", "stop"), ("slept", None)]
+        assert sim.now == 1.0
+
+    def test_two_interrupts_queued_before_the_first_is_delivered(self, sim):
+        fut = sim.future()
+        outcomes = []
+
+        def body():
+            for _ in range(3):
+                try:
+                    yield fut
+                    outcomes.append("value")
+                except Interrupt as intr:
+                    outcomes.append(intr.cause)
+
+        proc = sim.process(body())
+        sim.run()
+        assert proc._interrupts is None  # allocated on the first interrupt
+        proc.interrupt("a")
+        proc.interrupt("b")
+        assert outcomes == []
+        sim.run()
+        # "a" is thrown at the parked wait, "b" preempts the next one; the
+        # third wait is a real one again.
+        assert outcomes == ["a", "b"] and not proc.done
+        fut.set_result(None)
+        assert outcomes == ["a", "b", "value"] and proc.done
+
+
+class TestProcessIsItsOwnStartEntry:
+    def test_unstarted_processes_count_as_microtask_backlog(self, sim):
+        started = []
+
+        def body(i):
+            started.append(i)
+            yield 1.0
+
+        for i in range(3):
+            sim.process(body(i))
+        assert started == []
+        assert sim.stats.microtask_backlog == 3
+        sim.run(until=0.0)
+        assert started == [0, 1, 2]
+        stats = sim.stats
+        assert (stats.microtask_backlog, stats.microtasks_executed) == (0, 3)
+
+    def test_max_events_sees_an_unstarted_process_at_the_microtask_head(self, sim):
+        started = []
+
+        def body(i):
+            started.append(i)
+            yield 1.0
+
+        for i in range(3):
+            sim.process(body(i))
+        with pytest.raises(SimulationError, match="max_events"):
+            sim.run(until=0.0, max_events=2)
+        assert started == [0, 1]
+        assert sim.stats.microtask_backlog == 1
+        sim.run(until=0.0, max_events=1)  # exactly the one that is due
+        assert started == [0, 1, 2]
+
+    def test_cancelled_microtask_ahead_of_an_unstarted_process(self, sim):
+        fired = []
+        dead = sim.call_soon(lambda: fired.append("dead"))
+        sim.cancel(dead)
+
+        def body():
+            fired.append("proc")
+            yield 0
+
+        sim.process(body())
+        sim.call_soon(lambda: fired.append("after"))
+        sim.run()
+        assert fired == ["proc", "after"]
+        assert sim.stats.cancellations_skipped == 1
+
+    def test_start_order_interleaves_with_same_time_heap_events(self, sim):
+        order = []
+
+        def body(tag):
+            order.append(tag)
+            yield 0
+
+        def at_one():
+            sim.process(body("p1"))
+            sim.call_soon(lambda: order.append("soon"))
+            sim.process(body("p2"))
+
+        sim.schedule(1.0, at_one)
+        sim.schedule(1.0, lambda: order.append("heap"))
+        sim.run()
+        assert order == ["heap", "p1", "soon", "p2"]
+
+    def test_non_generator_body_still_raises_and_queues_nothing(self, sim):
+        with pytest.raises(SimulationError, match="generator"):
+            Process(sim, lambda: None)
+        with pytest.raises(SimulationError, match="generator"):
+            sim.process([1, 2, 3])
+        assert sim.stats.microtask_backlog == 0
+
+    def test_interrupt_before_start_is_delivered_at_the_first_yield(self, sim):
+        outcomes = []
+
+        def body():
+            outcomes.append("started")
+            try:
+                yield 5.0
+            except Interrupt as intr:
+                outcomes.append(intr.cause)
+
+        proc = sim.process(body())
+        proc.interrupt("early")
+        sim.run()
+        assert outcomes == ["started", "early"]
+        assert sim.now == 0.0 and proc.done
 
 
 class TestCancellationCompaction:

@@ -6,10 +6,12 @@ from one inlined loop with a bounded-run horizon.  The reference below
 does none of that: every entry lives on a single ``(time, seq)`` heap and
 runs through one ten-line loop.  Random programs — timers, zero-delay
 events, cancellations (enough of them to compact the heap from inside a
-callback), sleeping processes, interrupts, futures — are played on both,
-once in a single ``run()`` and once in random ``run(until=…)`` slices,
-some with ``condition=`` and ``max_events=``.  Dispatch trace, clock and
-kernel counters must agree everywhere.
+callback), sleeping processes, interrupts (also two before the first is
+delivered), futures shared by plain callbacks and several waiting
+processes in any registration order — are played on both, once in a
+single ``run()`` and once in random ``run(until=…)`` slices, some with
+``condition=`` and ``max_events=``.  Dispatch trace, clock and kernel
+counters must agree everywhere.
 """
 
 from heapq import heapify, heappop, heappush
@@ -229,6 +231,9 @@ def _ops(children):
         st.tuples(st.just("sleeper"), st.lists(DELAYS, min_size=1, max_size=4)),
         st.tuples(st.just("interrupt"), INDEX),
         st.tuples(st.just("waiter")),
+        st.tuples(st.just("join"), INDEX),
+        st.tuples(st.just("watch"), INDEX, st.booleans()),
+        st.tuples(st.just("interrupt2"), INDEX),
         st.tuples(st.just("resolve"), INDEX, DELAYS),
         st.tuples(st.just("storm"), st.sampled_from([300, 450])),
     )
@@ -284,6 +289,13 @@ class Play:
         except Interrupt:
             self.log(label, "interrupted")
 
+    def watch(self, label, nested, fut):
+        self.log(label, "saw", fut.value)
+        if nested:
+            # Registered from inside a firing callback: runs at once.
+            fut.add_callback(lambda f: self.log(label, "nested", f.value))
+            self.log(label, "saw-end")
+
     def resolve(self, label, fut):
         if not fut.done:
             self.log(label, "resolves")
@@ -313,6 +325,18 @@ class Play:
                 fut = kernel.future()
                 self.futures.append(fut)
                 self.processes.append(kernel.process(self.waiter(label, fut)))
+            elif kind == "join" and self.futures:
+                # One more process on a future that may already have plain
+                # callbacks and waiters (the one-slot -> list promotion).
+                fut = self.futures[op[1] % len(self.futures)]
+                self.processes.append(kernel.process(self.waiter(label, fut)))
+            elif kind == "watch" and self.futures:
+                fut = self.futures[op[1] % len(self.futures)]
+                fut.add_callback(lambda f, l=label, n=op[2]: self.watch(l, n, f))
+            elif kind == "interrupt2" and self.processes:
+                process = self.processes[op[1] % len(self.processes)]
+                process.interrupt()
+                process.interrupt()
             elif kind == "resolve" and self.futures:
                 fut = self.futures[op[1] % len(self.futures)]
                 kernel.schedule(op[2], lambda l=label, f=fut: self.resolve(l, f))

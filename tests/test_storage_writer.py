@@ -121,6 +121,47 @@ class TestBackpressure:
         sim.run(until=1.0)
         assert order == [0, 1, 2]
 
+    def test_running_backlog_matches_the_pending_buffers(self, sim, monkeypatch):
+        """``backlog_bytes`` is a running counter; it must equal the re-summed
+        pending buffers after every kind of mutation: add, flush swap-out,
+        requeue after an LTS failure (with a newer buffer behind it), and
+        deleting a segment that still has unflushed data."""
+        from repro.common.errors import StorageError
+
+        writer, lts = make_writer(sim, flush_threshold=1000, flush_timeout=0.1)
+
+        def resummed():
+            return sum(p.size for p in writer._pending.values())
+
+        real_write = lts.write_chunk
+        failures = [2]
+
+        def flaky_write(name, payload):
+            if failures[0] > 0:
+                failures[0] -= 1
+                # Data arriving while the failed flush is out lands in a
+                # fresh buffer that the requeue must merge behind the old one.
+                writer.add("seg-a", 1200, Payload.synthetic(300), sequence=90 + failures[0])
+                failed = sim.future()
+                failed.set_exception(StorageError("injected"))
+                return failed
+            return real_write(name, payload)
+
+        monkeypatch.setattr(lts, "write_chunk", flaky_write)
+        writer.add("seg-a", 0, Payload.synthetic(1200), sequence=0)  # threshold flush
+        writer.add("seg-b", 0, Payload.synthetic(400), sequence=1)  # age flush later
+        writer.add("seg-c", 0, Payload.synthetic(250), sequence=2)
+        assert writer.backlog_bytes == resummed() == 1850
+        for _ in range(40):
+            sim.run(until=sim.now + 0.01)
+            assert writer.backlog_bytes == resummed()
+            if sim.now > 0.05 and "seg-c" in writer._pending:
+                sim.run_until_complete(writer.delete_segment("seg-c"))
+                assert writer.backlog_bytes == resummed()
+        assert failures[0] == 0
+        assert writer.backlog_bytes == resummed() == 0
+        assert writer.flushed_offset("seg-a") == 1800
+
 
 class TestTruncationSequence:
     def test_no_outstanding_means_everything_truncatable(self, sim):

@@ -1,11 +1,13 @@
 """EventStreamWriter unit tests: dynamic batching, routing, dedup,
 bulk-group splitting, reroute on seal."""
 
+from collections import deque
+
 import pytest
 
 from repro.common.keyspace import KeyRange, split_range
 from repro.pravega import ScalingPolicy, StreamConfiguration
-from repro.pravega.client.writer import WriterConfig
+from repro.pravega.client.writer import WriterConfig, _Batch, _PendingEvent
 from repro.sim import Simulator, all_of
 
 from helpers import build_cluster, make_stream, run
@@ -85,6 +87,38 @@ class TestBatching:
         segment_writer = next(iter(writer._segment_writers.values()))
         assert segment_writer.rtt_estimate != writer.config.initial_rtt
         assert 0 < segment_writer.rtt_estimate < 0.05
+
+    def test_inflight_batches_are_found_and_removed_by_identity(self, sim):
+        """``batch in _inflight`` / ``_inflight.remove(batch)`` must not fall
+        back to a field-by-field compare (lists of events, payloads,
+        futures) when the batch is not the deque head."""
+        first, second = _Batch(), _Batch()
+        assert first != second and first == first
+        inflight = deque([first, second])
+        assert second in inflight
+        inflight.remove(second)
+        assert len(inflight) == 1 and inflight[0] is first
+        event = _PendingEvent(None, 1, sim.future(), 0.0, None)
+        twin = _PendingEvent(None, 1, event.future, 0.0, None)
+        assert event != twin and len({event, twin}) == 2
+
+    def test_batch_carries_its_running_event_count(self, sim, cluster):
+        make_stream(sim, cluster, stream="cnt")
+        writer = cluster.create_writer("bench-0", "test", "cnt")
+        counts = [1, 7, 15, 3, 40]
+        # Two waves, so open batches are filled twice (before and after
+        # the batching window).
+        futs = [writer.write_synthetic_events(n, 100, routing_key="k") for n in counts]
+        sim.run(until=sim.now + 0.0002)
+        futs += [writer.write_synthetic_events(n, 100, routing_key="k") for n in counts]
+        run(sim, all_of(sim, futs))
+        assert writer.events_written == 2 * sum(counts)
+        info = segment_info(sim, cluster, "test/cnt/0")
+        assert info.length == 2 * sum(counts) * 108
+        container = cluster.store_cluster.store_for_segment(
+            "test/cnt/0"
+        ).container_for("test/cnt/0")
+        assert container.get_attribute("test/cnt/0", writer.writer_id) == 2 * sum(counts)
 
 
 class TestExactlyOnceBookkeeping:
