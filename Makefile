@@ -1,32 +1,45 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test check perf bench-kernel fuzz trace trace-test suite suite-check workloads workload-test scale fluid-test capacity capacity-check capacity-test gate gate-test geo geo-check geo-test read read-check read-test
+## the report benches `python -m repro.bench run <name>` drives; each
+## owns BENCH_<name>.json and the claims the gate holds it to
+BENCHES := kernel scale capacity geo read
+## the pytest domain markers with a `make <marker>-test` selection
+MARKERS := trace workload fluid capacity gate geo read
+
+.PHONY: test check perf fuzz trace suite suite-check workloads gate \
+	$(BENCHES:%=bench-%) $(BENCHES:%=%-check) $(MARKERS:%=%-test)
 
 ## tier-1 verification: the full unit/property/bench-harness suite
 ## (includes the seeded fault-injection smoke, marker: faults)
 test:
 	$(PYTHON) -m pytest -x -q
 
-## tier-1 tests followed by the benchmark regression gate's smoke
-## subset, with the gate verdict recorded into BENCH_capacity.json
-## metadata — the one-command pre-merge check
-check:
-	$(PYTHON) -m pytest -x -q
-	$(PYTHON) -m repro.bench gate --record
+## the one-command pre-merge check: tier-1 tests, then the benchmark
+## regression gate's smoke subset (reads the committed files, writes none)
+check: test gate
+
+## full run of one report bench; writes BENCH_<name>.json
+## (override: ONLY=pravega/mixed REPEATS=5 — a scenario subset, timed repeats)
+$(BENCHES:%=bench-%): bench-%:
+	$(PYTHON) -m repro.bench run $* $(if $(ONLY),--scenario $(ONLY)) \
+		$(if $(REPEATS),--repeats $(REPEATS))
+
+## smoke of one report bench: trimmed scenarios, claims and generous
+## wall budgets, no JSON (`make perf` is the kernel one)
+$(BENCHES:%=%-check): %-check:
+	$(PYTHON) -m repro.bench run $* --check
+
+perf: kernel-check
+
+## tier-1 tests of one domain marker only (pyproject lists what each covers)
+$(MARKERS:%=%-test): %-test:
+	$(PYTHON) -m pytest -q -m $*
 
 ## seeded crash-consistency fuzz across all three systems; failing
 ## schedules are dumped as replayable JSON under tests/data/
 fuzz:
 	$(PYTHON) -m repro.faults.fuzz --seed $(or $(SEED),42) --steps $(or $(STEPS),200)
-
-## wall-clock kernel regression smoke (generous budgets, CI-friendly)
-perf:
-	$(PYTHON) benchmarks/bench_kernel.py --check
-
-## full kernel microbenchmark; writes BENCH_kernel.json
-bench-kernel:
-	$(PYTHON) benchmarks/bench_kernel.py
 
 ## capture a Chrome/Perfetto trace of one traced workload
 ## (override: SYSTEM=kafka TRACE_OUT=trace.json RATE=2000 DURATION=1.0)
@@ -34,10 +47,6 @@ trace:
 	$(PYTHON) -m repro.bench --system $(or $(SYSTEM),pravega) \
 		--rate $(or $(RATE),2000) --duration $(or $(DURATION),1.0) \
 		--trace $(or $(TRACE_OUT),trace_$(or $(SYSTEM),pravega).json)
-
-## tracing subsystem tests only (golden trace, properties, fault windows)
-trace-test:
-	$(PYTHON) -m pytest -q -m trace
 
 ## full figure suite across worker processes; writes BENCH_suite.json
 ## (override: JOBS=8 ONLY=fig05a,fig08a; JOBS defaults to the machine's
@@ -59,75 +68,8 @@ workloads:
 	$(PYTHON) -m repro.bench suite --only workload --jobs $(or $(JOBS),$(shell nproc)) \
 		--json BENCH_workload.json
 
-## fast workload-marked tier-1 tests only (arrival stats, SLO math,
-## auto-scaling driver smoke)
-workload-test:
-	$(PYTHON) -m pytest -q -m workload
-
-## scale-benchmark smoke: trimmed macroscope + fluid cross-validation
-## scenarios under generous wall-clock budgets (full run writes
-## BENCH_scale.json: PYTHONPATH=src python benchmarks/bench_scale.py)
-scale:
-	$(PYTHON) benchmarks/bench_scale.py --check
-
-## fluid-marked tier-1 tests only (golden byte-identity guard, model
-## units, headline cross-validation)
-fluid-test:
-	$(PYTHON) -m pytest -q -m fluid
-
-## full capacity map: max sustainable throughput per (system, config,
-## tenant mix), fluid-bracketed + discrete-confirmed; writes
-## BENCH_capacity.json (override: ONLY=pravega:mixed SEED=0)
-capacity:
-	$(PYTHON) benchmarks/bench_capacity.py --seed $(or $(SEED),0) \
-		$(if $(ONLY),--only $(ONLY))
-
-## capacity-planner smoke: one cheap point under a generous wall budget
-capacity-check:
-	$(PYTHON) benchmarks/bench_capacity.py --check
-
-## capacity-marked tier-1 tests only (search property tests, golden
-## 3-point fixture, fluid-vs-discrete probe agreement)
-capacity-test:
-	$(PYTHON) -m pytest -q -m capacity
-
 ## benchmark regression gate: committed BENCH_*.json vs fresh smoke
 ## re-runs, structured diff on drift
 ## (override: SMOKE=none or SMOKE=suite:fig05c,capacity:kafka/mixed)
 gate:
 	$(PYTHON) -m repro.bench gate $(if $(SMOKE),--smoke $(SMOKE))
-
-## gate-marked tier-1 tests only (self-tests: committed files pass,
-## perturbed copies fail with the right structured diff)
-gate-test:
-	$(PYTHON) -m pytest -q -m gate
-
-## full geo-replication benchmark: async vs global-strong across three
-## WAN RTT tiers through a scripted region loss; writes BENCH_geo.json
-geo:
-	$(PYTHON) benchmarks/bench_geo.py
-
-## geo smoke: one cheap point per mode, claim asserts only, no JSON
-geo-check:
-	$(PYTHON) benchmarks/bench_geo.py --check
-
-## geo-marked tier-1 tests only (bounded staleness, failover ordering,
-## RPO/RTO oracle, election convergence, golden failover timeline)
-geo-test:
-	$(PYTHON) -m pytest -q -m geo
-
-## full read-path serving benchmark: tail fan-out vs reader count, mass
-## replay with coalescing off/on, cache policy matrix, reader-heavy
-## best-of-5 walls; writes BENCH_read.json
-read:
-	$(PYTHON) benchmarks/bench_read.py
-
-## read smoke: cheap fan-out/replay/policy points, claim asserts only
-read-check:
-	$(PYTHON) benchmarks/bench_read.py --check
-
-## read-marked tier-1 tests only (tail read-your-writes, eviction
-## byte-identity, coalesced failure fan-out, waiter lifecycle, golden
-## default-path guard)
-read-test:
-	$(PYTHON) -m pytest -q -m read

@@ -13,57 +13,28 @@ per mode, and the planner seed.  Everything except the ``wall_s`` block
 is deterministic at a fixed seed, which is what the regression gate
 (``python -m repro.bench gate``) compares.
 
-Usage::
-
-    PYTHONPATH=src python benchmarks/bench_capacity.py            # full map
-    PYTHONPATH=src python benchmarks/bench_capacity.py --check    # CI smoke
-    PYTHONPATH=src python benchmarks/bench_capacity.py --only pravega:mixed
-    PYTHONPATH=src python benchmarks/bench_capacity.py --json OUT
-
-``--check`` plans one cheap point under a generous wall-clock budget
-and exits non-zero on a blowout or an unconfirmed boundary.
+Driven by ``python -m repro.bench run capacity [--check]`` (``make
+bench-capacity`` / ``make capacity-check``); a scenario is one
+``system/mix`` point (``--scenario pravega/mixed``).  ``--check`` plans
+one cheap point under a generous wall-clock budget and fails on a
+blowout or an unconfirmed boundary.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
 import platform
-import sys
-import time
 from typing import Dict, List, Optional
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+from repro.bench import harness
+from repro.capacity import MIXES, SYSTEMS, CapacityPlanner, PlannerConfig
 
-from repro.capacity import (  # noqa: E402
-    MIXES,
-    SYSTEMS,
-    CapacityPlanner,
-    PlannerConfig,
-)
-
-DEFAULT_POINTS = [
-    f"{system}:{mix}" for system in SYSTEMS for mix in MIXES
-]
+CONFIG = PlannerConfig(seed=0)
 
 
-def plan_point(name: str, config: PlannerConfig) -> Dict:
-    system, _, mix_name = name.partition(":")
-    if system not in SYSTEMS or mix_name not in MIXES:
-        raise SystemExit(
-            f"unknown point {name!r} (points are system:mix with systems "
-            f"{sorted(SYSTEMS)} and mixes {sorted(MIXES)})"
-        )
-    planner = CapacityPlanner(system, MIXES[mix_name], config)
-    return planner.plan().record()
-
-
-def _describe(record: Dict) -> str:
+def describe(record: Dict) -> str:
     probes = record["probes"]
     wall = record.get("wall_s", {})
     return (
-        f"  {record['system']:8s} {record['mix']:8s} "
         f"{record['rate_eps']:>12,.0f} eps  "
         f"width {record['bracket_width_rel'] * 100:4.1f}%  "
         f"probes {probes.get('fluid', 0)}F+{probes.get('discrete', 0)}D  "
@@ -73,84 +44,54 @@ def _describe(record: Dict) -> str:
     )
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--check", action="store_true",
-        help="smoke: one cheap point, generous wall budget, no JSON",
-    )
-    parser.add_argument(
-        "--only", default=None,
-        help="comma-separated system:mix points (default: full sweep)",
-    )
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--json",
-        default=os.path.join(
-            os.path.dirname(os.path.abspath(__file__)), "..", "BENCH_capacity.json"
-        ),
-    )
-    args = parser.parse_args(argv)
-    config = PlannerConfig(seed=args.seed)
+REPEATS = 1  # a plan is deterministic at the fixed seed: nothing to repeat
 
-    if args.check:
-        budget = 120.0
-        start = time.perf_counter()
-        record = plan_point("pravega:uniform", config)
-        wall = time.perf_counter() - start
-        print(_describe(record))
-        if not record["confirmed"]:
-            print("capacity check FAILED: boundary not discrete-confirmed")
-            return 1
-        if not record["converged"]:
-            print("capacity check FAILED: bracket did not converge")
-            return 1
-        if wall > budget:
-            print(f"capacity check FAILED: {wall:.1f}s exceeds {budget:.0f}s budget")
-            return 1
-        print(f"capacity check ok ({wall:.1f}s)")
-        return 0
 
-    names = (
-        [t.strip() for t in args.only.split(",") if t.strip()]
-        if args.only
-        else list(DEFAULT_POINTS)
-    )
-    print(f"planning {len(names)} capacity points (seed {args.seed})")
-    points: List[Dict] = []
-    start = time.perf_counter()
-    for name in names:
-        record = plan_point(name, config)
-        points.append(record)
-        print(_describe(record))
-    wall = time.perf_counter() - start
+def _row(system: str, mix: str):
+    def plan(repeats: int) -> Dict:
+        return CapacityPlanner(system, MIXES[mix], CONFIG).plan().record()
 
-    report = {
+    name = f"{system}/{mix}"
+    # --check plans one cheap point; the other rows have no smoke variant
+    return name, plan, plan if name == "pravega/uniform" else None, 120.0
+
+
+# (system/mix point, full thunk(repeats), smoke thunk(repeats), smoke budget s)
+SCENARIOS = [_row(system, mix) for system in SYSTEMS for mix in MIXES]
+
+
+def build_report(results: Dict[str, Dict], repeats: int, wall_s: float) -> Dict:
+    return {
         "python": platform.python_version(),
-        "seed": args.seed,
-        "rel_tol": config.rel_tol,
-        "slo_window_s": config.duration,
-        "wall_s_total": round(wall, 3),
-        "points": points,
+        "seed": CONFIG.seed,
+        "rel_tol": CONFIG.rel_tol,
+        "slo_window_s": CONFIG.duration,
+        "wall_s_total": round(wall_s, 3),
+        "points": list(results.values()),
     }
-    out = os.path.abspath(args.json)
-    # `make check` stamps its gate verdict into this file's metadata;
-    # keep an existing verdict when regenerating the map in place.
-    if os.path.exists(out):
-        try:
-            with open(out) as fh:
-                previous = json.load(fh)
-            if isinstance(previous, dict) and "gate" in previous:
-                report["gate"] = previous["gate"]
-        except (OSError, ValueError):
-            pass
-    with open(out, "w") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
-    print(f"wrote {out} ({len(points)} points, {wall:.1f}s)")
-    unconfirmed = [p for p in points if not p["confirmed"]]
-    return 1 if unconfirmed else 0
 
 
-if __name__ == "__main__":
-    raise SystemExit(main())
+def check_claims(report: Dict) -> List[str]:
+    """The claims BENCH_capacity.json (and a smoke report) is held to."""
+    failures: List[str] = []
+    points = report.get("points") or []
+    if report.get("mode") != "smoke" and len(points) < len(SCENARIOS):
+        failures.append(
+            f"{len(points)} capacity points, expected >= {len(SCENARIOS)} "
+            f"(every system x tenant mix)"
+        )
+    for label, point in records(report).items():
+        if not point.get("confirmed", False):
+            failures.append(f"{label}: boundary not discrete-confirmed")
+        if not point.get("converged", False):
+            failures.append(f"{label}: bracket did not converge")
+    return failures
+
+
+def records(report: Dict) -> Dict[str, Dict]:
+    """Committed record per system/mix point (the gate's re-run index)."""
+    return {f"{p.get('system')}/{p.get('mix')}": p for p in report.get("points") or []}
+
+
+def rerun(name: str) -> Optional[Dict]:
+    return harness.rerun(SCENARIOS, name)

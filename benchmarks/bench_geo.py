@@ -14,7 +14,8 @@ availability against a 1 s SLA, the replication-oracle verdict, and
 wall time.  Everything except ``wall_s`` is byte-deterministic at a
 fixed seed, which is what the regression gate compares.
 
-Claims asserted on a full run (exit non-zero on violation):
+Claims (``check_claims``; the run and the regression gate both exit
+non-zero on a violation):
 
 * every point's oracle verdict is clean (zero violations);
 * global-strong loses nothing: RPO bytes = RPO events = 0 at every
@@ -23,30 +24,18 @@ Claims asserted on a full run (exit non-zero on violation):
 * global-strong pre-loss p50 latency is above async's at every tier
   (the paid price of cross-region coordination).
 
-Usage::
-
-    PYTHONPATH=src python benchmarks/bench_geo.py            # full sweep
-    PYTHONPATH=src python benchmarks/bench_geo.py --check    # CI smoke
-    PYTHONPATH=src python benchmarks/bench_geo.py --json OUT
+Driven by ``python -m repro.bench run geo [--check]`` (``make bench-geo``
+/ ``make geo-check``); a scenario is one ``mode/tier`` point, and
+``--check`` runs the metro point of each mode at half the steps.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
 import platform
-import sys
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
-
-from repro.geo.scenarios import (  # noqa: E402
-    RTT_TIERS,
-    SLA_S,
-    run_region_loss,
-)
+from repro.geo.scenarios import RTT_TIERS, SLA_S, run_region_loss
 
 MODES = ["async", "global_strong"]
 SEED = 7
@@ -73,11 +62,10 @@ def run_point(mode: str, tier: str, seed: int = SEED, steps: int = STEPS) -> Dic
     return record
 
 
-def _describe(record: Dict) -> str:
+def describe(record: Dict) -> str:
     rto = record["rto_s"]
     rto_str = f"{rto:6.3f}s" if rto is not None else "   n/a"
     return (
-        f"  {record['mode']:13s} {record['tier']:11s} "
         f"rtt {record['wan_rtt'] * 1000:5.0f}ms  "
         f"p50 {record['latency_p50_s'] * 1000:7.1f}ms  "
         f"rpo {record['rpo_bytes']:5d}B/{record['rpo_events']}ev  "
@@ -87,8 +75,31 @@ def _describe(record: Dict) -> str:
     )
 
 
-def check_claims(points: List[Dict]) -> List[str]:
+#: what a point must record for the claims below to be checkable
+_CLAIM_FIELDS = (
+    "mode", "tier", "violations", "violation_details", "rto_s", "rpo_bytes",
+    "rpo_events", "availability", "latency_p50_s", "max_lag_at_admission",
+    "staleness_bound_bytes",
+)
+
+
+def check_claims(report: Dict) -> List[str]:
+    """The claims BENCH_geo.json (and a smoke report) is held to."""
     failures: List[str] = []
+    points = report.get("points") or []
+    if report.get("mode") != "smoke" and len(points) < len(SCENARIOS):
+        failures.append(
+            f"{len(points)} geo points, expected >= {len(SCENARIOS)} "
+            f"({len(MODES)} modes x {len(RTT_TIERS)} RTT tiers)"
+        )
+    checkable = []
+    for p in points:
+        missing = sorted(set(_CLAIM_FIELDS) - set(p))
+        if missing:
+            failures.append(f"{p.get('mode')}:{p.get('tier')} lacks {missing}")
+        else:
+            checkable.append(p)
+    points = checkable
     by = {(p["mode"], p["tier"]): p for p in points}
     for p in points:
         if p["violations"]:
@@ -121,84 +132,27 @@ def check_claims(points: List[Dict]) -> List[str]:
     return failures
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--check", action="store_true",
-        help="smoke: one cheap point per mode, claims only, no JSON",
-    )
-    parser.add_argument("--seed", type=int, default=SEED)
-    parser.add_argument("--steps", type=int, default=STEPS)
-    parser.add_argument(
-        "--json",
-        default=os.path.join(
-            os.path.dirname(os.path.abspath(__file__)), "..", "BENCH_geo.json"
-        ),
-    )
-    args = parser.parse_args(argv)
+REPEATS = 1  # a point is deterministic at the fixed seed: nothing to repeat
 
-    if args.check:
-        budget = 120.0
-        start = time.perf_counter()
-        points = [
-            run_point(mode, "metro", args.seed, steps=60) for mode in MODES
-        ]
-        for p in points:
-            print(_describe(p))
-        failures = check_claims(points)
-        wall = time.perf_counter() - start
-        for failure in failures:
-            print(f"geo check FAILED: {failure}")
-        if wall > budget:
-            failures.append("wall budget")
-            print(f"geo check FAILED: {wall:.1f}s exceeds {budget:.0f}s budget")
-        if not failures:
-            print(f"geo check ok ({wall:.1f}s)")
-        return 1 if failures else 0
 
-    print(
-        f"running {len(MODES) * len(RTT_TIERS)} geo points "
-        f"(seed {args.seed}, {args.steps} steps)"
-    )
-    points: List[Dict] = []
-    start = time.perf_counter()
-    for mode in MODES:
-        for tier in RTT_TIERS:
-            record = run_point(mode, tier, args.seed, args.steps)
-            points.append(record)
-            print(_describe(record))
-    wall = time.perf_counter() - start
+def _row(mode: str, tier: str):
+    # --check runs the cheapest tier of each mode at half the steps
+    smoke = (lambda repeats: run_point(mode, tier, steps=60)) if tier == "metro" else None
+    return f"{mode}/{tier}", lambda repeats: run_point(mode, tier), smoke, 60.0
 
-    report = {
+
+# (mode/tier point, full thunk(repeats), smoke thunk(repeats), smoke budget s)
+SCENARIOS = [_row(mode, tier) for mode in MODES for tier in RTT_TIERS]
+
+
+def build_report(results: Dict[str, Dict], repeats: int, wall_s: float) -> Dict:
+    return {
         "python": platform.python_version(),
-        "seed": args.seed,
-        "steps": args.steps,
+        "seed": SEED,
+        "steps": STEPS,
         "sla_s": SLA_S,
         "staleness_bound_bytes": STALENESS_BOUND,
         "rtt_tiers": RTT_TIERS,
-        "wall_s_total": round(wall, 3),
-        "points": points,
+        "wall_s_total": round(wall_s, 3),
+        "points": list(results.values()),
     }
-    out = os.path.abspath(args.json)
-    # `make check` stamps its gate verdict into this file's metadata;
-    # keep an existing verdict when regenerating in place.
-    if os.path.exists(out):
-        try:
-            with open(out) as fh:
-                previous = json.load(fh)
-            if isinstance(previous, dict) and "gate" in previous:
-                report["gate"] = previous["gate"]
-        except (OSError, ValueError):
-            pass
-    failures = check_claims(points)
-    for failure in failures:
-        print(f"geo claim FAILED: {failure}")
-    with open(out, "w") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
-    print(f"wrote {out} ({len(points)} points, {wall:.1f}s)")
-    return 1 if failures else 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

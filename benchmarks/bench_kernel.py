@@ -26,39 +26,30 @@ Scenarios
                           path; fails if any span is allocated and shares
                           ``mini_workload``'s wall-clock budget.
 
-Usage::
-
-    PYTHONPATH=src python benchmarks/bench_kernel.py            # full run
-    PYTHONPATH=src python benchmarks/bench_kernel.py --check    # CI smoke
-    PYTHONPATH=src python benchmarks/bench_kernel.py --json OUT # custom path
-
-The full run writes ``BENCH_kernel.json`` next to this file: per-scenario
-wall seconds, events executed, events/second, the kernel's own
-``Simulator.stats`` counters (when the running kernel exposes them) and
+Driven by ``python -m repro.bench run kernel [--check]`` (``make
+bench-kernel`` / ``make perf``).  The full run writes
+``BENCH_kernel.json``: per-scenario wall seconds, events executed,
+events/second, the kernel's own ``Simulator.stats`` counters and
 ``gc_collections`` — how often the cyclic collector ran (gen0, gen1, gen2)
 inside the best repeat, read from ``gc.get_stats()``; its time lands on
 whichever frame allocates, so a profile cannot attribute it.
 ``--check`` runs trimmed scenarios under a generous wall-clock budget and
-exits non-zero on gross regressions — wire it into ``make perf``.
+exits non-zero on gross regressions.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
-import json
 import os
-import sys
-import time
-from typing import Callable, Dict, Optional
+import platform
+from typing import Callable, Dict, List, Optional
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
-
-from repro.sim import Simulator, Store  # noqa: E402
+from repro.bench import harness
+from repro.sim import Simulator, Store
 
 
 # ----------------------------------------------------------------------
-# Scenarios.  Each returns (simulator, events_processed_estimate).
+# Scenarios.  Each returns the simulator it ran.
 # ----------------------------------------------------------------------
 def timeout_churn(processes: int, cycles: int) -> Simulator:
     """N processes each doing `yield dt` in a tight loop."""
@@ -161,76 +152,71 @@ def mini_workload(
 
 
 # ----------------------------------------------------------------------
-# Harness
+# Harness protocol (repro.bench.harness)
 # ----------------------------------------------------------------------
-def _kernel_stats(sim: Simulator) -> Dict[str, int]:
-    """Snapshot Simulator.stats if this kernel version exposes it."""
-    stats = getattr(sim, "stats", None)
-    if stats is None:
-        return {}
-    return stats.snapshot() if hasattr(stats, "snapshot") else dict(stats)
+REPEATS = 3
 
 
-def run_scenario(name: str, fn: Callable[[], Simulator], repeats: int = 3) -> Dict:
-    """Run ``fn`` ``repeats`` times; report the best wall time (least noise)."""
-    best: Optional[float] = None
-    sim: Optional[Simulator] = None
-    collections = [0, 0, 0]
-    for _ in range(repeats):
-        before = [generation["collections"] for generation in gc.get_stats()]
-        start = time.perf_counter()
-        sim = fn()
-        elapsed = time.perf_counter() - start
-        if best is None or elapsed < best:
-            best = elapsed
-            collections = [
+def _timed(name: str, fn: Callable[[], Simulator]) -> Callable[[int], Dict]:
+    """Scenario thunk: ``fn`` best-of-``repeats``, as a kernel record."""
+
+    def run(repeats: int) -> Dict:
+        def once():
+            before = [generation["collections"] for generation in gc.get_stats()]
+            sim = fn()
+            return sim, [
                 generation["collections"] - was
                 for generation, was in zip(gc.get_stats(), before)
             ]
-    stats = _kernel_stats(sim)
-    events = stats.get("events_executed", 0) + stats.get("microtasks_executed", 0)
-    record = {
-        "name": name,
-        "wall_seconds": best,
-        "events": events,
-        "events_per_second": (events / best) if events and best else None,
-        "ns_per_event": (best / events * 1e9) if events and best else None,
-        "stats": stats,
-        "gc_collections": collections,
-    }
-    rate = f"{record['events_per_second']:,.0f} ev/s" if events else "n/a"
-    per = f"{record['ns_per_event']:,.0f} ns/ev" if events else ""
-    print(f"  {name:<16} {best * 1e3:9.1f} ms   {rate:>16}  {per:>14}")
-    return record
+
+        (sim, collections), walls = harness.best_of(once, repeats)
+        best = min(walls)
+        stats = sim.stats.snapshot()
+        events = stats["events_executed"] + stats["microtasks_executed"]
+        return {
+            "name": name,
+            "wall_seconds": best,
+            "events": events,
+            "events_per_second": (events / best) if events and best else None,
+            "ns_per_event": (best / events * 1e9) if events and best else None,
+            "stats": stats,
+            "gc_collections": collections,
+        }
+
+    return run
 
 
-# (scenario name, full-run thunk, smoke-run thunk, smoke wall-clock budget s)
+def _row(name: str, full, smoke, budget_s: float):
+    return name, _timed(name, full), _timed(name, smoke), budget_s
+
+
+# (scenario name, full-size run, smoke-size run, smoke wall-clock budget s)
 SCENARIOS = [
-    (
+    _row(
         "timeout_churn",
         lambda: timeout_churn(processes=100, cycles=2_000),
         lambda: timeout_churn(processes=20, cycles=500),
         20.0,
     ),
-    (
+    _row(
         "ping_pong",
         lambda: ping_pong(pairs=50, rounds=2_000),
         lambda: ping_pong(pairs=10, rounds=500),
         20.0,
     ),
-    (
+    _row(
         "ping_pong_sliced",
         lambda: ping_pong(pairs=50, rounds=2_000, slice_s=0.01),
         lambda: ping_pong(pairs=10, rounds=500, slice_s=0.01),
         20.0,
     ),
-    (
+    _row(
         "cancel_storm",
         lambda: cancel_storm(batches=500, timers_per_batch=200),
         lambda: cancel_storm(batches=100, timers_per_batch=100),
         20.0,
     ),
-    (
+    _row(
         "mini_workload",
         lambda: mini_workload(target_rate=20_000, duration=3.0),
         lambda: mini_workload(target_rate=5_000, duration=1.0),
@@ -240,7 +226,7 @@ SCENARIOS = [
     # write path.  mini_workload raises if any span gets allocated, and
     # the budget is the same as the untraced run: "zero-cost when
     # disabled" is a perf contract, not just a unit-test claim.
-    (
+    _row(
         "mini_tracer_off",
         lambda: mini_workload(target_rate=20_000, duration=3.0, tracing="disabled"),
         lambda: mini_workload(target_rate=5_000, duration=1.0, tracing="disabled"),
@@ -249,7 +235,7 @@ SCENARIOS = [
 ]
 
 
-#: The parent commit under this same script (``--repeats 5``) on the same
+#: The parent commit under this same bench (``--repeats 5``) on the same
 #: box, back to back with the run committed as ``BENCH_kernel.json``.  At
 #: ff6eb34 every spawn put a ``_ScheduledEvent`` + bound ``_start`` on the
 #: microtask deque, every wait a bound method + a one-element list on its
@@ -258,8 +244,8 @@ SCENARIOS = [
 #: ``mini_workload`` paid, the latter mostly as collector passes
 #: (``gc_collections``).  Walls on this box swing 20% between invocations:
 #: the pair kept is the third of three, parent run immediately before
-#: the change.  Event counts equal today's; the gate checks that they
-#: still do.
+#: the change.  Event counts equal today's; ``check_claims`` holds them
+#: to that.
 BASELINE = {
     "commit": "ff6eb34",
     "scenarios": {
@@ -273,74 +259,66 @@ BASELINE = {
 }
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="trimmed CI smoke mode: fail if any scenario blows its "
-        "(generous) wall-clock budget",
+def describe(record: Dict) -> str:
+    return (
+        f"{record['wall_seconds'] * 1e3:9.1f} ms   "
+        f"{record['events_per_second'] or 0:>14,.0f} ev/s  "
+        f"{record['ns_per_event'] or 0:>10,.0f} ns/ev"
     )
-    parser.add_argument(
-        "--json",
-        default=os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "BENCH_kernel.json"),
-        help="output path for the JSON report (full mode only)",
-    )
-    parser.add_argument(
-        "--scenario",
-        action="append",
-        help="run only the named scenario(s); may repeat",
-    )
-    parser.add_argument("--repeats", type=int, default=3)
-    args = parser.parse_args(argv)
 
-    if args.repeats < 1:
-        parser.error("--repeats must be >= 1")
-    if args.scenario:
-        known = {row[0] for row in SCENARIOS}
-        unknown = [name for name in args.scenario if name not in known]
-        if unknown:
-            parser.error(f"unknown scenario(s): {unknown}")
-    selected = [
-        row for row in SCENARIOS if not args.scenario or row[0] in args.scenario
-    ]
 
-    mode = "smoke" if args.check else "full"
-    print(f"kernel microbench ({mode} mode)")
-    results = {}
-    failures = []
-    for name, full, smoke, budget in selected:
-        fn = smoke if args.check else full
-        record = run_scenario(name, fn, repeats=1 if args.check else args.repeats)
-        results[name] = record
-        if args.check and record["wall_seconds"] > budget:
-            failures.append(
-                f"{name}: {record['wall_seconds']:.1f}s > budget {budget:.0f}s"
-            )
-
-    if args.check:
-        if failures:
-            print("PERF CHECK FAILED:")
-            for line in failures:
-                print(f"  {line}")
-            return 1
-        print("perf check ok")
-        return 0
-
-    report = {
-        "python": sys.version.split()[0],
-        "mode": mode,
-        "repeats": args.repeats,
+def build_report(results: Dict[str, Dict], repeats: int, wall_s: float) -> Dict:
+    return {
+        "python": platform.python_version(),
+        "mode": "full",
+        "repeats": repeats,
         "cpu_count": os.cpu_count(),
         "baseline": BASELINE,
         "scenarios": results,
     }
-    out = os.path.abspath(args.json)
-    with open(out, "w") as fh:
-        json.dump(report, fh, indent=2)
-    print(f"wrote {out}")
-    return 0
 
 
-if __name__ == "__main__":
-    raise SystemExit(main())
+def check_claims(report: Dict) -> List[str]:
+    """The claims BENCH_kernel.json (and a smoke report) is held to."""
+    failures: List[str] = []
+    scenarios = report.get("scenarios") or {}
+    if not scenarios:
+        failures.append("no kernel scenarios recorded")
+    for name, record in scenarios.items():
+        if "events" not in record or "stats" not in record:
+            failures.append(f"{name}: record lacks events + stats")
+        collections = record.get("gc_collections")
+        if not (
+            isinstance(collections, list)
+            and len(collections) == 3
+            and all(type(n) is int and n >= 0 for n in collections)
+        ):
+            failures.append(
+                f"{name}: gc_collections {collections!r} is not the collector "
+                f"runs [gen0, gen1, gen2] of the best repeat"
+            )
+    if not isinstance(report.get("cpu_count"), int):
+        failures.append("cpu_count: the core count the walls were measured on is missing")
+    # The before-numbers: a named commit, measured at today's event
+    # counts (a wall-clock pair means nothing otherwise).
+    baseline = report.get("baseline") or {}
+    if not baseline.get("commit") or not baseline.get("scenarios"):
+        failures.append("baseline: no commit + scenarios of the parent's run")
+    if report.get("mode") != "smoke":
+        for name, before in (baseline.get("scenarios") or {}).items():
+            after = scenarios.get(name, {}).get("events")
+            if after is not None and before.get("events") != after:
+                failures.append(
+                    f"baseline.{name}: measured at {before.get('events')} events, "
+                    f"the scenario now runs {after}"
+                )
+    return failures
+
+
+def records(report: Dict) -> Dict[str, Dict]:
+    """Committed record per scenario (the gate's smoke re-run index)."""
+    return report.get("scenarios") or {}
+
+
+def rerun(name: str) -> Optional[Dict]:
+    return harness.rerun(SCENARIOS, name)

@@ -11,30 +11,30 @@ Four experiment families, all deterministic except wall-clock fields:
   through the same cold LTS-resident backlog) with single-flight fetch
   coalescing off vs on; the headline is LTS read ops saved at equal
   delivered bytes.
-* **policies** — cache hit rates for the admission/eviction policy
-  matrix (generation/LRU eviction x always/second-touch admission)
-  under a hot-tail working set + one-pass cold scan mix.
+* **policies** — cache hit rates for always vs second-touch admission
+  (generation eviction) under a hot-tail working set + one-pass cold
+  scan mix.
 * **reader_heavy** — the end-to-end client-stack scenario (64 reader
   groups over 2 segments) whose best-of-5 simulator wall is compared
   against the recorded pre-optimization baseline, in the default
   (event-count-neutral) config and with direct tail delivery.
 
-``python benchmarks/bench_read.py`` writes BENCH_read.json;
-``--check`` runs cheap variants of every family and asserts the claims
-without touching the JSON.  ``test_fig08c_tail_fanout`` and
-``test_fig12b_replay_coalescing`` are the suite-runner entry points.
+Driven by ``python -m repro.bench run read [--check]`` (``make
+bench-read`` / ``make read-check``): the full run writes
+BENCH_read.json, ``--check`` runs cheap variants of every family and
+holds them to the same ``check_claims`` without touching the JSON.
+``test_fig08c_tail_fanout`` and ``test_fig12b_replay_coalescing`` are
+the suite-runner entry points.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import platform
 import random
 import time
-from pathlib import Path
 from typing import Dict, List, Optional
 
+from repro.bench import harness
 from repro.pravega import PravegaCluster, PravegaClusterConfig
 from repro.pravega.client.reader import ReaderConfig
 from repro.pravega.client.serializers import framed_size
@@ -44,8 +44,6 @@ from repro.pravega.container.storage_writer import StorageWriterConfig
 from repro.pravega.model import ScalingPolicy, StreamConfiguration
 from repro.pravega.segment_store import SegmentStoreConfig
 from repro.sim.core import Interrupt, Simulator
-
-ROOT = Path(__file__).resolve().parents[1]
 
 #: best-of-5 simulator wall of ``run_reader_heavy()`` on the commit
 #: immediately before the serving tier + read hot-path cuts landed
@@ -201,29 +199,20 @@ def run_fanout(
 
 
 # ----------------------------------------------------------------------
-# replay: mass historical catch-up, coalescing off vs on
+# replay / policies: a cold backlog tiered out to a realistic LTS
 # ----------------------------------------------------------------------
-def run_replay(
-    coalesce: bool,
-    readers: int = 32,
-    backlog_bytes: int = 24 * 1024 * 1024,
-    cache_bytes: int = 8 * 1024 * 1024,
-    event_size: int = 8192,
-    admission: str = "always",
-    eviction: str = "generation",
-) -> Dict[str, object]:
-    """Many readers replay the same cold, LTS-resident backlog in
-    lockstep.  Without single-flight coalescing every reader fetches
-    every chunk; with it one storage read resolves all concurrent
-    waiters (including the read-ahead they would have duplicated)."""
-    random.seed(SEED)
-    start = time.perf_counter()
-    serving = ServingConfig(
-        coalesce_lts_fetches=coalesce,
-        admission_policy=admission,
-        eviction_policy=eviction,
-        direct_tail_delivery=True,
-    )
+def _tiered_backlog(
+    stream: str,
+    serving: ServingConfig,
+    backlog_bytes: int,
+    cache_bytes: int,
+    event_size: int,
+):
+    """A one-segment stream whose ``backlog_bytes`` of events have all
+    been flushed to an EFS-like LTS (fetches take long enough that
+    lockstep readers overlap on the same cold chunk) behind a cache of
+    ``cache_bytes``.  Returns (sim, cluster, store, qualified segment
+    name, container, bytes written)."""
     cache = CacheSpec(
         block_size=65536,
         blocks_per_buffer=8,
@@ -231,17 +220,14 @@ def run_replay(
     )
     storage = StorageWriterConfig(flush_threshold=262144, flush_timeout=0.1)
     sim = Simulator()
-    # A realistic LTS (EFS-like latency): fetches take long enough that
-    # lockstep readers actually overlap on the same cold chunk.
     cluster = _build_cluster(
         sim, cache=cache, serving=serving, storage=storage, lts_kind="efs"
     )
-    _make_stream(sim, cluster, "read", "replay", 1)
-    qualified, store = _segment_location(sim, cluster, "read", "replay")
-    writer = cluster.create_writer("bench-0", "read", "replay")
-    frame = framed_size(event_size)
-    events = backlog_bytes // frame
-    total_bytes = events * frame
+    _make_stream(sim, cluster, "read", stream, 1)
+    qualified, store = _segment_location(sim, cluster, "read", stream)
+    writer = cluster.create_writer("bench-0", "read", stream)
+    events = backlog_bytes // framed_size(event_size)
+    total_bytes = events * framed_size(event_size)
 
     def produce():
         for _ in range(events):
@@ -259,6 +245,26 @@ def run_replay(
         sim.run(until=sim.now + 0.25)
     assert container.storage_writer.flushed_offset(qualified) >= total_bytes, (
         "backlog did not tier out to LTS"
+    )
+    return sim, cluster, store, qualified, container, total_bytes
+
+
+def run_replay(
+    coalesce: bool,
+    readers: int = 32,
+    backlog_bytes: int = 24 * 1024 * 1024,
+    cache_bytes: int = 8 * 1024 * 1024,
+    event_size: int = 8192,
+) -> Dict[str, object]:
+    """Many readers replay the same cold, LTS-resident backlog in
+    lockstep.  Without single-flight coalescing every reader fetches
+    every chunk; with it one storage read resolves all concurrent
+    waiters (including the read-ahead they would have duplicated)."""
+    random.seed(SEED)
+    start = time.perf_counter()
+    serving = ServingConfig(coalesce_lts_fetches=coalesce, direct_tail_delivery=True)
+    sim, cluster, store, qualified, _, total_bytes = _tiered_backlog(
+        "replay", serving, backlog_bytes, cache_bytes, event_size
     )
 
     delivered = [0] * readers
@@ -300,7 +306,6 @@ def run_replay(
 # policies: hot tail working set vs one-pass cold scan
 # ----------------------------------------------------------------------
 def run_policy(
-    eviction: str,
     admission: str,
     backlog_bytes: int = 16 * 1024 * 1024,
     hot_bytes: int = 1024 * 1024,
@@ -318,40 +323,11 @@ def run_policy(
     serving = ServingConfig(
         coalesce_lts_fetches=True,
         admission_policy=admission,
-        eviction_policy=eviction,
         direct_tail_delivery=True,
     )
-    cache = CacheSpec(
-        block_size=65536,
-        blocks_per_buffer=8,
-        max_buffers=max(2, cache_bytes // (65536 * 8)),
+    sim, cluster, store, qualified, container, total_bytes = _tiered_backlog(
+        "policy", serving, backlog_bytes, cache_bytes, event_size
     )
-    storage = StorageWriterConfig(flush_threshold=262144, flush_timeout=0.1)
-    sim = Simulator()
-    cluster = _build_cluster(
-        sim, cache=cache, serving=serving, storage=storage, lts_kind="efs"
-    )
-    _make_stream(sim, cluster, "read", "policy", 1)
-    qualified, store = _segment_location(sim, cluster, "read", "policy")
-    writer = cluster.create_writer("bench-0", "read", "policy")
-    frame = framed_size(event_size)
-    events = backlog_bytes // frame
-    total_bytes = events * frame
-
-    def produce():
-        for _ in range(events):
-            writer.write_synthetic_events(1, event_size)
-            yield 0.0005
-        yield writer.flush()
-
-    sim.run_until_complete(sim.process(produce()), timeout=600)
-    container = store.container_for(qualified)
-    deadline = sim.now + 60.0
-    while (
-        container.storage_writer.flushed_offset(qualified) < total_bytes
-        and sim.now < deadline
-    ):
-        sim.run(until=sim.now + 0.25)
 
     hot_lo = total_bytes - hot_bytes
     step = 262144
@@ -398,7 +374,7 @@ def run_policy(
     hot_total = hot_stats["hits"] + hot_stats["misses"]
     manager = container.cache_manager
     return {
-        "eviction": manager.eviction,
+        "eviction": "generation",  # the only order; kept so rows stay as committed
         "admission": manager.admission,
         "hit_rate": round(hits / (hits + misses), 6) if hits + misses else 0.0,
         "hot_hit_rate": (
@@ -492,106 +468,76 @@ def run_reader_heavy(
     }
 
 
-def _best_of(fn, n: int) -> Dict[str, object]:
-    record = None
-    walls = []
-    for _ in range(n):
-        record = fn()
-        walls.append(round(record["wall_s"], 4))
-    record = dict(record)
-    record["wall_s_runs"] = walls
-    record["wall_s"] = min(walls)
-    return record
-
-
 # ----------------------------------------------------------------------
-# Suite-runner entry points (cheap, deterministic variants)
+# Harness protocol (repro.bench.harness): one scenario per family
 # ----------------------------------------------------------------------
-def test_fig08c_tail_fanout(benchmark) -> None:
-    """Fig. 8 extension: mass tail fan-out with direct delivery."""
-    from common import record, run_once
-
-    def experiment():
-        return run_fanout(readers=64, events=12)
-
-    result = run_once(benchmark, experiment)
-    record(
-        benchmark,
-        readers=result["readers"],
-        delivered_events=result["delivered_events"],
-        p50_ms=result["p50_ms"],
-        p99_ms=result["p99_ms"],
-        caught_up=result["caught_up"],
-    )
-    assert result["caught_up"], "not every tail client saw every event"
-    assert result["delivered_events"] == result["readers"] * result["events"]
-    assert 0 < result["p50_ms"] <= result["p99_ms"]
+REPEATS = 5
+_MB = 1024 * 1024
+#: the cheap variants --check runs; the suite scenarios fig08c/fig12b
+#: run the same two
+_SMOKE_FANOUT = dict(readers=64, events=12)
+_SMOKE_REPLAY = dict(readers=12, backlog_bytes=6 * _MB, cache_bytes=2 * _MB)
+ADMISSIONS = ("always", "second_touch")
 
 
-def test_fig12b_replay_coalescing(benchmark) -> None:
-    """Fig. 12 extension: mass replay LTS storm, coalescing off vs on."""
-    from common import record, run_once
-
-    def experiment():
-        kwargs = dict(
-            readers=12,
-            backlog_bytes=6 * 1024 * 1024,
-            cache_bytes=2 * 1024 * 1024,
-        )
-        off = run_replay(False, **kwargs)
-        on = run_replay(True, **kwargs)
-        return off, on
-
-    off, on = run_once(benchmark, experiment)
-    ratio = off["lts_fetch_ops"] / max(on["lts_fetch_ops"], 1.0)
-    record(
-        benchmark,
-        lts_ops_off=off["lts_fetch_ops"],
-        lts_ops_on=on["lts_fetch_ops"],
-        lts_ops_ratio=round(ratio, 3),
-        coalesced_fetches=on["coalesced_fetches"],
-        delivered_bytes=on["delivered_bytes"],
-    )
-    assert off["caught_up"] and on["caught_up"]
-    assert off["delivered_bytes"] == on["delivered_bytes"], (
-        "coalescing changed the bytes delivered to readers"
-    )
-    assert on["lts_fetch_ops"] <= off["lts_fetch_ops"]
-    assert ratio >= 4.0, f"coalescing saved only {ratio:.2f}x LTS ops"
-    assert on["coalesced_fetches"] > 0
-
-
-# ----------------------------------------------------------------------
-# Full run -> BENCH_read.json
-# ----------------------------------------------------------------------
-POLICY_MATRIX = (
-    ("generation", "always"),
-    ("generation", "second_touch"),
-    ("lru", "always"),
-    ("2q", "second_touch"),
-)
-
-
-def run_full(best_of: int = 5) -> Dict[str, object]:
-    started = time.perf_counter()
-    fanout_points = [
-        run_fanout(readers=n) for n in (10, 100, 1000)
-    ]
-    fanout_process_tail = run_fanout(readers=1000, serving=None)
-
-    replay_off = run_replay(False)
-    replay_on = run_replay(True)
-    ratio = replay_off["lts_fetch_ops"] / max(replay_on["lts_fetch_ops"], 1.0)
-
-    policies = {
-        f"{ev}/{adm}": run_policy(ev, adm) for ev, adm in POLICY_MATRIX
+def _fanout(smoke: bool) -> Dict[str, object]:
+    if smoke:
+        return {"serving": "direct_tail_delivery", "points": [run_fanout(**_SMOKE_FANOUT)]}
+    return {
+        "serving": "direct_tail_delivery",
+        "points": [run_fanout(readers=n) for n in (10, 100, 1000)],
+        "process_tail_1000": run_fanout(readers=1000, serving=None),
     }
 
-    heavy_default = _best_of(lambda: run_reader_heavy(serving=None), best_of)
-    heavy_direct = _best_of(lambda: run_reader_heavy(serving=DIRECT), best_of)
-    heavy_default["speedup"] = round(BASELINE_WALL_S / heavy_default["wall_s"], 4)
-    heavy_direct["speedup"] = round(BASELINE_WALL_S / heavy_direct["wall_s"], 4)
 
+def _replay(**kwargs) -> Dict[str, object]:
+    off, on = run_replay(False, **kwargs), run_replay(True, **kwargs)
+    ratio = off["lts_fetch_ops"] / max(on["lts_fetch_ops"], 1.0)
+    return {"off": off, "on": on, "lts_ops_ratio": round(ratio, 3)}
+
+
+def _policies(**kwargs) -> Dict[str, object]:
+    return {f"generation/{adm}": run_policy(adm, **kwargs) for adm in ADMISSIONS}
+
+
+def _reader_heavy(repeats: int) -> Dict[str, object]:
+    family = {}
+    for key, serving in (("default", None), ("direct", DIRECT)):
+        record, walls = harness.best_of(lambda: run_reader_heavy(serving=serving), repeats)
+        walls = [round(wall, 4) for wall in walls]
+        family[key] = {
+            **record,
+            "wall_s_runs": walls,
+            "wall_s": min(walls),
+            "speedup": round(BASELINE_WALL_S / min(walls), 4),
+        }
+    return family
+
+
+# (family, full thunk(repeats), smoke thunk(repeats), smoke budget s)
+SCENARIOS = [
+    ("fanout", lambda r: _fanout(smoke=False), lambda r: _fanout(smoke=True), 60.0),
+    ("replay", lambda r: _replay(), lambda r: _replay(**_SMOKE_REPLAY), 60.0),
+    ("policies", lambda r: _policies(), lambda r: _policies(backlog_bytes=8 * _MB), 60.0),
+    ("reader_heavy", _reader_heavy, lambda r: {"default": run_reader_heavy()}, 120.0),
+]
+
+
+def describe(record: Dict) -> str:
+    if "points" in record:
+        last = record["points"][-1]
+        return f"fanout@{last['readers']} p99 {last['p99_ms']:.3f} ms"
+    if "lts_ops_ratio" in record:
+        return (
+            f"LTS ops {record['off']['lts_fetch_ops']:.0f} -> "
+            f"{record['on']['lts_fetch_ops']:.0f} ({record['lts_ops_ratio']}x)"
+        )
+    if "default" in record:
+        return ", ".join(f"{k} {v['wall_s']:.3f}s" for k, v in record.items())
+    return ", ".join(f"{k} hot {v['hot_hit_rate']}" for k, v in record.items())
+
+
+def build_report(results: Dict[str, Dict], repeats: int, wall_s: float) -> Dict:
     return {
         "bench": "read_serving",
         "python": platform.python_version(),
@@ -601,149 +547,112 @@ def run_full(best_of: int = 5) -> Dict[str, object]:
             "wall_s": BASELINE_WALL_S,
             "kernel_events": BASELINE_KERNEL_EVENTS,
         },
-        "fanout": {
-            "serving": "direct_tail_delivery",
-            "points": fanout_points,
-            "process_tail_1000": fanout_process_tail,
-        },
-        "replay": {
-            "off": replay_off,
-            "on": replay_on,
-            "lts_ops_ratio": round(ratio, 3),
-        },
-        "policies": policies,
-        "reader_heavy": {
-            "default": heavy_default,
-            "direct": heavy_direct,
-        },
-        "wall_s_total": round(time.perf_counter() - started, 3),
+        **results,
+        "wall_s_total": round(wall_s, 3),
     }
 
 
 def check_claims(report: Dict[str, object]) -> List[str]:
-    """The claims the gate (and --check) holds BENCH_read.json to."""
+    """The claims BENCH_read.json (and a smoke report) is held to."""
     failures = []
+    smoke = report.get("mode") == "smoke"
 
     def claim(ok: bool, message: str) -> None:
         if not ok:
             failures.append(message)
 
-    points = report["fanout"]["points"]
-    claim(any(p["readers"] >= 1000 for p in points),
-          "no >=1000-reader fan-out point")
-    for p in points:
-        claim(p["caught_up"], f"fanout@{p['readers']}: readers not caught up")
-        claim(p["delivered_events"] == p["readers"] * p["events"],
-              f"fanout@{p['readers']}: missing deliveries")
+    def rerunnable(label: str, record: Dict) -> None:
+        # the deterministic fields a re-run is compared on
+        for key in ("kernel_events", "sim_time_s"):
+            claim(key in record, f"{label}: no {key} recorded")
 
-    off, on = report["replay"]["off"], report["replay"]["on"]
-    claim(on["lts_fetch_ops"] <= off["lts_fetch_ops"],
-          "coalescing increased LTS ops")
-    claim(off["delivered_bytes"] == on["delivered_bytes"],
-          "coalescing changed delivered bytes")
-    claim(report["replay"]["lts_ops_ratio"] >= 10.0,
-          f"LTS op reduction {report['replay']['lts_ops_ratio']}x < 10x")
+    claim("seed" in report, "no seed recorded")
+    if not smoke:
+        for family, *_ in SCENARIOS:
+            claim(family in report, f"no {family} family")
 
-    for name, policy in report["policies"].items():
-        for key in ("hit_rate", "hot_hit_rate"):
-            claim(0.0 <= policy[key] <= 1.0,
-                  f"policy {name}: {key} {policy[key]} outside [0,1]")
-    second_touch = report["policies"]["generation/second_touch"]["hot_hit_rate"]
-    always = report["policies"]["generation/always"]["hot_hit_rate"]
-    claim(second_touch >= always,
-          "second-touch admission did not protect the hot set")
+    if "fanout" in report:
+        points = report["fanout"]["points"]
+        claim(smoke or any(p["readers"] >= 1000 for p in points),
+              "no >=1000-reader fan-out point")
+        for p in points:
+            claim(p["caught_up"], f"fanout@{p['readers']}: readers not caught up")
+            claim(p["delivered_events"] == p["readers"] * p["events"],
+                  f"fanout@{p['readers']}: missing deliveries")
+            rerunnable(f"fanout@{p['readers']}", p)
 
-    heavy = report["reader_heavy"]
-    claim(heavy["default"]["kernel_events"] == BASELINE_KERNEL_EVENTS,
-          "default reader_heavy is no longer event-neutral vs the baseline")
-    claim(heavy["direct"]["speedup"] >= 1.3,
-          f"speedup {heavy['direct']['speedup']}x < 1.3x")
+    if "replay" in report:
+        off, on = report["replay"]["off"], report["replay"]["on"]
+        for mode, record in (("off", off), ("on", on)):
+            claim(record["caught_up"], f"replay.{mode}: readers not caught up")
+            rerunnable(f"replay.{mode}", record)
+        claim(on["lts_fetch_ops"] <= off["lts_fetch_ops"],
+              "coalescing increased LTS ops")
+        claim(on["coalesced_fetches"] > 0, "coalescing on, yet no fetch was shared")
+        claim(off["delivered_bytes"] == on["delivered_bytes"],
+              "coalescing changed delivered bytes")
+        floor = 4.0 if smoke else 10.0  # the smoke backlog is a quarter the size
+        claim(report["replay"]["lts_ops_ratio"] >= floor,
+              f"LTS op reduction {report['replay']['lts_ops_ratio']}x < {floor:g}x")
+
+    if "policies" in report:
+        for name, policy in report["policies"].items():
+            for key in ("hit_rate", "hot_hit_rate"):
+                claim(0.0 <= policy[key] <= 1.0,
+                      f"policy {name}: {key} {policy[key]} outside [0,1]")
+        second_touch = report["policies"]["generation/second_touch"]["hot_hit_rate"]
+        always = report["policies"]["generation/always"]["hot_hit_rate"]
+        claim(second_touch >= always,
+              "second-touch admission did not protect the hot set")
+
+    if "reader_heavy" in report:
+        heavy = report["reader_heavy"]
+        for key, record in heavy.items():
+            claim(record["caught_up"], f"reader_heavy.{key}: readers not caught up")
+        claim(heavy["default"]["kernel_events"] == BASELINE_KERNEL_EVENTS,
+              "default reader_heavy is no longer event-neutral vs the baseline")
+        if not smoke:  # a wall-clock pair: only the best-of-N full run has one
+            claim(heavy["direct"]["speedup"] >= 1.3,
+                  f"speedup {heavy['direct']['speedup']}x < 1.3x")
     return failures
 
 
-def run_check() -> int:
-    """Cheap assertions over every family (no JSON output)."""
-    bench = _CheckBenchmark()
-    test_fig08c_tail_fanout(bench)
-    print("fanout:", bench.extra_info)
-    bench = _CheckBenchmark()
-    test_fig12b_replay_coalescing(bench)
-    print("replay:", bench.extra_info)
-    rates = {}
-    for ev, adm in (("generation", "always"), ("generation", "second_touch")):
-        policy = run_policy(ev, adm, backlog_bytes=8 * 1024 * 1024)
-        rates[adm] = policy["hot_hit_rate"]
-        print(f"policy {ev}/{adm}: hit_rate={policy['hit_rate']} "
-              f"hot_hit_rate={policy['hot_hit_rate']}")
-        assert 0.0 <= policy["hit_rate"] <= 1.0
-    assert rates["second_touch"] >= rates["always"], (
-        "second-touch admission did not protect the hot set"
+# ----------------------------------------------------------------------
+# Suite-runner entry points: the smoke variants, held to the same claims
+# ----------------------------------------------------------------------
+def _assert_claims(**families) -> None:
+    failures = check_claims({"mode": "smoke", "seed": SEED, **families})
+    assert not failures, "; ".join(failures)
+
+
+def test_fig08c_tail_fanout(benchmark) -> None:
+    """Fig. 8 extension: mass tail fan-out with direct delivery."""
+    from common import record, run_once
+
+    result = run_once(benchmark, lambda: run_fanout(**_SMOKE_FANOUT))
+    record(
+        benchmark,
+        readers=result["readers"],
+        delivered_events=result["delivered_events"],
+        p50_ms=result["p50_ms"],
+        p99_ms=result["p99_ms"],
+        caught_up=result["caught_up"],
     )
-    heavy = run_reader_heavy()
-    assert heavy["caught_up"]
-    assert heavy["kernel_events"] == BASELINE_KERNEL_EVENTS, (
-        "default reader_heavy is no longer event-neutral"
+    _assert_claims(fanout={"points": [result]})
+    assert 0 < result["p50_ms"] <= result["p99_ms"]
+
+
+def test_fig12b_replay_coalescing(benchmark) -> None:
+    """Fig. 12 extension: mass replay LTS storm, coalescing off vs on."""
+    from common import record, run_once
+
+    replay = run_once(benchmark, lambda: _replay(**_SMOKE_REPLAY))
+    record(
+        benchmark,
+        lts_ops_off=replay["off"]["lts_fetch_ops"],
+        lts_ops_on=replay["on"]["lts_fetch_ops"],
+        lts_ops_ratio=replay["lts_ops_ratio"],
+        coalesced_fetches=replay["on"]["coalesced_fetches"],
+        delivered_bytes=replay["on"]["delivered_bytes"],
     )
-    print(f"reader_heavy: wall={heavy['wall_s']:.3f}s "
-          f"events={heavy['kernel_events']:,}")
-    print("read serving-tier checks passed")
-    return 0
-
-
-class _CheckBenchmark:
-    def __init__(self) -> None:
-        self.extra_info: dict = {}
-
-    def pedantic(self, fn, rounds=1, iterations=1, **_):
-        for _i in range(max(1, rounds) * max(1, iterations)):
-            fn()
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--baseline", action="store_true",
-                        help="run only the reader_heavy wall measurement")
-    parser.add_argument("--check", action="store_true",
-                        help="cheap claim checks, no JSON output")
-    parser.add_argument("--best-of", type=int, default=5)
-    parser.add_argument("--output", default=str(ROOT / "BENCH_read.json"))
-    args = parser.parse_args(argv)
-
-    if args.check:
-        return run_check()
-    if args.baseline:
-        walls = []
-        for i in range(args.best_of):
-            record = run_reader_heavy()
-            walls.append(record["wall_s"])
-            print(f"run {i}: wall {record['wall_s']:.3f}s "
-                  f"events {record['kernel_events']:,} "
-                  f"caught_up {record['caught_up']} "
-                  f"delivered {record['delivered_events']:,}")
-        print(f"best-of-{args.best_of}: {min(walls):.4f}s")
-        return 0
-
-    report = run_full(best_of=args.best_of)
-    failures = check_claims(report)
-    out = Path(args.output)
-    out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {out}")
-    print(f"  fanout@1000 p99 {report['fanout']['points'][-1]['p99_ms']:.3f} ms")
-    print(f"  replay LTS ops {report['replay']['off']['lts_fetch_ops']:.0f} -> "
-          f"{report['replay']['on']['lts_fetch_ops']:.0f} "
-          f"({report['replay']['lts_ops_ratio']}x)")
-    for name, policy in report["policies"].items():
-        print(f"  policy {name}: hit_rate {policy['hit_rate']}")
-    print(f"  reader_heavy default {report['reader_heavy']['default']['wall_s']}s "
-          f"({report['reader_heavy']['default']['speedup']}x), "
-          f"direct {report['reader_heavy']['direct']['wall_s']}s "
-          f"({report['reader_heavy']['direct']['speedup']}x)")
-    if failures:
-        for failure in failures:
-            print(f"CLAIM FAILED: {failure}")
-        return 1
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+    _assert_claims(replay=replay)

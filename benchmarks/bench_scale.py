@@ -16,44 +16,32 @@ Two families of scenarios, one JSON report (``BENCH_scale.json``):
   discrete vs fluid-accelerated, recording per-variant error, wall
   seconds per leg, and kernel events avoided.
 
-Timing follows ``bench_kernel.py``'s convention: each timed leg runs
-``--repeats`` times (default 3) and the best wall time is kept.
-
-Usage::
-
-    PYTHONPATH=src python benchmarks/bench_scale.py            # full run
-    PYTHONPATH=src python benchmarks/bench_scale.py --check    # CI smoke
-    PYTHONPATH=src python benchmarks/bench_scale.py --json OUT # custom path
-
-``--check`` runs trimmed scenarios (single repeat) under generous
-wall-clock budgets and exits non-zero on blowouts — wired into
-``make scale``.
+Driven by ``python -m repro.bench run scale [--check]`` (``make
+bench-scale`` / ``make scale-check``).  Each timed leg runs ``--repeats``
+times (default 3) and the best wall time is kept; ``--check`` runs
+trimmed scenarios (single repeat) under generous wall-clock budgets and
+exits non-zero on blowouts.
 """
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
-import json
-import os
-import sys
-import time
-from typing import Callable, Dict, List, Optional, Tuple
+import platform
+from typing import Callable, Dict, List, Optional
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
-
-from repro.bench import (  # noqa: E402
+from repro.bench import (
     KafkaAdapter,
     PravegaAdapter,
     PulsarAdapter,
     WorkloadSpec,
     find_max_throughput,
+    harness,
     run_workload,
 )
-from repro.pulsar import PulsarProducerConfig  # noqa: E402
-from repro.sim import Simulator  # noqa: E402
-from repro.sim.fluid import FluidSpec  # noqa: E402
-from repro.workload.fluid import (  # noqa: E402
+from repro.pulsar import PulsarProducerConfig
+from repro.sim import Simulator
+from repro.sim.fluid import FluidSpec
+from repro.workload.fluid import (
     FluidScaleModel,
     ScaleCalibration,
     ScaleSpec,
@@ -99,19 +87,14 @@ class _Leg:
         )
 
 
-def _best_of(fn: Callable[[], Dict], repeats: int) -> Dict:
-    """Run ``fn`` ``repeats`` times, keep the run with the best wall time."""
-    best: Optional[Dict] = None
-    for _ in range(repeats):
-        out = fn()
-        if best is None or out["wall_s"] < best["wall_s"]:
-            best = out
-    return best
+def _fastest(fn: Callable[[], Dict], repeats: int) -> Dict:
+    """The fastest of ``repeats`` runs of ``fn``, with its wall time."""
+    out, walls = harness.best_of(fn, repeats)
+    return {**out, "wall_s": min(walls)}
 
 
 def _max_search(make_adapter, fluid, partitions=1, start=100_000) -> Dict:
     leg = _Leg(make_adapter, fluid)
-    t0 = time.perf_counter()
     best = find_max_throughput(
         leg.make,
         _spec(partitions, 0, fluid),
@@ -121,7 +104,6 @@ def _max_search(make_adapter, fluid, partitions=1, start=100_000) -> Dict:
         max_rate=4_000_000,
     )
     return {
-        "wall_s": time.perf_counter() - t0,
         "max_eps": best.produce_rate,
         "kernel_events": leg.kernel_events(),
     }
@@ -130,11 +112,9 @@ def _max_search(make_adapter, fluid, partitions=1, start=100_000) -> Dict:
 def _low_rate_p95(make_adapter, fluid) -> Dict:
     leg = _Leg(make_adapter, fluid)
     spec = dataclasses.replace(_spec(1, 2_000, fluid), tick=1e-3)
-    t0 = time.perf_counter()
     sim = Simulator()
     result = run_workload(sim, leg.make(sim), spec)
     return {
-        "wall_s": time.perf_counter() - t0,
         "p95_s": result.write_latency.p95,
         "kernel_events": leg.kernel_events(),
     }
@@ -182,8 +162,8 @@ def fig05a_xval(repeats: int, variants=None) -> Dict:
     per_variant = []
     for label in variants or FIG05A_VARIANTS:
         make = FIG05A_VARIANTS[label]
-        d = _best_of(lambda: _max_search(make, None), repeats)
-        f = _best_of(lambda: _max_search(make, FluidSpec()), repeats)
+        d = _fastest(lambda: _max_search(make, None), repeats)
+        f = _fastest(lambda: _max_search(make, FluidSpec()), repeats)
         err = abs(f["max_eps"] - d["max_eps"]) / max(d["max_eps"], 1.0) * 100.0
         per_variant.append(
             {
@@ -204,10 +184,10 @@ def fig06a_xval(repeats: int, variants=None) -> Dict:
     per_variant = []
     for label in variants or FIG06A_VARIANTS:
         make = FIG06A_VARIANTS[label]
-        d_lat = _best_of(lambda: _low_rate_p95(make, None), repeats)
-        f_lat = _best_of(lambda: _low_rate_p95(make, FluidSpec()), repeats)
-        d_max = _best_of(lambda: _max_search(make, None, start=50_000), repeats)
-        f_max = _best_of(
+        d_lat = _fastest(lambda: _low_rate_p95(make, None), repeats)
+        f_lat = _fastest(lambda: _low_rate_p95(make, FluidSpec()), repeats)
+        d_max = _fastest(lambda: _max_search(make, None, start=50_000), repeats)
+        f_max = _fastest(
             lambda: _max_search(make, FluidSpec(), start=50_000), repeats
         )
         lat_err = (
@@ -252,17 +232,12 @@ def _calibration() -> ScaleCalibration:
 
 def _run_macroscope(spec: ScaleSpec, repeats: int, calibrate: bool) -> Dict:
     def once() -> Dict:
-        t0 = time.perf_counter()
         if calibrate:
             _CAL_CACHE[0] = None
         cal = _calibration()
-        model = FluidScaleModel(spec, cal)
-        report = model.run()
-        wall = time.perf_counter() - t0
-        out = {"wall_s": wall, "report": report, "cal": cal}
-        return out
+        return {"report": FluidScaleModel(spec, cal).run(), "cal": cal}
 
-    best = _best_of(once, repeats)
+    best = _fastest(once, repeats)
     report = best["report"]
     cal = best["cal"]
     summary = report.summary()
@@ -310,38 +285,38 @@ def scale_hotspot(repeats: int, smoke: bool = False) -> Dict:
 
 
 # ----------------------------------------------------------------------
-# Harness
+# Harness protocol (repro.bench.harness)
 # ----------------------------------------------------------------------
+REPEATS = 3
+
+
+def _row(name: str, full, smoke, budget_s: float):
+    def named(fn):
+        return lambda repeats: {**fn(repeats), "name": name}
+
+    return name, named(full), named(smoke), budget_s
+
+
 # (name, full thunk(repeats), smoke thunk(repeats), smoke budget s)
 SCENARIOS = [
-    (
-        "scale_100k",
-        lambda r: scale_100k(r),
-        lambda r: scale_100k(r, smoke=True),
-        120.0,
-    ),
-    (
-        "scale_hotspot",
-        lambda r: scale_hotspot(r),
-        lambda r: scale_hotspot(r, smoke=True),
-        60.0,
-    ),
-    (
+    _row("scale_100k", scale_100k, lambda r: scale_100k(r, smoke=True), 120.0),
+    _row("scale_hotspot", scale_hotspot, lambda r: scale_hotspot(r, smoke=True), 60.0),
+    _row(
         "fig05a_xval",
-        lambda r: fig05a_xval(r),
+        fig05a_xval,
         lambda r: fig05a_xval(1, variants=["Kafka (no flush)"]),
         120.0,
     ),
-    (
+    _row(
         "fig06a_xval",
-        lambda r: fig06a_xval(r),
+        fig06a_xval,
         lambda r: fig06a_xval(1, variants=["Pulsar (no batch)"]),
         120.0,
     ),
 ]
 
 
-def _describe(name: str, record: Dict) -> str:
+def describe(record: Dict) -> str:
     if "speedup" in record:
         return (
             f"{record['discrete_wall_s']:6.1f}s -> {record['fluid_wall_s']:5.1f}s "
@@ -353,77 +328,15 @@ def _describe(name: str, record: Dict) -> str:
     )
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="trimmed CI smoke mode: fail if any scenario blows its "
-        "(generous) wall-clock budget",
-    )
-    parser.add_argument(
-        "--json",
-        default=os.path.join(
-            os.path.dirname(os.path.abspath(__file__)), "..", "BENCH_scale.json"
-        ),
-        help="output path for the JSON report (full mode only)",
-    )
-    parser.add_argument(
-        "--scenario",
-        action="append",
-        help="run only the named scenario(s); may repeat",
-    )
-    parser.add_argument("--repeats", type=int, default=3)
-    args = parser.parse_args(argv)
-
-    if args.repeats < 1:
-        parser.error("--repeats must be >= 1")
-    if args.scenario:
-        known = {row[0] for row in SCENARIOS}
-        unknown = [name for name in args.scenario if name not in known]
-        if unknown:
-            parser.error(f"unknown scenario(s): {unknown}")
-    selected = [
-        row for row in SCENARIOS if not args.scenario or row[0] in args.scenario
-    ]
-
-    mode = "smoke" if args.check else "full"
-    repeats = 1 if args.check else args.repeats
-    print(f"scale bench ({mode} mode, repeats={repeats})")
-    results = {}
-    failures = []
-    for name, full, smoke, budget in selected:
-        fn = smoke if args.check else full
-        t0 = time.perf_counter()
-        record = fn(repeats)
-        harness_wall = time.perf_counter() - t0
-        record["name"] = name
-        results[name] = record
-        print(f"  {name:<14} {_describe(name, record)}")
-        if args.check and harness_wall > budget:
-            failures.append(f"{name}: {harness_wall:.1f}s > budget {budget:.0f}s")
-
-    if args.check:
-        if failures:
-            print("SCALE CHECK FAILED:")
-            for line in failures:
-                print(f"  {line}")
-            return 1
-        print("scale check ok")
-        return 0
-
-    report = {
-        "python": sys.version.split()[0],
-        "mode": mode,
+def build_report(results: Dict[str, Dict], repeats: int, wall_s: float) -> Dict:
+    return {
+        "python": platform.python_version(),
+        "mode": "full",
         "repeats": repeats,
         "scenarios": results,
     }
-    out = os.path.abspath(args.json)
-    with open(out, "w") as fh:
-        json.dump(report, fh, indent=2)
-    print(f"wrote {out}")
-    return 0
 
 
-if __name__ == "__main__":
-    raise SystemExit(main())
+def check_claims(report: Dict) -> List[str]:
+    """The claim BENCH_scale.json is held to."""
+    return [] if report.get("scenarios") else ["no scale scenarios recorded"]

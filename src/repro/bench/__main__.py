@@ -104,15 +104,17 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    # `python -m repro.bench suite ...` delegates to the parallel
-    # figure-suite runner, `... gate ...` to the benchmark regression
+    # `python -m repro.bench run|suite|gate ...` delegate to the report
+    # bench driver, the parallel figure-suite runner and the regression
     # gate; everything else is the trace CLI above.
-    if len(sys.argv) > 1 and sys.argv[1] == "suite":
-        from repro.bench.suite import main as suite_main
+    subcommands = {
+        "run": "repro.bench.harness",
+        "suite": "repro.bench.suite",
+        "gate": "repro.bench.gate",
+    }
+    if len(sys.argv) > 1 and sys.argv[1] in subcommands:
+        import importlib
 
-        sys.exit(suite_main(sys.argv[2:]))
-    if len(sys.argv) > 1 and sys.argv[1] == "gate":
-        from repro.bench.gate import main as gate_main
-
-        sys.exit(gate_main(sys.argv[2:]))
+        module = importlib.import_module(subcommands[sys.argv[1]])
+        sys.exit(module.main(sys.argv[2:]))
     sys.exit(main())

@@ -63,10 +63,6 @@ class WorkloadSpec:
     tick: float = 0.005
     #: benchmark-driver host count (Table 1: 2; §5.6 uses 10)
     bench_hosts: int = 2
-    #: consumers keep draining after producers stop until they catch up
-    drain: bool = False
-    #: cap on drain time (simulated seconds)
-    drain_timeout: float = 300.0
     #: time-varying rate function (repro.workload.ArrivalProcess); when
     #: set, generation follows ``arrival.rate(t)`` with t=0 at load start
     arrival: Optional[object] = None
@@ -449,8 +445,9 @@ class WorkloadEngine:
 
 
 def _drive(sim: Simulator, engines: List[WorkloadEngine]) -> bool:
-    """Run until every engine's producers finish (bounded), drain, and
-    stop consumers.  Returns False when the load timeout was hit."""
+    """Run until every engine's producers finish (bounded), give tail
+    reads a moment and stop consumers.  Returns False when the load
+    timeout was hit."""
     if len(engines) == 1:
         done = engines[0].producers_done
     else:
@@ -467,16 +464,7 @@ def _drive(sim: Simulator, engines: List[WorkloadEngine]) -> bool:
         completed = False
         for engine in engines:
             engine.result.extra["load_timed_out"] = 1.0
-    if any(e.spec.drain and e.spec.consumers for e in engines):
-        deadline = sim.now + max(e.spec.drain_timeout for e in engines)
-        while any(
-            e.counters.consumed_events < e.counters.produced_events
-            for e in engines
-        ):
-            if sim.now >= deadline:
-                break
-            sim.run(until=sim.now + 0.25)
-    elif any(e.spec.consumers for e in engines):
+    if any(e.spec.consumers for e in engines):
         # Give tail reads a moment to drain in-flight events.
         sim.run(until=sim.now + 0.5)
     for engine in engines:

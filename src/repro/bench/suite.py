@@ -16,7 +16,7 @@ Usage::
 
     python -m repro.bench suite --jobs 4 --json BENCH_suite.json
     python -m repro.bench suite --check
-    python benchmarks/run_suite.py --jobs 4 --only fig05,fig08
+    python -m repro.bench suite --jobs 4 --only fig05,fig08
 
 Scenario functions run with their pytest-benchmark ``benchmark`` fixture
 replaced by a no-timing stand-in, so the figure modules' own shape
@@ -31,7 +31,6 @@ import contextlib
 import io
 import json
 import os
-import sys
 import time
 import traceback
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -39,7 +38,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional
 
-__all__ = ["SCENARIOS", "run_scenario", "run_suite", "main"]
+from repro.bench import harness
+
+__all__ = ["SCENARIOS", "run_scenario", "run_suite", "check_claims", "main"]
 
 
 # ----------------------------------------------------------------------
@@ -197,12 +198,7 @@ def _smoke_read(benchmark) -> None:
     """Serving-tier read path end to end: shared tail fan-out delivery
     plus a coalescing off/on replay of an LTS-resident backlog (the
     repro.pravega read-path, serving features ON)."""
-    bench_dir = str(_bench_dir())
-    if bench_dir not in sys.path:
-        sys.path.insert(0, bench_dir)
-    import importlib
-
-    bench_read = importlib.import_module("bench_read")
+    bench_read = harness.load("bench_read")
     fanout = bench_read.run_fanout(readers=8, events=8)
     off = bench_read.run_replay(
         False, readers=4, backlog_bytes=3 * 1024 * 1024, cache_bytes=2 * 1024 * 1024
@@ -243,14 +239,6 @@ class _SuiteBenchmark:
         return fn(*args, **kwargs)
 
 
-def _bench_dir() -> Path:
-    """The benchmarks/ directory of this repository checkout."""
-    override = os.environ.get("REPRO_BENCH_DIR")
-    if override:
-        return Path(override)
-    return Path(__file__).resolve().parents[3] / "benchmarks"
-
-
 def run_scenario(name: str) -> dict:
     """Execute one scenario in this process; returns its result record.
 
@@ -278,13 +266,7 @@ def run_scenario(name: str) -> dict:
         if scenario.smoke:
             fn = globals()[scenario.func]
         else:
-            bench_dir = str(_bench_dir())
-            if bench_dir not in sys.path:
-                sys.path.insert(0, bench_dir)
-            import importlib
-
-            module = importlib.import_module(scenario.module)
-            fn = getattr(module, scenario.func)
+            fn = getattr(harness.load(scenario.module), scenario.func)
         Simulator.__init__ = tracking_init  # type: ignore[method-assign]
         with contextlib.redirect_stdout(output):
             fn(bench)
@@ -390,23 +372,55 @@ def run_suite(
     }
 
 
+#: the per-scenario fields that are a pure function of the scenario:
+#: identical across ``--jobs`` and across the files that record it
+DETERMINISTIC_FIELDS = (
+    "name", "seed", "ok", "error", "metrics", "sim_time_s", "simulations",
+    "kernel_events",
+)
+
+
 def deterministic_view(report: dict) -> list:
     """The per-scenario fields that must be identical across ``--jobs``."""
-    view = []
-    for record in report["scenarios"]:
-        view.append(
-            {
-                "name": record["name"],
-                "seed": record["seed"],
-                "ok": record["ok"],
-                "error": record["error"],
-                "metrics": record["metrics"],
-                "sim_time_s": record["sim_time_s"],
-                "simulations": record["simulations"],
-                "kernel_events": record["kernel_events"],
-            }
-        )
-    return view
+    return [
+        {key: record[key] for key in DETERMINISTIC_FIELDS}
+        for record in report["scenarios"]
+    ]
+
+
+# ----------------------------------------------------------------------
+# Claims and re-runs of the committed reports (BENCH_suite.json,
+# BENCH_workload.json) — what the regression gate holds them to
+# ----------------------------------------------------------------------
+def scenario_records(report: dict) -> List[dict]:
+    """Per-scenario records of either committed layout (flat, or the
+    jobs_1/jobs_4 double run of BENCH_suite.json)."""
+    if "runs" in report:
+        return list(report["runs"].get("jobs_1", {}).get("scenarios", []))
+    return list(report.get("scenarios", []))
+
+
+def check_claims(report: dict) -> List[str]:
+    """The claims a committed suite report is held to."""
+    failures = []
+    scenarios = scenario_records(report)
+    if not scenarios:
+        failures.append("no suite scenarios recorded")
+    for record in scenarios:
+        if not record.get("ok", False):
+            failures.append(f"{record.get('name')}: not ok ({record.get('error')})")
+    if not report.get("results_identical_across_jobs", True):
+        failures.append("results differ between --jobs 1 and --jobs 4")
+    return failures
+
+
+def records(report: dict) -> Dict[str, dict]:
+    """Committed record per scenario (the gate's smoke re-run index)."""
+    return {record["name"]: record for record in scenario_records(report)}
+
+
+def rerun(name: str) -> Optional[dict]:
+    return run_scenario(name) if name in SCENARIOS else None
 
 
 def _expand_selection(spec: str) -> List[str]:

@@ -82,9 +82,6 @@ class ServingConfig:
     #: directly; "second_touch" starts runs on probation (a one-pass
     #: mass replay cannot evict the tail working set)
     admission_policy: str = "always"
-    #: CacheManager eviction order: "generation" (Pravega's native
-    #: scheme), "lru", or "2q" (lru + second-touch shorthand)
-    eviction_policy: str = "generation"
     #: park tail reads as bare futures resolved directly by the shared
     #: append fan-out, skipping the per-request reader process; changes
     #: kernel event counts, so mass fan-out scenarios opt in explicitly
@@ -96,7 +93,7 @@ class ContainerConfig:
     durable_log: DurableLogConfig = field(default_factory=DurableLogConfig)
     storage: StorageWriterConfig = field(default_factory=StorageWriterConfig)
     cache: CacheSpec = field(default_factory=CacheSpec)
-    #: read-path serving-tier policies (coalescing, admission, eviction)
+    #: read-path serving-tier policies (coalescing, admission, delivery)
     serving: ServingConfig = field(default_factory=ServingConfig)
     #: take a metadata checkpoint every this many operations ...
     checkpoint_interval_ops: int = 20_000
@@ -206,9 +203,7 @@ class SegmentContainer:
         self.segments: Dict[str, SegmentState] = {}
         self.cache = BlockCache(self.config.cache)
         self.cache_manager = CacheManager(
-            self.cache,
-            eviction=self.config.serving.eviction_policy,
-            admission=self.config.serving.admission_policy,
+            self.cache, admission=self.config.serving.admission_policy
         )
         self.cache_manager.eviction_counter = self.metrics.counter("cache.evictions")
         self.read_indexes: Dict[str, SegmentReadIndex] = {}

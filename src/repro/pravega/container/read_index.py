@@ -12,12 +12,10 @@ completes when new data is appended — the mechanism behind low-latency
 tail reads (Fig. 8).
 
 The :class:`CacheManager` is the serving tier's policy seam (DESIGN.md
-§13): eviction order is pluggable (``generation`` — Pravega's native
-scheme — or ``lru``), and admission of LTS-fetched runs is pluggable
-(``always`` or ``second_touch``, with a ghost list so a re-fetched run
-is admitted on its second life).  ``2q`` composes lru eviction with
-second-touch admission.  The defaults reproduce the pre-serving-tier
-behavior exactly.
+§13): eviction is by generation (Pravega's native scheme) and admission
+of LTS-fetched runs is pluggable (``always`` or ``second_touch``, with a
+ghost list so a re-fetched run is admitted on its second life).  The
+default reproduces the pre-serving-tier behavior exactly.
 """
 
 from __future__ import annotations
@@ -46,8 +44,7 @@ class IndexEntry:
     start_offset: int
     length: int
     cache_address: int
-    #: recency stamp of the last access: the cache-manager generation
-    #: (generation policy) or a monotonic access tick (lru policy)
+    #: cache-manager generation of the last access
     generation: int = 0
     #: False while on probation (second-touch admission): evicts before
     #: any admitted entry; promoted by a touch in a later generation
@@ -87,7 +84,6 @@ class SegmentReadIndex:
         if payload.size == 0:
             return
         mgr = self.manager
-        stamp = mgr.current_generation if mgr.generation_mode else mgr.next_tick()
         tail = self._tail_entry
         if (
             tail is not None
@@ -96,11 +92,10 @@ class SegmentReadIndex:
         ):
             tail.cache_address = self.cache.append(tail.cache_address, payload)
             tail.length += payload.size
-            tail.generation = stamp
+            tail.generation = mgr.current_generation
         else:
             entry = IndexEntry(offset, payload.size, self.cache.insert(payload))
-            entry.generation = stamp
-            entry.born = mgr.current_generation
+            entry.generation = entry.born = mgr.current_generation
             self._entries.insert(offset, entry)
             self._tail_entry = entry
         self._append_offset = offset + payload.size
@@ -108,24 +103,40 @@ class SegmentReadIndex:
     def insert_fetched(self, offset: int, payload: Payload) -> None:
         """Insert data fetched from LTS (brought into the cache on read).
 
-        Admission policy applies here: under ``second_touch`` the run
+        Only the sub-ranges of ``[offset, offset + size)`` not already
+        indexed are inserted — an append entry may straddle the chunk's
+        start or begin inside it — so afterwards every byte of the range
+        is readable and no two entries overlap.  A repeated call (the
+        caller's retry after ``CacheFullError``) fills what is left.
+
+        Admission policy applies here: under ``second_touch`` a run
         starts on probation (evicts first) unless its key is in the
         ghost list — i.e. this is its second fetch.
         """
-        if payload.size == 0:
-            return
-        # Skip insertion if an existing entry already covers the range start.
-        existing = self._floor_covering(offset)
-        if existing is not None:
-            return
+        end = offset + payload.size
+        covering = self._floor_covering(offset)
+        cursor = offset if covering is None else covering.end_offset
+        gaps: List[Tuple[int, int]] = []
+        if cursor < end:
+            for start, entry in self._entries.items_from(cursor):
+                if start >= end:
+                    break
+                if start > cursor:
+                    gaps.append((cursor, start))
+                cursor = entry.end_offset
+            if cursor < end:
+                gaps.append((cursor, end))
         mgr = self.manager
-        entry = IndexEntry(offset, payload.size, self.cache.insert(payload))
-        entry.generation = (
-            mgr.current_generation if mgr.generation_mode else mgr.next_tick()
-        )
-        entry.born = mgr.current_generation
-        entry.admitted = mgr.admit_fetch(self.segment, offset)
-        self._entries.insert(offset, entry)
+        for lo, hi in gaps:
+            piece = (
+                payload
+                if hi - lo == payload.size
+                else payload.slice(lo - offset, hi - offset)
+            )
+            entry = IndexEntry(lo, hi - lo, self.cache.insert(piece))
+            entry.generation = entry.born = mgr.current_generation
+            entry.admitted = mgr.admit_fetch(self.segment, lo)
+            self._entries.insert(lo, entry)
 
     # ------------------------------------------------------------------
     # Lookup
@@ -139,10 +150,7 @@ class SegmentReadIndex:
         return entry if entry.start_offset <= offset < entry.end_offset else None
 
     def _touch(self, entry: IndexEntry, mgr: "CacheManager") -> None:
-        if mgr.generation_mode:
-            entry.generation = mgr.current_generation
-        else:
-            entry.generation = mgr.next_tick()
+        entry.generation = mgr.current_generation
         if not entry.admitted and entry.born != mgr.current_generation:
             # Second touch in a later generation: off probation.
             entry.admitted = True
@@ -254,43 +262,28 @@ class CacheManager:
 
     Mirrors Pravega's cache manager: every access stamps the entry with
     the current generation; when utilization crosses the target, the
-    oldest evictable entries are freed first.  Two policy axes plug in:
-
-    * ``eviction`` — ``generation`` (default; the original behavior) or
-      ``lru`` (exact access-order via a monotonic tick).
-    * ``admission`` — ``always`` (default) or ``second_touch``: an
-      LTS-fetched run starts on *probation* and evicts before any
-      admitted entry; it is admitted by a touch in a later generation,
-      or immediately when its key sits in the ghost list of recently
-      evicted probationers (its second fetch).  A one-pass mass replay
-      therefore cycles through probationary slots and cannot evict the
-      tail working set.
-
-    ``eviction="2q"`` is shorthand for lru + second_touch.
+    oldest evictable entries are freed first.  One policy axis plugs in:
+    ``admission`` — ``always`` (default) or ``second_touch``: an
+    LTS-fetched run starts on *probation* and evicts before any admitted
+    entry; it is admitted by a touch in a later generation, or
+    immediately when its key sits in the ghost list of recently evicted
+    probationers (its second fetch).  A one-pass mass replay therefore
+    cycles through probationary slots and cannot evict the tail working
+    set.
     """
 
     def __init__(
         self,
         cache: BlockCache,
         target_utilization: float = 0.85,
-        eviction: str = "generation",
         admission: str = "always",
     ) -> None:
-        if eviction == "2q":
-            eviction, admission = "lru", "second_touch"
-        if eviction not in ("generation", "lru"):
-            raise ValueError(f"unknown eviction policy: {eviction!r}")
         if admission not in ("always", "second_touch"):
             raise ValueError(f"unknown admission policy: {admission!r}")
         self.cache = cache
         self.target_utilization = target_utilization
-        self.eviction = eviction
         self.admission = admission
-        #: True for the generation policy: entries are stamped with the
-        #: coarse generation; False stamps an exact lru access tick
-        self.generation_mode = eviction == "generation"
         self.current_generation = 0
-        self._tick = 0
         #: lookups served by the O(1) tail entry (no tree probe)
         self.tail_read_hits = 0
         #: lookups that went through an AVL floor probe
@@ -319,10 +312,6 @@ class CacheManager:
 
     def advance_generation(self) -> None:
         self.current_generation += 1
-
-    def next_tick(self) -> int:
-        self._tick += 1
-        return self._tick
 
     # ------------------------------------------------------------------
     # Admission
@@ -353,23 +342,19 @@ class CacheManager:
         """Evict entries until below target utilization.
 
         Probationary entries go first (in recency order), then admitted
-        entries by generation/tick.  Under the generation policy,
-        admitted entries touched in the *current* generation are never
-        evicted: they are being actively served (prevents a fetch from
-        evicting the chunk it just brought in).
+        entries by generation.  Entries touched in the *current*
+        generation are never evicted: they are being actively served (a
+        fetch must not evict the chunk it just brought in — probationary
+        or not).
         """
         if self.utilization <= self.target_utilization:
             return 0
-        generation_mode = self.generation_mode
         current = self.current_generation
         candidates: List[Tuple[Tuple[bool, int], SegmentReadIndex, IndexEntry]] = []
         for index in self._indexes:
             flushed = self.flushed_offset_provider(index.segment)
             for entry in index.evictable_entries(flushed):
-                # Entries touched in the current generation are being
-                # actively served (a fetch must not evict the chunk it
-                # just brought in — probationary or not).
-                if generation_mode and entry.generation >= current:
+                if entry.generation >= current:
                     continue
                 candidates.append(((entry.admitted, entry.generation), index, entry))
         candidates.sort(key=lambda item: item[0])

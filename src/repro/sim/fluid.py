@@ -30,11 +30,10 @@ The controller runs as an ordinary sim process attached to one
    match the discrete driver's rules), then extrapolate every registered
    resource's counters and release the gate;
 4. **fall back** — refuse or end spans at anything the model cannot
-   carry through analytically: consumers, drain phases, auto-scaling
-   policies, stochastic fault rules, bursty (MMPP) arrivals, scheduled
-   fault windows, arrival-rate drift past ``rate_tol``, and
-   resource-announced regime changes (a page cache about to hit its
-   dirty limit).  Whatever cannot be jumped is simply simulated
+   carry through analytically: consumers, auto-scaling policies,
+   stochastic fault rules, bursty (MMPP) arrivals, scheduled fault
+   windows, arrival-rate drift past ``rate_tol``, and resource-announced
+   regime changes (a page cache about to hit its dirty limit).  Whatever cannot be jumped is simply simulated
    discretely — correctness never depends on the fluid path.
 
 Everything here is strictly opt-in (``WorkloadSpec.fluid`` or the
@@ -426,8 +425,6 @@ class FluidController:
         spec = eng.spec
         if spec.consumers > 0:
             return "consumers"
-        if spec.drain:
-            return "drain"
         policy = getattr(eng.client, "scaling_policy", None)
         if policy is None:
             policy = getattr(eng.client, "scaling", None)

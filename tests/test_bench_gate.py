@@ -2,7 +2,8 @@
 
 (a) the gate passes on the repo's committed BENCH_*.json files;
 (b) it fails with the *right* structured diff when wall-time,
-    kernel-event and figure-metric fields are synthetically perturbed;
+    kernel-event and figure-metric fields are synthetically perturbed,
+    and with the owning bench's own message when a claim is broken;
 (c) per-metric tolerance overrides change the verdict.
 
 The comparison layer is exercised directly (no re-runs), so these run
@@ -14,10 +15,15 @@ from __future__ import annotations
 
 import copy
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from repro.bench import harness
+from repro.bench.suite import records as suite_records, scenario_records
 from repro.bench.gate import (
     WALL_RATIO,
     compare,
@@ -41,10 +47,7 @@ def committed():
 
 
 def _suite_record(files, name):
-    for record in files["BENCH_suite.json"]["runs"]["jobs_1"]["scenarios"]:
-        if record["name"] == name:
-            return record
-    raise AssertionError(f"scenario {name} not in BENCH_suite.json")
+    return suite_records(files["BENCH_suite.json"])[name]
 
 
 # ----------------------------------------------------------------------
@@ -144,72 +147,102 @@ def test_perturbed_capacity_rate_fails(committed):
     assert "points[0].rate_eps" in paths
 
 
-def test_structure_check_rejects_thin_or_unconfirmed_capacity(committed):
+# ----------------------------------------------------------------------
+# (b') a broken claim in a committed file: the gate repeats, word for
+# word, what the owning bench's check_claims says — it states no claim
+# of its own about any single file
+# ----------------------------------------------------------------------
+def _assert_gate_repeats_the_bench(committed, fname, mutate, fragment):
     files = copy.deepcopy(committed)
-    files["BENCH_capacity.json"]["points"] = files["BENCH_capacity.json"]["points"][:2]
-    drifts = structure_checks(files)
-    assert any(d.path == "points" and d.kind == "structure" for d in drifts)
+    mutate(files[fname])
+    expected = harness.owner(fname).check_claims(files[fname])
+    assert any(fragment in message for message in expected), expected
+    assert [(d.file, d.kind, d.message) for d in structure_checks(files)] == [
+        (fname, "structure", message) for message in expected
+    ]
 
-    files = copy.deepcopy(committed)
-    files["BENCH_capacity.json"]["points"][0]["confirmed"] = False
-    drifts = structure_checks(files)
-    assert any("confirmed" in d.path for d in drifts)
+
+def _first(points, **match):
+    return next(p for p in points if all(p[k] == v for k, v in match.items()))
+
+
+#: one broken claim per committed file
+ONE_BROKEN_CLAIM = {
+    "BENCH_kernel.json": (
+        # a before/after wall pair is only a pair at identical event counts
+        lambda r: r["baseline"]["scenarios"]["ping_pong_sliced"].update(events=1),
+        "baseline.ping_pong_sliced",
+    ),
+    "BENCH_scale.json": (lambda r: r["scenarios"].clear(), "no scale scenarios"),
+    "BENCH_suite.json": (
+        lambda r: scenario_records(r)[0].update(ok=False), "not ok",
+    ),
+    "BENCH_workload.json": (
+        lambda r: r.update(scenarios=[]), "no suite scenarios",
+    ),
+    "BENCH_capacity.json": (
+        lambda r: r["points"][0].update(confirmed=False), "not discrete-confirmed",
+    ),
+    "BENCH_geo.json": (
+        # a lost acked write in global-strong mode
+        lambda r: _first(r["points"], mode="global_strong").update(rpo_bytes=120),
+        "nonzero RPO",
+    ),
+    "BENCH_read.json": (
+        # coalescing must not change the bytes readers observe
+        lambda r: r["replay"]["on"].update(delivered_bytes=1),
+        "changed delivered bytes",
+    ),
+}
+
+
+def test_every_committed_file_has_a_perturbation(committed):
+    assert set(ONE_BROKEN_CLAIM) == set(committed)
+
+
+@pytest.mark.parametrize("fname", sorted(ONE_BROKEN_CLAIM))
+def test_gate_reports_the_owning_benchs_message(committed, fname):
+    _assert_gate_repeats_the_bench(committed, fname, *ONE_BROKEN_CLAIM[fname])
+
+
+def test_structure_check_rejects_thin_or_unconfirmed_capacity(committed):
+    for mutate, fragment in (
+        (lambda r: r.update(points=r["points"][:2]), "2 capacity points"),
+        (lambda r: r["points"][0].update(converged=False), "did not converge"),
+    ):
+        _assert_gate_repeats_the_bench(committed, "BENCH_capacity.json", mutate, fragment)
 
 
 def test_structure_check_rejects_failed_suite_scenario(committed):
-    files = copy.deepcopy(committed)
-    files["BENCH_suite.json"]["runs"]["jobs_1"]["scenarios"][0]["ok"] = False
-    drifts = structure_checks(files)
-    assert any(d.path.endswith(".ok") for d in drifts)
-
-
-def test_structure_check_rejects_bad_geo_points(committed):
-    # a lost acked write in global-strong mode
-    files = copy.deepcopy(committed)
-    for point in files["BENCH_geo.json"]["points"]:
-        if point["mode"] == "global_strong":
-            point["rpo_bytes"] = 120
-            break
-    drifts = structure_checks(files)
-    assert any("rpo_bytes" in d.path and d.file == "BENCH_geo.json" for d in drifts)
-
-    # admission lag over the configured staleness bound
-    files = copy.deepcopy(committed)
-    for point in files["BENCH_geo.json"]["points"]:
-        if point["mode"] == "async":
-            point["max_lag_at_admission"] = point["staleness_bound_bytes"] + 1
-            break
-    drifts = structure_checks(files)
-    assert any("max_lag_at_admission" in d.path for d in drifts)
-
-    # a point that never measured failover recovery
-    files = copy.deepcopy(committed)
-    files["BENCH_geo.json"]["points"][0]["rto_s"] = None
-    drifts = structure_checks(files)
-    assert any(d.path.endswith(".rto_s") for d in drifts)
-
-    # a thinned sweep (fewer than 2 modes x 3 tiers)
-    files = copy.deepcopy(committed)
-    files["BENCH_geo.json"]["points"] = files["BENCH_geo.json"]["points"][:4]
-    drifts = structure_checks(files)
-    assert any(
-        d.path == "points" and d.file == "BENCH_geo.json" for d in drifts
+    _assert_gate_repeats_the_bench(
+        committed, "BENCH_suite.json",
+        lambda r: r.update(results_identical_across_jobs=False), "results differ",
     )
 
 
-def test_structure_check_rejects_bad_kernel_baseline(committed):
-    # a before/after wall pair is only a pair at identical event counts
-    files = copy.deepcopy(committed)
-    files["BENCH_kernel.json"]["baseline"]["scenarios"]["ping_pong_sliced"]["events"] += 1
-    drifts = structure_checks(files)
-    assert [d.path for d in drifts] == ["baseline.scenarios.ping_pong_sliced.events"]
+def test_structure_check_rejects_bad_geo_points(committed):
+    for mutate, fragment in (
+        # admission lag over the configured staleness bound
+        (lambda r: _first(r["points"], mode="async").update(max_lag_at_admission=10**9),
+         "exceeds bound"),
+        # a point that never measured failover recovery
+        (lambda r: r["points"][0].update(rto_s=None), "never recovered"),
+        # a point that lost the field a claim reads
+        (lambda r: r["points"][0].pop("availability"), "lacks ['availability']"),
+        # a thinned sweep (fewer than 2 modes x 3 tiers)
+        (lambda r: r.update(points=r["points"][:4]), "4 geo points"),
+    ):
+        _assert_gate_repeats_the_bench(committed, "BENCH_geo.json", mutate, fragment)
 
+
+def test_structure_check_rejects_bad_kernel_baseline(committed):
     # ... and says which commit and which box it was measured on
-    files = copy.deepcopy(committed)
-    del files["BENCH_kernel.json"]["baseline"]["commit"]
-    del files["BENCH_kernel.json"]["cpu_count"]
-    drifts = structure_checks(files)
-    assert {d.path for d in drifts} == {"baseline", "cpu_count"}
+    for mutate, fragment in (
+        (lambda r: r["baseline"].pop("commit"), "baseline: no commit"),
+        (lambda r: r.pop("cpu_count"), "cpu_count"),
+        (lambda r: r["scenarios"]["ping_pong"].pop("stats"), "lacks events + stats"),
+    ):
+        _assert_gate_repeats_the_bench(committed, "BENCH_kernel.json", mutate, fragment)
 
 
 def test_kernel_gc_collections_are_contracted_but_never_compared(committed):
@@ -227,15 +260,16 @@ def test_kernel_gc_collections_are_contracted_but_never_compared(committed):
     ]
     # ... and the committed record must hold three non-negative ints.
     for broken in ([1, 2], [1, 2, -1], [1.0, 2, 3], [True, 2, 3], None, "1/2/3"):
-        files = copy.deepcopy(committed)
-        files["BENCH_kernel.json"]["scenarios"]["cancel_storm"]["gc_collections"] = broken
-        drifts = structure_checks(files)
-        assert [d.path for d in drifts] == ["scenarios.cancel_storm.gc_collections"], broken
-    files = copy.deepcopy(committed)
-    del files["BENCH_kernel.json"]["scenarios"]["timeout_churn"]["gc_collections"]
-    assert [d.path for d in structure_checks(files)] == [
-        "scenarios.timeout_churn.gc_collections"
-    ]
+        _assert_gate_repeats_the_bench(
+            committed, "BENCH_kernel.json",
+            lambda r: r["scenarios"]["cancel_storm"].update(gc_collections=broken),
+            "cancel_storm: gc_collections",
+        )
+    _assert_gate_repeats_the_bench(
+        committed, "BENCH_kernel.json",
+        lambda r: r["scenarios"]["timeout_churn"].pop("gc_collections"),
+        "timeout_churn: gc_collections None",
+    )
     # The scenario's simulated counters stay exact beside it.
     fresh = copy.deepcopy(base)
     fresh["stats"]["events_executed"] += 1
@@ -243,59 +277,41 @@ def test_kernel_gc_collections_are_contracted_but_never_compared(committed):
 
 
 def test_structure_check_rejects_bad_read_report(committed):
-    # no mass fan-out point: every point is dropped below 1000 readers
-    files = copy.deepcopy(committed)
-    for point in files["BENCH_read.json"]["fanout"]["points"]:
-        point["readers"] = min(point["readers"], 100)
-    drifts = structure_checks(files)
-    assert any(
-        d.path == "fanout.points" and d.file == "BENCH_read.json"
-        for d in drifts
-    )
+    def no_mass_fanout(report):  # every point dropped below 1000 readers
+        for point in report["fanout"]["points"]:
+            point["events"] = point["events"] * point["readers"] // 100
+            point["readers"] = 100
 
-    # coalescing that *increases* LTS ops is a broken single-flight
+    for mutate, fragment in (
+        (no_mass_fanout, "no >=1000-reader"),
+        # coalescing that *increases* LTS ops is a broken single-flight
+        (lambda r: r["replay"]["on"].update(lts_fetch_ops=10**6), "increased LTS ops"),
+        # a hit rate outside [0, 1] is a broken counter
+        (lambda r: r["policies"]["generation/always"].update(hit_rate=1.2), "outside [0,1]"),
+        # determinism fields must be recorded for re-run comparison
+        (lambda r: r["fanout"]["points"][0].pop("kernel_events"), "no kernel_events"),
+        # a fan-out point whose readers never drained the backlog
+        (lambda r: r["fanout"]["points"][0].update(caught_up=False), "not caught up"),
+        (lambda r: r.pop("seed"), "no seed"),
+    ):
+        _assert_gate_repeats_the_bench(committed, "BENCH_read.json", mutate, fragment)
+    # a record missing altogether is a malformed report, not a gate crash
     files = copy.deepcopy(committed)
-    replay = files["BENCH_read.json"]["replay"]
-    replay["on"]["lts_fetch_ops"] = replay["off"]["lts_fetch_ops"] + 1
-    drifts = structure_checks(files)
-    assert any(d.path == "replay.on.lts_fetch_ops" for d in drifts)
-
-    # coalescing must not change the bytes readers observe
-    files = copy.deepcopy(committed)
-    files["BENCH_read.json"]["replay"]["on"]["delivered_bytes"] += 1
-    drifts = structure_checks(files)
-    assert any(d.path == "replay.on.delivered_bytes" for d in drifts)
-
-    # a hit rate outside [0, 1] is a broken counter
-    files = copy.deepcopy(committed)
-    name = next(iter(files["BENCH_read.json"]["policies"]))
-    files["BENCH_read.json"]["policies"][name]["hit_rate"] = 1.2
-    drifts = structure_checks(files)
-    assert any(
-        d.path == f"policies[{name}].hit_rate" and d.kind == "structure"
-        for d in drifts
-    )
-
-    # determinism fields must be recorded for re-run comparison
-    files = copy.deepcopy(committed)
-    del files["BENCH_read.json"]["fanout"]["points"][0]["kernel_events"]
-    drifts = structure_checks(files)
-    assert any(d.path.endswith(".kernel_events") for d in drifts)
-
-    # a fan-out point whose readers never drained the backlog
-    files = copy.deepcopy(committed)
-    files["BENCH_read.json"]["fanout"]["points"][0]["caught_up"] = False
-    drifts = structure_checks(files)
-    assert any(d.path.endswith(".caught_up") for d in drifts)
+    del files["BENCH_read.json"]["replay"]["on"]
+    assert [d.message for d in structure_checks(files)] == [
+        "malformed report: KeyError: 'on'"
+    ]
 
 
 def test_structure_check_rejects_uncontracted_file(committed):
-    # a new or renamed bench file must not be "guarded" by nothing
+    # a new or renamed bench file must not be "guarded" by nothing: the
+    # owned files are a table, an unowned one is a set difference
     files = copy.deepcopy(committed)
     files["BENCH_bogus.json"] = {}
     drifts = structure_checks(files)
     assert [d.file for d in drifts] == ["BENCH_bogus.json"]
     assert drifts[0].kind == "structure"
+    assert set(committed) == {f"BENCH_{name}.json" for name in harness.OWNERS}
 
 
 def test_cross_file_disagreement_is_reported(committed):
@@ -303,10 +319,9 @@ def test_cross_file_disagreement_is_reported(committed):
     files["BENCH_workload.json"]["scenarios"][0]["kernel_events"] += 1
     # keep the suite's twin untouched: the two files now disagree
     drifts = structure_checks(files)
-    assert any(
-        "kernel_events" in d.path and d.file == "BENCH_workload.json"
-        for d in drifts
-    )
+    assert [(d.file, d.path) for d in drifts] == [
+        ("BENCH_workload.json", "workload_diurnal.kernel_events")
+    ]
 
 
 def test_gate_fails_end_to_end_on_perturbed_copy(tmp_path, committed):
@@ -317,11 +332,49 @@ def test_gate_fails_end_to_end_on_perturbed_copy(tmp_path, committed):
         (tmp_path / fname).write_text(json.dumps(bad))
     report = run_gate(tmp_path, smoke="none")
     assert not report.ok
-    assert any("confirmed" in d.path for d in report.drifts)
-    # the structured diff names the file, the path and the expectation
-    drift = next(d for d in report.drifts if "confirmed" in d.path)
+    # the structured diff names the file and quotes the bench's claim
+    (drift,) = report.drifts
     assert drift.file == "BENCH_capacity.json"
     assert drift.kind == "structure"
+    assert "not discrete-confirmed" in drift.message
+
+
+def test_smoke_rerun_reports_unknown_and_uncommitted_scenarios(committed):
+    report = run_gate(REPO_ROOT, smoke="suite:no_such_scenario,kernel,nofamily:x")
+    assert [(d.file, d.kind) for d in report.drifts] == [
+        ("BENCH_suite.json", "missing"),
+        ("(gate)", "structure"),
+    ]
+    # a family named without scenarios re-runs its default one
+    kernel = report.smoke[1]
+    assert (kernel["check"], kernel["scenarios"], kernel["drifts"]) == (
+        "kernel", ["timeout_churn"], 0,
+    )
+
+
+# ----------------------------------------------------------------------
+# (b'') the one driver: `python -m repro.bench run <name> --check`
+# ----------------------------------------------------------------------
+@pytest.mark.perf
+@pytest.mark.parametrize("name", ["kernel", "read"])
+def test_run_check_exits_zero(name):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro.bench", "run", name, "--check"],
+        capture_output=True, text=True, env=env, timeout=600,
+    )
+    assert proc.returncode == 0, f"{proc.stdout}\n{proc.stderr}"
+    assert f"{name}: ok" in proc.stdout
+
+
+def test_run_rejects_an_unknown_scenario(capsys):
+    with pytest.raises(SystemExit) as exc:
+        harness.main(["kernel", "--check", "--scenario", "no_such"])
+    assert exc.value.code == 2
+    assert "unknown scenario(s) ['no_such']" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------

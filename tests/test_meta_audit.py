@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import ast
 import fnmatch
+import importlib.util
 import re
 from pathlib import Path
 
@@ -144,17 +145,75 @@ def test_selected_markers_reads_quoted_expressions_and_trailing_flags():
     assert _selected_markers("\t$(PYTHON) -m repro.bench gate\n") == set()
 
 
-def test_makefile_has_no_dangling_targets_markers_or_scripts():
+def _makefile():
+    """The Makefile with continuation lines joined and ``$(LIST:%=pat)``
+    references expanded, plus its ``NAME := words`` lists."""
     text = (REPO / "Makefile").read_text().replace("\\\n", " ")
-    rules = set(re.findall(r"^([A-Za-z][\w-]*):", text, flags=re.M))
+    lists = {
+        name: words.split()
+        for name, words in re.findall(r"^(\w+) := (.*)$", text, flags=re.M)
+    }
+
+    def expand(match):
+        name, pattern = match.groups()
+        return " ".join(pattern.replace("%", word) for word in lists[name])
+
+    return re.sub(r"\$\((\w+):%=([\w%-]+)\)", expand, text), lists
+
+
+def test_makefile_has_no_dangling_targets_markers_or_scripts():
+    text, lists = _makefile()
+    rules = {
+        target
+        for targets in re.findall(r"^([A-Za-z][\w -]*):(?!=)", text, flags=re.M)
+        for target in targets.split()
+    }
     phony = set(re.search(r"^\.PHONY:(.*)$", text, flags=re.M).group(1).split())
     assert phony <= rules, f".PHONY names without a rule: {sorted(phony - rules)}"
 
-    selected = _selected_markers(text)
+    # `make <marker>-test` is one pattern rule over the MARKERS list
+    assert "$(PYTHON) -m pytest -q -m $*" in text
+    selected = _selected_markers(text) | set(lists["MARKERS"])
     unknown = selected - set(_registered_markers())
     assert not unknown, f"`-m` selects unregistered markers: {sorted(unknown)}"
 
     scripts = set(re.findall(r"\$\(PYTHON\) ([\w/]+\.py)", text))
+    modules = set(re.findall(r"\$\(PYTHON\) -m (repro[\w.]*)", text))
     missing = sorted(s for s in scripts if not (REPO / s).exists())
-    assert selected and scripts, "Makefile parse found nothing to audit"
-    assert not missing, f"rules invoke missing scripts: {missing}"
+    missing += sorted(m for m in modules if importlib.util.find_spec(m) is None)
+    assert selected and modules, "Makefile parse found nothing to audit"
+    assert not missing, f"rules invoke missing scripts or modules: {missing}"
+
+
+# ----------------------------------------------------------------------
+# One bench harness: the driver owns the CLI, the benches own the claims
+# ----------------------------------------------------------------------
+BENCH_SCRIPTS = sorted((REPO / "benchmarks").glob("*.py"))
+
+
+def test_bench_scripts_carry_no_cli_of_their_own():
+    assert BENCH_SCRIPTS
+    for script in BENCH_SCRIPTS:
+        source = script.read_text()
+        assert "argparse.ArgumentParser(" not in source, script.name
+        if script.name.startswith("bench_"):
+            for banned in ("def _best_of", "def main"):
+                assert banned not in source, f"{script.name}: {banned}"
+
+
+def test_every_committed_bench_file_has_one_owner_and_one_make_rule():
+    from repro.bench import harness
+
+    text, lists = _makefile()
+    committed = {path.name for path in REPO.glob("BENCH_*.json")}
+    assert committed == {f"BENCH_{name}.json" for name in harness.OWNERS}
+    # the report benches are the pattern rules' list; the suite files
+    # are written by explicit recipes
+    assert sorted(lists["BENCHES"]) == sorted(harness.RUNNABLE)
+    assert "-m repro.bench run $*" in text
+    for name in set(harness.OWNERS) - set(harness.RUNNABLE):
+        assert f"--json BENCH_{name}.json" in text, name
+    for name, module in harness.RUNNABLE.items():
+        bench = harness.load(module)
+        for attr in ("SCENARIOS", "REPEATS", "describe", "build_report", "check_claims"):
+            assert hasattr(bench, attr), f"{module}.{attr}"

@@ -1,14 +1,12 @@
-"""Kernel perf smoke: catch gross wall-clock regressions in tier-1.
+"""Perf contracts held in tier-1.
 
-Runs ``benchmarks/bench_kernel.py --check`` — trimmed scenarios under
-generous wall-clock budgets (an order of magnitude above current numbers,
-so only a catastrophic kernel regression trips it).  Also runnable as
-``make perf``.
+(The kernel wall-clock smoke, ``python -m repro.bench run kernel
+--check`` = ``make perf``, runs from ``tests/test_bench_gate.py``.)
 
-Also guards the tracing subsystem's zero-cost-when-disabled contract:
-a disabled ``repro.obs.Tracer`` wired through the full Pravega write
-path must allocate no spans and stay within 5% of the untraced
-baseline's host time (paired ratios, see the test).
+The tracing subsystem's zero-cost-when-disabled contract: a disabled
+``repro.obs.Tracer`` wired through the full Pravega write path must
+allocate no spans and stay within 5% of the untraced baseline's host
+time (paired ratios, see the test).
 
 And the write path's allocation budget: how many GC-tracked objects an
 in-flight append keeps alive is what decides how often the cyclic
@@ -16,37 +14,13 @@ collector runs (and finds nothing) — counted, not timed.
 """
 
 import gc
-import os
 import statistics
-import subprocess
-import sys
 import time
 
 import pytest
 
 from repro.obs import Tracer
 from repro.sim import Simulator
-
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-BENCH = os.path.join(REPO_ROOT, "benchmarks", "bench_kernel.py")
-
-
-@pytest.mark.perf
-def test_kernel_perf_smoke():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.path.join(REPO_ROOT, "src") + os.pathsep + env.get(
-        "PYTHONPATH", ""
-    )
-    proc = subprocess.run(
-        [sys.executable, BENCH, "--check"],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=600,
-    )
-    assert proc.returncode == 0, (
-        f"kernel perf smoke failed:\n{proc.stdout}\n{proc.stderr}"
-    )
 
 
 def _timed_mini_run(tracer):

@@ -84,6 +84,30 @@ class TestFetchedData:
         assert index.read_cached(0, 4).content == b"data"
         assert index.entry_count == 1
 
+    SEGMENT = bytes(range(256)) * 2
+
+    def _fetch_chunk(self, index, lo, hi):
+        index.insert_fetched(lo, Payload.of(self.SEGMENT[lo:hi]))
+        index.check_invariants()
+        for offset in range(lo, hi, 7):
+            want = self.SEGMENT[offset:hi]
+            assert index.read_cached(offset, hi - offset).content == want, offset
+
+    def test_entry_covering_only_the_chunk_start_does_not_block_the_fetch(self, index):
+        # An append entry straddles the chunk's first byte and ends before
+        # the offset the reader asked for: the rest must still be indexed.
+        index.append(0, Payload.of(self.SEGMENT[0:100]))
+        index.append(400, Payload.of(self.SEGMENT[400:450]))  # the tail entry
+        self._fetch_chunk(index, 50, 250)
+        assert index.read_cached(0, 250).content == self.SEGMENT[0:250]
+
+    def test_entry_starting_inside_the_chunk_is_not_overlapped(self, index):
+        index.insert_fetched(120, Payload.of(self.SEGMENT[120:150]))
+        index.insert_fetched(200, Payload.of(self.SEGMENT[200:300]))
+        self._fetch_chunk(index, 50, 250)
+        assert index.entry_count == 4  # [50,120) [120,150) [150,200) [200,300)
+        assert index.read_cached(50, 250).content == self.SEGMENT[50:300]
+
 
 class TestEvictionAndTruncation:
     def test_evictable_requires_flushed(self, index):

@@ -50,7 +50,6 @@ DIRECT = ServingConfig(direct_tail_delivery=True)
 FULL = ServingConfig(
     coalesce_lts_fetches=True,
     admission_policy="second_touch",
-    eviction_policy="generation",
     direct_tail_delivery=True,
 )
 
@@ -409,15 +408,7 @@ class TestCachePolicies:
             CacheSpec(block_size=64, blocks_per_buffer=16, max_buffers=16)
         )
         with pytest.raises(ValueError):
-            CacheManager(cache, eviction="mru")
-        with pytest.raises(ValueError):
             CacheManager(cache, admission="third_touch")
-
-    def test_2q_is_lru_plus_second_touch(self):
-        _, manager, _ = self._manager(eviction="2q")
-        assert manager.eviction == "lru"
-        assert manager.admission == "second_touch"
-        assert not manager.generation_mode
 
     def test_second_touch_fetch_starts_on_probation(self):
         _, manager, index = self._manager(admission="second_touch")
