@@ -48,7 +48,10 @@ trace:
 		--rate $(or $(RATE),2000) --duration $(or $(DURATION),1.0) \
 		--trace $(or $(TRACE_OUT),trace_$(or $(SYSTEM),pravega).json)
 
-## full figure suite across worker processes; writes BENCH_suite.json
+## full figure suite across worker processes; writes BENCH_suite.json.
+## Each scenario returns metrics; its rows of repro.bench.claims are
+## evaluated here, on the fresh run, and recorded as `claims` (a failing
+## row = `ok: false` + non-zero exit).  JOBS=1 also prints every table.
 ## (override: JOBS=8 ONLY=fig05a,fig08a; JOBS defaults to the machine's
 ## core count — a hard-coded number oversubscribes small containers and
 ## undersubscribes big ones)
@@ -56,20 +59,22 @@ suite:
 	$(PYTHON) -m repro.bench suite --jobs $(or $(JOBS),$(shell nproc)) \
 		$(if $(ONLY),--only $(ONLY)) --json BENCH_suite.json
 
-## fast smoke of the suite runner: serial vs parallel determinism
-## (includes the workload smoke scenario and its claim asserts)
+## fast smoke of the suite runner: serial vs parallel determinism over
+## the six smoke scenarios (they carry no claim rows; the figure claims
+## are evaluated by `suite`/`workloads` fresh and by `gate` as committed)
 suite-check:
 	$(PYTHON) -m repro.bench suite --check --jobs $(or $(JOBS),$(shell nproc))
 
 ## the repro.workload experiments (diurnal/flash-crowd auto-scaling,
 ## multi-tenant SLO); prefix selection expands to all workload_* scenarios;
-## writes BENCH_workload.json
+## writes BENCH_workload.json, claims evaluated as in `suite`
 workloads:
 	$(PYTHON) -m repro.bench suite --only workload --jobs $(or $(JOBS),$(shell nproc)) \
 		--json BENCH_workload.json
 
 ## benchmark regression gate: committed BENCH_*.json vs fresh smoke
-## re-runs, structured diff on drift
+## re-runs, structured diff on drift; re-evaluates every claim row over
+## the committed suite/workload metrics
 ## (override: SMOKE=none or SMOKE=suite:fig05c,capacity:kafka/mixed)
 gate:
 	$(PYTHON) -m repro.bench gate $(if $(SMOKE),--smoke $(SMOKE))

@@ -25,9 +25,8 @@ from repro.bench import (
     fmt_latency,
     fmt_rate,
 )
-from repro.kafka import KafkaProducerConfig
 
-from common import record, run_fresh, run_once, trim
+from common import run_fresh, trim
 
 EVENT_SIZE = 100
 
@@ -59,15 +58,12 @@ def _run_figure(partitions: int):
     )
     outcome = {}
     for label, make in VARIANTS.items():
-        latencies = {}
-        best = None
         for rate in rates:
             result = run_fresh(
                 make,
                 _spec(partitions, rate),
                 trace_name=f"fig05_{label}_{partitions}p_{rate:.0f}eps",
             )
-            latencies[rate] = result
             table.add(
                 label,
                 fmt_rate(rate),
@@ -75,70 +71,46 @@ def _run_figure(partitions: int):
                 fmt_latency(result.write_latency.p50),
                 fmt_latency(result.write_latency.p95),
             )
-            best = result
             if result.saturated:
                 break
         probe = find_max_throughput(
             make, _spec(partitions, 0), start_rate=100_000, growth=2.0, refine_steps=1,
             max_rate=4_000_000,
         )
-        outcome[label] = {"max": probe.produce_rate, "sweep": latencies}
+        outcome[label] = probe.produce_rate
         table.add(label, "max", fmt_rate(probe.produce_rate), "-", "-")
     table.show()
     return outcome
 
 
-def test_fig05a_one_segment(benchmark):
-    outcome = run_once(benchmark, lambda: _run_figure(1))
-    pravega = outcome["Pravega (flush)"]["max"]
-    kafka_noflush = outcome["Kafka (no flush)"]["max"]
-    kafka_flush = outcome["Kafka (flush)"]["max"]
-    record(
-        benchmark,
-        pravega_flush_max_eps=pravega,
-        kafka_noflush_max_eps=kafka_noflush,
-        kafka_flush_max_eps=kafka_flush,
-        paper_claim="Pravega(flush) max ~1.73x Kafka(no flush); Kafka(flush) collapses",
+def fig05a() -> dict:
+    outcome = _run_figure(1)
+    return {
+        "pravega_flush_max_eps": outcome["Pravega (flush)"],
+        "kafka_noflush_max_eps": outcome["Kafka (no flush)"],
+        "kafka_flush_max_eps": outcome["Kafka (flush)"],
+    }
+
+
+def fig05b() -> dict:
+    outcome = _run_figure(16)
+    return {
+        "pravega_flush_max_eps": outcome["Pravega (flush)"],
+        "kafka_noflush_max_eps": outcome["Kafka (no flush)"],
+    }
+
+
+def fig05c() -> dict:
+    """Pravega's own flush/no-flush pair at 1 segment."""
+    flush = find_max_throughput(
+        VARIANTS["Pravega (flush)"], _spec(1, 0), start_rate=200_000,
+        growth=2.0, refine_steps=1, max_rate=4_000_000,
     )
-    # (a) Pravega with durability beats Kafka without it.
-    assert pravega > 1.2 * kafka_noflush
-    # (c) enforcing durability devastates Kafka throughput.
-    assert kafka_flush < 0.5 * kafka_noflush
-
-
-def test_fig05b_sixteen_segments(benchmark):
-    outcome = run_once(benchmark, lambda: _run_figure(16))
-    pravega = outcome["Pravega (flush)"]["max"]
-    kafka_noflush = outcome["Kafka (no flush)"]["max"]
-    record(
-        benchmark,
-        pravega_flush_max_eps=pravega,
-        kafka_noflush_max_eps=kafka_noflush,
-        paper_claim="both >1M e/s for a single writer at 16 partitions",
+    no_flush = find_max_throughput(
+        VARIANTS["Pravega (no flush)"], _spec(1, 0), start_rate=200_000,
+        growth=2.0, refine_steps=1, max_rate=4_000_000,
     )
-    # (b) both systems exceed one million events/second.
-    assert pravega > 1_000_000
-    assert kafka_noflush > 1_000_000
-
-
-def test_fig05_pravega_no_flush_gain_is_modest(benchmark):
-    def experiment():
-        flush = find_max_throughput(
-            VARIANTS["Pravega (flush)"], _spec(1, 0), start_rate=200_000,
-            growth=2.0, refine_steps=1, max_rate=4_000_000,
-        )
-        no_flush = find_max_throughput(
-            VARIANTS["Pravega (no flush)"], _spec(1, 0), start_rate=200_000,
-            growth=2.0, refine_steps=1, max_rate=4_000_000,
-        )
-        return flush.produce_rate, no_flush.produce_rate
-
-    flush_rate, no_flush_rate = run_once(benchmark, experiment)
-    record(
-        benchmark,
-        pravega_flush_eps=flush_rate,
-        pravega_noflush_eps=no_flush_rate,
-        paper_claim="not flushing gains little (group commit amortizes fsync)",
-    )
-    # The paper: "the performance gain ... of not flushing ... is modest".
-    assert no_flush_rate < 1.5 * flush_rate
+    return {
+        "pravega_flush_eps": flush.produce_rate,
+        "pravega_noflush_eps": no_flush.produce_rate,
+    }

@@ -16,6 +16,8 @@ Paper claims reproduced:
       batches), the §5.3 surprise.
 """
 
+import dataclasses
+
 from repro.bench import (
     KafkaAdapter,
     PravegaAdapter,
@@ -25,13 +27,14 @@ from repro.bench import (
     find_max_throughput,
     fmt_latency,
     fmt_rate,
+    run_workload,
 )
 from repro.kafka import KafkaProducerConfig
+from repro.kafka.broker import TopicPartition
 from repro.pulsar import PulsarProducerConfig
+from repro.sim import Simulator
 
-import dataclasses
-
-from common import record, run_fresh, run_once, trim
+from common import run_fresh
 
 EVENT_SIZE = 100
 
@@ -81,43 +84,50 @@ def _max_rate(make, partitions: int, start=50_000):
     return probe.produce_rate
 
 
-def test_fig06a_one_segment(benchmark):
-    def experiment():
-        table = Table(
-            ["system", "p95 @ 5k e/s", "max throughput"],
-            title="Fig. 6a (1 segment/partition, 1 writer, 100B events)",
-        )
-        out = {}
-        for label in ("Pravega (dynamic)", "Pulsar (batch)", "Pulsar (no batch)"):
-            make = VARIANTS[label]
-            latency = _low_rate_latency(make, 1, label=label)
-            max_rate = _max_rate(make, 1)
-            out[label] = (latency, max_rate)
-            table.add(label, fmt_latency(latency), fmt_rate(max_rate))
-        table.show()
-        return out
-
-    out = run_once(benchmark, experiment)
+def fig06a() -> dict:
+    table = Table(
+        ["system", "p95 @ 5k e/s", "max throughput"],
+        title="Fig. 6a (1 segment/partition, 1 writer, 100B events)",
+    )
+    out = {}
+    for label in ("Pravega (dynamic)", "Pulsar (batch)", "Pulsar (no batch)"):
+        make = VARIANTS[label]
+        latency = _low_rate_latency(make, 1, label=label)
+        max_rate = _max_rate(make, 1)
+        out[label] = (latency, max_rate)
+        table.add(label, fmt_latency(latency), fmt_rate(max_rate))
+    table.show()
     pravega_lat, pravega_max = out["Pravega (dynamic)"]
     batch_lat, batch_max = out["Pulsar (batch)"]
     nobatch_lat, nobatch_max = out["Pulsar (no batch)"]
-    record(
-        benchmark,
-        pravega_p95_ms=pravega_lat * 1e3,
-        pulsar_batch_p95_ms=batch_lat * 1e3,
-        pulsar_nobatch_max_eps=nobatch_max,
-        pravega_max_eps=pravega_max,
-        paper_claim="Pravega beats Pulsar(batch) latency at low rate AND Pulsar(no batch) max throughput",
-    )
-    # (a) the Pulsar dichotomy.
-    assert nobatch_lat < batch_lat
-    assert batch_max > 2 * nobatch_max
-    # (b) Pravega gets both.
-    assert pravega_lat < batch_lat
-    assert pravega_max > nobatch_max
+    return {
+        "pravega_p95_ms": pravega_lat * 1e3,
+        "pulsar_batch_p95_ms": batch_lat * 1e3,
+        "pulsar_nobatch_p95_ms": nobatch_lat * 1e3,
+        "pulsar_batch_max_eps": batch_max,
+        "pulsar_nobatch_max_eps": nobatch_max,
+        "pravega_max_eps": pravega_max,
+    }
 
 
-def test_fig06b_kafka_more_batching_backfires(benchmark):
+def _avg_batch_bytes(key_mode: str) -> float:
+    """Mean batch the 10ms/1MB producer lands in the partition logs at
+    200k e/s under ``key_mode``."""
+    sim = Simulator()
+    adapter = VARIANTS["Kafka (10ms/1MB)"](sim)
+    spec = dataclasses.replace(_spec(16, 200_000), key_mode=key_mode)
+    run_workload(sim, adapter, spec)
+    batches = 0
+    bytes_total = 0
+    for p in range(16):
+        tp = TopicPartition("topic", p)
+        log = adapter.cluster.leader(tp).logs[tp]
+        batches += len(log.batches)
+        bytes_total += log.size_bytes
+    return bytes_total / max(batches, 1)
+
+
+def fig06b() -> dict:
     """§5.3 attributes the 10ms/1MB regression to random routing keys
     diluting per-partition batches (the same config without keys was ~6x
     faster).  We reproduce (i) the latency penalty of the larger linger,
@@ -126,73 +136,33 @@ def test_fig06b_kafka_more_batching_backfires(benchmark):
     (iii) that more batching buys no throughput with random keys.  The
     paper's absolute throughput *drop* is only partially reproduced (see
     EXPERIMENTS.md)."""
-
-    import dataclasses
-
-    def make_big(sim):
-        return KafkaAdapter(
-            sim,
-            producer_config=KafkaProducerConfig(batch_size=1024 * 1024, linger=10e-3),
-        )
-
-    def measure_batches(key_mode):
-        from repro.sim import Simulator
-        from repro.bench import run_workload
-        from repro.kafka.broker import TopicPartition
-
-        sim = Simulator()
-        adapter = make_big(sim)
-        spec = dataclasses.replace(_spec(16, 200_000), key_mode=key_mode)
-        result = run_workload(sim, adapter, spec)
-        batches = 0
-        bytes_total = 0
-        for p in range(16):
-            tp = TopicPartition("topic", p)
-            log = adapter.cluster.leader(tp).logs[tp]
-            batches += len(log.batches)
-            bytes_total += log.size_bytes
-        return result, (bytes_total / max(batches, 1))
-
-    def experiment():
-        default_latency = run_fresh(
-            VARIANTS["Kafka (default 1ms/128KB)"],
-            _spec(16, 10_000),
-            trace_name="fig06b_kafka_default",
-        ).write_latency.p95
-        big_latency = run_fresh(
-            VARIANTS["Kafka (10ms/1MB)"],
-            _spec(16, 10_000),
-            trace_name="fig06b_kafka_big_linger",
-        ).write_latency.p95
-        default_max = _max_rate(VARIANTS["Kafka (default 1ms/128KB)"], 16)
-        big_max = _max_rate(VARIANTS["Kafka (10ms/1MB)"], 16)
-        _, keyed_batch = measure_batches("random")
-        _, sticky_batch = measure_batches("none")
-        table = Table(
-            ["config", "p95 @ 10k e/s", "max (random keys)", "avg batch @200k e/s"],
-            title="Fig. 6b (16 partitions, 1 producer, 100B events)",
-        )
-        table.add("Kafka 1ms/128KB", fmt_latency(default_latency), fmt_rate(default_max), "-")
-        table.add("Kafka 10ms/1MB keyed", fmt_latency(big_latency), fmt_rate(big_max), f"{keyed_batch / 1e3:.1f} KB")
-        table.add("Kafka 10ms/1MB no keys", "-", "-", f"{sticky_batch / 1e3:.1f} KB")
-        table.show()
-        return default_latency, big_latency, default_max, big_max, keyed_batch, sticky_batch
-
-    default_latency, big_latency, default_max, big_max, keyed_batch, sticky_batch = (
-        run_once(benchmark, experiment)
+    default_latency = run_fresh(
+        VARIANTS["Kafka (default 1ms/128KB)"],
+        _spec(16, 10_000),
+        trace_name="fig06b_kafka_default",
+    ).write_latency.p95
+    big_latency = run_fresh(
+        VARIANTS["Kafka (10ms/1MB)"],
+        _spec(16, 10_000),
+        trace_name="fig06b_kafka_big_linger",
+    ).write_latency.p95
+    default_max = _max_rate(VARIANTS["Kafka (default 1ms/128KB)"], 16)
+    big_max = _max_rate(VARIANTS["Kafka (10ms/1MB)"], 16)
+    keyed_batch = _avg_batch_bytes("random")
+    sticky_batch = _avg_batch_bytes("none")
+    table = Table(
+        ["config", "p95 @ 10k e/s", "max (random keys)", "avg batch @200k e/s"],
+        title="Fig. 6b (16 partitions, 1 producer, 100B events)",
     )
-    record(
-        benchmark,
-        kafka_default_max_eps=default_max,
-        kafka_bigbatch_max_eps=big_max,
-        keyed_avg_batch_bytes=keyed_batch,
-        sticky_avg_batch_bytes=sticky_batch,
-        paper_claim="10ms/1MB hurts with random keys; no-keys batches ~6x fuller",
-    )
-    # (i) the bigger linger costs latency at moderate rates ...
-    assert big_latency > 3 * default_latency
-    # (ii) random keys dilute batches; the sticky (no-key) partitioner
-    # fills them — the §5.3 root cause, shown directly.
-    assert sticky_batch > 4 * keyed_batch
-    # (iii) the extra batching buys no throughput with random keys.
-    assert big_max <= default_max * 1.1
+    table.add("Kafka 1ms/128KB", fmt_latency(default_latency), fmt_rate(default_max), "-")
+    table.add("Kafka 10ms/1MB keyed", fmt_latency(big_latency), fmt_rate(big_max), f"{keyed_batch / 1e3:.1f} KB")
+    table.add("Kafka 10ms/1MB no keys", "-", "-", f"{sticky_batch / 1e3:.1f} KB")
+    table.show()
+    return {
+        "kafka_default_p95_ms": default_latency * 1e3,
+        "kafka_bigbatch_p95_ms": big_latency * 1e3,
+        "kafka_default_max_eps": default_max,
+        "kafka_bigbatch_max_eps": big_max,
+        "keyed_avg_batch_bytes": keyed_batch,
+        "sticky_avg_batch_bytes": sticky_batch,
+    }

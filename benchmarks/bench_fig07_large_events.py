@@ -26,8 +26,6 @@ from repro.bench import (
     fmt_bytes_rate,
 )
 
-from common import record, run_once
-
 EVENT_SIZE = 10_000
 
 VARIANTS = {
@@ -50,7 +48,7 @@ def _spec(partitions: int) -> WorkloadSpec:
     )
 
 
-def _max_mbps(make, partitions: int, start: float = 2_000) -> float:
+def _max_mbps(make, partitions: int, start: float) -> float:
     probe = find_max_throughput(
         make, _spec(partitions), start_rate=start, growth=2.0,
         refine_steps=1, max_rate=150_000,
@@ -58,64 +56,35 @@ def _max_mbps(make, partitions: int, start: float = 2_000) -> float:
     return probe.produce_mbps
 
 
-def test_fig07a_one_segment(benchmark):
-    def experiment():
-        table = Table(
-            ["system", "max byte throughput"],
-            title="Fig. 7a (1 segment/partition, 1 writer, 10KB events)",
-        )
-        out = {}
-        for label, make in VARIANTS.items():
-            out[label] = _max_mbps(make, 1)
-            table.add(label, fmt_bytes_rate(out[label]))
-        table.show()
-        return out
+def _figure(title: str, labels, partitions: int, start: float) -> dict:
+    table = Table(["system", "max byte throughput"], title=title)
+    out = {}
+    for label in labels:
+        out[label] = _max_mbps(VARIANTS[label], partitions, start)
+        table.add(label, fmt_bytes_rate(out[label]))
+    table.show()
+    return out
 
-    out = run_once(benchmark, experiment)
-    record(
-        benchmark,
-        pravega_efs_mbps=out["Pravega (EFS LTS)"] / 1e6,
-        pravega_noop_mbps=out["Pravega (NoOp LTS)"] / 1e6,
-        kafka_mbps=out["Kafka"] / 1e6,
-        pulsar_mbps=out["Pulsar (tiering)"] / 1e6,
-        paper_claim="Pravega ~160 (LTS-bound), NoOp much higher; Pulsar ~300 > Kafka ~70",
+
+def fig07a() -> dict:
+    out = _figure(
+        "Fig. 7a (1 segment/partition, 1 writer, 10KB events)", VARIANTS, 1, 2_000
     )
-    # (a) Pravega is LTS-bound near the per-stream EFS bandwidth ...
-    assert out["Pravega (EFS LTS)"] < 260e6
-    # ... and the NoOp LTS confirms the bottleneck is tiering.
-    assert out["Pravega (NoOp LTS)"] > 1.5 * out["Pravega (EFS LTS)"]
-    # Pulsar (no throttling) exceeds Pravega with tiering on; Kafka lowest.
-    assert out["Pulsar (tiering)"] > out["Pravega (EFS LTS)"]
-    assert out["Kafka"] < out["Pulsar (tiering)"]
+    return {
+        "pravega_efs_mbps": out["Pravega (EFS LTS)"] / 1e6,
+        "pravega_noop_mbps": out["Pravega (NoOp LTS)"] / 1e6,
+        "kafka_mbps": out["Kafka"] / 1e6,
+        "pulsar_mbps": out["Pulsar (tiering)"] / 1e6,
+    }
 
 
-def test_fig07b_sixteen_segments(benchmark):
-    def experiment():
-        table = Table(
-            ["system", "max byte throughput"],
-            title="Fig. 7b (16 segments/partitions, 1 writer, 10KB events)",
-        )
-        out = {}
-        for label in ("Pravega (EFS LTS)", "Kafka", "Pulsar (tiering)"):
-            out[label] = _max_mbps(VARIANTS[label], 16, start=16_000)
-            table.add(label, fmt_bytes_rate(out[label]))
-        table.show()
-        return out
-
-    out = run_once(benchmark, experiment)
-    record(
-        benchmark,
-        pravega_mbps=out["Pravega (EFS LTS)"] / 1e6,
-        kafka_mbps=out["Kafka"] / 1e6,
-        pulsar_mbps=out["Pulsar (tiering)"] / 1e6,
-        paper_claim="Pravega 350 > Kafka 330 > Pulsar 250 MB/s",
+def fig07b() -> dict:
+    out = _figure(
+        "Fig. 7b (16 segments/partitions, 1 writer, 10KB events)",
+        ("Pravega (EFS LTS)", "Kafka", "Pulsar (tiering)"), 16, 16_000,
     )
-    # (b) with 16 segments, parallel chunk flushes lift Pravega's LTS cap
-    # far above the single-stream bandwidth, and Pravega is competitive
-    # with the systems that do less (Kafka: no tiering at all; Pulsar: no
-    # tiering backpressure).  All three converge near the drive rate in
-    # our model; the paper's Pravega>Kafka>Pulsar ordering at 16 segments
-    # is reproduced only as "within a few percent" (EXPERIMENTS.md).
-    assert out["Pravega (EFS LTS)"] > 2 * 160e6
-    assert out["Pravega (EFS LTS)"] >= out["Kafka"] * 0.95
-    assert out["Pravega (EFS LTS)"] >= out["Pulsar (tiering)"] * 0.9
+    return {
+        "pravega_mbps": out["Pravega (EFS LTS)"] / 1e6,
+        "kafka_mbps": out["Kafka"] / 1e6,
+        "pulsar_mbps": out["Pulsar (tiering)"] / 1e6,
+    }

@@ -19,8 +19,6 @@ Paper claims reproduced:
       integrated, bounded tiering pipeline.
 """
 
-import dataclasses
-
 from repro.bench import (
     PravegaAdapter,
     PulsarAdapter,
@@ -30,7 +28,7 @@ from repro.bench import (
 from repro.pulsar import PulsarBrokerConfig
 from repro.sim import Simulator
 
-from common import FULL, record, run_once
+from common import FULL
 
 EVENT_SIZE = 10_000
 WRITE_RATE = 10_000  # events/s == 100 MB/s
@@ -130,42 +128,28 @@ def _run_system(system: str):
     }
 
 
-def test_fig12_historical_reads(benchmark):
-    def experiment():
-        table = Table(
-            ["system", "peak read", "caught up?", "catch-up time", "tiering backlog left"],
-            title="Fig. 12 (catch-up reads: 100 MB/s writes, 16 partitions, 10KB events)",
-        )
-        out = {}
-        for system in ("pravega", "pulsar"):
-            out[system] = _run_system(system)
-            r = out[system]
-            table.add(
-                system,
-                fmt_bytes_rate(r["peak_read_mbps"]),
-                "yes" if r["caught_up"] else "NO",
-                f"{r['catch_up_seconds']:.1f} s" if r["caught_up"] else "-",
-                fmt_bytes_rate(float(r["residual_backlog"])) + " (bytes)",
-            )
-        table.show()
-        return out
-
-    out = run_once(benchmark, experiment)
-    pravega, pulsar = out["pravega"], out["pulsar"]
-    record(
-        benchmark,
-        pravega_peak_read_mbps=pravega["peak_read_mbps"] / 1e6,
-        pulsar_peak_read_mbps=pulsar["peak_read_mbps"] / 1e6,
-        pravega_caught_up=pravega["caught_up"],
-        pulsar_caught_up=pulsar["caught_up"],
-        paper_claim="Pravega reads ~7x write rate (731 vs 100 MB/s) and catches up; Pulsar never exceeds write rate",
+def fig12() -> dict:
+    table = Table(
+        ["system", "peak read", "caught up?", "catch-up time", "tiering backlog left"],
+        title="Fig. 12 (catch-up reads: 100 MB/s writes, 16 partitions, 10KB events)",
     )
-    # (a) Pravega reads much faster than the write rate and catches up.
-    assert pravega["peak_read_mbps"] > 2.5 * 100e6
-    assert pravega["caught_up"]
-    # (b) Pulsar cannot outrun the writers.
-    assert pulsar["peak_read_mbps"] < 1.5 * 100e6
-    assert not pulsar["caught_up"]
-    # (c) Pulsar's un-offloaded backlog persists (no backpressure), while
-    # Pravega's integrated pipeline keeps its tiering backlog bounded.
-    assert pravega["residual_backlog"] < 128e6
+    out = {}
+    for system in ("pravega", "pulsar"):
+        out[system] = _run_system(system)
+        r = out[system]
+        table.add(
+            system,
+            fmt_bytes_rate(r["peak_read_mbps"]),
+            "yes" if r["caught_up"] else "NO",
+            f"{r['catch_up_seconds']:.1f} s" if r["caught_up"] else "-",
+            fmt_bytes_rate(float(r["residual_backlog"])) + " (bytes)",
+        )
+    table.show()
+    pravega, pulsar = out["pravega"], out["pulsar"]
+    return {
+        "pravega_peak_read_mbps": pravega["peak_read_mbps"] / 1e6,
+        "pulsar_peak_read_mbps": pulsar["peak_read_mbps"] / 1e6,
+        "pravega_caught_up": pravega["caught_up"],
+        "pulsar_caught_up": pulsar["caught_up"],
+        "pravega_tiering_backlog_bytes": pravega["residual_backlog"],
+    }

@@ -12,12 +12,10 @@ Paper claims reproduced:
   (c) p50 write latency drops as scaling distributes the load.
 """
 
-from repro.bench import PravegaAdapter, Table, WorkloadSpec, fmt_latency, run_workload
+from repro.bench import PravegaAdapter, Table, fmt_latency
 from repro.common.metrics import percentile
 from repro.pravega import ScalingPolicy
 from repro.sim import Simulator
-
-from common import record, run_once
 
 EVENT_SIZE = 10_000
 WRITE_RATE = 10_000  # events/s = 100 MB/s
@@ -25,7 +23,7 @@ TARGET_PER_SEGMENT = 20e6  # bytes/s (paper: 20 MB/s given 10KB events)
 RUN_SECONDS = 90.0
 
 
-def _experiment():
+def fig13() -> dict:
     sim = Simulator()
     adapter = PravegaAdapter(
         sim,
@@ -95,34 +93,12 @@ def _experiment():
     early = sorted(l for at, l in latencies if at < 10.0)
     late = sorted(l for at, l in latencies if at > RUN_SECONDS - 15.0)
     final_rates = store_series[-1][1] if store_series else {}
-    loaded_stores = sum(1 for v in final_rates.values() if v > 5e6)
     return {
-        "initial_segments": segment_series[0][1] if segment_series else 1,
         "final_segments": segment_series[-1][1] if segment_series else 1,
-        "scale_ups": sum(
+        "scale_up_events": sum(
             1 for e in controller.scale_events if e[2] == "scale-up"
         ),
-        "early_p50": percentile(early, 0.5),
-        "late_p50": percentile(late, 0.5),
-        "loaded_stores": loaded_stores,
+        "early_p50_ms": percentile(early, 0.5) * 1e3,
+        "late_p50_ms": percentile(late, 0.5) * 1e3,
+        "loaded_stores": sum(1 for v in final_rates.values() if v > 5e6),
     }
-
-
-def test_fig13_autoscaling(benchmark):
-    out = run_once(benchmark, _experiment)
-    record(
-        benchmark,
-        final_segments=out["final_segments"],
-        scale_up_events=out["scale_ups"],
-        early_p50_ms=out["early_p50"] * 1e3,
-        late_p50_ms=out["late_p50"] * 1e3,
-        loaded_stores=out["loaded_stores"],
-        paper_claim="segments split automatically; load spreads across stores; p50 drops",
-    )
-    # (a) the stream scaled up automatically, several times.
-    assert out["final_segments"] >= 4
-    assert out["scale_ups"] >= 2
-    # (b) more than one segment store carries the load at the end.
-    assert out["loaded_stores"] >= 2
-    # (c) latency improves once the load is spread.
-    assert out["late_p50"] < out["early_p50"]

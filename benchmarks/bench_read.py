@@ -23,8 +23,6 @@ Driven by ``python -m repro.bench run read [--check]`` (``make
 bench-read`` / ``make read-check``): the full run writes
 BENCH_read.json, ``--check`` runs cheap variants of every family and
 holds them to the same ``check_claims`` without touching the JSON.
-``test_fig08c_tail_fanout`` and ``test_fig12b_replay_coalescing`` are
-the suite-runner entry points.
 """
 
 from __future__ import annotations
@@ -473,8 +471,7 @@ def run_reader_heavy(
 # ----------------------------------------------------------------------
 REPEATS = 5
 _MB = 1024 * 1024
-#: the cheap variants --check runs; the suite scenarios fig08c/fig12b
-#: run the same two
+#: the cheap variants --check runs
 _SMOKE_FANOUT = dict(readers=64, events=12)
 _SMOKE_REPLAY = dict(readers=12, backlog_bytes=6 * _MB, cache_bytes=2 * _MB)
 ADMISSIONS = ("always", "second_touch")
@@ -615,44 +612,3 @@ def check_claims(report: Dict[str, object]) -> List[str]:
             claim(heavy["direct"]["speedup"] >= 1.3,
                   f"speedup {heavy['direct']['speedup']}x < 1.3x")
     return failures
-
-
-# ----------------------------------------------------------------------
-# Suite-runner entry points: the smoke variants, held to the same claims
-# ----------------------------------------------------------------------
-def _assert_claims(**families) -> None:
-    failures = check_claims({"mode": "smoke", "seed": SEED, **families})
-    assert not failures, "; ".join(failures)
-
-
-def test_fig08c_tail_fanout(benchmark) -> None:
-    """Fig. 8 extension: mass tail fan-out with direct delivery."""
-    from common import record, run_once
-
-    result = run_once(benchmark, lambda: run_fanout(**_SMOKE_FANOUT))
-    record(
-        benchmark,
-        readers=result["readers"],
-        delivered_events=result["delivered_events"],
-        p50_ms=result["p50_ms"],
-        p99_ms=result["p99_ms"],
-        caught_up=result["caught_up"],
-    )
-    _assert_claims(fanout={"points": [result]})
-    assert 0 < result["p50_ms"] <= result["p99_ms"]
-
-
-def test_fig12b_replay_coalescing(benchmark) -> None:
-    """Fig. 12 extension: mass replay LTS storm, coalescing off vs on."""
-    from common import record, run_once
-
-    replay = run_once(benchmark, lambda: _replay(**_SMOKE_REPLAY))
-    record(
-        benchmark,
-        lts_ops_off=replay["off"]["lts_fetch_ops"],
-        lts_ops_on=replay["on"]["lts_fetch_ops"],
-        lts_ops_ratio=replay["lts_ops_ratio"],
-        coalesced_fetches=replay["on"]["coalesced_fetches"],
-        delivered_bytes=replay["on"]["delivered_bytes"],
-    )
-    _assert_claims(replay=replay)

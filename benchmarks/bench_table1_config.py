@@ -1,18 +1,17 @@
 """Table 1 — Experiments configuration (§5.1).
 
 Table 1 is the paper's deployment matrix, not a measurement.  This bench
-prints the simulated equivalent of every row and sanity-checks that the
-adapters actually deploy it: component counts, replication settings,
-default durability, tiering backends, journal drives, client batching.
+prints the simulated equivalent of every row and records what the
+adapters actually deploy — component counts, replication settings,
+default durability, tiering backend, journal drive — for the ``table1``
+rows of ``repro.bench.claims`` to hold against the paper's values.
 """
 
 from repro.bench import KafkaAdapter, PravegaAdapter, PulsarAdapter, Table
 from repro.sim import Simulator
 
-from common import record, run_once
 
-
-def _experiment():
+def table1() -> dict:
     sim = Simulator()
     pravega = PravegaAdapter(sim)
     pravega.setup(4)
@@ -47,26 +46,21 @@ def _experiment():
         "1ms/128KB [time/size]",
     )
     table.show()
-    return pravega, kafka, pulsar
-
-
-def test_table1_deployment(benchmark):
-    pravega, kafka, pulsar = run_once(benchmark, _experiment)
-    record(benchmark, paper_claim="Table 1 deployment encoded by the adapters")
-    # Pravega: 3 combined segment-store/bookie instances, durable WAL, EFS.
-    assert len(pravega.cluster.stores) == 3
-    assert len(pravega.cluster.bk_cluster.bookies) == 3
-    assert all(b.journal_sync for b in pravega.cluster.bk_cluster.bookies.values())
-    assert pravega.cluster.lts.spec.name == "efs"
-    # Kafka: 3 brokers, replication 3 / min ISR 2, no fsync by default.
-    assert len(kafka.cluster.brokers) == 3
-    assert kafka.cluster.replication_factor == 3
-    assert kafka.cluster.min_insync_replicas == 2
-    assert not any(b.flush_every_message for b in kafka.cluster.brokers.values())
-    # Pulsar: 3 broker+bookie instances over Bookkeeper, tiering to S3 model.
-    assert len(pulsar.cluster.brokers) == 3
-    assert pulsar.broker_config.ensemble_size == 3
-    assert pulsar.broker_config.write_quorum == 3
-    assert pulsar.broker_config.ack_quorum == 2
-    # Every system journals on one NVMe-model drive per server.
-    assert pravega.cluster.config.disk.bandwidth == 800e6
+    bookies = pravega.cluster.bk_cluster.bookies
+    return {
+        "pravega_stores": len(pravega.cluster.stores),
+        "pravega_bookies": len(bookies),
+        "pravega_journal_sync": all(b.journal_sync for b in bookies.values()),
+        "pravega_lts": pravega.cluster.lts.spec.name,
+        "kafka_brokers": len(kafka.cluster.brokers),
+        "kafka_replication_factor": kafka.cluster.replication_factor,
+        "kafka_min_insync_replicas": kafka.cluster.min_insync_replicas,
+        "kafka_flush_every_message": any(
+            b.flush_every_message for b in kafka.cluster.brokers.values()
+        ),
+        "pulsar_brokers": len(pulsar.cluster.brokers),
+        "pulsar_ensemble_size": pulsar.broker_config.ensemble_size,
+        "pulsar_write_quorum": pulsar.broker_config.write_quorum,
+        "pulsar_ack_quorum": pulsar.broker_config.ack_quorum,
+        "journal_disk_bandwidth": pravega.cluster.config.disk.bandwidth,
+    }

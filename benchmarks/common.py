@@ -1,10 +1,13 @@
 """Shared helpers for the figure benchmarks.
 
-Every bench prints a table pairing the paper's claim with the measured
-value, asserts the qualitative *shape* (who wins, roughly by how much,
+Every figure/workload scenario is a plain function named after its suite
+scenario (``fig05a`` ... ``workload_slo``): it prints a table pairing the
+paper's claim with the measured value and returns its metrics dict.  The
+qualitative *shape* the paper claims (who wins, roughly by how much,
 where crossovers fall — absolute numbers are not expected to match a
-real AWS testbed), and registers headline numbers in pytest-benchmark's
-``extra_info``.
+real AWS testbed) is the scenario's rows in ``repro.bench.claims``,
+evaluated over those metrics by the one runner, ``python -m repro.bench
+suite [--only fig05]``.
 
 Set ``REPRO_BENCH_FULL=1`` for the full sweeps; the default trims sweep
 points to keep the whole suite fast.
@@ -19,7 +22,7 @@ from __future__ import annotations
 import itertools
 import os
 import re
-from typing import Callable, Iterable, List, Optional
+from typing import Callable, List, Optional
 
 from repro.sim import Simulator
 from repro.bench import BenchResult, WorkloadSpec, attach_tracer, run_workload
@@ -73,20 +76,3 @@ def trim(points: List, keep: int = 3) -> List:
     if points[-1] not in reduced:
         reduced.append(points[-1])
     return reduced
-
-
-def record(benchmark, **info) -> None:
-    """Attach headline numbers to the pytest-benchmark record."""
-    for key, value in info.items():
-        benchmark.extra_info[key] = value
-
-
-def run_once(benchmark, fn) -> object:
-    """Run the experiment exactly once under pytest-benchmark timing."""
-    holder = {}
-
-    def wrapper():
-        holder["result"] = fn()
-
-    benchmark.pedantic(wrapper, rounds=1, iterations=1)
-    return holder["result"]

@@ -11,8 +11,9 @@ gate closes that hole in three layers, cheapest first:
    (an unowned ``BENCH_*.json`` is itself a drift) and satisfies that
    bench's ``check_claims`` — the same function ``python -m repro.bench
    run <name> --check`` applies to a fresh run, so a claim is stated
-   once, by the code that produces the number (suite scenarios all
-   ``ok``, capacity points all discrete-confirmed, geo failover points
+   once, by the code that produces the number (every figure scenario's
+   rows of ``repro.bench.claims`` hold over its committed metrics,
+   capacity points all discrete-confirmed, geo failover points
    violation-free with a measured RTO and in-bound staleness, ...) —
    and scenarios recorded in more than one file agree on their
    deterministic fields;
@@ -440,5 +441,5 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"{len(report.smoke)} smoke checks, {report.wall_s:.1f}s"
         )
     if args.json:
-        Path(args.json).write_text(json.dumps(report.as_dict(), indent=2) + "\n")
+        harness.write_json(args.json, report.as_dict())
     return 0 if report.ok else 1

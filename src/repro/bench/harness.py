@@ -38,7 +38,7 @@ from pathlib import Path
 from types import ModuleType
 from typing import Callable, Dict, List, Optional, Tuple, TypeVar
 
-__all__ = ["RUNNABLE", "OWNERS", "load", "owner", "best_of", "rerun", "main"]
+__all__ = ["RUNNABLE", "OWNERS", "load", "owner", "best_of", "rerun", "write_json", "main"]
 
 ROOT = Path(__file__).resolve().parents[3]
 
@@ -86,6 +86,13 @@ def rerun(scenarios, name: str) -> Optional[dict]:
         if row_name == name:
             return full(1)
     return None
+
+
+def write_json(path: "str | Path", report: dict) -> None:
+    """The one writer of report files (every ``BENCH_*.json``, the gate's
+    report): stable key order, so a regenerated file diffs by value."""
+    Path(path).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {path}")
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -136,9 +143,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         report["mode"] = "smoke"
     failures.extend(bench.check_claims(report))
     if not args.check:
-        out = Path(args.json or ROOT / f"BENCH_{args.name}.json")
-        out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-        print(f"wrote {out}")
+        write_json(args.json or ROOT / f"BENCH_{args.name}.json", report)
     for failure in failures:
         print(f"CLAIM FAILED: {failure}")
     print(f"{args.name}: {'FAIL' if failures else 'ok'}")

@@ -138,6 +138,8 @@ class _Counters:
     consumed_window: int = 0
     consumed_bytes_window: int = 0
     errors: int = 0
+    #: generation ticks the open loop skipped over its backlog cap
+    shed_ticks: int = 0
 
 
 class WorkloadEngine:
@@ -274,6 +276,7 @@ class WorkloadEngine:
                 # keeps overload runs tractable.
                 backlog = counters.sent_events - counters.produced_events
                 if backlog > backlog_cap:
+                    counters.shed_ticks += 1
                     continue
                 now = sim.now
                 if sampler is not None:
@@ -428,6 +431,9 @@ class WorkloadEngine:
         result.crashed = bool(getattr(self.client, "crashed", False))
         result.extra["produced_total"] = float(counters.produced_events)
         result.extra["consumed_total"] = float(counters.consumed_events)
+        # Non-zero: the percentiles above omit what those ticks would have
+        # offered — the run's worst samples.
+        result.extra["shed_ticks"] = float(counters.shed_ticks)
         # Absolute measurement-window bounds (setup may advance sim time
         # before load starts, so callers can't reconstruct these from the
         # spec alone — needed to align ``result.series`` samples).

@@ -18,27 +18,30 @@ Usage::
     python -m repro.bench suite --check
     python -m repro.bench suite --jobs 4 --only fig05,fig08
 
-Scenario functions run with their pytest-benchmark ``benchmark`` fixture
-replaced by a no-timing stand-in, so the figure modules' own shape
-assertions still execute (a failing claim marks the scenario ``ok:
-false`` instead of aborting the suite).
+A scenario is a plain function returning its metrics dict; the runner
+evaluates the scenario's rows of :mod:`repro.bench.claims` over it and
+stores the verdicts in the record (a failing row marks the scenario
+``ok: false`` instead of aborting the suite).  ``check_claims`` — what
+the regression gate applies to the committed file — re-evaluates the
+same rows over the committed metrics.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import io
 import json
 import os
+import random
 import time
 import traceback
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
-from repro.bench import harness
+from repro.bench import claims, harness
 
 __all__ = ["SCENARIOS", "run_scenario", "run_suite", "check_claims", "main"]
 
@@ -48,11 +51,11 @@ __all__ = ["SCENARIOS", "run_scenario", "run_suite", "check_claims", "main"]
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class Scenario:
-    """One suite entry: a callable in a figure-benchmark module."""
+    """One suite entry: the function ``name`` of a figure-benchmark
+    module (of this module, as ``_<name>``, for a smoke scenario)."""
 
     name: str
     module: str  # module under benchmarks/ (e.g. "bench_fig05_durability")
-    func: str  # test function taking the benchmark fixture
     seed: int  # per-scenario seed (recorded; sims are deterministic)
     #: rough relative cost, used to schedule long scenarios first so a
     #: straggler does not serialize the tail of the parallel run
@@ -62,38 +65,34 @@ class Scenario:
 
 def _registry() -> Dict[str, Scenario]:
     figure = [
-        # name, module, func, weight
-        ("fig05a", "bench_fig05_durability", "test_fig05a_one_segment", 8),
-        ("fig05b", "bench_fig05_durability", "test_fig05b_sixteen_segments", 8),
-        ("fig05c", "bench_fig05_durability", "test_fig05_pravega_no_flush_gain_is_modest", 4),
-        ("fig06a", "bench_fig06_batching", "test_fig06a_one_segment", 6),
-        ("fig06b", "bench_fig06_batching", "test_fig06b_kafka_more_batching_backfires", 4),
-        ("fig07a", "bench_fig07_large_events", "test_fig07a_one_segment", 6),
-        ("fig07b", "bench_fig07_large_events", "test_fig07b_sixteen_segments", 6),
-        ("fig08a", "bench_fig08_tail_reads", "test_fig08a_one_segment", 6),
-        ("fig08b", "bench_fig08_tail_reads", "test_fig08b_reads_at_16_partitions", 6),
-        ("fig09", "bench_fig09_routing_keys", "test_fig09_routing_keys", 8),
-        ("fig10a", "bench_fig10_parallelism", "test_fig10a_pravega_and_kafka", 10),
-        ("fig10b", "bench_fig10_parallelism", "test_fig10b_pulsar_instability", 10),
-        ("fig11", "bench_fig11_max_throughput", "test_fig11_max_throughput", 10),
-        ("fig11b", "bench_fig11_max_throughput", "test_fig11_drive_level_overhead", 4),
-        ("fig12", "bench_fig12_historical", "test_fig12_historical_reads", 6),
-        ("fig13", "bench_fig13_autoscaling", "test_fig13_autoscaling", 6),
-        ("table1", "bench_table1_config", "test_table1_deployment", 2),
-        ("workload_diurnal", "bench_workload", "test_workload_diurnal_autoscaling", 8),
-        ("workload_flash", "bench_workload", "test_workload_flash_crowd", 8),
-        ("workload_slo", "bench_workload", "test_workload_multi_tenant_slo", 6),
-        ("fig08c", "bench_read", "test_fig08c_tail_fanout", 4),
-        ("fig12b", "bench_read", "test_fig12b_replay_coalescing", 4),
+        # name, module, weight
+        ("fig05a", "bench_fig05_durability", 8),
+        ("fig05b", "bench_fig05_durability", 8),
+        ("fig05c", "bench_fig05_durability", 4),
+        ("fig06a", "bench_fig06_batching", 6),
+        ("fig06b", "bench_fig06_batching", 4),
+        ("fig07a", "bench_fig07_large_events", 6),
+        ("fig07b", "bench_fig07_large_events", 6),
+        ("fig08a", "bench_fig08_tail_reads", 6),
+        ("fig08b", "bench_fig08_tail_reads", 6),
+        ("fig09", "bench_fig09_routing_keys", 8),
+        ("fig10a", "bench_fig10_parallelism", 10),
+        ("fig10b", "bench_fig10_parallelism", 10),
+        ("fig11", "bench_fig11_max_throughput", 10),
+        ("fig11b", "bench_fig11_max_throughput", 4),
+        ("fig12", "bench_fig12_historical", 6),
+        ("fig13", "bench_fig13_autoscaling", 6),
+        ("table1", "bench_table1_config", 2),
+        ("workload_diurnal", "bench_workload", 8),
+        ("workload_flash", "bench_workload", 8),
+        ("workload_slo", "bench_workload", 6),
     ]
     entries: Dict[str, Scenario] = {}
-    for i, (name, module, func, weight) in enumerate(figure):
-        entries[name] = Scenario(name, module, func, seed=1000 + i, weight=weight)
+    for i, (name, module, weight) in enumerate(figure):
+        entries[name] = Scenario(name, module, seed=1000 + i, weight=weight)
     for i, system in enumerate(("pravega", "kafka", "pulsar", "workload", "geo", "read")):
         name = f"smoke_{system}"
-        entries[name] = Scenario(
-            name, "", f"_smoke_{system}", seed=2000 + i, weight=1, smoke=True
-        )
+        entries[name] = Scenario(name, "", seed=2000 + i, weight=1, smoke=True)
     return entries
 
 
@@ -118,13 +117,13 @@ def _smoke_spec():
     )
 
 
-def _run_smoke(make_adapter) -> dict:
+def _run_smoke(adapter: str, **kwargs) -> dict:
+    from repro.bench import adapters
     from repro.bench.runner import run_workload
     from repro.sim import Simulator
 
     sim = Simulator()
-    adapter = make_adapter(sim)
-    result = run_workload(sim, adapter, _smoke_spec())
+    result = run_workload(sim, getattr(adapters, adapter)(sim, **kwargs), _smoke_spec())
     return {
         "produce_rate": result.produce_rate,
         "consume_rate": result.consume_rate,
@@ -133,29 +132,12 @@ def _run_smoke(make_adapter) -> dict:
     }
 
 
-def _smoke_pravega(benchmark) -> None:
-    from repro.bench.adapters import PravegaAdapter
-
-    benchmark.extra_info.update(
-        _run_smoke(lambda sim: PravegaAdapter(sim, journal_sync=True))
-    )
+_smoke_pravega = functools.partial(_run_smoke, "PravegaAdapter", journal_sync=True)
+_smoke_kafka = functools.partial(_run_smoke, "KafkaAdapter", flush_every_message=False)
+_smoke_pulsar = functools.partial(_run_smoke, "PulsarAdapter")
 
 
-def _smoke_kafka(benchmark) -> None:
-    from repro.bench.adapters import KafkaAdapter
-
-    benchmark.extra_info.update(
-        _run_smoke(lambda sim: KafkaAdapter(sim, flush_every_message=False))
-    )
-
-
-def _smoke_pulsar(benchmark) -> None:
-    from repro.bench.adapters import PulsarAdapter
-
-    benchmark.extra_info.update(_run_smoke(lambda sim: PulsarAdapter(sim)))
-
-
-def _smoke_workload(benchmark) -> None:
+def _smoke_workload() -> dict:
     """Two tenants (Poisson + constant) multiplexed through one Pravega
     cluster with SLO evaluation — the repro.workload path end to end."""
     from repro.bench.adapters import PravegaAdapter
@@ -174,27 +156,27 @@ def _smoke_workload(benchmark) -> None:
         info[f"{name}.produce_rate"] = result.produce_rate
         info[f"{name}.availability"] = result.extra["slo.availability"]
         info[f"{name}.slo_ok"] = result.extra["slo.ok"]
-    benchmark.extra_info.update(info)
+    return info
 
 
-def _smoke_geo(benchmark) -> None:
+def _smoke_geo() -> dict:
     """Two-region async geo deployment through a scripted region loss:
     replication, election-driven failover and the RPO/RTO oracle end to
     end (the repro.geo path)."""
     from repro.geo.scenarios import run_region_loss
 
     result = run_region_loss(mode="async", wan_rtt=0.02, seed=7, regions=2, steps=40)
-    benchmark.extra_info.update({
+    return {
         "acked": result["acked"],
         "availability": result["availability"],
         "rpo_bytes": result["rpo_bytes"],
         "rto_s": result["rto_s"],
         "promoted_region": result["promoted_region"],
         "violations": len(result["violations"]),
-    })
+    }
 
 
-def _smoke_read(benchmark) -> None:
+def _smoke_read() -> dict:
     """Serving-tier read path end to end: shared tail fan-out delivery
     plus a coalescing off/on replay of an LTS-resident backlog (the
     repro.pravega read-path, serving features ON)."""
@@ -206,7 +188,7 @@ def _smoke_read(benchmark) -> None:
     on = bench_read.run_replay(
         True, readers=4, backlog_bytes=3 * 1024 * 1024, cache_bytes=2 * 1024 * 1024
     )
-    benchmark.extra_info.update({
+    return {
         "fanout.delivered_events": fanout["delivered_events"],
         "fanout.caught_up": fanout["caught_up"],
         "fanout.p50_ms": fanout["p50_ms"],
@@ -216,39 +198,17 @@ def _smoke_read(benchmark) -> None:
         "replay.coalesced_fetches": on["coalesced_fetches"],
         "replay.delivered_bytes": on["delivered_bytes"],
         "replay.bytes_equal": on["delivered_bytes"] == off["delivered_bytes"],
-    })
+    }
 
 
 # ----------------------------------------------------------------------
 # Worker
 # ----------------------------------------------------------------------
-class _SuiteBenchmark:
-    """Stand-in for the pytest-benchmark fixture: runs the experiment
-    exactly once and keeps ``extra_info`` (the headline numbers)."""
-
-    def __init__(self) -> None:
-        self.extra_info: dict = {}
-
-    def pedantic(self, fn, rounds: int = 1, iterations: int = 1, **_: object):
-        result = None
-        for _round in range(max(1, rounds) * max(1, iterations)):
-            result = fn()
-        return result
-
-    def __call__(self, fn, *args, **kwargs):
-        return fn(*args, **kwargs)
-
-
-def run_scenario(name: str) -> dict:
-    """Execute one scenario in this process; returns its result record.
-
-    Results are deterministic; the ``wall_s`` / ``events_per_second``
-    fields are the only timing-dependent values in the record.
-    """
+def _run_captured(name: str) -> Tuple[dict, str]:
+    """Execute one scenario in this process: its result record and
+    everything it printed (the figure table)."""
     scenario = SCENARIOS[name]
     from repro.sim.core import Simulator
-
-    import random
 
     random.seed(scenario.seed)
     sims: List[Simulator] = []
@@ -260,30 +220,33 @@ def run_scenario(name: str) -> dict:
 
     record: dict = {"name": name, "seed": scenario.seed, "ok": True, "error": None}
     output = io.StringIO()
-    bench = _SuiteBenchmark()
     start = time.perf_counter()
     try:
         if scenario.smoke:
-            fn = globals()[scenario.func]
+            fn = globals()[f"_{name}"]
         else:
-            fn = getattr(harness.load(scenario.module), scenario.func)
+            fn = getattr(harness.load(scenario.module), name)
         Simulator.__init__ = tracking_init  # type: ignore[method-assign]
         with contextlib.redirect_stdout(output):
-            fn(bench)
-        record["metrics"] = _jsonable(bench.extra_info)
-    except AssertionError as exc:
-        record["ok"] = False
-        record["error"] = f"claim failed: {exc}"
-        record["metrics"] = _jsonable(bench.extra_info)
-        record["stdout_tail"] = output.getvalue()[-2000:]
+            metrics = fn()
+        # what the file will say: tuples are lists, and a value JSON
+        # cannot carry is this scenario's error, not the writer's
+        record["metrics"] = json.loads(json.dumps(metrics))
+        record["claims"] = claims.evaluate(name, record["metrics"])
+        failed = claims.failures(record["claims"])
+        if failed:
+            record["ok"] = False
+            record["error"] = "; ".join(failed)
     except Exception as exc:  # noqa: BLE001 - report, don't kill the suite
         record["ok"] = False
         record["error"] = f"{type(exc).__name__}: {exc}"
         record["traceback"] = traceback.format_exc(limit=8)
-        record["metrics"] = _jsonable(bench.extra_info)
-        record["stdout_tail"] = output.getvalue()[-2000:]
+        record.setdefault("metrics", {})
+        record.setdefault("claims", [])
     finally:
         Simulator.__init__ = original_init  # type: ignore[method-assign]
+    if not record["ok"]:
+        record["stdout_tail"] = output.getvalue()[-2000:]
     wall = time.perf_counter() - start
     events = sum(s._events_executed + s._microtasks_executed for s in sims)
     record["wall_s"] = round(wall, 3)
@@ -291,23 +254,26 @@ def run_scenario(name: str) -> dict:
     record["simulations"] = len(sims)
     record["kernel_events"] = events
     record["events_per_second"] = round(events / wall) if wall > 0 else None
-    return record
+    return record, output.getvalue()
 
 
-def _jsonable(info: dict) -> dict:
-    clean = {}
-    for key, value in info.items():
-        try:
-            json.dumps(value)
-        except TypeError:
-            value = repr(value)
-        clean[key] = value
-    return clean
+def run_scenario(name: str) -> dict:
+    """One scenario's result record.  Results are deterministic; the
+    ``wall_s`` / ``events_per_second`` fields are the only
+    timing-dependent values in it."""
+    return _run_captured(name)[0]
 
 
 # ----------------------------------------------------------------------
 # Suite driver
 # ----------------------------------------------------------------------
+def _print_status(record: dict) -> None:
+    status = "ok" if record["ok"] else "FAIL"
+    print(f"  [suite] {record['name']}: {status} ({record['wall_s']:.1f}s)", flush=True)
+    if record["error"]:
+        print(f"          {record['error']}", flush=True)
+
+
 def run_suite(
     names: List[str],
     jobs: int = 1,
@@ -328,7 +294,12 @@ def run_suite(
         for name in ordered:
             if progress:
                 print(f"  [suite] {name} ...", flush=True)
-            results[name] = run_scenario(name)
+            results[name], printed = _run_captured(name)
+            if progress:
+                _print_status(results[name])
+                # the scenario's own table: with it, `suite --only fig05`
+                # shows everything the figure run has to show
+                print(printed, end="", flush=True)
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             pending = {pool.submit(run_scenario, name): name for name in ordered}
@@ -338,12 +309,7 @@ def run_suite(
                     name = pending.pop(future)
                     results[name] = future.result()
                     if progress:
-                        rec = results[name]
-                        status = "ok" if rec["ok"] else "FAIL"
-                        print(
-                            f"  [suite] {name}: {status} ({rec['wall_s']:.1f}s)",
-                            flush=True,
-                        )
+                        _print_status(results[name])
     suite_wall = time.perf_counter() - start
     per_scenario = [results[name] for name in names]
     # Sum of per-scenario walls.  On a machine with >= jobs cores this
@@ -359,7 +325,6 @@ def run_suite(
         "jobs": jobs,
         "cpu_count": os.cpu_count(),
         "suite_wall_s": round(suite_wall, 3),
-        "total_wall_s": round(serial_estimate, 3),
         "longest_scenario": (
             {"name": longest["name"], "wall_s": longest["wall_s"]} if longest else None
         ),
@@ -375,8 +340,8 @@ def run_suite(
 #: the per-scenario fields that are a pure function of the scenario:
 #: identical across ``--jobs`` and across the files that record it
 DETERMINISTIC_FIELDS = (
-    "name", "seed", "ok", "error", "metrics", "sim_time_s", "simulations",
-    "kernel_events",
+    "name", "seed", "ok", "error", "metrics", "claims", "sim_time_s",
+    "simulations", "kernel_events",
 )
 
 
@@ -392,31 +357,32 @@ def deterministic_view(report: dict) -> list:
 # Claims and re-runs of the committed reports (BENCH_suite.json,
 # BENCH_workload.json) — what the regression gate holds them to
 # ----------------------------------------------------------------------
-def scenario_records(report: dict) -> List[dict]:
-    """Per-scenario records of either committed layout (flat, or the
-    jobs_1/jobs_4 double run of BENCH_suite.json)."""
-    if "runs" in report:
-        return list(report["runs"].get("jobs_1", {}).get("scenarios", []))
-    return list(report.get("scenarios", []))
-
-
 def check_claims(report: dict) -> List[str]:
-    """The claims a committed suite report is held to."""
+    """The claims a committed suite report is held to: every scenario
+    ran, and its rows of the claims table hold over its committed
+    metrics — with the verdicts and margins the record itself states."""
     failures = []
-    scenarios = scenario_records(report)
+    scenarios = report.get("scenarios", [])
     if not scenarios:
         failures.append("no suite scenarios recorded")
     for record in scenarios:
-        if not record.get("ok", False):
-            failures.append(f"{record.get('name')}: not ok ({record.get('error')})")
-    if not report.get("results_identical_across_jobs", True):
-        failures.append("results differ between --jobs 1 and --jobs 4")
+        name = record.get("name")
+        verdicts = claims.evaluate(name, record.get("metrics", {}))
+        failed = claims.failures(verdicts)
+        failures.extend(f"{name}: {message}" for message in failed)
+        if not failed and not record.get("ok", False):
+            failures.append(f"{name}: not ok ({record.get('error')})")
+        if verdicts != record.get("claims"):
+            failures.append(
+                f"{name}: recorded claims are not what the claims table says "
+                "of the recorded metrics (regenerate the file)"
+            )
     return failures
 
 
 def records(report: dict) -> Dict[str, dict]:
     """Committed record per scenario (the gate's smoke re-run index)."""
-    return {record["name"]: record for record in scenario_records(report)}
+    return {record["name"]: record for record in report.get("scenarios", [])}
 
 
 def rerun(name: str) -> Optional[dict]:
@@ -470,7 +436,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--check", action="store_true",
-        help="fast smoke: run the 3 smoke scenarios serially AND with "
+        help="fast smoke: run the smoke scenarios serially AND with "
         "--jobs workers, verify the results are identical",
     )
     parser.add_argument("--json", default=None, help="write the report here")
@@ -534,8 +500,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         status = "ok " if record["ok"] else "FAIL"
         print(f"  {status} {record['name']:10s} {record['wall_s']:7.1f}s")
     if args.json:
-        Path(args.json).write_text(json.dumps(report, indent=2) + "\n")
-        print(f"wrote {args.json}")
+        harness.write_json(args.json, report)
     return 0 if report["ok"] else 1
 
 

@@ -3,8 +3,10 @@
 (a) the gate passes on the repo's committed BENCH_*.json files;
 (b) it fails with the *right* structured diff when wall-time,
     kernel-event and figure-metric fields are synthetically perturbed,
-    and with the owning bench's own message when a claim is broken;
-(c) per-metric tolerance overrides change the verdict.
+    and with the owning bench's own message when a claim is broken —
+    for the figure suite, every row of ``repro.bench.claims``;
+(c) per-metric tolerance overrides change the verdict;
+(d) the claim vocabulary: a margin's sign is the verdict.
 
 The comparison layer is exercised directly (no re-runs), so these run
 in tier-1 in milliseconds; one real smoke re-run (`suite:table1`, a
@@ -21,9 +23,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
-from repro.bench import harness
-from repro.bench.suite import records as suite_records, scenario_records
+from repro.bench import claims, harness
+from repro.bench.suite import records as suite_records
 from repro.bench.gate import (
     WALL_RATIO,
     compare,
@@ -157,52 +160,101 @@ def _assert_gate_repeats_the_bench(committed, fname, mutate, fragment):
     mutate(files[fname])
     expected = harness.owner(fname).check_claims(files[fname])
     assert any(fragment in message for message in expected), expected
-    assert [(d.file, d.kind, d.message) for d in structure_checks(files)] == [
-        (fname, "structure", message) for message in expected
-    ]
+    assert [
+        (d.kind, d.message) for d in structure_checks(files) if d.file == fname
+    ] == [("structure", message) for message in expected]
 
 
 def _first(points, **match):
     return next(p for p in points if all(p[k] == v for k, v in match.items()))
 
 
-#: one broken claim per committed file
-ONE_BROKEN_CLAIM = {
-    "BENCH_kernel.json": (
+def _pushes(predicate, metrics):
+    """Single-operand edits of ``metrics`` that push ``predicate`` just
+    past its threshold."""
+    if isinstance(predicate, claims.Both):
+        for part in predicate.parts:
+            yield from _pushes(part, metrics)
+    elif isinstance(predicate, claims.Is):
+        expected = predicate.expected
+        if isinstance(expected, bool):
+            yield {predicate.a: not expected}
+        else:
+            yield {predicate.a: expected + ("?" if isinstance(expected, str) else 1)}
+    else:
+        # `a > k·b` breaks with a just under k·b, or b just over a/k
+        sign = 1 if predicate.op[0] == ">" else -1
+        b = metrics[predicate.b] if isinstance(predicate.b, str) else predicate.b
+        threshold = predicate.k * b
+        yield {predicate.a: threshold - sign * 1e-9 * (abs(threshold) or 1.0)}
+        if isinstance(predicate.b, str):
+            pivot = metrics[predicate.a] / predicate.k
+            yield {predicate.b: pivot + sign * 1e-9 * (abs(pivot) or 1.0)}
+
+
+#: rows no single operand flips alone at the committed values: the push
+#: that breaks them takes a tighter row on the same operand down too
+#: (Pravega at 2x the LTS rate is also far below 0.95x Kafka; zero base
+#: crashes is also fewer than the favorable configuration's one)
+DOMINATED = {"fig07b.parallel_flushes_lift_cap", "fig10b.base_pulsar_unstable"}
+
+
+def _push_past_threshold(row):
+    """Mutation of a suite report: one operand of ``row`` goes just past
+    its threshold, and exactly that row flips."""
+    def mutate(report):
+        metrics = suite_records(report)[row.scenario]["metrics"]
+        pushes = [
+            (edit, [v["id"] for v in claims.evaluate(row.scenario, {**metrics, **edit})
+                    if not v["ok"]])
+            for edit in _pushes(row.predicate, metrics)
+        ]
+        alone = [edit for edit, flipped in pushes if flipped == [row.id]]
+        assert bool(alone) != (row.id in DOMINATED), (row.id, pushes)
+        metrics.update(alone[0] if alone else next(e for e, f in pushes if row.id in f))
+
+    return mutate
+
+
+#: (file, mutation, fragment of the owning bench's message): one broken
+#: claim per committed file, then every row of the figure-claims table
+BROKEN_CLAIMS = [
+    pytest.param(fname, mutate, fragment, id=fname)
+    for fname, mutate, fragment in (
         # a before/after wall pair is only a pair at identical event counts
-        lambda r: r["baseline"]["scenarios"]["ping_pong_sliced"].update(events=1),
-        "baseline.ping_pong_sliced",
-    ),
-    "BENCH_scale.json": (lambda r: r["scenarios"].clear(), "no scale scenarios"),
-    "BENCH_suite.json": (
-        lambda r: scenario_records(r)[0].update(ok=False), "not ok",
-    ),
-    "BENCH_workload.json": (
-        lambda r: r.update(scenarios=[]), "no suite scenarios",
-    ),
-    "BENCH_capacity.json": (
-        lambda r: r["points"][0].update(confirmed=False), "not discrete-confirmed",
-    ),
-    "BENCH_geo.json": (
+        ("BENCH_kernel.json",
+         lambda r: r["baseline"]["scenarios"]["ping_pong_sliced"].update(events=1),
+         "baseline.ping_pong_sliced"),
+        ("BENCH_scale.json", lambda r: r["scenarios"].clear(), "no scale scenarios"),
+        # a scenario that died before it had metrics to evaluate
+        ("BENCH_suite.json",
+         lambda r: r["scenarios"][0].update(ok=False, error="KeyError: 'x'"),
+         "not ok (KeyError: 'x')"),
+        ("BENCH_workload.json", lambda r: r.update(scenarios=[]), "no suite scenarios"),
+        ("BENCH_capacity.json",
+         lambda r: r["points"][0].update(confirmed=False), "not discrete-confirmed"),
         # a lost acked write in global-strong mode
-        lambda r: _first(r["points"], mode="global_strong").update(rpo_bytes=120),
-        "nonzero RPO",
-    ),
-    "BENCH_read.json": (
+        ("BENCH_geo.json",
+         lambda r: _first(r["points"], mode="global_strong").update(rpo_bytes=120),
+         "nonzero RPO"),
         # coalescing must not change the bytes readers observe
-        lambda r: r["replay"]["on"].update(delivered_bytes=1),
-        "changed delivered bytes",
-    ),
-}
+        ("BENCH_read.json",
+         lambda r: r["replay"]["on"].update(delivered_bytes=1),
+         "changed delivered bytes"),
+    )
+] + [
+    pytest.param("BENCH_suite.json", _push_past_threshold(row), row.statement, id=row.id)
+    for row in claims.CLAIMS
+]
 
 
 def test_every_committed_file_has_a_perturbation(committed):
-    assert set(ONE_BROKEN_CLAIM) == set(committed)
+    assert {param.values[0] for param in BROKEN_CLAIMS} == set(committed)
 
 
-@pytest.mark.parametrize("fname", sorted(ONE_BROKEN_CLAIM))
-def test_gate_reports_the_owning_benchs_message(committed, fname):
-    _assert_gate_repeats_the_bench(committed, fname, *ONE_BROKEN_CLAIM[fname])
+@pytest.mark.parametrize("fname, mutate, fragment", BROKEN_CLAIMS)
+def test_gate_reports_the_owning_benchs_message(committed, fname, mutate, fragment):
+    _assert_gate_repeats_the_bench(committed, fname, mutate, fragment)
 
 
 def test_structure_check_rejects_thin_or_unconfirmed_capacity(committed):
@@ -214,10 +266,23 @@ def test_structure_check_rejects_thin_or_unconfirmed_capacity(committed):
 
 
 def test_structure_check_rejects_failed_suite_scenario(committed):
-    _assert_gate_repeats_the_bench(
-        committed, "BENCH_suite.json",
-        lambda r: r.update(results_identical_across_jobs=False), "results differ",
-    )
+    def stale_verdicts(report):  # the table moved on, the file did not
+        report["scenarios"][0]["claims"][0]["margin"] += 0.25
+
+    for mutate, fragment in (
+        # a claim row that failed when the scenario ran is still failed
+        # when the gate re-evaluates the committed metrics
+        (lambda r: suite_records(r)["fig12"]["metrics"].update(pravega_caught_up=False),
+         "claim failed: fig12.pravega_catches_up: Pravega catches up"),
+        (stale_verdicts, "recorded claims are not what the claims table says"),
+    ):
+        _assert_gate_repeats_the_bench(committed, "BENCH_suite.json", mutate, fragment)
+    # a metric a row reads has gone missing: a malformed report, not a crash
+    files = copy.deepcopy(committed)
+    del suite_records(files["BENCH_suite.json"])["fig05a"]["metrics"]["kafka_flush_max_eps"]
+    assert [d.message for d in structure_checks(files)] == [
+        "malformed report: KeyError: 'kafka_flush_max_eps'"
+    ]
 
 
 def test_structure_check_rejects_bad_geo_points(committed):
@@ -411,3 +476,36 @@ def test_first_matching_override_wins():
 
 def test_nan_metrics_compare_equal():
     assert compare("f", "s", {"m": float("nan")}, {"m": float("nan")}) == []
+
+
+# ----------------------------------------------------------------------
+# (d) the claim vocabulary: the margin's sign is the verdict, and the
+# margin moves with the operand
+# ----------------------------------------------------------------------
+_MAGNITUDE = st.floats(min_value=1e-3, max_value=1e9)
+
+
+@given(
+    op=st.sampled_from([">", ">=", "<", "<="]),
+    a=_MAGNITUDE, b=_MAGNITUDE, k=st.floats(min_value=0.05, max_value=20.0),
+    step=_MAGNITUDE, b_is_metric=st.booleans(),
+)
+def test_margin_sign_is_the_verdict_and_margin_is_monotone(op, a, b, k, step, b_is_metric):
+    predicate = claims.Compare("a", op, "b" if b_is_metric else b, k)
+    ok, margin = predicate({"a": a, "b": b})
+    # ok <=> margin >= 0; on the threshold itself strictness decides
+    assert ok == (margin > 0 or (margin == 0 and op in (">=", "<=")))
+    assert (margin == 0) == (a == k * b)
+    _, moved = predicate({"a": a + step, "b": b})
+    assert moved >= margin if op[0] == ">" else moved <= margin
+    # `both` is as strong as its weakest part; an equality is all or nothing
+    held = claims.equal("a", a)
+    assert held({"a": a}) == (True, 1.0) and held({"a": a + step}) == (False, 0.0)
+    assert claims.both(predicate, held)({"a": a, "b": b}) == (ok, min(margin, 1.0))
+
+
+def test_margin_is_absolute_against_a_zero_threshold():
+    assert claims.gt("a", 0)({"a": 2.5}) == (True, 2.5)
+    assert claims.gt("a", 0)({"a": 0}) == (False, 0)
+    assert claims.ge("a", 0)({"a": 0}) == (True, 0)
+    assert claims.between("a", 1.0, 3.0)({"a": 2.5}) == (True, (3.0 - 2.5) / 3.0)

@@ -217,3 +217,52 @@ def test_every_committed_bench_file_has_one_owner_and_one_make_rule():
         bench = harness.load(module)
         for attr in ("SCENARIOS", "REPEATS", "describe", "build_report", "check_claims"):
             assert hasattr(bench, attr), f"{module}.{attr}"
+
+
+# ----------------------------------------------------------------------
+# Figure claims as data: the scripts measure, one table claims
+# ----------------------------------------------------------------------
+def _figure_scenarios():
+    from repro.bench.suite import SCENARIOS
+
+    return {name: s for name, s in SCENARIOS.items() if not s.smoke}
+
+
+def test_figure_scripts_state_no_claims_and_take_no_fixture():
+    modules = {s.module for s in _figure_scenarios().values()} | {"common"}
+    for module in sorted(modules):
+        script = REPO / "benchmarks" / f"{module}.py"
+        tree = ast.parse(script.read_text(), filename=str(script))
+        for node in ast.walk(tree):
+            assert not isinstance(node, ast.Assert), f"{script.name}:{node.lineno}: assert"
+            if isinstance(node, ast.FunctionDef):
+                params = [a.arg for a in node.args.args + node.args.kwonlyargs]
+                assert "benchmark" not in params, f"{script.name}: {node.name}(benchmark)"
+        assert "paper_claim" not in script.read_text(), script.name
+
+
+def test_every_figure_scenario_is_claimed_over_recorded_metrics():
+    import json
+
+    from repro.bench.claims import CLAIMS
+
+    scenarios = _figure_scenarios()
+    ids = [row.id for row in CLAIMS]
+    assert len(ids) == len(set(ids)), "duplicate claim ids"
+    assert {row.scenario for row in CLAIMS} == set(scenarios), (
+        "every figure scenario carries at least one row, every row a scenario"
+    )
+    # an operand that is not in the committed record is a claim the
+    # committed artefact cannot answer for
+    committed = {
+        record["name"]: record
+        for record in json.loads((REPO / "BENCH_suite.json").read_text())["scenarios"]
+    }
+    assert set(committed) == set(scenarios)
+    for row in CLAIMS:
+        record = committed[row.scenario]
+        try:
+            row.predicate(record["metrics"])
+        except KeyError as exc:
+            raise AssertionError(f"{row.id} reads the unrecorded metric {exc}") from None
+        assert row.id in [v["id"] for v in record["claims"]]

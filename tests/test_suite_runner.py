@@ -7,10 +7,13 @@ scenarios through the real ``ProcessPoolExecutor`` path and compare
 against a serial run of the same scenarios.
 """
 
+import inspect
 import json
+from pathlib import Path
 
 import pytest
 
+from repro.bench import claims, harness, suite
 from repro.bench.suite import (
     SCENARIOS,
     deterministic_view,
@@ -19,22 +22,21 @@ from repro.bench.suite import (
 )
 
 SMOKE = sorted(name for name, s in SCENARIOS.items() if s.smoke)
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 
 
 def test_registry_covers_all_figure_benchmarks():
+    # every bench script the report driver does not own is a figure
+    # script, and the suite is the one way to run it
     figures = {s.module for s in SCENARIOS.values() if not s.smoke}
-    assert {
-        "bench_fig05_durability",
-        "bench_fig06_batching",
-        "bench_fig07_large_events",
-        "bench_fig08_tail_reads",
-        "bench_fig09_routing_keys",
-        "bench_fig10_parallelism",
-        "bench_fig11_max_throughput",
-        "bench_fig12_historical",
-        "bench_fig13_autoscaling",
-        "bench_table1_config",
-    } <= figures
+    on_disk = {path.stem for path in BENCHMARKS.glob("bench_*.py")}
+    assert figures == on_disk - set(harness.RUNNABLE.values())
+    # a scenario is the plain function of its own name: no fixture, no
+    # parameter, a metrics dict back
+    for scenario in SCENARIOS.values():
+        if not scenario.smoke:
+            fn = getattr(harness.load(scenario.module), scenario.name)
+            assert not inspect.signature(fn).parameters, scenario.name
 
 
 def test_smoke_scenarios_run_and_report(capsys):
@@ -71,12 +73,61 @@ def test_suite_report_shape():
     assert report["serial_wall_estimate_s"] > 0
     # capacity-planning fields: the per-scenario wall sum and the
     # critical-path scenario a jobs-run can never beat
-    assert report["total_wall_s"] == report["serial_wall_estimate_s"]
     longest = report["longest_scenario"]
     assert longest["name"] == "smoke_pravega"
-    assert 0 < longest["wall_s"] <= report["total_wall_s"]
-    assert len(report["scenarios"]) == 1
+    assert 0 < longest["wall_s"] <= report["serial_wall_estimate_s"]
+    # one flat run: what `make suite` writes is what is committed
+    assert set(report) == {
+        "jobs", "cpu_count", "suite_wall_s", "serial_wall_estimate_s",
+        "longest_scenario", "parallel_speedup_vs_serial_estimate", "ok",
+        "scenarios",
+    }
+    (record,) = report["scenarios"]
+    assert set(record) == {
+        "name", "seed", "ok", "error", "metrics", "claims", "wall_s",
+        "sim_time_s", "simulations", "kernel_events", "events_per_second",
+    }
     json.dumps(report)
+
+
+def test_a_scenario_is_held_to_its_claim_rows(monkeypatch):
+    rows = (
+        claims.Claim("smoke_pravega.writes", "events are acknowledged",
+                     claims.gt("produce_rate", 0)),
+        claims.Claim("smoke_pravega.impossible", "the write p50 is under a nanosecond",
+                     claims.lt("write_p50_us", 1e-3), assumes="nothing"),
+    )
+    monkeypatch.setattr(claims, "CLAIMS", rows)
+    record = run_scenario("smoke_pravega")
+    assert [(v["id"], v["ok"]) for v in record["claims"]] == [
+        ("smoke_pravega.writes", True), ("smoke_pravega.impossible", False),
+    ]
+    assert record["claims"][0]["margin"] == record["metrics"]["produce_rate"]
+    assert not record["ok"]
+    margin = record["claims"][1]["margin"]
+    assert margin < 0
+    assert record["error"] == (
+        "claim failed: smoke_pravega.impossible: the write p50 is under a "
+        f"nanosecond (margin {margin:.3g}; assumes nothing)"
+    )
+    # the gate's half: the same rows over the recorded metrics, the same words
+    assert suite.check_claims({"scenarios": [record]}) == [
+        f"smoke_pravega: {record['error']}"
+    ]
+    # a row the record does not carry: the file predates the table
+    monkeypatch.setattr(claims, "CLAIMS", rows[:1])
+    not_ok, stale = suite.check_claims({"scenarios": [record]})
+    assert not_ok == f"smoke_pravega: not ok ({record['error']})"
+    assert "recorded claims are not what the claims table says" in stale
+
+
+def test_serial_runner_prints_the_scenario_table_after_its_status(capsys):
+    report = run_suite(["table1"], jobs=1)
+    out = capsys.readouterr().out
+    assert report["ok"], report
+    status = out.index("[suite] table1: ok")
+    assert status < out.index("Table 1 (simulated deployment")
+    assert "Client batching" in out
 
 
 def test_longest_scenario_tracks_the_critical_path():
@@ -85,7 +136,7 @@ def test_longest_scenario_tracks_the_critical_path():
     longest = report["longest_scenario"]
     assert longest["wall_s"] == max(walls.values())
     assert walls[longest["name"]] == longest["wall_s"]
-    assert report["total_wall_s"] == pytest.approx(sum(walls.values()))
+    assert report["serial_wall_estimate_s"] == pytest.approx(sum(walls.values()))
 
 
 def test_unknown_scenario_is_rejected():
