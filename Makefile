@@ -15,9 +15,12 @@ MARKERS := trace workload fluid capacity gate geo read
 test:
 	$(PYTHON) -m pytest -x -q
 
-## the one-command pre-merge check: tier-1 tests, then the benchmark
-## regression gate's smoke subset (reads the committed files, writes none)
+## the one-command pre-merge check: tier-1 tests, the benchmark
+## regression gate's smoke subset (reads the committed files, writes
+## none), then the yardstick's event-neutrality check (every simulated
+## statistic of its four workloads at smoke size vs reference.json)
 check: test gate
+	$(PYTHON) benchmarks/layered/run.py --check --smoke
 
 ## full run of one report bench; writes BENCH_<name>.json
 ## (override: ONLY=pravega/mixed REPEATS=5 — a scenario subset, timed repeats)

@@ -52,22 +52,20 @@ def workload_diurnal() -> dict:
     adapter = PravegaAdapter(sim)
     tenant = TenantSpec(
         "diurnal",
-        arrival=DIURNAL,
-        event_size=EVENT_SIZE,
-        partitions=1,
-        key_mode="none",  # spread over whatever segments exist right now
+        WorkloadSpec(
+            event_size=EVENT_SIZE,
+            partitions=1,
+            key_mode="none",  # spread over whatever segments exist right now
+            duration=DIURNAL_DURATION,
+            warmup=DIURNAL_WARMUP,
+            tick=0.01,
+            arrival=DIURNAL,
+            seed=101,
+        ),
         slo=SloSpec(p99_latency=0.100),
         scaling=ScalingPolicy.by_event_rate(SEGMENT_TARGET_EPS, min_segments=1),
-        seed=101,
     )
-    run = run_tenants(
-        sim,
-        adapter,
-        [tenant],
-        duration=DIURNAL_DURATION,
-        warmup=DIURNAL_WARMUP,
-        tick=0.01,
-    )
+    run = run_tenants(sim, adapter, [tenant])
     controller = adapter.cluster.controller
     correlation = correlate_scale_events(
         controller.scale_events,
@@ -111,17 +109,20 @@ def _flash_pravega():
     adapter = PravegaAdapter(sim)
     tenant = TenantSpec(
         "flash",
-        arrival=FLASH,
-        event_size=EVENT_SIZE,
-        partitions=1,
-        key_mode="none",
+        WorkloadSpec(
+            event_size=EVENT_SIZE,
+            partitions=1,
+            key_mode="none",
+            duration=FLASH_DURATION,
+            warmup=FLASH_WARMUP,
+            tick=0.01,
+            arrival=FLASH,
+            seed=202,
+        ),
         slo=FLASH_SLO,
         scaling=ScalingPolicy.by_event_rate(SEGMENT_TARGET_EPS, min_segments=1),
-        seed=202,
     )
-    run = run_tenants(
-        sim, adapter, [tenant], duration=FLASH_DURATION, warmup=FLASH_WARMUP, tick=0.01
-    )
+    run = run_tenants(sim, adapter, [tenant])
     correlation = correlate_scale_events(
         adapter.cluster.controller.scale_events,
         FLASH,
@@ -177,35 +178,45 @@ def workload_flash() -> dict:
 def workload_slo() -> dict:
     sim = Simulator()
     adapter = PravegaAdapter(sim)
+    window = dict(duration=15.0, warmup=1.0)
     tenants = [
         TenantSpec(
             "steady",
-            arrival=Constant(3000.0),
-            event_size=100,
-            partitions=2,
-            consumers=1,
+            WorkloadSpec(
+                event_size=100,
+                partitions=2,
+                consumers=1,
+                arrival=Constant(3000.0),
+                seed=31,
+                **window,
+            ),
             slo=SloSpec(p99_latency=0.050),
-            seed=31,
         ),
         TenantSpec(
             "bursty",
-            arrival=MMPP(rates_eps=(1000.0, 6000.0), mean_dwell=(6.0, 2.0)),
-            event_size=100,
-            partitions=2,
+            WorkloadSpec(
+                event_size=100,
+                partitions=2,
+                arrival=MMPP(rates_eps=(1000.0, 6000.0), mean_dwell=(6.0, 2.0)),
+                seed=32,
+                **window,
+            ),
             slo=SloSpec(p99_latency=0.100),
-            seed=32,
         ),
         TenantSpec(
             "web",
-            arrival=Poisson(2000.0),
-            event_size=400,
-            partitions=4,
-            key_skew=ZipfSkew(s=1.0),
+            WorkloadSpec(
+                event_size=400,
+                partitions=4,
+                arrival=Poisson(2000.0),
+                key_skew=ZipfSkew(s=1.0),
+                seed=33,
+                **window,
+            ),
             slo=SloSpec(p99_latency=0.100),
-            seed=33,
         ),
     ]
-    run = run_tenants(sim, adapter, tenants, duration=15.0, warmup=1.0)
+    run = run_tenants(sim, adapter, tenants)
     info = {}
     for name, report in run.slo.items():
         info[f"{name}.availability"] = report["availability"]

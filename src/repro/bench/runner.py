@@ -18,7 +18,7 @@ Two load-generation extensions plug in via :class:`WorkloadSpec`:
   spread over the key table (Zipf, hot-key churn, ...).
 
 The driver itself is factored as :class:`WorkloadEngine` (spawn the
-producer/consumer/probe processes; finalize the measurements) so that
+producer/consumer processes; finalize the measurements) so that
 multi-tenant runs (repro.workload.tenants) can multiplex several engines
 through one simulation and one cluster.  :func:`run_workload` remains
 the single-workload entry point with unchanged behaviour.
@@ -26,16 +26,15 @@ the single-workload entry point with unchanged behaviour.
 
 from __future__ import annotations
 
-import os
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.common.errors import ReproError
 from repro.common.metrics import TimeSeries
 from repro.sim.core import Interrupt, SimFuture, SimulationError, Simulator, all_of
-from repro.sim.fluid import FluidController, FluidSpec
+from repro.sim.fluid import FluidController
 from repro.bench.results import BenchResult
 
 __all__ = ["WorkloadSpec", "WorkloadEngine", "run_workload"]
@@ -72,11 +71,6 @@ class WorkloadSpec:
     #: on (None: 2x the *peak* rate + 10k — bursty arrivals legitimately
     #: exceed 2x the mean, so the cap scales with the pattern's peak)
     backlog_cap: Optional[float] = None
-    #: cap on total simulated load+flush time; None uses the default
-    #: ``warmup + duration * 20 + 600``.  Hitting the cap no longer
-    #: aborts the run: the result is finalized (the measurement window is
-    #: long past) with ``extra["load_timed_out"] = 1.0``.
-    load_timeout: Optional[float] = None
     #: how long after the window closes an ack of an in-window send still
     #: counts.  Representative-slice runs (adapters' ``slice_factor=k``)
     #: should grow this with k: the slice transform preserves *throughput*
@@ -88,10 +82,10 @@ class WorkloadSpec:
     ack_grace: float = 0.25
     #: seeds the arrival samplers and skew routers
     seed: int = 0
-    #: hybrid fluid/discrete mode (repro.sim.fluid.FluidSpec); None keeps
-    #: the run fully discrete unless the ``REPRO_FLUID`` env toggle is
-    #: set.  Strictly an approximation: steady-state stretches are
-    #: integrated analytically, transitions stay exact.
+    #: hybrid fluid/discrete mode (repro.sim.fluid.FluidSpec) — the one
+    #: fluid switch; None keeps the run fully discrete.  Strictly an
+    #: approximation: steady-state stretches are integrated analytically,
+    #: transitions stay exact.
     fluid: Optional[object] = None
 
     def __post_init__(self) -> None:
@@ -124,8 +118,9 @@ class WorkloadSpec:
 
     @property
     def effective_load_timeout(self) -> float:
-        if self.load_timeout is not None:
-            return self.load_timeout
+        """Cap on total simulated load+flush time.  Hitting it does not
+        abort the run: the result is finalized (the measurement window is
+        long past) with ``extra["load_timed_out"] = 1.0``."""
         return self.warmup + self.duration * 20 + 600
 
 
@@ -163,8 +158,6 @@ class WorkloadEngine:
         sim: Simulator,
         client,
         spec: WorkloadSpec,
-        probe: Optional[Callable[[float, BenchResult], None]] = None,
-        probe_interval: float = 1.0,
         observer=None,
         label: Optional[str] = None,
         series_interval: Optional[float] = None,
@@ -173,8 +166,6 @@ class WorkloadEngine:
         self.sim = sim
         self.client = client
         self.spec = spec
-        self.probe = probe
-        self.probe_interval = probe_interval
         self.observer = observer
         self.series_interval = series_interval
         self.fault_engine = fault_engine
@@ -190,10 +181,6 @@ class WorkloadEngine:
         self.window_end = 0.0
         self.epoch = 0.0
         self.load_end = 0.0
-        fluid_spec = spec.fluid
-        if fluid_spec is None and os.environ.get("REPRO_FLUID", "") not in ("", "0"):
-            fluid_spec = FluidSpec()
-        self._fluid_spec = fluid_spec
         #: the hybrid-mode controller (None when fully discrete)
         self.fluid: Optional[FluidController] = None
 
@@ -204,9 +191,6 @@ class WorkloadEngine:
         result = self.result
         counters = self.counters
         observer = self.observer
-        # Optional read-SLI hook: trackers without one (or plain observers)
-        # cost a single None check per delivery on the consumer hot path.
-        on_delivery = getattr(observer, "on_delivery", None)
 
         if hasattr(self.client, "total_consumers"):
             self.client.total_consumers = max(spec.consumers, 1)
@@ -216,9 +200,9 @@ class WorkloadEngine:
         window_end = self.window_end = sim.now + spec.warmup + spec.duration
         load_end = self.load_end = window_end
         ack_grace = spec.ack_grace
-        if self._fluid_spec is not None:
+        if spec.fluid is not None:
             self.fluid = FluidController(
-                sim, self, self._fluid_spec, fault_engine=self.fault_engine
+                sim, self, spec.fluid, fault_engine=self.fault_engine
             )
         fluid_ctl = self.fluid
         if spec.arrival is not None:
@@ -367,27 +351,16 @@ class WorkloadEngine:
                     group_count, send_time = queue[0]
                     take = min(group_count, remaining)
                     remaining -= take
+                    result.e2e_latency.record(now - send_time)
                     if group_count <= take:
                         queue.popleft()
-                        result.e2e_latency.record(now - send_time)
-                        if on_delivery is not None:
-                            on_delivery(send_time, take, now - send_time)
                     else:
                         queue[0] = (group_count - take, send_time)
-                        result.e2e_latency.record(now - send_time)
-                        if on_delivery is not None:
-                            on_delivery(send_time, take, now - send_time)
                         break
 
         # --------------------------------------------------------------
-        # Probes
+        # Series
         # --------------------------------------------------------------
-        def probe_process():
-            while sim.now < window_end:
-                yield self.probe_interval
-                if self.probe is not None:
-                    self.probe(sim.now, result)
-
         def series_process():
             offered = result.series["offered_eps"] = TimeSeries("offered_eps")
             acked = result.series["acked_eps"] = TimeSeries("acked_eps")
@@ -405,8 +378,6 @@ class WorkloadEngine:
             sim.process(producer_process(i))
         for i in range(spec.consumers):
             self._consumer_procs.append(sim.process(consumer_process(i)))
-        if self.probe is not None:
-            sim.process(probe_process())
         if self.series_interval is not None:
             sim.process(series_process())
         if fluid_ctl is not None:
@@ -483,8 +454,6 @@ def run_workload(
     sim: Simulator,
     adapter,
     spec: WorkloadSpec,
-    probe: Optional[Callable[[float, BenchResult], None]] = None,
-    probe_interval: float = 1.0,
     fault_engine=None,
     tracer=None,
     series_interval: Optional[float] = None,
@@ -510,8 +479,7 @@ def run_workload(
     if fault_engine is not None:
         fault_engine.start()
     engine = WorkloadEngine(
-        sim, adapter, spec, probe=probe, probe_interval=probe_interval,
-        series_interval=series_interval, fault_engine=fault_engine,
+        sim, adapter, spec, series_interval=series_interval, fault_engine=fault_engine
     )
     engine.start()
     _drive(sim, [engine])

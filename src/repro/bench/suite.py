@@ -141,16 +141,20 @@ def _smoke_workload() -> dict:
     """Two tenants (Poisson + constant) multiplexed through one Pravega
     cluster with SLO evaluation — the repro.workload path end to end."""
     from repro.bench.adapters import PravegaAdapter
+    from repro.bench.runner import WorkloadSpec
     from repro.sim import Simulator
     from repro.workload import Constant, Poisson, TenantSpec, run_tenants
 
     sim = Simulator()
     adapter = PravegaAdapter(sim, journal_sync=True)
+    window = dict(duration=1.0, warmup=0.25)
     tenants = [
-        TenantSpec("alpha", arrival=Poisson(3_000.0), partitions=2, consumers=1, seed=11),
-        TenantSpec("beta", arrival=Constant(2_000.0), partitions=1, seed=12),
+        TenantSpec("alpha", WorkloadSpec(
+            arrival=Poisson(3_000.0), partitions=2, consumers=1, seed=11, **window
+        )),
+        TenantSpec("beta", WorkloadSpec(arrival=Constant(2_000.0), seed=12, **window)),
     ]
-    run = run_tenants(sim, adapter, tenants, duration=1.0, warmup=0.25)
+    run = run_tenants(sim, adapter, tenants)
     info: dict = {}
     for name, result in run.results.items():
         info[f"{name}.produce_rate"] = result.produce_rate
@@ -441,17 +445,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument("--json", default=None, help="write the report here")
     parser.add_argument(
-        "--fluid", action="store_true",
-        help="opt every workload into hybrid fluid/discrete mode (sets "
-        "REPRO_FLUID for this process and its workers); scenarios the "
-        "fluid model cannot carry fall back to discrete automatically",
-    )
-    parser.add_argument(
         "--list", action="store_true", help="list scenarios and exit"
     )
     args = parser.parse_args(argv)
-    if args.fluid:
-        os.environ["REPRO_FLUID"] = "1"
 
     if args.list:
         for name, scenario in SCENARIOS.items():

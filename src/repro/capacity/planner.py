@@ -66,13 +66,12 @@ SYSTEMS: Dict[str, Tuple[Callable[[Simulator], object], str]] = {
 @dataclass(frozen=True)
 class MixTenant:
     """One component of a tenant mix; ``weight`` is its share of the
-    probed aggregate rate."""
+    probed aggregate rate, offered by one producer."""
 
     name: str
     weight: float
     event_size: int = 100
     partitions: int = 1
-    producers: int = 1
     #: "constant" or "poisson" — capacity probes need steady arrivals
     #: (a shaped pattern would own the rate the search is probing)
     arrival: str = "constant"
@@ -80,20 +79,23 @@ class MixTenant:
     zipf: Optional[float] = None
     slo: SloSpec = field(default_factory=SloSpec)
 
-    def tenant_spec(self, rate: float, seed: int) -> TenantSpec:
+    def tenant_spec(
+        self, rate: float, seed: int, duration: float, warmup: float
+    ) -> TenantSpec:
         share = rate * self.weight
-        return TenantSpec(
-            name=self.name,
-            arrival=Poisson(share) if self.arrival == "poisson" else None,
-            target_rate=share,
+        workload = WorkloadSpec(
             event_size=self.event_size,
+            target_rate=share,
             partitions=self.partitions,
-            producers=self.producers,
+            producers=1,
             consumers=0,
+            duration=duration,
+            warmup=warmup,
+            arrival=Poisson(share) if self.arrival == "poisson" else None,
             key_skew=ZipfSkew(s=self.zipf) if self.zipf is not None else None,
-            slo=self.slo,
             seed=seed,
         )
+        return TenantSpec(self.name, workload, slo=self.slo)
 
 
 @dataclass(frozen=True)
@@ -108,9 +110,11 @@ class TenantMix:
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"mix {self.name!r} weights sum to {total}, not 1")
 
-    def tenant_specs(self, rate: float, seed: int) -> List[TenantSpec]:
+    def tenant_specs(
+        self, rate: float, seed: int, duration: float, warmup: float
+    ) -> List[TenantSpec]:
         return [
-            t.tenant_spec(rate, seed * 1000 + i)
+            t.tenant_spec(rate, seed * 1000 + i, duration, warmup)
             for i, t in enumerate(self.tenants)
         ]
 
@@ -125,7 +129,7 @@ class TenantMix:
 
     @property
     def total_producers(self) -> int:
-        return sum(t.producers for t in self.tenants)
+        return len(self.tenants)
 
     @property
     def strictest_p99(self) -> float:
@@ -175,6 +179,10 @@ MIXES: Dict[str, TenantMix] = {
 # ----------------------------------------------------------------------
 # Planner
 # ----------------------------------------------------------------------
+#: geometric step of the bracketing ramp
+BRACKET_GROWTH = 2.0
+
+
 @dataclass(frozen=True)
 class PlannerConfig:
     """Search budget and probe shape for one capacity point."""
@@ -190,11 +198,8 @@ class PlannerConfig:
     start: float = 250_000.0
     floor: float = 1_000.0
     cap: float = 16_000_000.0
-    growth: float = 2.0
     rel_tol: float = 0.05
     max_probes: int = 48
-    #: fluid-accelerate the coarse bracket (False = all-discrete search)
-    fluid_bracket: bool = True
     seed: int = 0
 
 
@@ -273,7 +278,7 @@ class CapacityPlanner:
             duration=cfg.fluid_duration,
             warmup=cfg.fluid_warmup,
             seed=cfg.seed,
-            fluid=FluidSpec.probe() if cfg.fluid_bracket else None,
+            fluid=FluidSpec.probe(),
         )
         result = run_workload(sim, adapter, spec)
         wall = time.perf_counter() - start
@@ -311,11 +316,8 @@ class CapacityPlanner:
         start = time.perf_counter()
         sim = Simulator()
         adapter = self.make_adapter(sim)
-        tenants = self.mix.tenant_specs(rate, cfg.seed + 7)
-        result = run_tenants(
-            sim, adapter, tenants,
-            duration=cfg.duration, warmup=cfg.warmup, series_interval=None,
-        )
+        tenants = self.mix.tenant_specs(rate, cfg.seed + 7, cfg.duration, cfg.warmup)
+        result = run_tenants(sim, adapter, tenants, series_interval=None)
         wall = time.perf_counter() - start
         self.wall["discrete"] += wall
         verdict = sustainable_verdict(result, tenants)
@@ -339,11 +341,11 @@ class CapacityPlanner:
         cfg = self.config
         start = time.perf_counter()
         search = find_sustainable_rate(
-            self.fluid_probe if cfg.fluid_bracket else self.discrete_probe,
+            self.fluid_probe,
             start=cfg.start,
             floor=cfg.floor,
             cap=cfg.cap,
-            growth=cfg.growth,
+            growth=BRACKET_GROWTH,
             rel_tol=cfg.rel_tol,
             confirm=self.discrete_probe,
             max_probes=cfg.max_probes,

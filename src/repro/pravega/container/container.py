@@ -957,6 +957,7 @@ class SegmentContainer:
                     continue
                 self.sim.process(self._prefetch(index, chunk))
         target = chunks[0]
+        shared = key = None
         if coalesce:
             key = (segment, target.chunk_name)
             shared = self._inflight_fetches.get(key)
@@ -969,43 +970,25 @@ class SegmentContainer:
                 yield shared
                 return
             shared = self._inflight_fetches[key] = self.sim.future()
-            try:
-                if self.faults is not None:
-                    extra = self.faults.lts_op(f"container-{self.container_id}")
-                    if extra:
-                        yield self.sim.timeout(extra)
-                self._read_lts_ops.add()
-                payload = yield self.storage_writer.lts.read_chunk(target.chunk_name)
-                self.cache_manager.advance_generation()
-                try:
-                    index.insert_fetched(target.start_offset, payload)
-                except CacheFullError:
-                    self.cache_manager.make_room()
-                    index.insert_fetched(target.start_offset, payload)
-            except BaseException as exc:
-                # Every coalesced waiter sees the leader's failure.
-                if not shared.done:
-                    shared.set_exception(exc)
-                raise
-            else:
-                if not shared.done:
-                    shared.set_result(None)
-            finally:
-                if self._inflight_fetches.get(key) is shared:
-                    del self._inflight_fetches[key]
-            return
-        if self.faults is not None:
-            extra = self.faults.lts_op(f"container-{self.container_id}")
-            if extra:
-                yield self.sim.timeout(extra)
-        self._read_lts_ops.add()
-        payload = yield self.storage_writer.lts.read_chunk(target.chunk_name)
-        self.cache_manager.advance_generation()
         try:
-            index.insert_fetched(target.start_offset, payload)
-        except CacheFullError:
-            self.cache_manager.make_room()
-            index.insert_fetched(target.start_offset, payload)
+            payload = yield from self._read_lts_chunk(target)
+            self.cache_manager.advance_generation()
+            try:
+                index.insert_fetched(target.start_offset, payload)
+            except CacheFullError:
+                self.cache_manager.make_room()
+                index.insert_fetched(target.start_offset, payload)
+        except BaseException as exc:
+            # Every coalesced waiter sees the leader's failure.
+            if shared is not None and not shared.done:
+                shared.set_exception(exc)
+            raise
+        else:
+            if shared is not None and not shared.done:
+                shared.set_result(None)
+        finally:
+            if shared is not None and self._inflight_fetches.get(key) is shared:
+                del self._inflight_fetches[key]
 
     def _prefetch(self, index: SegmentReadIndex, chunk) -> "Generator":
         shared = None
@@ -1015,12 +998,7 @@ class SegmentContainer:
                 return
             shared = self._inflight_fetches[key] = self.sim.future()
         try:
-            if self.faults is not None:
-                extra = self.faults.lts_op(f"container-{self.container_id}")
-                if extra:
-                    yield self.sim.timeout(extra)
-            self._read_lts_ops.add()
-            payload = yield self.storage_writer.lts.read_chunk(chunk.chunk_name)
+            payload = yield from self._read_lts_chunk(chunk)
             if index.cached_range_end(chunk.start_offset) is None:
                 try:
                     index.insert_fetched(chunk.start_offset, payload)
@@ -1040,6 +1018,16 @@ class SegmentContainer:
         finally:
             if shared is not None and self._inflight_fetches.get(key) is shared:
                 del self._inflight_fetches[key]
+
+    def _read_lts_chunk(self, chunk) -> "Generator":
+        """One LTS chunk read: injected fault delay, op count, storage
+        read.  Run inline (``yield from``) by the fetching process."""
+        if self.faults is not None:
+            extra = self.faults.lts_op(f"container-{self.container_id}")
+            if extra:
+                yield self.sim.timeout(extra)
+        self._read_lts_ops.add()
+        return (yield self.storage_writer.lts.read_chunk(chunk.chunk_name))
 
     def cancel_tail_read(self, segment: str, fut: SimFuture) -> None:
         """Drop a parked tail-read future (client cancelled the read)."""

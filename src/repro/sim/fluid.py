@@ -32,13 +32,13 @@ The controller runs as an ordinary sim process attached to one
 4. **fall back** — refuse or end spans at anything the model cannot
    carry through analytically: consumers, auto-scaling policies,
    stochastic fault rules, bursty (MMPP) arrivals, scheduled fault
-   windows, arrival-rate drift past ``rate_tol``, and resource-announced
+   windows, arrival-rate drift past ``RATE_TOL``, and resource-announced
    regime changes (a page cache about to hit its dirty limit).  Whatever cannot be jumped is simply simulated
    discretely — correctness never depends on the fluid path.
 
-Everything here is strictly opt-in (``WorkloadSpec.fluid`` or the
-``REPRO_FLUID`` environment toggle); with it off, no controller is
-created and the kernel's byte-for-byte determinism is untouched.
+Everything here is strictly opt-in (``WorkloadSpec.fluid`` is the one
+switch); with it off, no controller is created and the kernel's
+byte-for-byte determinism is untouched.
 """
 
 from __future__ import annotations
@@ -50,14 +50,28 @@ from typing import Deque, List, Optional, Sequence, Tuple
 
 __all__ = ["FluidSpec", "FluidController", "fault_breakpoints"]
 
+#: discrete time to let the system warm its pipelines before the first
+#: calibration (connection setup, first batches, first fsync).  Probes
+#: keep it too: calibrating before the first batches and fsync pipelines
+#: have warmed measures a low ``lambda`` and the whole analytic span
+#: under-produces — a probe would then read "infeasible" at rates the
+#: system holds easily.
+SETTLE_TIME = 0.1
+#: minimum acked *events* a calibration slice must observe
+MIN_SAMPLES = 32
+#: relative arrival-rate drift that ends a span (steady_until export)
+RATE_TOL = 0.05
+#: backlog growth below this fraction of the offered rate is treated as
+#: keeping-up (B held constant); above it, as saturated (B grows)
+BACKLOG_GROWTH_FLOOR = 0.02
+#: resolution of the resampled calibration latency distribution
+QUANTILE_POINTS = 129
+
 
 @dataclass(frozen=True)
 class FluidSpec:
     """Tuning knobs for the hybrid fluid/discrete controller."""
 
-    #: discrete time to let the system warm its pipelines before the
-    #: first calibration (connection setup, first batches, first fsync)
-    settle_time: float = 0.1
     #: maximum length of one calibration slice (split into two halves);
     #: high-rate runs shrink it toward ``min_calibration_time`` once the
     #: settle window shows the target sample count arrives faster
@@ -72,20 +86,21 @@ class FluidSpec:
     #: never start an analytic span shorter than this — the gate/baseline
     #: handshake costs a couple of ticks of discrete time
     min_jump: float = 0.5
-    #: minimum acked *events* a calibration slice must observe
-    min_samples: int = 32
     #: relative rate disagreement allowed between calibration halves
     #: (plus a Poisson-counting allowance) before the slice is rejected
     stationarity_tol: float = 0.15
-    #: relative arrival-rate drift that ends a span (steady_until export)
-    rate_tol: float = 0.05
-    #: backlog growth below this fraction of the offered rate is treated
-    #: as keeping-up (B held constant); above it, as saturated (B grows)
-    backlog_growth_floor: float = 0.02
     #: failed calibrations tolerated before giving up on fluid entirely
     max_recalibrations: int = 8
-    #: resolution of the resampled calibration latency distribution
-    quantile_points: int = 129
+
+    def __post_init__(self) -> None:
+        # bad configs fail here, not mid-run: step=0 strides the jump
+        # loop by zero simulated seconds forever
+        for name in ("calibration_time", "min_calibration_time", "step", "min_jump"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)!r}")
+        for name in ("calibration_target_samples", "stationarity_tol", "max_recalibrations"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
 
     @classmethod
     def probe(cls) -> "FluidSpec":
@@ -99,12 +114,8 @@ class FluidSpec:
         rejecting its calibration would forfeit the speedup exactly
         where the planner probes most).  Boundary decisions must not
         use this: the planner hands the bracket off to discrete-mode
-        confirmation runs (DESIGN.md §11).
-
-        ``settle_time`` stays at the default: calibrating before the
-        first batches and fsync pipelines have warmed measures a low
-        ``lambda`` and the whole analytic span under-produces — a probe
-        would then read "infeasible" at rates the system holds easily.
+        confirmation runs (DESIGN.md §11).  The settle time is the
+        shared ``SETTLE_TIME``.
         """
         return cls(
             calibration_time=0.15,
@@ -440,7 +451,7 @@ class FluidController:
                 return reason
             self.breakpoints = points
         fspec = self.fspec
-        overhead = fspec.settle_time + fspec.calibration_time + fspec.min_jump
+        overhead = SETTLE_TIME + fspec.calibration_time + fspec.min_jump
         if eng.load_end - eng.epoch <= overhead:
             return "run-too-short"
         return None
@@ -454,8 +465,8 @@ class FluidController:
         eng = self.engine
         fspec = self.fspec
         acks0 = eng.counters.produced_events
-        yield fspec.settle_time
-        self.rate_hint = (eng.counters.produced_events - acks0) / fspec.settle_time
+        yield SETTLE_TIME
+        self.rate_hint = (eng.counters.produced_events - acks0) / SETTLE_TIME
         while sim.now < eng.load_end - 1e-9:
             cal = yield from self._calibrate()
             if cal is None:
@@ -484,10 +495,8 @@ class FluidController:
                 # cold (empty pipelines, idle flush loops); let it refill
                 # before trusting another calibration slice.
                 acks0 = eng.counters.produced_events
-                yield fspec.settle_time
-                self.rate_hint = (
-                    eng.counters.produced_events - acks0
-                ) / fspec.settle_time
+                yield SETTLE_TIME
+                self.rate_hint = (eng.counters.produced_events - acks0) / SETTLE_TIME
 
     # ------------------------------------------------------------------
     def _calibrate(self):
@@ -525,7 +534,7 @@ class FluidController:
         samples = self.cal_samples
         self.cal_samples = []
         total = sum(n for _, n in samples)
-        if total < fspec.min_samples:
+        if total < MIN_SAMPLES:
             return None
         cal_dt = 2.0 * half
         lam1, lam2 = (s1 - s0) / half, (s2 - s1) / half
@@ -543,9 +552,9 @@ class FluidController:
             return None
         growth = lam - ack_rate
         noise = 2.0 * math.sqrt(max(lam * cal_dt, 1.0)) / cal_dt
-        saturated = growth > max(fspec.backlog_growth_floor * lam, noise)
+        saturated = growth > max(BACKLOG_GROWTH_FLOOR * lam, noise)
         samples.sort(key=lambda pair: pair[0])
-        latencies = _weighted_quantiles(samples, total, fspec.quantile_points)
+        latencies = _weighted_quantiles(samples, total, QUANTILE_POINTS)
         res_rates = [
             tuple((after - before) / cal_dt for before, after in zip(sa, sb))
             for sa, sb in zip(snap0, snap2)
@@ -593,9 +602,7 @@ class FluidController:
         spec = eng.spec
         if spec.arrival is not None:
             rel = now - eng.epoch
-            steady = spec.arrival.steady_until(
-                rel, eng.load_end - eng.epoch, self.fspec.rate_tol
-            )
+            steady = spec.arrival.steady_until(rel, eng.load_end - eng.epoch, RATE_TOL)
             candidates.append(eng.epoch + steady)
         upcoming = [bp for bp in self.breakpoints if bp > now + 1e-9]
         if upcoming:

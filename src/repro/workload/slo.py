@@ -11,17 +11,11 @@ Semantics (SRE-standard, evaluated over the measurement window):
 * **Latency SLI** — the run is bucketed into fixed windows
   (``window`` seconds); a window is *good* when its p99 write latency is
   under ``p99_latency``.  The latency compliance is good windows /
-  total windows, compared against ``latency_compliance``.
-
-* **Read SLI** (opt-in) — when ``read_p99_latency`` is set, the same
-  windowing applies to end-to-end write→tail-delivery latencies fed via
-  ``on_delivery``; a read-serving tenant's SLO then also requires the
-  read-latency compliance to clear ``latency_compliance``.  When unset,
-  the report carries no read keys at all.
+  total windows, compared against ``LATENCY_COMPLIANCE``.
 
 ``SloTracker`` doubles as the runner's observer (``on_sent`` /
-``on_ack`` / ``on_delivery`` hooks), so SLO accounting rides the
-existing ack and delivery paths with no extra simulation events.
+``on_ack`` hooks), so SLO accounting rides the existing ack path with
+no extra simulation events.
 Reports flatten into ``BenchResult.extra`` as ``slo.*`` floats
 (JSON-ready for the figure suite).
 """
@@ -34,12 +28,17 @@ from typing import Dict, List, Optional
 from repro.common.metrics import percentile
 
 __all__ = [
+    "LATENCY_COMPLIANCE",
     "SloSpec",
     "SloTracker",
     "capacity_report",
     "slo_margin",
     "sustainable_verdict",
 ]
+
+
+#: required fraction of evaluation windows meeting the p99 target
+LATENCY_COMPLIANCE = 0.95
 
 
 @dataclass(frozen=True)
@@ -52,12 +51,16 @@ class SloSpec:
     availability: float = 0.999
     #: evaluation window length, seconds
     window: float = 1.0
-    #: required fraction of windows meeting the p99 target
-    latency_compliance: float = 0.95
-    #: p99 end-to-end (write -> tail delivery) latency target, seconds;
-    #: None leaves read SLIs out of the report entirely (write-only
-    #: tenants keep their committed metrics byte-identical)
-    read_p99_latency: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        # bad configs fail here, not mid-run: window=0 divides by zero at
+        # the first in-window send, a negative one scores any run as one
+        # window
+        for name in ("p99_latency", "window"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)!r}")
+        if not 0 < self.availability <= 1:
+            raise ValueError(f"availability must be in (0, 1], got {self.availability!r}")
 
 
 @dataclass
@@ -66,8 +69,6 @@ class _Window:
     acked: int = 0
     failed: int = 0
     latencies: List[float] = field(default_factory=list)
-    delivered: int = 0
-    read_latencies: List[float] = field(default_factory=list)
 
 
 class SloTracker:
@@ -106,32 +107,18 @@ class SloTracker:
         else:
             win.failed += count
 
-    def on_delivery(self, send_time: float, count: int, latency: float) -> None:
-        """An event batch reached a tail consumer (read-path SLI).
-
-        Like acks, attribution is by send time.  Cheap no-op windowing
-        when the tenant has no read SLO configured — the runner calls
-        this on every delivery."""
-        if self.spec.read_p99_latency is None:
-            return
-        win = self._window(send_time)
-        if win is not None:
-            win.delivered += count
-            win.read_latencies.append(latency)
-
     # -- evaluation ----------------------------------------------------
     def report(self) -> Dict[str, float]:
         spec = self.spec
         total_windows = max(1, int(round((self.end - self.start) / spec.window)))
-        sent = acked = failed = delivered = 0
-        latency_bad = read_bad = 0
-        worst_p99 = worst_read_p99 = 0.0
+        sent = acked = failed = 0
+        latency_bad = 0
+        worst_p99 = 0.0
         for index in range(total_windows):
             win = self._windows.get(index, _Window())
             sent += win.sent
             acked += win.acked
             failed += win.failed
-            delivered += win.delivered
             if win.latencies:
                 p99 = percentile(sorted(win.latencies), 0.99)
             elif win.sent:
@@ -141,24 +128,14 @@ class SloTracker:
             worst_p99 = max(worst_p99, p99)
             if p99 > spec.p99_latency:
                 latency_bad += 1
-            if spec.read_p99_latency is not None:
-                if win.read_latencies:
-                    read_p99 = percentile(sorted(win.read_latencies), 0.99)
-                elif win.sent:
-                    read_p99 = float("inf")  # offered, nothing delivered
-                else:
-                    read_p99 = 0.0
-                worst_read_p99 = max(worst_read_p99, read_p99)
-                if read_p99 > spec.read_p99_latency:
-                    read_bad += 1
         availability = acked / sent if sent else 1.0
         budget = 1.0 - spec.availability
         burn_rate = (1.0 - availability) / budget if budget > 0 else (
             0.0 if availability >= 1.0 else float("inf")
         )
         compliance = (total_windows - latency_bad) / total_windows
-        ok = burn_rate <= 1.0 and compliance >= spec.latency_compliance
-        out = {
+        ok = burn_rate <= 1.0 and compliance >= LATENCY_COMPLIANCE
+        return {
             "windows": float(total_windows),
             "latency_bad_windows": float(latency_bad),
             "latency_compliance": compliance,
@@ -169,25 +146,15 @@ class SloTracker:
             "availability": availability,
             "burn_rate": burn_rate,
             "budget_remaining": max(0.0, 1.0 - burn_rate),
+            "ok": 1.0 if ok else 0.0,
         }
-        if spec.read_p99_latency is not None:
-            # Read SLI keys are emitted only when a read target is set so
-            # write-only tenants' committed reports stay byte-identical.
-            read_compliance = (total_windows - read_bad) / total_windows
-            ok = ok and read_compliance >= spec.latency_compliance
-            out["delivered"] = float(delivered)
-            out["read_latency_bad_windows"] = float(read_bad)
-            out["read_compliance"] = read_compliance
-            out["worst_window_read_p99"] = worst_read_p99
-        out["ok"] = 1.0 if ok else 0.0
-        return out
 
     def emit(self, extra: Dict[str, float], prefix: str = "slo.") -> None:
         for key, value in self.report().items():
             extra[f"{prefix}{key}"] = value
 
 
-def slo_margin(report: Dict[str, float], spec: SloSpec) -> float:
+def slo_margin(report: Dict[str, float]) -> float:
     """Signed SLO headroom of one tenant report, in budget units.
 
     The margin is the minimum of two normalized slacks:
@@ -204,9 +171,10 @@ def slo_margin(report: Dict[str, float], spec: SloSpec) -> float:
     rate sits to the cliff.
     """
     budget_slack = 1.0 - report.get("burn_rate", 0.0)
-    required = spec.latency_compliance
-    allowed_bad = max(1.0 - required, 1e-9)
-    latency_slack = (report.get("latency_compliance", 1.0) - required) / allowed_bad
+    allowed_bad = 1.0 - LATENCY_COMPLIANCE
+    latency_slack = (
+        report.get("latency_compliance", 1.0) - LATENCY_COMPLIANCE
+    ) / allowed_bad
     return min(budget_slack, latency_slack)
 
 
@@ -225,7 +193,7 @@ def sustainable_verdict(result, tenants) -> Dict[str, object]:
     crashed = False
     for tenant in tenants:
         report = result.slo[tenant.name]
-        margins[tenant.name] = slo_margin(report, tenant.slo)
+        margins[tenant.name] = slo_margin(report)
         crashed = crashed or result.results[tenant.name].crashed
     margin = min(margins.values()) if margins else 0.0
     if not result.completed:

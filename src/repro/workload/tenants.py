@@ -1,8 +1,9 @@
 """Multi-tenant composition: N tenants multiplexed through one run.
 
-Each :class:`TenantSpec` bundles a traffic pattern (arrival process +
-key skew), an event size, a stream sizing (partitions/producers/
-consumers) and an :class:`~repro.workload.slo.SloSpec`.  ``run_tenants``
+Each :class:`TenantSpec` names a :class:`~repro.bench.runner.WorkloadSpec`
+(traffic pattern, key skew, event size, stream sizing, measurement
+window) and adds what only a tenant has: an
+:class:`~repro.workload.slo.SloSpec` and a scaling policy.  ``run_tenants``
 provisions one stream/topic per tenant on a shared cluster (via the
 adapter's ``create_tenant``), starts one :class:`WorkloadEngine` per
 tenant inside the *same* simulation, drives them to completion and
@@ -23,7 +24,6 @@ from repro.bench.results import BenchResult
 from repro.bench.runner import WorkloadEngine, WorkloadSpec, _drive
 from repro.sim.core import Simulator
 from repro.workload.arrival import ArrivalProcess
-from repro.workload.skew import KeySkew
 from repro.workload.slo import SloSpec, SloTracker, capacity_report
 
 __all__ = [
@@ -39,42 +39,12 @@ class TenantSpec:
     """One tenant's workload contract."""
 
     name: str
-    #: time-varying rate function; None falls back to ``target_rate``
-    arrival: Optional[ArrivalProcess] = None
-    target_rate: float = 10_000.0
-    event_size: int = 100
-    partitions: int = 1
-    producers: int = 1
-    consumers: int = 0
-    key_mode: str = "random"
-    key_skew: Optional[KeySkew] = None
+    #: the tenant's load, stream sizing and measurement window
+    workload: WorkloadSpec
     slo: SloSpec = field(default_factory=SloSpec)
     #: Pravega scaling policy for this tenant's stream (ignored by the
     #: fixed-partition adapters)
     scaling: Optional[object] = None
-    seed: int = 0
-    #: hybrid fluid/discrete mode for this tenant (repro.sim.fluid.FluidSpec)
-    fluid: Optional[object] = None
-
-    def workload_spec(
-        self, duration: float, warmup: float, tick: float, bench_hosts: int
-    ) -> WorkloadSpec:
-        return WorkloadSpec(
-            event_size=self.event_size,
-            target_rate=self.target_rate,
-            partitions=self.partitions,
-            producers=self.producers,
-            consumers=self.consumers,
-            key_mode=self.key_mode,
-            duration=duration,
-            warmup=warmup,
-            tick=tick,
-            bench_hosts=bench_hosts,
-            arrival=self.arrival,
-            key_skew=self.key_skew,
-            seed=self.seed,
-            fluid=self.fluid,
-        )
 
 
 @dataclass
@@ -96,19 +66,24 @@ def run_tenants(
     sim: Simulator,
     adapter,
     tenants: Sequence[TenantSpec],
-    duration: float = 10.0,
-    warmup: float = 1.0,
-    tick: float = 0.005,
-    bench_hosts: int = 2,
     series_interval: Optional[float] = 0.5,
     fault_engine=None,
 ) -> MultiTenantResult:
-    """Run every tenant concurrently against one shared cluster."""
+    """Run every tenant concurrently against one shared cluster.
+
+    Each tenant runs its own ``WorkloadSpec``; they must agree on
+    ``warmup`` and ``duration``, because the SLO window is shared."""
     names = [t.name for t in tenants]
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate tenant names: {names}")
+    windows = {(t.workload.warmup, t.workload.duration) for t in tenants}
+    if len(windows) != 1:
+        raise ValueError(
+            f"tenants must share one (warmup, duration), got {sorted(windows)}"
+        )
+    ((warmup, duration),) = windows
     clients = {
-        t.name: adapter.create_tenant(t.name, t.partitions, scaling=t.scaling)
+        t.name: adapter.create_tenant(t.name, t.workload.partitions, scaling=t.scaling)
         for t in tenants
     }
     if fault_engine is not None:
@@ -117,14 +92,13 @@ def run_tenants(
     engines: List[WorkloadEngine] = []
     trackers: Dict[str, SloTracker] = {}
     for tenant in tenants:
-        spec = tenant.workload_spec(duration, warmup, tick, bench_hosts)
         tracker = SloTracker(
             tenant.slo, epoch + warmup, epoch + warmup + duration
         )
         engine = WorkloadEngine(
             sim,
             clients[tenant.name],
-            spec,
+            tenant.workload,
             observer=tracker,
             label=f"{getattr(adapter, 'name', 'bench')}/{tenant.name}",
             series_interval=series_interval,

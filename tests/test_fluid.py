@@ -2,10 +2,10 @@
 
 Three layers of guarantees:
 
-* **Off means off** — with ``WorkloadSpec.fluid`` unset and no
-  ``REPRO_FLUID`` in the environment, no controller is created and the
-  golden-kernel / golden-trace fixtures stay byte-identical: the fluid
-  merge cannot perturb the deterministic kernel.
+* **Off means off** — with ``WorkloadSpec.fluid`` (the one fluid
+  switch) unset, no controller is created and the golden-kernel /
+  golden-trace fixtures stay byte-identical: the fluid merge cannot
+  perturb the deterministic kernel.
 * **Model units** — the calibration resampler, the fault-plan
   breakpoint scan, the tiering-backpressure (throttle) conservation
   model and the refusal ladder, each exercised directly.
@@ -41,11 +41,6 @@ DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 pytestmark = pytest.mark.fluid
 
 
-@pytest.fixture(autouse=True)
-def _no_fluid_env(monkeypatch):
-    monkeypatch.delenv("REPRO_FLUID", raising=False)
-
-
 def _spec(**overrides) -> WorkloadSpec:
     base = dict(
         event_size=100,
@@ -63,22 +58,15 @@ def _spec(**overrides) -> WorkloadSpec:
 # ----------------------------------------------------------------------
 # Off means off
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("env", [None, "", "0"])
+@pytest.mark.parametrize("env", [None, "1"])
 def test_fluid_off_creates_no_controller(monkeypatch, env):
-    # "" and "0" are off, the same rule as REPRO_BENCH_FULL
+    # the spec is the one switch: the retired REPRO_FLUID toggle is inert
     if env is not None:
         monkeypatch.setenv("REPRO_FLUID", env)
     sim = Simulator()
     result = run_workload(sim, PravegaAdapter(sim), _spec(duration=1.0))
     assert "fluid.spans" not in result.extra
     assert "fluid.refusal" not in result.extra
-
-
-def test_fluid_env_toggle_on(monkeypatch):
-    monkeypatch.setenv("REPRO_FLUID", "1")
-    sim = Simulator()
-    result = run_workload(sim, PravegaAdapter(sim), _spec(duration=1.0))
-    assert "fluid.spans" in result.extra
 
 
 def test_fluid_off_golden_kernel_byte_identical():

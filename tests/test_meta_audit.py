@@ -266,3 +266,99 @@ def test_every_figure_scenario_is_claimed_over_recorded_metrics():
         except KeyError as exc:
             raise AssertionError(f"{row.id} reads the unrecorded metric {exc}") from None
         assert row.id in [v["id"] for v in record["claims"]]
+
+
+# ----------------------------------------------------------------------
+# Knob census: every scenario/mode knob has one row in DESIGN.md §15
+# ----------------------------------------------------------------------
+def _audited_classes():
+    from repro.bench.runner import WorkloadSpec
+    from repro.capacity.planner import MixTenant, PlannerConfig
+    from repro.pravega.container.container import ServingConfig
+    from repro.sim.fluid import FluidSpec
+    from repro.workload.slo import SloSpec
+    from repro.workload.tenants import TenantSpec
+
+    return (
+        WorkloadSpec, TenantSpec, MixTenant, SloSpec, FluidSpec, PlannerConfig,
+        ServingConfig,
+    )
+
+
+def _is_environ(node) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == "environ"
+
+
+def _env_reads() -> set[str]:
+    """Environment variables read under src/ or benchmarks/*.py:
+    ``os.environ.get/pop/setdefault("X")``, ``os.getenv("X")``,
+    ``os.environ["X"]`` and ``"X" in os.environ``."""
+    names: set[str] = set()
+    paths = [*(REPO / "src").rglob("*.py"), *(REPO / "benchmarks").glob("*.py")]
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            key = None
+            if isinstance(node, ast.Call) and node.args:
+                func = node.func
+                if isinstance(func, ast.Attribute) and (
+                    func.attr == "getenv"
+                    or (func.attr in ("get", "pop", "setdefault") and _is_environ(func.value))
+                ):
+                    key = node.args[0]
+            elif isinstance(node, ast.Subscript) and _is_environ(node.value):
+                key = node.slice
+            elif isinstance(node, ast.Compare) and any(map(_is_environ, node.comparators)):
+                key = node.left
+            if isinstance(key, ast.Constant) and isinstance(key.value, str):
+                names.add(key.value)
+    return names
+
+
+def _knob_table() -> dict[str, dict[str, str]]:
+    """Rows of DESIGN.md §15's knob table (the one headed ``knob``)."""
+    text = (REPO / "DESIGN.md").read_text()
+    section = text[text.index("\n## 15. ") :]
+    section = section.split("\n## ", 2)[1]
+    rows: dict[str, dict[str, str]] = {}
+    header = None
+    for line in section.splitlines():
+        if not line.startswith("|"):
+            header = None
+            continue
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if header is None:
+            header = cells
+        elif header[0] == "knob" and not set(cells[0]) <= set("-"):
+            name = cells[0].strip("`")
+            assert name not in rows, f"two rows for {name}"
+            rows[name] = dict(zip(header, cells))
+    return rows
+
+
+def test_every_knob_has_one_table_row():
+    import dataclasses
+
+    defaults: dict[str, str | None] = {}
+    for cls in _audited_classes():
+        for f in dataclasses.fields(cls):
+            if f.default is not dataclasses.MISSING:
+                default = f"`{f.default!r}`"
+            elif f.default_factory is not dataclasses.MISSING:
+                default = f"`{f.default_factory.__name__}()`"
+            else:
+                default = "required"
+            defaults[f"{cls.__name__}.{f.name}"] = default
+    for name in _env_reads():
+        defaults[name] = None  # an unset variable has no repr to check
+    rows = _knob_table()
+    assert not defaults.keys() - rows.keys(), (
+        f"knobs without a DESIGN.md §15 row: {sorted(defaults.keys() - rows.keys())}"
+    )
+    assert not rows.keys() - defaults.keys(), (
+        f"§15 rows for knobs that are gone: {sorted(rows.keys() - defaults.keys())}"
+    )
+    for name, default in defaults.items():
+        row = rows[name]
+        if default is not None:
+            assert row["default"] == default, f"{name}: table says {row['default']}"
+        assert row["verdict"], f"{name}: no verdict"

@@ -9,6 +9,7 @@ from repro.bench.suite import SCENARIOS, _expand_selection
 from repro.faults import FaultPlan
 from repro.pravega import ScalingPolicy
 from repro.sim import Simulator
+from repro.sim.fluid import FluidSpec
 from repro.workload import (
     Constant,
     Diurnal,
@@ -33,17 +34,20 @@ def test_diurnal_splits_during_peak_and_merges_in_trough():
     adapter = PravegaAdapter(sim)
     tenant = TenantSpec(
         "cycle",
-        arrival=pattern,
-        event_size=100,
-        partitions=1,
-        key_mode="none",  # keyless writes spread over live segments
+        WorkloadSpec(
+            event_size=100,
+            partitions=1,
+            key_mode="none",  # keyless writes spread over live segments
+            duration=42.0,
+            warmup=1.0,
+            tick=0.02,
+            arrival=pattern,
+            seed=7,
+        ),
         slo=SloSpec(p99_latency=0.100),
         scaling=ScalingPolicy.by_event_rate(600, min_segments=1),
-        seed=7,
     )
-    run = run_tenants(
-        sim, adapter, [tenant], duration=42.0, warmup=1.0, tick=0.02
-    )
+    run = run_tenants(sim, adapter, [tenant])
     correlation = correlate_scale_events(
         adapter.cluster.controller.scale_events,
         pattern,
@@ -67,16 +71,19 @@ def test_diurnal_splits_during_peak_and_merges_in_trough():
 def _tiny_multi_tenant_run():
     sim = Simulator()
     adapter = PravegaAdapter(sim)
+    window = dict(duration=2.0, warmup=0.5)
     tenants = [
-        TenantSpec("a", arrival=Constant(1500.0), partitions=2, consumers=1, seed=1),
-        TenantSpec(
-            "b",
+        TenantSpec("a", WorkloadSpec(
+            arrival=Constant(1500.0), partitions=2, consumers=1, seed=1, **window
+        )),
+        TenantSpec("b", WorkloadSpec(
             arrival=MMPP(rates_eps=(500.0, 3000.0), mean_dwell=(2.0, 1.0)),
             partitions=1,
             seed=2,
-        ),
+            **window,
+        )),
     ]
-    run = run_tenants(sim, adapter, tenants, duration=2.0, warmup=0.5)
+    run = run_tenants(sim, adapter, tenants)
     signature = {}
     for name, result in run.results.items():
         signature[name] = {
@@ -91,6 +98,23 @@ def _tiny_multi_tenant_run():
 @pytest.mark.workload
 def test_multi_tenant_runs_are_bit_identical():
     assert _tiny_multi_tenant_run() == _tiny_multi_tenant_run()
+
+
+def test_run_tenants_rejects_disagreeing_windows():
+    # one SLO window is shared by every tenant, so they must agree on it
+    sim = Simulator()
+    tenants = [
+        TenantSpec("a", WorkloadSpec(duration=2.0, warmup=0.5)),
+        TenantSpec("b", WorkloadSpec(duration=3.0, warmup=0.5)),
+    ]
+    with pytest.raises(ValueError, match="warmup, duration"):
+        run_tenants(sim, PravegaAdapter(sim), tenants)
+    assert sim.now == 0.0  # refused before provisioning anything
+
+
+def test_tenant_with_bad_workload_fails_at_construction():
+    with pytest.raises(ValueError, match="producers"):
+        TenantSpec("a", WorkloadSpec(producers=0))
 
 
 # ----------------------------------------------------------------------
@@ -117,7 +141,6 @@ def test_backlog_cap_scales_with_pattern_peak():
 def test_load_timeout_override():
     spec = WorkloadSpec(duration=10.0, warmup=1.0)
     assert spec.effective_load_timeout == 1.0 + 10.0 * 20 + 600
-    assert WorkloadSpec(load_timeout=42.0).effective_load_timeout == 42.0
 
 
 @pytest.mark.parametrize(
@@ -131,6 +154,26 @@ def test_load_timeout_override():
 def test_bad_spec_fails_at_construction(field, value):
     with pytest.raises(ValueError, match=field):
         WorkloadSpec(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "cls, field, value",
+    [
+        (SloSpec, "p99_latency", 0.0), (SloSpec, "window", 0.0),
+        (SloSpec, "window", -1.0), (SloSpec, "availability", 0.0),
+        (SloSpec, "availability", 1.5),
+        (FluidSpec, "step", 0.0), (FluidSpec, "calibration_time", 0.0),
+        (FluidSpec, "min_calibration_time", -0.01), (FluidSpec, "min_jump", 0.0),
+        (FluidSpec, "calibration_target_samples", -1.0),
+        (FluidSpec, "stationarity_tol", -0.1), (FluidSpec, "max_recalibrations", -1),
+    ],
+)
+def test_bad_slo_or_fluid_config_fails_at_construction(cls, field, value):
+    # unchecked, window=0 divides by zero at the first in-window send, a
+    # negative window scores any run as one window, and step=0 hangs the
+    # fluid jump loop
+    with pytest.raises(ValueError, match=field):
+        cls(**{field: value})
 
 
 # ----------------------------------------------------------------------

@@ -9,13 +9,7 @@ from repro.workload import SloSpec, SloTracker, capacity_report
 
 def make_tracker(**kw):
     spec_kw = {}
-    for key in (
-        "p99_latency",
-        "availability",
-        "window",
-        "latency_compliance",
-        "read_p99_latency",
-    ):
+    for key in ("p99_latency", "availability", "window"):
         if key in kw:
             spec_kw[key] = kw.pop(key)
     spec = SloSpec(**spec_kw)
@@ -110,7 +104,7 @@ def test_events_outside_measurement_interval_ignored():
 def test_latency_compliance_threshold():
     # 10 windows, 2 slow => 80% compliance < 95% target => SLO not met
     # even though availability is perfect.
-    tracker = make_tracker(p99_latency=0.010, latency_compliance=0.95)
+    tracker = make_tracker(p99_latency=0.010)  # 95% compliance required
     for second in range(10):
         slow = second in (3, 7)
         tracker.on_sent(second + 0.5, 100)
@@ -122,62 +116,15 @@ def test_latency_compliance_threshold():
 
 
 def test_read_keys_absent_without_read_target():
-    # Write-only tenants must keep byte-identical reports: no read keys,
-    # and on_delivery is a no-op rather than an error.
+    # The report is the write SLO's: no read keys.
     tracker = make_tracker(end=1.0)
     tracker.on_sent(0.5, 10)
     tracker.on_ack(0.5, 10, latency=0.001, ok=True)
-    tracker.on_delivery(0.5, 10, latency=0.002)
     report = tracker.report()
     assert "delivered" not in report
     assert not any(key.startswith("read_") for key in report)
     assert "worst_window_read_p99" not in report
     assert report["ok"] == 1.0
-
-
-def test_read_slo_tracked_when_configured():
-    tracker = make_tracker(read_p99_latency=0.100)
-    for second in range(10):
-        t = second + 0.5
-        tracker.on_sent(t, 100)
-        tracker.on_ack(t, 100, latency=0.001, ok=True)
-        tracker.on_delivery(t, 100, latency=0.020)
-    report = tracker.report()
-    assert report["delivered"] == 1_000
-    assert report["read_compliance"] == 1.0
-    assert report["read_latency_bad_windows"] == 0.0
-    assert report["worst_window_read_p99"] == pytest.approx(0.020)
-    assert report["ok"] == 1.0
-
-
-def test_slow_reads_break_slo_despite_perfect_writes():
-    # 10 windows, 2 with runaway delivery latency => 80% read compliance
-    # < 95% target.  The write SLI is flawless — the read SLI alone must
-    # be able to fail the tenant.
-    tracker = make_tracker(read_p99_latency=0.050)
-    for second in range(10):
-        t = second + 0.5
-        slow = second in (2, 6)
-        tracker.on_sent(t, 100)
-        tracker.on_ack(t, 100, latency=0.001, ok=True)
-        tracker.on_delivery(t, 100, latency=1.0 if slow else 0.010)
-    report = tracker.report()
-    assert report["availability"] == 1.0
-    assert report["latency_compliance"] == 1.0
-    assert report["read_compliance"] == pytest.approx(0.8)
-    assert report["ok"] == 0.0
-
-
-def test_offered_but_undelivered_window_is_infinitely_slow_to_read():
-    # Mirrors the write convention: a window with offered events and no
-    # deliveries has an unbounded read p99.
-    tracker = make_tracker(read_p99_latency=0.050, end=1.0)
-    tracker.on_sent(0.5, 100)
-    tracker.on_ack(0.5, 100, latency=0.001, ok=True)
-    report = tracker.report()
-    assert report["delivered"] == 0.0
-    assert math.isinf(report["worst_window_read_p99"])
-    assert report["ok"] == 0.0
 
 
 def test_emit_prefixes_into_extra():
@@ -213,3 +160,4 @@ def test_capacity_report_ranks_tenants():
     assert capacity["burning"]["meets_slo"] == 0.0
     assert capacity["healthy"]["headroom"] > capacity["burning"]["headroom"]
     assert capacity["burning"]["burn_rate"] == 50.0
+
