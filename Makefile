@@ -1,8 +1,8 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-## the report benches `python -m repro.bench run <name>` drives; each
-## owns BENCH_<name>.json and the claims the gate holds it to
+## the report benches `python -m repro.bench run <name>` drives; the
+## claims about each BENCH_<name>.json are rows of repro.bench.claims
 BENCHES := kernel scale capacity geo read
 ## the pytest domain markers with a `make <marker>-test` selection
 MARKERS := trace workload fluid capacity gate geo read
@@ -47,7 +47,7 @@ fuzz:
 ## capture a Chrome/Perfetto trace of one traced workload
 ## (override: SYSTEM=kafka TRACE_OUT=trace.json RATE=2000 DURATION=1.0)
 trace:
-	$(PYTHON) -m repro.bench --system $(or $(SYSTEM),pravega) \
+	$(PYTHON) -m repro.bench trace --system $(or $(SYSTEM),pravega) \
 		--rate $(or $(RATE),2000) --duration $(or $(DURATION),1.0) \
 		--trace $(or $(TRACE_OUT),trace_$(or $(SYSTEM),pravega).json)
 
@@ -77,7 +77,7 @@ workloads:
 
 ## benchmark regression gate: committed BENCH_*.json vs fresh smoke
 ## re-runs, structured diff on drift; re-evaluates every claim row over
-## the committed suite/workload metrics
+## every committed file
 ## (override: SMOKE=none or SMOKE=suite:fig05c,capacity:kafka/mixed)
 gate:
 	$(PYTHON) -m repro.bench gate $(if $(SMOKE),--smoke $(SMOKE))

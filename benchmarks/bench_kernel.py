@@ -40,9 +40,7 @@ exits non-zero on gross regressions.
 from __future__ import annotations
 
 import gc
-import os
-import platform
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
 from repro.bench import harness
 from repro.sim import Simulator, Store
@@ -158,7 +156,8 @@ REPEATS = 3
 
 
 def _timed(name: str, fn: Callable[[], Simulator]) -> Callable[[int], Dict]:
-    """Scenario thunk: ``fn`` best-of-``repeats``, as a kernel record."""
+    """Scenario thunk: ``fn`` best-of-``repeats``, as kernel metrics beside
+    the parent's numbers for the same scenario."""
 
     def run(repeats: int) -> Dict:
         def once():
@@ -174,13 +173,13 @@ def _timed(name: str, fn: Callable[[], Simulator]) -> Callable[[int], Dict]:
         stats = sim.stats.snapshot()
         events = stats["events_executed"] + stats["microtasks_executed"]
         return {
-            "name": name,
             "wall_seconds": best,
             "events": events,
             "events_per_second": (events / best) if events and best else None,
             "ns_per_event": (best / events * 1e9) if events and best else None,
             "stats": stats,
             "gc_collections": collections,
+            "baseline": {"commit": BASELINE["commit"], **BASELINE["scenarios"][name]},
         }
 
     return run
@@ -244,8 +243,8 @@ SCENARIOS = [
 #: ``mini_workload`` paid, the latter mostly as collector passes
 #: (``gc_collections``).  Walls on this box swing 20% between invocations:
 #: the pair kept is the third of three, parent run immediately before
-#: the change.  Event counts equal today's; ``check_claims`` holds them
-#: to that.
+#: the change.  Event counts equal today's; each record carries its
+#: scenario's entry, and a claim row holds the two counts equal.
 BASELINE = {
     "commit": "ff6eb34",
     "scenarios": {
@@ -265,60 +264,3 @@ def describe(record: Dict) -> str:
         f"{record['events_per_second'] or 0:>14,.0f} ev/s  "
         f"{record['ns_per_event'] or 0:>10,.0f} ns/ev"
     )
-
-
-def build_report(results: Dict[str, Dict], repeats: int, wall_s: float) -> Dict:
-    return {
-        "python": platform.python_version(),
-        "mode": "full",
-        "repeats": repeats,
-        "cpu_count": os.cpu_count(),
-        "baseline": BASELINE,
-        "scenarios": results,
-    }
-
-
-def check_claims(report: Dict) -> List[str]:
-    """The claims BENCH_kernel.json (and a smoke report) is held to."""
-    failures: List[str] = []
-    scenarios = report.get("scenarios") or {}
-    if not scenarios:
-        failures.append("no kernel scenarios recorded")
-    for name, record in scenarios.items():
-        if "events" not in record or "stats" not in record:
-            failures.append(f"{name}: record lacks events + stats")
-        collections = record.get("gc_collections")
-        if not (
-            isinstance(collections, list)
-            and len(collections) == 3
-            and all(type(n) is int and n >= 0 for n in collections)
-        ):
-            failures.append(
-                f"{name}: gc_collections {collections!r} is not the collector "
-                f"runs [gen0, gen1, gen2] of the best repeat"
-            )
-    if not isinstance(report.get("cpu_count"), int):
-        failures.append("cpu_count: the core count the walls were measured on is missing")
-    # The before-numbers: a named commit, measured at today's event
-    # counts (a wall-clock pair means nothing otherwise).
-    baseline = report.get("baseline") or {}
-    if not baseline.get("commit") or not baseline.get("scenarios"):
-        failures.append("baseline: no commit + scenarios of the parent's run")
-    if report.get("mode") != "smoke":
-        for name, before in (baseline.get("scenarios") or {}).items():
-            after = scenarios.get(name, {}).get("events")
-            if after is not None and before.get("events") != after:
-                failures.append(
-                    f"baseline.{name}: measured at {before.get('events')} events, "
-                    f"the scenario now runs {after}"
-                )
-    return failures
-
-
-def records(report: Dict) -> Dict[str, Dict]:
-    """Committed record per scenario (the gate's smoke re-run index)."""
-    return report.get("scenarios") or {}
-
-
-def rerun(name: str) -> Optional[Dict]:
-    return harness.rerun(SCENARIOS, name)

@@ -22,12 +22,13 @@ Four experiment families, all deterministic except wall-clock fields:
 Driven by ``python -m repro.bench run read [--check]`` (``make
 bench-read`` / ``make read-check``): the full run writes
 BENCH_read.json, ``--check`` runs cheap variants of every family and
-holds them to the same ``check_claims`` without touching the JSON.
+holds them to the same claim rows (``fanout.*``, ``replay.*``,
+``policies.*``, ``reader_heavy.*`` in :mod:`repro.bench.claims`)
+without touching the JSON.
 """
 
 from __future__ import annotations
 
-import platform
 import random
 import time
 from typing import Dict, List, Optional
@@ -471,20 +472,21 @@ def run_reader_heavy(
 # ----------------------------------------------------------------------
 REPEATS = 5
 _MB = 1024 * 1024
-#: the cheap variants --check runs
-_SMOKE_FANOUT = dict(readers=64, events=12)
+#: the cheap variants --check runs (fan-out at the 100-reader point,
+#: whose claim rows name it by its reader count)
+_SMOKE_FANOUT = dict(readers=100, events=12)
 _SMOKE_REPLAY = dict(readers=12, backlog_bytes=6 * _MB, cache_bytes=2 * _MB)
 ADMISSIONS = ("always", "second_touch")
 
 
 def _fanout(smoke: bool) -> Dict[str, object]:
-    if smoke:
-        return {"serving": "direct_tail_delivery", "points": [run_fanout(**_SMOKE_FANOUT)]}
-    return {
-        "serving": "direct_tail_delivery",
-        "points": [run_fanout(readers=n) for n in (10, 100, 1000)],
-        "process_tail_1000": run_fanout(readers=1000, serving=None),
-    }
+    points = [run_fanout(**_SMOKE_FANOUT)] if smoke else [
+        run_fanout(readers=n) for n in (10, 100, 1000)
+    ]
+    record = {"serving": "direct_tail_delivery", "points": {p["readers"]: p for p in points}}
+    if not smoke:
+        record["process_tail_1000"] = run_fanout(readers=1000, serving=None)
+    return record
 
 
 def _replay(**kwargs) -> Dict[str, object]:
@@ -497,9 +499,9 @@ def _policies(**kwargs) -> Dict[str, object]:
     return {f"generation/{adm}": run_policy(adm, **kwargs) for adm in ADMISSIONS}
 
 
-def _reader_heavy(repeats: int) -> Dict[str, object]:
-    family = {}
-    for key, serving in (("default", None), ("direct", DIRECT)):
+def _reader_heavy(repeats: int, servings=(("default", None), ("direct", DIRECT))):
+    family = {"baseline": {"wall_s": BASELINE_WALL_S, "kernel_events": BASELINE_KERNEL_EVENTS}}
+    for key, serving in servings:
         record, walls = harness.best_of(lambda: run_reader_heavy(serving=serving), repeats)
         walls = [round(wall, 4) for wall in walls]
         family[key] = {
@@ -511,104 +513,32 @@ def _reader_heavy(repeats: int) -> Dict[str, object]:
     return family
 
 
+def _seeded(run):
+    """A family's thunk, its record carrying the seed every run reseeds to."""
+    return lambda repeats: {"seed": SEED, **run(repeats)}
+
+
 # (family, full thunk(repeats), smoke thunk(repeats), smoke budget s)
-SCENARIOS = [
+SCENARIOS = [(name, _seeded(full), _seeded(smoke), budget) for name, full, smoke, budget in (
     ("fanout", lambda r: _fanout(smoke=False), lambda r: _fanout(smoke=True), 60.0),
     ("replay", lambda r: _replay(), lambda r: _replay(**_SMOKE_REPLAY), 60.0),
     ("policies", lambda r: _policies(), lambda r: _policies(backlog_bytes=8 * _MB), 60.0),
-    ("reader_heavy", _reader_heavy, lambda r: {"default": run_reader_heavy()}, 120.0),
-]
+    ("reader_heavy", _reader_heavy,
+     lambda r: _reader_heavy(1, servings=(("default", None),)), 120.0),
+)]
 
 
 def describe(record: Dict) -> str:
     if "points" in record:
-        last = record["points"][-1]
+        last = max(record["points"].values(), key=lambda p: p["readers"])
         return f"fanout@{last['readers']} p99 {last['p99_ms']:.3f} ms"
     if "lts_ops_ratio" in record:
         return (
             f"LTS ops {record['off']['lts_fetch_ops']:.0f} -> "
             f"{record['on']['lts_fetch_ops']:.0f} ({record['lts_ops_ratio']}x)"
         )
-    if "default" in record:
-        return ", ".join(f"{k} {v['wall_s']:.3f}s" for k, v in record.items())
-    return ", ".join(f"{k} hot {v['hot_hit_rate']}" for k, v in record.items())
-
-
-def build_report(results: Dict[str, Dict], repeats: int, wall_s: float) -> Dict:
-    return {
-        "bench": "read_serving",
-        "python": platform.python_version(),
-        "seed": SEED,
-        "baseline": {
-            "scenario": "reader_heavy",
-            "wall_s": BASELINE_WALL_S,
-            "kernel_events": BASELINE_KERNEL_EVENTS,
-        },
-        **results,
-        "wall_s_total": round(wall_s, 3),
-    }
-
-
-def check_claims(report: Dict[str, object]) -> List[str]:
-    """The claims BENCH_read.json (and a smoke report) is held to."""
-    failures = []
-    smoke = report.get("mode") == "smoke"
-
-    def claim(ok: bool, message: str) -> None:
-        if not ok:
-            failures.append(message)
-
-    def rerunnable(label: str, record: Dict) -> None:
-        # the deterministic fields a re-run is compared on
-        for key in ("kernel_events", "sim_time_s"):
-            claim(key in record, f"{label}: no {key} recorded")
-
-    claim("seed" in report, "no seed recorded")
-    if not smoke:
-        for family, *_ in SCENARIOS:
-            claim(family in report, f"no {family} family")
-
-    if "fanout" in report:
-        points = report["fanout"]["points"]
-        claim(smoke or any(p["readers"] >= 1000 for p in points),
-              "no >=1000-reader fan-out point")
-        for p in points:
-            claim(p["caught_up"], f"fanout@{p['readers']}: readers not caught up")
-            claim(p["delivered_events"] == p["readers"] * p["events"],
-                  f"fanout@{p['readers']}: missing deliveries")
-            rerunnable(f"fanout@{p['readers']}", p)
-
-    if "replay" in report:
-        off, on = report["replay"]["off"], report["replay"]["on"]
-        for mode, record in (("off", off), ("on", on)):
-            claim(record["caught_up"], f"replay.{mode}: readers not caught up")
-            rerunnable(f"replay.{mode}", record)
-        claim(on["lts_fetch_ops"] <= off["lts_fetch_ops"],
-              "coalescing increased LTS ops")
-        claim(on["coalesced_fetches"] > 0, "coalescing on, yet no fetch was shared")
-        claim(off["delivered_bytes"] == on["delivered_bytes"],
-              "coalescing changed delivered bytes")
-        floor = 4.0 if smoke else 10.0  # the smoke backlog is a quarter the size
-        claim(report["replay"]["lts_ops_ratio"] >= floor,
-              f"LTS op reduction {report['replay']['lts_ops_ratio']}x < {floor:g}x")
-
-    if "policies" in report:
-        for name, policy in report["policies"].items():
-            for key in ("hit_rate", "hot_hit_rate"):
-                claim(0.0 <= policy[key] <= 1.0,
-                      f"policy {name}: {key} {policy[key]} outside [0,1]")
-        second_touch = report["policies"]["generation/second_touch"]["hot_hit_rate"]
-        always = report["policies"]["generation/always"]["hot_hit_rate"]
-        claim(second_touch >= always,
-              "second-touch admission did not protect the hot set")
-
-    if "reader_heavy" in report:
-        heavy = report["reader_heavy"]
-        for key, record in heavy.items():
-            claim(record["caught_up"], f"reader_heavy.{key}: readers not caught up")
-        claim(heavy["default"]["kernel_events"] == BASELINE_KERNEL_EVENTS,
-              "default reader_heavy is no longer event-neutral vs the baseline")
-        if not smoke:  # a wall-clock pair: only the best-of-N full run has one
-            claim(heavy["direct"]["speedup"] >= 1.3,
-                  f"speedup {heavy['direct']['speedup']}x < 1.3x")
-    return failures
+    if "baseline" in record:
+        return ", ".join(
+            f"{k} {record[k]['wall_s']:.3f}s" for k in ("default", "direct") if k in record
+        )
+    return ", ".join(f"{k} hot {record[k]['hot_hit_rate']}" for k in record if k != "seed")

@@ -26,7 +26,6 @@ exits non-zero on blowouts.
 from __future__ import annotations
 
 import dataclasses
-import platform
 from typing import Callable, Dict, List, Optional
 
 from repro.bench import (
@@ -276,8 +275,9 @@ def scale_100k(repeats: int, smoke: bool = False) -> Dict:
 
 
 def scale_hotspot(repeats: int, smoke: bool = False) -> Dict:
+    # one store: the trimmed population's peak must oversubscribe too
     spec = (
-        ScaleSpec(tenants=20_000, segments=200, stores=2, step=900.0)
+        ScaleSpec(tenants=20_000, segments=200, stores=1, step=900.0)
         if smoke
         else ScaleSpec(stores=6)
     )
@@ -290,29 +290,12 @@ def scale_hotspot(repeats: int, smoke: bool = False) -> Dict:
 REPEATS = 3
 
 
-def _row(name: str, full, smoke, budget_s: float):
-    def named(fn):
-        return lambda repeats: {**fn(repeats), "name": name}
-
-    return name, named(full), named(smoke), budget_s
-
-
 # (name, full thunk(repeats), smoke thunk(repeats), smoke budget s)
 SCENARIOS = [
-    _row("scale_100k", scale_100k, lambda r: scale_100k(r, smoke=True), 120.0),
-    _row("scale_hotspot", scale_hotspot, lambda r: scale_hotspot(r, smoke=True), 60.0),
-    _row(
-        "fig05a_xval",
-        fig05a_xval,
-        lambda r: fig05a_xval(1, variants=["Kafka (no flush)"]),
-        120.0,
-    ),
-    _row(
-        "fig06a_xval",
-        fig06a_xval,
-        lambda r: fig06a_xval(1, variants=["Pulsar (no batch)"]),
-        120.0,
-    ),
+    ("scale_100k", scale_100k, lambda r: scale_100k(r, smoke=True), 120.0),
+    ("scale_hotspot", scale_hotspot, lambda r: scale_hotspot(r, smoke=True), 60.0),
+    ("fig05a_xval", fig05a_xval, lambda r: fig05a_xval(1, variants=["Kafka (no flush)"]), 120.0),
+    ("fig06a_xval", fig06a_xval, lambda r: fig06a_xval(1, variants=["Pulsar (no batch)"]), 120.0),
 ]
 
 
@@ -326,17 +309,3 @@ def describe(record: Dict) -> str:
         f"{record['wall_s']:6.1f}s  {record['modelled_events']:.3g} events "
         f"({record['kernel_events_avoided']:.3g} kernel events avoided)"
     )
-
-
-def build_report(results: Dict[str, Dict], repeats: int, wall_s: float) -> Dict:
-    return {
-        "python": platform.python_version(),
-        "mode": "full",
-        "repeats": repeats,
-        "scenarios": results,
-    }
-
-
-def check_claims(report: Dict) -> List[str]:
-    """The claim BENCH_scale.json is held to."""
-    return [] if report.get("scenarios") else ["no scale scenarios recorded"]

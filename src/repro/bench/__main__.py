@@ -1,69 +1,52 @@
-"""Trace-enabled benchmark CLI.
+"""``python -m repro.bench``: the one command line of the benchmark harness.
 
-Runs one workload against one system with the tracing subsystem armed,
-prints the critical-path decomposition of the acknowledged-write latency
-(network / journal fsync / quorum wait / queueing), and optionally writes
-a Chrome trace-event JSON loadable in Perfetto (``--trace out.json``).
+* ``run <name>`` — one report bench and its claims
+  (:mod:`repro.bench.harness`; writes ``BENCH_<name>.json``);
+* ``suite`` — the figure scenarios across worker processes
+  (:mod:`repro.bench.suite`; ``--json BENCH_suite.json``);
+* ``gate`` — the committed ``BENCH_*.json`` files against their claims
+  and fresh smoke re-runs (:mod:`repro.bench.gate`);
+* ``trace`` — one workload against one system with the tracing
+  subsystem armed: prints the critical-path decomposition of the
+  acknowledged-write latency (network / journal fsync / quorum wait /
+  queueing) and optionally writes a Chrome trace-event JSON loadable in
+  Perfetto (``--trace out.json``).
 
 Example (the Fig. 5 durable-write point)::
 
-    python -m repro.bench --system pravega --rate 1000 --partitions 16 \
+    python -m repro.bench trace --system pravega --rate 1000 --partitions 16 \\
         --duration 2 --trace pravega.trace.json
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
+from repro.bench import gate, harness, suite
 from repro.bench.adapters import KafkaAdapter, PravegaAdapter, PulsarAdapter
 from repro.bench.runner import WorkloadSpec, run_workload
 from repro.bench.results import fmt_latency
 from repro.obs import Tracer, event_records, export_chrome_trace, median_record
 from repro.sim import Simulator
 
-SYSTEMS = ("pravega", "pravega-nosync", "kafka", "kafka-noflush", "pulsar")
+#: ``trace --system`` -> the adapter and its configuration
+SYSTEMS = {
+    "pravega": (PravegaAdapter, {"journal_sync": True}),
+    "pravega-nosync": (PravegaAdapter, {"journal_sync": False}),
+    "kafka": (KafkaAdapter, {"flush_every_message": True}),
+    "kafka-noflush": (KafkaAdapter, {"flush_every_message": False}),
+    "pulsar": (PulsarAdapter, {}),
+}
 
 
-def make_adapter(system: str, sim: Simulator, tracer: Tracer):
-    if system == "pravega":
-        return PravegaAdapter(sim, journal_sync=True, tracer=tracer)
-    if system == "pravega-nosync":
-        return PravegaAdapter(sim, journal_sync=False, tracer=tracer)
-    if system == "kafka":
-        return KafkaAdapter(sim, flush_every_message=True, tracer=tracer)
-    if system == "kafka-noflush":
-        return KafkaAdapter(sim, flush_every_message=False, tracer=tracer)
-    if system == "pulsar":
-        return PulsarAdapter(sim, tracer=tracer)
-    raise ValueError(f"unknown system {system!r}")
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.bench", description=__doc__.splitlines()[0]
-    )
-    parser.add_argument("--system", choices=SYSTEMS, default="pravega")
-    parser.add_argument("--rate", type=float, default=1000.0, help="events/s")
-    parser.add_argument("--event-size", type=int, default=100)
-    parser.add_argument("--partitions", type=int, default=16)
-    parser.add_argument("--producers", type=int, default=1)
-    parser.add_argument("--duration", type=float, default=2.0)
-    parser.add_argument("--warmup", type=float, default=0.5)
-    parser.add_argument("--key-mode", choices=("random", "none"), default="random")
-    parser.add_argument(
-        "--trace", metavar="PATH", default=None,
-        help="write a Chrome trace-event JSON (Perfetto-loadable) here",
-    )
-    parser.add_argument(
-        "--no-tracing", action="store_true",
-        help="run with the tracer disabled (overhead baseline)",
-    )
-    args = parser.parse_args(argv)
-
+def trace(args) -> int:
+    """``trace``: one traced workload and its p50 critical path."""
     sim = Simulator()
     tracer = Tracer(sim, enabled=not args.no_tracing)
-    adapter = make_adapter(args.system, sim, tracer)
+    adapter_cls, config = SYSTEMS[args.system]
+    adapter = adapter_cls(sim, tracer=tracer, **config)
     spec = WorkloadSpec(
         event_size=args.event_size,
         target_rate=args.rate,
@@ -103,18 +86,101 @@ def main(argv=None) -> int:
     return 0
 
 
-if __name__ == "__main__":
-    # `python -m repro.bench run|suite|gate ...` delegate to the report
-    # bench driver, the parallel figure-suite runner and the regression
-    # gate; everything else is the trace CLI above.
-    subcommands = {
-        "run": "repro.bench.harness",
-        "suite": "repro.bench.suite",
-        "gate": "repro.bench.gate",
-    }
-    if len(sys.argv) > 1 and sys.argv[1] in subcommands:
-        import importlib
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.bench", description=__doc__.splitlines()[0]
+    )
+    commands = parser.add_subparsers(dest="command", required=True)
 
-        module = importlib.import_module(subcommands[sys.argv[1]])
-        sys.exit(module.main(sys.argv[2:]))
+    run = commands.add_parser("run", help="run one report benchmark and check its claims")
+    run.add_argument("name", choices=sorted(harness.RUNNABLE))
+    run.add_argument(
+        "--check", action="store_true",
+        help="smoke: trimmed scenarios once each, claims and wall budgets, no JSON",
+    )
+    run.add_argument(
+        "--repeats", type=int, default=None,
+        help="timed repeats per measurement, best kept (default: the bench's own)",
+    )
+    run.add_argument(
+        "--scenario", action="append", default=[],
+        help="run only these scenarios (repeatable, comma-separated)",
+    )
+    run.add_argument("--json", default=None, help="report path (full runs)")
+    run.set_defaults(main=harness.main, error=run.error)
+
+    figures = commands.add_parser(
+        "suite", help="run the figure benchmarks in parallel worker processes"
+    )
+    figures.add_argument(
+        "--jobs", type=int, default=max(1, os.cpu_count() or 1),
+        help="worker processes (default: cpu count)",
+    )
+    figures.add_argument(
+        "--only", default=None,
+        help="comma-separated scenario names or prefixes (e.g. fig10 "
+        "selects fig10a,fig10b; default: all figure scenarios)",
+    )
+    figures.add_argument(
+        "--skip", default=None,
+        help="comma-separated scenario names or prefixes to exclude "
+        "(applied after --only)",
+    )
+    figures.add_argument(
+        "--check", action="store_true",
+        help="fast smoke: run the smoke scenarios serially AND with "
+        "--jobs workers, verify the results are identical",
+    )
+    figures.add_argument("--json", default=None, help="write the report here")
+    figures.add_argument("--list", action="store_true", help="list scenarios and exit")
+    figures.set_defaults(main=suite.main)
+
+    regression = commands.add_parser(
+        "gate", help="compare fresh benchmark runs against the committed "
+        "BENCH_*.json trajectory; fail with a structured diff on drift",
+    )
+    regression.add_argument(
+        "--root", default=".", help="repo root holding the BENCH_*.json files"
+    )
+    regression.add_argument(
+        "--smoke", default=gate.DEFAULT_SMOKE,
+        help="comma-separated re-run subset, family[:name+name...] with "
+        f"families {sorted(gate.SMOKE_FAMILIES)}; 'none' disables re-runs "
+        f"(default: {gate.DEFAULT_SMOKE})",
+    )
+    regression.add_argument(
+        "--tol", action="append", default=[], metavar="PATTERN=VALUE", type=gate.tolerance,
+        help="per-metric tolerance override (fnmatch over the dotted "
+        "path; relative tolerance, or a ratio factor for wall fields); "
+        "repeatable, first match wins",
+    )
+    regression.add_argument("--json", default=None, help="write the full report here")
+    regression.set_defaults(main=gate.main)
+
+    traced = commands.add_parser(
+        "trace", help="one traced workload and its p50 write critical path"
+    )
+    traced.add_argument("--system", choices=SYSTEMS, default="pravega")
+    traced.add_argument("--rate", type=float, default=1000.0, help="events/s")
+    traced.add_argument("--event-size", type=int, default=100)
+    traced.add_argument("--partitions", type=int, default=16)
+    traced.add_argument("--producers", type=int, default=1)
+    traced.add_argument("--duration", type=float, default=2.0)
+    traced.add_argument("--warmup", type=float, default=0.5)
+    traced.add_argument("--key-mode", choices=("random", "none"), default="random")
+    traced.add_argument(
+        "--trace", metavar="PATH", default=None,
+        help="write a Chrome trace-event JSON (Perfetto-loadable) here",
+    )
+    traced.add_argument(
+        "--no-tracing", action="store_true",
+        help="run with the tracer disabled (overhead baseline)",
+    )
+    traced.set_defaults(main=trace)
+
+    args = parser.parse_args(argv)
+    return args.main(args)
+
+
+if __name__ == "__main__":
     sys.exit(main())

@@ -1,46 +1,57 @@
-"""Figure claims as data: the one place a paper claim is stated.
+"""Claims as data: the one place a claim about a committed number is stated.
 
 The paper's result is a set of comparative statements (Figs. 5-13,
-Table 1: who wins, by what factor, where curves cross).  Each is one
-row of ``CLAIMS`` — ``(id, statement, predicate[, assumes])``, the id
-being ``<scenario>.<what the row says>`` — whose predicate is built from
-a closed vocabulary over *recorded* metric names:
+Table 1: who wins, by what factor, where curves cross), and every
+report bench's file states its own (the fluid model stays within 5% of
+discrete, coalescing cuts LTS ops, global-strong loses nothing, ...).
+Each is one row of ``CLAIMS`` — ``(id, statement, predicate[, assumes[,
+full_only]])``, the id being ``<scenario>.<what the row says>`` — whose
+predicate is built from a closed vocabulary over *recorded* metric names:
 
 =====================  ==============================================
 ``gt(a, b, k)``        ``a > k·b``   (``b`` a metric name or a number)
 ``ge`` / ``lt`` / ``le``   the same with ``>=``, ``<``, ``<=``
 ``between(a, lo, hi)`` ``lo < a < hi``
 ``equal(a, v)``        ``a == v`` (a flag, a count, a name)
+``counts(a, n)``       ``a`` lists exactly ``n`` ints, none negative
 ``both(p, q, ...)``    every part holds
 =====================  ==============================================
 
-A predicate maps a scenario's metrics to ``(ok, margin)``.  For a
-comparison the margin is the signed distance to the threshold, relative
-to it (absolute when the threshold is 0): positive when the claim holds,
-and the smaller it is the sooner a re-baseline will break the claim.  An
-equality has margin 1 when it holds and 0 when it does not; ``both`` has
-the margin of its weakest part.  So ``ok`` implies ``margin >= 0`` and
+A row reads the *view* of its scenario's ``metrics``: nested keys
+joined with ``.`` (``off.lts_fetch_ops``), list items keyed by position
+(``gc_collections.0``), nulls left out — a null is not a measurement.
+A predicate maps that view to ``(ok, margin)``.  For a comparison the
+margin is the signed distance to the threshold, relative to it
+(absolute when the threshold is 0): positive when the claim holds, and
+the smaller it is the sooner a re-baseline will break the claim.  An
+equality or a ``counts`` has margin 1 when it holds and 0 when it does
+not; ``both`` has the margin of its weakest part.  A row over an
+operand the view lacks (a null, an unrecorded metric) or cannot compare
+does not hold, margin 0.  So ``ok`` implies ``margin >= 0`` and
 ``margin > 0`` implies ``ok``.
 
-``evaluate(scenario, metrics)`` is the only evaluator.  The suite runner
-applies it to a fresh run and stores the verdicts in the scenario record
-(``claims: [{id, ok, margin}]``); ``suite.check_claims`` — what the
-regression gate holds the committed ``BENCH_suite.json`` /
-``BENCH_workload.json`` to — applies it to the committed metrics.
+``evaluate(scenario, metrics)`` is the only evaluator: the suite and
+``python -m repro.bench run`` apply it to a fresh run and store the
+verdicts in the scenario record (``claims: [{id, ok, margin}]``).
+``check(report, scenarios)`` is the only check: what the regression
+gate holds every committed ``BENCH_*.json`` to, and ``run`` a fresh one.
 
-Rows are written for the default (trimmed) sweeps, which are what is
-committed; ``REPRO_BENCH_FULL=1`` adds sweep points, not claims.
+Suite rows are written for the default (trimmed) sweeps, which are what
+is committed; ``REPRO_BENCH_FULL=1`` adds sweep points, not claims.  A
+``full_only`` row is about what only a report bench's full-size run
+has (a sweep point, an event count, a wall-clock ratio): ``run
+--check`` skips it.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 __all__ = [
-    "CLAIMS", "Claim", "evaluate", "failures",
-    "gt", "ge", "lt", "le", "between", "equal", "both",
+    "CLAIMS", "Claim", "MANIFEST", "check", "evaluate", "failures", "records", "view",
+    "gt", "ge", "lt", "le", "between", "equal", "counts", "both",
 ]
 
 Operand = Union[str, float]
@@ -80,6 +91,22 @@ class Is:
 
 
 @dataclass(frozen=True)
+class Counts:
+    """``a`` is a list of exactly ``n`` counts: ints (not flags), none
+    negative."""
+
+    a: str
+    n: int
+
+    def __call__(self, metrics: dict) -> Tuple[bool, float]:
+        items = [metrics.get(f"{self.a}.{i}") for i in range(self.n)]
+        ok = f"{self.a}.{self.n}" not in metrics and all(
+            type(item) is int and item >= 0 for item in items
+        )
+        return ok, float(ok)
+
+
+@dataclass(frozen=True)
 class Both:
     parts: Tuple["Predicate", ...]
 
@@ -88,7 +115,7 @@ class Both:
         return all(ok for ok, _ in verdicts), min(m for _, m in verdicts)
 
 
-Predicate = Union[Compare, Is, Both]
+Predicate = Union[Compare, Is, Counts, Both]
 
 
 def _comparison(op: str):
@@ -100,6 +127,7 @@ def _comparison(op: str):
 
 gt, ge, lt, le = (_comparison(op) for op in _OPS)
 equal = Is
+counts = Counts
 
 
 def both(*parts: Predicate) -> Both:
@@ -108,6 +136,11 @@ def both(*parts: Predicate) -> Both:
 
 def between(a: str, lo: float, hi: float) -> Both:
     return both(gt(a, lo), lt(a, hi))
+
+
+def _same(a: str, b: str, k: float = 1.0) -> Both:
+    """``a == k·b`` between two recorded numbers."""
+    return both(ge(a, b, k), le(a, b, k))
 
 
 # ----------------------------------------------------------------------
@@ -120,6 +153,8 @@ class Claim:
     predicate: Predicate
     #: what the row additionally rests on (a slice approximation)
     assumes: Optional[str] = None
+    #: about the full-size run only: ``run --check`` skips the row
+    full_only: bool = False
 
     @property
     def scenario(self) -> str:
@@ -184,6 +219,102 @@ def _tenant_rows(tenant: str) -> List[tuple]:
          equal(f"{tenant}.windows", 15.0)),
         (f"workload_slo.{tenant}_offered", f"tenant {tenant!r}: the SLO tracker saw offered load",
          gt(f"{tenant}.offered", 0)),
+    ]
+
+
+def _kernel_rows(scenario: str) -> List[tuple]:
+    return [
+        (f"{scenario}.events_counted",
+         f"{scenario}: the record carries the kernel's own counters, every executed event "
+         "plus microtasks", both(gt("events", 0), ge("events", "stats.events_executed"))),
+        (f"{scenario}.gc_counted",
+         f"{scenario}: the collector runs [gen0, gen1, gen2] of the best repeat are recorded",
+         counts("gc_collections", 3)),
+        (f"{scenario}.baseline_event_neutral",
+         f"{scenario}: the parent's wall pair was measured at today's event count "
+         "(a wall-clock pair means nothing otherwise)",
+         _same("events", "baseline.events"), None, True),
+    ]
+
+
+def _xval_rows(figure: str) -> List[tuple]:
+    scenario = f"{figure}_xval"
+    return [
+        (f"{scenario}.fluid_within_5pct",
+         f"fluid mode reproduces the {figure} headline metrics 'within ±5% of "
+         "full-discrete' (DESIGN.md §10)", lt("max_err_pct", 5)),
+        (f"{scenario}.fluid_10x_faster",
+         f"fluid mode runs {figure} 'at ≥10× lower wall time' (DESIGN.md §10)",
+         ge("speedup", 10), None, True),
+    ]
+
+
+def _capacity_rows(point: str) -> List[tuple]:
+    # EXPERIMENTS.md: "A point is trustworthy iff `confirmed` ... and `converged`"
+    return [
+        (f"{point}.confirmed",
+         f"{point}: both bracket ends re-judged by a discrete multi-tenant run",
+         equal("confirmed", True)),
+        (f"{point}.converged", f"{point}: the bracket converged to its rel_tol width",
+         both(equal("converged", True), le("bracket_width_rel", "rel_tol"))),
+    ]
+
+
+_GEO_MODES = ("async", "global_strong")
+
+
+def _geo_rows(tier: str) -> List[tuple]:
+    scenario = f"geo_{tier}"
+    return [
+        *((f"{scenario}.{mode}_oracle_clean",
+           f"{tier}, {mode}: the replication oracle finds no violation",
+           equal(f"{mode}.violations", 0)) for mode in _GEO_MODES),
+        *((f"{scenario}.{mode}_recovers",
+           f"{tier}, {mode}: a survivor serves a post-failover ack (a measured RTO)",
+           gt(f"{mode}.rto_s", 0)) for mode in _GEO_MODES),
+        (f"{scenario}.strong_loses_nothing",
+         f"{tier}: global-strong loses nothing, RPO = 0 bytes and 0 events",
+         both(equal("global_strong.rpo_bytes", 0), equal("global_strong.rpo_events", 0))),
+        (f"{scenario}.async_within_staleness_bound",
+         f"{tier}: async admission lag never exceeds the configured staleness bound",
+         le("async.max_lag_at_admission", "async.staleness_bound_bytes")),
+        (f"{scenario}.strong_pays_coordination",
+         f"{tier}: global-strong pre-loss p50 is above async's (the price of "
+         "cross-region coordination)", gt("global_strong.latency_p50_s", "async.latency_p50_s")),
+    ]
+
+
+def _fanout_rows(readers: int) -> List[tuple]:
+    point = f"points.{readers}"
+    full_only = readers != 100  # `run read --check` runs the 100-reader point only
+    return [
+        (f"fanout.caught_up_{readers}", f"all {readers} tail readers catch up",
+         equal(f"{point}.caught_up", True), None, full_only),
+        (f"fanout.delivers_all_{readers}", f"every append reaches every one of {readers} readers",
+         _same(f"{point}.delivered_events", f"{point}.events", readers), None, full_only),
+        (f"fanout.recorded_{readers}",
+         f"the {readers}-reader point records the fields a re-run is compared on",
+         both(gt(f"{point}.kernel_events", 0), gt(f"{point}.sim_time_s", 0)), None, full_only),
+    ]
+
+
+def _replay_rows(mode: str) -> List[tuple]:
+    return [
+        (f"replay.{mode}_caught_up", f"coalescing {mode}: every replaying reader catches up",
+         equal(f"{mode}.caught_up", True)),
+        (f"replay.{mode}_recorded",
+         f"coalescing {mode}: the replay records the fields a re-run is compared on",
+         both(gt(f"{mode}.kernel_events", 0), gt(f"{mode}.sim_time_s", 0))),
+    ]
+
+
+def _policy_rows(admission: str) -> List[tuple]:
+    policy = f"generation/{admission}"
+    return [
+        (f"policies.{admission}_{rate}_is_a_fraction",
+         f"{policy}: the {rate} lies in [0, 1]",
+         both(ge(f"{policy}.{rate}", 0), le(f"{policy}.{rate}", 1)))
+        for rate in ("hit_rate", "hot_hit_rate")
     ]
 
 
@@ -353,20 +484,97 @@ CLAIMS: Tuple[Claim, ...] = tuple(Claim(*row) for row in [
      "unable to spread the spike, the fixed-partition topic pays more write p99",
      gt("kafka_write_p99_ms", "pravega_write_p99_ms")),
     *(row for tenant in ("steady", "bursty", "web") for row in _tenant_rows(tenant)),
+    # ---- BENCH_kernel.json: the kernel's own wall-clock cost ----------
+    *(row for scenario in (
+        "timeout_churn", "ping_pong", "ping_pong_sliced", "cancel_storm", "mini_workload",
+        "mini_tracer_off",
+    ) for row in _kernel_rows(scenario)),
+    # ---- BENCH_scale.json: fluid accuracy and the macroscope ----------
+    *(row for figure in ("fig05a", "fig06a") for row in _xval_rows(figure)),
+    ("scale_100k.fleet_keeps_up",
+     "scale_hotspot is 'the same population on an underprovisioned 6-store fleet' "
+     "(EXPERIMENTS.md): on 16 stores no store is oversubscribed and no backlog builds",
+     both(le("peak_store_utilization", 1), le("peak_backlog_seconds", 0))),
+    ("scale_hotspot.peak_oversubscribes",
+     "'the diurnal peak oversubscribes the stores ..., backlog builds' (EXPERIMENTS.md)",
+     both(gt("peak_store_utilization", 1), gt("peak_backlog_seconds", 0))),
+    # ---- BENCH_capacity.json: one point per system x tenant mix -------
+    *(row for system in ("pravega", "kafka", "pulsar") for mix in ("uniform", "mixed")
+      for row in _capacity_rows(f"{system}/{mix}")),
+    # ---- BENCH_geo.json: both replication modes per WAN tier ----------
+    *(row for tier in ("metro", "continental", "global") for row in _geo_rows(tier)),
+    # ---- BENCH_read.json: the read-path serving tier ------------------
+    *((f"{family}.seeded", f"{family}: the record carries the seed its run replays from",
+       ge("seed", 0)) for family in ("fanout", "replay", "policies", "reader_heavy")),
+    *(row for readers in (10, 100, 1000) for row in _fanout_rows(readers)),
+    *(row for mode in ("off", "on") for row in _replay_rows(mode)),
+    ("replay.coalescing_cuts_ops", "single-flight coalescing never increases LTS fetch ops",
+     le("on.lts_fetch_ops", "off.lts_fetch_ops")),
+    ("replay.fetches_shared", "with coalescing on, concurrent readers share a fetch",
+     gt("on.coalesced_fetches", 0)),
+    ("replay.bytes_unchanged", "coalescing does not change the bytes readers observe",
+     _same("on.delivered_bytes", "off.delivered_bytes")),
+    ("replay.ops_cut_4x", "coalescing cuts LTS fetch ops >= 4x (the smoke backlog's floor)",
+     ge("lts_ops_ratio", 4)),
+    ("replay.ops_cut_10x", "at full size coalescing cuts LTS fetch ops >= 10x",
+     ge("lts_ops_ratio", 10), None, True),
+    *(row for admission in ("always", "second_touch") for row in _policy_rows(admission)),
+    ("policies.second_touch_protects_hot_set",
+     "second-touch admission keeps the hot set resident through a one-pass cold scan",
+     ge("generation/second_touch.hot_hit_rate", "generation/always.hot_hit_rate")),
+    ("reader_heavy.default_caught_up", "default config: all 64 reader groups catch up",
+     equal("default.caught_up", True)),
+    ("reader_heavy.direct_caught_up", "direct tail delivery: all 64 reader groups catch up",
+     equal("direct.caught_up", True), None, True),
+    ("reader_heavy.default_event_neutral",
+     "the default config runs exactly the baseline's kernel events (the hot-path cuts are "
+     "event-neutral)", _same("default.kernel_events", "baseline.kernel_events")),
+    ("reader_heavy.direct_speedup", "direct tail delivery is >= 1.3x the baseline's wall",
+     ge("direct.speedup", 1.3), None, True),
 ])
 
 
 # ----------------------------------------------------------------------
 # Evaluation
 # ----------------------------------------------------------------------
-def evaluate(scenario: str, metrics: dict) -> List[dict]:
-    """Verdict of every row of ``scenario`` over ``metrics``, in table order."""
-    verdicts = []
+def view(metrics: dict) -> Dict[str, object]:
+    """What a row reads of ``metrics``: nested keys joined with ``.``,
+    list items keyed by position, nulls left out."""
+    flat: Dict[str, object] = {}
+
+    def walk(prefix: str, node) -> None:
+        for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+            if isinstance(value, (dict, list)):
+                walk(f"{prefix}{key}.", value)
+            elif value is not None:
+                flat[f"{prefix}{key}"] = value
+
+    walk("", metrics)
+    return flat
+
+
+def _judge(scenario: str, metrics: dict, full: bool) -> Tuple[List[dict], List[str]]:
+    """The verdicts of ``evaluate`` and, per row that could not read its
+    operands, what it could not read."""
+    flat = view(metrics)
+    verdicts, unread = [], []
     for claim in CLAIMS:
-        if claim.scenario == scenario:
-            ok, margin = claim.predicate(metrics)
+        if claim.scenario == scenario and (full or not claim.full_only):
+            try:
+                ok, margin = claim.predicate(flat)
+            except (KeyError, TypeError) as exc:  # unrecorded, or not comparable
+                ok, margin = False, 0.0
+                unread.append(f"{claim.id} cannot read its operand ({type(exc).__name__}: {exc})")
             verdicts.append({"id": claim.id, "ok": bool(ok), "margin": float(margin)})
-    return verdicts
+    return verdicts, unread
+
+
+def evaluate(scenario: str, metrics: dict, full: bool = True) -> List[dict]:
+    """Verdict of every row of ``scenario`` over the view of ``metrics``,
+    in table order; ``full=False`` (a ``run --check``) skips the
+    full-size-only rows.  A row over an operand the view lacks or cannot
+    compare does not hold (margin 0): it never raises."""
+    return _judge(scenario, metrics, full)[0]
 
 
 def failures(verdicts: List[dict]) -> List[str]:
@@ -382,3 +590,61 @@ def failures(verdicts: List[dict]) -> List[str]:
                 f"(margin {verdict['margin']:.3g}{assumes})"
             )
     return messages
+
+
+#: what every report file records about the run that wrote it: the
+#: commit its checkout was at, the interpreter, the core count
+MANIFEST = ("git_sha", "python", "cpu_count")
+
+
+def records(report: dict) -> Dict[str, dict]:
+    """A report's scenario records by name; none when ``scenarios`` is
+    not a list of records."""
+    scenarios = report.get("scenarios") if isinstance(report, dict) else None
+    if not isinstance(scenarios, list):
+        return {}
+    return {record.get("name"): record for record in scenarios if isinstance(record, dict)}
+
+
+def check(report: dict, scenarios: Sequence[str], full: bool = True) -> List[str]:
+    """Everything a report is held to, one message per violation: it
+    carries the run manifest, it records exactly ``scenarios``, every row
+    of each holds over its record, and each record's ``claims`` are the
+    verdicts re-evaluated here.  ``full=False`` is a ``run --check``
+    report, written nowhere: its full-size-only rows are skipped, and it
+    may come from outside a git checkout (no ``git_sha``)."""
+    try:
+        return _problems(report, scenarios, full)
+    except (AttributeError, TypeError) as exc:  # not shaped like a report
+        return [f"malformed report: {type(exc).__name__}: {exc}"]
+
+
+def _problems(report: dict, scenarios: Sequence[str], full: bool) -> List[str]:
+    problems = []
+    manifest = report.get("manifest") or {}
+    lacking = [
+        key for key in MANIFEST if manifest.get(key) is None and (full or key != "git_sha")
+    ]
+    if lacking:
+        problems.append(f"manifest: lacks {lacking}")
+    recorded = records(report)
+    if not recorded:
+        problems.append("no scenario recorded")
+    problems.extend(f"{name}: not recorded" for name in scenarios if name not in recorded)
+    problems.extend(
+        f"{name}: recorded, but not a scenario of this file"
+        for name in recorded if name not in scenarios
+    )
+    for name, record in recorded.items():
+        verdicts, unread = _judge(name, record.get("metrics") or {}, full)
+        problems.extend(f"{name}: {message}" for message in unread)
+        failed = failures(verdicts)
+        problems.extend(f"{name}: {message}" for message in failed)
+        if not failed and record.get("error"):
+            problems.append(f"{name}: not ok ({record['error']})")
+        if verdicts != record.get("claims"):
+            problems.append(
+                f"{name}: recorded claims are not what the claims table says "
+                "of the recorded metrics (regenerate the file)"
+            )
+    return problems

@@ -8,15 +8,14 @@ only be noticed when a full suite re-run happened to be eyeballed.  The
 gate closes that hole in three layers, cheapest first:
 
 1. **structure** — every committed file parses, has an owning bench
-   (an unowned ``BENCH_*.json`` is itself a drift) and satisfies that
-   bench's ``check_claims`` — the same function ``python -m repro.bench
-   run <name> --check`` applies to a fresh run, so a claim is stated
-   once, by the code that produces the number (every figure scenario's
-   rows of ``repro.bench.claims`` hold over its committed metrics,
-   capacity points all discrete-confirmed, geo failover points
-   violation-free with a measured RTO and in-bound staleness, ...) —
-   and scenarios recorded in more than one file agree on their
-   deterministic fields;
+   (an unowned ``BENCH_*.json`` is itself a drift) and passes
+   ``claims.check`` — the same function ``python -m repro.bench run
+   <name> --check`` applies to a fresh run, so a claim is stated once,
+   as a row of ``repro.bench.claims.CLAIMS``: the file carries its run
+   manifest, records every scenario its owner defines, every row holds
+   over its committed record and the recorded verdicts are the
+   re-evaluated ones — and scenarios recorded in more than one file
+   agree on their deterministic fields;
 2. **smoke re-runs** — a configurable subset of scenarios is re-run
    fresh and compared field by field against the committed records:
    deterministic fields (kernel events, simulated time, figure
@@ -42,19 +41,18 @@ Usage::
 
 from __future__ import annotations
 
-import argparse
 import fnmatch
 import glob
 import json
 import math
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from repro.bench import harness
-from repro.bench.suite import DETERMINISTIC_FIELDS, records as suite_records
+from repro.bench import claims, harness
+from repro.bench.suite import DETERMINISTIC_FIELDS
 
 __all__ = [
     "Drift",
@@ -65,6 +63,7 @@ __all__ = [
     "structure_checks",
     "load_bench_files",
     "run_gate",
+    "tolerance",
     "main",
 ]
 
@@ -80,10 +79,11 @@ WALL_PATTERNS = (
     "*suite_wall*",
     "*serial_wall*",
 )
-# Fields that describe the interpreter process the run happened in (how
-# often the cyclic collector ran): their shape is a claim of the kernel
-# bench, their value is never compared.
-PROCESS_PATTERNS = ("*gc_collections*",)
+# Fields never compared: how often the cyclic collector ran describes the
+# interpreter process the run happened in (its shape is a kernel claim
+# row), and a record's claim verdicts are a function of its other
+# fields, compared themselves (some rows read wall-clock fields).
+UNCOMPARED_PATTERNS = ("*gc_collections*", "*.claims")
 #: fresh wall time may be up to this factor off the committed one in
 #: either direction before it counts as drift
 WALL_RATIO = 10.0
@@ -108,16 +108,8 @@ class Drift:
     message: str
 
     def as_dict(self) -> Dict[str, object]:
-        return {
-            "file": self.file,
-            "path": self.path,
-            "kind": self.kind,
-            "committed": self.committed,
-            "fresh": self.fresh,
-            "tolerance": self.tolerance,
-            "drift": round(self.drift, 6) if isinstance(self.drift, float) else self.drift,
-            "message": self.message,
-        }
+        drift = round(self.drift, 6) if isinstance(self.drift, float) else self.drift
+        return {**asdict(self), "drift": drift}
 
 
 @dataclass
@@ -185,7 +177,7 @@ def compare(
 ) -> List[Drift]:
     """Recursive structured diff of a committed record vs a fresh one."""
     drifts: List[Drift] = []
-    if any(fnmatch.fnmatch(path, pat) for pat in PROCESS_PATTERNS):
+    if any(fnmatch.fnmatch(path, pat) for pat in UNCOMPARED_PATTERNS):
         return drifts
     if isinstance(committed, dict) and isinstance(fresh, dict):
         for key in committed:
@@ -218,6 +210,14 @@ def compare(
     if _numbers(committed, fresh):
         kind, tol = resolve_tolerance(path, overrides)
         c, f = float(committed), float(fresh)
+        if math.isnan(c) or math.isnan(f):
+            # every comparison with NaN is False: no tolerance can pass it
+            if not (math.isnan(c) and math.isnan(f)):
+                drifts.append(Drift(
+                    file, path, kind, committed, fresh, tol, math.inf,
+                    f"NaN against a number ({committed} -> {fresh})",
+                ))
+            return drifts
         if kind == "wall":
             if max(abs(c), abs(f)) <= WALL_FLOOR:
                 return drifts
@@ -228,8 +228,6 @@ def compare(
                     file, path, "wall", committed, fresh, tol, ratio,
                     f"wall-clock ratio {ratio:.2f}x exceeds the {tol:.0f}x allowance",
                 ))
-            return drifts
-        if math.isnan(c) and math.isnan(f):
             return drifts
         rel = abs(f - c) / max(abs(c), 1e-12)
         if rel > tol:
@@ -251,7 +249,7 @@ def compare(
 
 
 # ----------------------------------------------------------------------
-# Committed files: each against the claims of the bench that owns it
+# Committed files: each against the claims about it
 # ----------------------------------------------------------------------
 def load_bench_files(root: "str | Path") -> Dict[str, dict]:
     files: Dict[str, dict] = {}
@@ -266,8 +264,8 @@ def _structure(file: str, path: str, message: str) -> Drift:
 
 
 def structure_checks(files: Dict[str, dict]) -> List[Drift]:
-    """Every committed file against its owning bench's claims, plus the
-    one check that spans files."""
+    """Every committed file against ``claims.check``, plus the one check
+    that spans files."""
     owned = {f"BENCH_{name}.json" for name in harness.OWNERS}
     # A committed file no bench owns is guarded by nothing.
     drifts = [
@@ -275,16 +273,15 @@ def structure_checks(files: Dict[str, dict]) -> List[Drift]:
         for fname in sorted(set(files) - owned)
     ]
     for fname in sorted(set(files) & owned):
-        try:
-            failures = harness.owner(fname).check_claims(files[fname])
-        except (KeyError, TypeError, AttributeError) as exc:
-            failures = [f"malformed report: {type(exc).__name__}: {exc}"]
-        drifts.extend(_structure(fname, "claims", message) for message in failures)
+        drifts.extend(
+            _structure(fname, "claims", message)
+            for message in claims.check(files[fname], harness.scenario_names(fname))
+        )
 
     # Cross-file agreement: a scenario recorded in two files must agree
     # on its deterministic fields (wall fields are per-run).
-    suite = suite_records(files.get("BENCH_suite.json", {}))
-    for name, record in suite_records(files.get("BENCH_workload.json", {})).items():
+    suite = claims.records(files.get("BENCH_suite.json", {}))
+    for name, record in claims.records(files.get("BENCH_workload.json", {})).items():
         twin = suite.get(name)
         if twin is None:
             continue
@@ -301,9 +298,9 @@ def structure_checks(files: Dict[str, dict]) -> List[Drift]:
 # ----------------------------------------------------------------------
 # Smoke re-runs
 # ----------------------------------------------------------------------
-#: smoke family (= the bench owning BENCH_<family>.json) -> the scenario
-#: re-run when the spec names none
-_SMOKE_FAMILIES = {
+#: smoke family (= the file BENCH_<family>.json) -> the scenario re-run
+#: when the spec names none
+SMOKE_FAMILIES = {
     "kernel": "timeout_churn",
     "suite": "table1",
     "workload": "workload_slo",
@@ -326,21 +323,20 @@ def _parse_smoke(spec: str) -> List[Tuple[str, List[str]]]:
 def _smoke(
     family: str, names: List[str], files: Dict[str, dict], overrides
 ) -> Tuple[List[Drift], Dict[str, object]]:
-    """Re-run ``names`` through the bench owning the family's file and
-    diff each fresh record against the committed one."""
+    """Re-run ``names`` of the family's file and diff each fresh record
+    against the committed one."""
     fname = f"BENCH_{family}.json"
-    bench = harness.owner(fname)
-    committed = bench.records(files.get(fname, {}))
+    committed = claims.records(files.get(fname, {}))
     drifts: List[Drift] = []
     ran: List[str] = []
-    for name in names or [_SMOKE_FAMILIES[family]]:
+    for name in names or [SMOKE_FAMILIES[family]]:
         if name not in committed:
             drifts.append(Drift(
                 fname, name, "missing", "committed baseline", None, 0.0, 1.0,
                 f"no committed baseline for {family} scenario {name!r}",
             ))
             continue
-        fresh = bench.rerun(name)
+        fresh = harness.rerun(fname, name)
         if fresh is None:
             drifts.append(_structure(
                 fname, name, f"unknown {family} scenario {name!r}"
@@ -364,10 +360,10 @@ def run_gate(
     drifts = structure_checks(files)
     smoke_log: List[Dict[str, object]] = []
     for family, names in _parse_smoke(smoke):
-        if family not in _SMOKE_FAMILIES:
+        if family not in SMOKE_FAMILIES:
             drifts.append(_structure(
                 "(gate)", f"smoke.{family}",
-                f"unknown smoke family {family!r} (one of {sorted(_SMOKE_FAMILIES)})",
+                f"unknown smoke family {family!r} (one of {sorted(SMOKE_FAMILIES)})",
             ))
             continue
         t0 = time.perf_counter()
@@ -385,43 +381,15 @@ def run_gate(
     )
 
 
-def _parse_tolerances(specs: List[str]) -> List[Tuple[str, float]]:
-    overrides: List[Tuple[str, float]] = []
-    for spec in specs:
-        pattern, sep, value = spec.partition("=")
-        if not sep:
-            raise SystemExit(f"--tol wants PATTERN=VALUE, got {spec!r}")
-        overrides.append((pattern, float(value)))
-    return overrides
+def tolerance(spec: str) -> Tuple[str, float]:
+    """A ``--tol PATTERN=VALUE`` override (ValueError without a number)."""
+    pattern, _, value = spec.partition("=")
+    return pattern, float(value)
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.bench gate",
-        description="Compare fresh benchmark runs against the committed "
-        "BENCH_*.json trajectory; fail with a structured diff on drift.",
-    )
-    parser.add_argument(
-        "--root", default=".", help="repo root holding the BENCH_*.json files"
-    )
-    parser.add_argument(
-        "--smoke", default=DEFAULT_SMOKE,
-        help="comma-separated re-run subset, family[:name+name...] with "
-        f"families {sorted(_SMOKE_FAMILIES)}; 'none' disables re-runs "
-        f"(default: {DEFAULT_SMOKE})",
-    )
-    parser.add_argument(
-        "--tol", action="append", default=[], metavar="PATTERN=VALUE",
-        help="per-metric tolerance override (fnmatch over the dotted "
-        "path; relative tolerance, or a ratio factor for wall fields); "
-        "repeatable, first match wins",
-    )
-    parser.add_argument("--json", default=None, help="write the full report here")
-    args = parser.parse_args(argv)
-
-    report = run_gate(
-        args.root, smoke=args.smoke, overrides=_parse_tolerances(args.tol)
-    )
+def main(args) -> int:
+    """``gate``: the committed files' structure, then the smoke re-runs."""
+    report = run_gate(args.root, smoke=args.smoke, overrides=args.tol)
     for entry in report.smoke:
         print(
             f"  [gate] {entry['check']}: {', '.join(entry['scenarios']) or '(none)'} "

@@ -21,29 +21,27 @@ Usage::
 A scenario is a plain function returning its metrics dict; the runner
 evaluates the scenario's rows of :mod:`repro.bench.claims` over it and
 stores the verdicts in the record (a failing row marks the scenario
-``ok: false`` instead of aborting the suite).  ``check_claims`` — what
+``ok: false`` instead of aborting the suite).  ``claims.check`` — what
 the regression gate applies to the committed file — re-evaluates the
 same rows over the committed metrics.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import functools
 import io
-import json
 import os
 import random
 import time
 import traceback
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.bench import claims, harness
 
-__all__ = ["SCENARIOS", "run_scenario", "run_suite", "check_claims", "main"]
+__all__ = ["SCENARIOS", "run_scenario", "run_suite", "main"]
 
 
 # ----------------------------------------------------------------------
@@ -233,10 +231,8 @@ def _run_captured(name: str) -> Tuple[dict, str]:
         Simulator.__init__ = tracking_init  # type: ignore[method-assign]
         with contextlib.redirect_stdout(output):
             metrics = fn()
-        # what the file will say: tuples are lists, and a value JSON
-        # cannot carry is this scenario's error, not the writer's
-        record["metrics"] = json.loads(json.dumps(metrics))
-        record["claims"] = claims.evaluate(name, record["metrics"])
+        # a value JSON cannot carry is this scenario's error, not the writer's
+        record.update(harness.record(name, metrics))
         failed = claims.failures(record["claims"])
         if failed:
             record["ok"] = False
@@ -327,7 +323,6 @@ def run_suite(
     longest = max(per_scenario, key=lambda r: r["wall_s"]) if per_scenario else None
     return {
         "jobs": jobs,
-        "cpu_count": os.cpu_count(),
         "suite_wall_s": round(suite_wall, 3),
         "longest_scenario": (
             {"name": longest["name"], "wall_s": longest["wall_s"]} if longest else None
@@ -357,42 +352,6 @@ def deterministic_view(report: dict) -> list:
     ]
 
 
-# ----------------------------------------------------------------------
-# Claims and re-runs of the committed reports (BENCH_suite.json,
-# BENCH_workload.json) — what the regression gate holds them to
-# ----------------------------------------------------------------------
-def check_claims(report: dict) -> List[str]:
-    """The claims a committed suite report is held to: every scenario
-    ran, and its rows of the claims table hold over its committed
-    metrics — with the verdicts and margins the record itself states."""
-    failures = []
-    scenarios = report.get("scenarios", [])
-    if not scenarios:
-        failures.append("no suite scenarios recorded")
-    for record in scenarios:
-        name = record.get("name")
-        verdicts = claims.evaluate(name, record.get("metrics", {}))
-        failed = claims.failures(verdicts)
-        failures.extend(f"{name}: {message}" for message in failed)
-        if not failed and not record.get("ok", False):
-            failures.append(f"{name}: not ok ({record.get('error')})")
-        if verdicts != record.get("claims"):
-            failures.append(
-                f"{name}: recorded claims are not what the claims table says "
-                "of the recorded metrics (regenerate the file)"
-            )
-    return failures
-
-
-def records(report: dict) -> Dict[str, dict]:
-    """Committed record per scenario (the gate's smoke re-run index)."""
-    return {record["name"]: record for record in report.get("scenarios", [])}
-
-
-def rerun(name: str) -> Optional[dict]:
-    return run_scenario(name) if name in SCENARIOS else None
-
-
 def _expand_selection(spec: str) -> List[str]:
     """Expand a comma-separated ``--only``/``--skip`` value.
 
@@ -416,39 +375,8 @@ def _expand_selection(spec: str) -> List[str]:
     return names
 
 
-# ----------------------------------------------------------------------
-# CLI
-# ----------------------------------------------------------------------
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.bench suite",
-        description="Run the figure benchmarks in parallel worker processes.",
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=max(1, os.cpu_count() or 1),
-        help="worker processes (default: cpu count)",
-    )
-    parser.add_argument(
-        "--only", default=None,
-        help="comma-separated scenario names or prefixes (e.g. fig10 "
-        "selects fig10a,fig10b; default: all figure scenarios)",
-    )
-    parser.add_argument(
-        "--skip", default=None,
-        help="comma-separated scenario names or prefixes to exclude "
-        "(applied after --only)",
-    )
-    parser.add_argument(
-        "--check", action="store_true",
-        help="fast smoke: run the smoke scenarios serially AND with "
-        "--jobs workers, verify the results are identical",
-    )
-    parser.add_argument("--json", default=None, help="write the report here")
-    parser.add_argument(
-        "--list", action="store_true", help="list scenarios and exit"
-    )
-    args = parser.parse_args(argv)
-
+def main(args) -> int:
+    """``suite``: list, smoke-check or run the figure scenarios."""
     if args.list:
         for name, scenario in SCENARIOS.items():
             kind = "smoke" if scenario.smoke else scenario.module
@@ -490,7 +418,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         f"suite: {report['suite_wall_s']:.1f}s wall with {args.jobs} jobs "
         f"(sum of scenario walls {report['serial_wall_estimate_s']:.1f}s, "
         f"speedup {report['parallel_speedup_vs_serial_estimate']}x, "
-        f"{report['cpu_count']} cpus)"
+        f"{os.cpu_count()} cpus)"
     )
     for record in report["scenarios"]:
         status = "ok " if record["ok"] else "FAIL"
@@ -498,7 +426,3 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.json:
         harness.write_json(args.json, report)
     return 0 if report["ok"] else 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

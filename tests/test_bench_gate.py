@@ -3,8 +3,8 @@
 (a) the gate passes on the repo's committed BENCH_*.json files;
 (b) it fails with the *right* structured diff when wall-time,
     kernel-event and figure-metric fields are synthetically perturbed,
-    and with the owning bench's own message when a claim is broken —
-    for the figure suite, every row of ``repro.bench.claims``;
+    and repeats ``claims.check``'s message when a claim is broken — for
+    every row of ``repro.bench.claims`` in every committed file;
 (c) per-metric tolerance overrides change the verdict;
 (d) the claim vocabulary: a margin's sign is the verdict.
 
@@ -26,12 +26,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.bench import claims, harness
-from repro.bench.suite import records as suite_records
+from repro.bench.__main__ import main as bench_main
 from repro.bench.gate import (
     WALL_RATIO,
     compare,
     load_bench_files,
-    main as gate_main,
     resolve_tolerance,
     run_gate,
     structure_checks,
@@ -50,7 +49,7 @@ def committed():
 
 
 def _suite_record(files, name):
-    return suite_records(files["BENCH_suite.json"])[name]
+    return claims.records(files["BENCH_suite.json"])[name]
 
 
 # ----------------------------------------------------------------------
@@ -80,7 +79,7 @@ def test_gate_passes_without_reruns_on_this_repo():
 
 
 def test_gate_cli_passes_with_cheap_smoke(capsys):
-    rc = gate_main(["--root", str(REPO_ROOT), "--smoke", "suite:table1"])
+    rc = bench_main(["gate", "--root", str(REPO_ROOT), "--smoke", "suite:table1"])
     out = capsys.readouterr().out
     assert rc == 0, out
     assert "gate: ok" in out
@@ -141,32 +140,39 @@ def test_missing_and_extra_metric_fields_are_reported(committed):
 
 
 def test_perturbed_capacity_rate_fails(committed):
-    base = committed["BENCH_capacity.json"]["points"][0]
+    base = claims.records(committed["BENCH_capacity.json"])["pravega/uniform"]["metrics"]
     committed_view = {k: v for k, v in base.items() if k != "wall_s"}
     bad = copy.deepcopy(committed_view)
     bad["rate_eps"] *= 0.9  # capacity regression: 10% lower found rate
-    drifts = compare("BENCH_capacity.json", "points[0]", committed_view, bad)
+    drifts = compare("BENCH_capacity.json", "pravega/uniform", committed_view, bad)
     paths = {d.path for d in drifts}
-    assert "points[0].rate_eps" in paths
+    assert "pravega/uniform.rate_eps" in paths
 
 
 # ----------------------------------------------------------------------
 # (b') a broken claim in a committed file: the gate repeats, word for
-# word, what the owning bench's check_claims says — it states no claim
-# of its own about any single file
+# word, what claims.check says — it states no claim of its own about
+# any single file
 # ----------------------------------------------------------------------
-def _assert_gate_repeats_the_bench(committed, fname, mutate, fragment):
+def _assert_gate_repeats_the_check(committed, fname, mutate, fragment):
     files = copy.deepcopy(committed)
     mutate(files[fname])
-    expected = harness.owner(fname).check_claims(files[fname])
+    expected = claims.check(files[fname], harness.scenario_names(fname))
     assert any(fragment in message for message in expected), expected
     assert [
         (d.kind, d.message) for d in structure_checks(files) if d.file == fname
     ] == [("structure", message) for message in expected]
 
 
-def _first(points, **match):
-    return next(p for p in points if all(p[k] == v for k, v in match.items()))
+def _set(node, path, value):
+    """Write ``value`` where the view key ``path`` reads it."""
+    for key in range(len(node)) if isinstance(node, list) else list(node):
+        if path == str(key):
+            node[key] = value
+            return
+        if path.startswith(f"{key}."):
+            return _set(node[key], path[len(f"{key}."):], value)
+    raise KeyError(path)
 
 
 def _pushes(predicate, metrics):
@@ -175,6 +181,8 @@ def _pushes(predicate, metrics):
     if isinstance(predicate, claims.Both):
         for part in predicate.parts:
             yield from _pushes(part, metrics)
+    elif isinstance(predicate, claims.Counts):
+        yield {f"{predicate.a}.0": -1}
     elif isinstance(predicate, claims.Is):
         expected = predicate.expected
         if isinstance(expected, bool):
@@ -195,55 +203,50 @@ def _pushes(predicate, metrics):
 #: rows no single operand flips alone at the committed values: the push
 #: that breaks them takes a tighter row on the same operand down too
 #: (Pravega at 2x the LTS rate is also far below 0.95x Kafka; zero base
-#: crashes is also fewer than the favorable configuration's one)
-DOMINATED = {"fig07b.parallel_flushes_lift_cap", "fig10b.base_pulsar_unstable"}
+#: crashes is also fewer than the favorable configuration's one; an
+#: LTS-op cut under 4x is also under 10x)
+DOMINATED = {
+    "fig07b.parallel_flushes_lift_cap", "fig10b.base_pulsar_unstable", "replay.ops_cut_4x",
+}
 
 
 def _push_past_threshold(row):
-    """Mutation of a suite report: one operand of ``row`` goes just past
-    its threshold, and exactly that row flips."""
+    """Mutation of a report: one operand of ``row`` goes just past its
+    threshold, and exactly that row flips."""
     def mutate(report):
-        metrics = suite_records(report)[row.scenario]["metrics"]
+        metrics = claims.records(report)[row.scenario]["metrics"]
+        flat = claims.view(metrics)
         pushes = [
-            (edit, [v["id"] for v in claims.evaluate(row.scenario, {**metrics, **edit})
+            (edit, [v["id"] for v in claims.evaluate(row.scenario, {**flat, **edit})
                     if not v["ok"]])
-            for edit in _pushes(row.predicate, metrics)
+            for edit in _pushes(row.predicate, flat)
         ]
         alone = [edit for edit, flipped in pushes if flipped == [row.id]]
         assert bool(alone) != (row.id in DOMINATED), (row.id, pushes)
-        metrics.update(alone[0] if alone else next(e for e, f in pushes if row.id in f))
+        edit = alone[0] if alone else next(e for e, f in pushes if row.id in f)
+        for path, value in edit.items():
+            _set(metrics, path, value)
 
     return mutate
 
 
-#: (file, mutation, fragment of the owning bench's message): one broken
-#: claim per committed file, then every row of the figure-claims table
+FILES = sorted(f"BENCH_{name}.json" for name in harness.OWNERS)
+
+
+def _file_of(scenario):
+    """The committed file a row is pushed in: a workload_* scenario,
+    recorded twice, is pushed in BENCH_suite.json."""
+    return next(f for f in FILES if scenario in harness.scenario_names(f))
+
+
+#: (file, mutation, fragment of claims.check's message): per file, one
+#: of the scenarios its owner defines goes unrecorded; then every row of
+#: the claims table, in the file recording its scenario
 BROKEN_CLAIMS = [
-    pytest.param(fname, mutate, fragment, id=fname)
-    for fname, mutate, fragment in (
-        # a before/after wall pair is only a pair at identical event counts
-        ("BENCH_kernel.json",
-         lambda r: r["baseline"]["scenarios"]["ping_pong_sliced"].update(events=1),
-         "baseline.ping_pong_sliced"),
-        ("BENCH_scale.json", lambda r: r["scenarios"].clear(), "no scale scenarios"),
-        # a scenario that died before it had metrics to evaluate
-        ("BENCH_suite.json",
-         lambda r: r["scenarios"][0].update(ok=False, error="KeyError: 'x'"),
-         "not ok (KeyError: 'x')"),
-        ("BENCH_workload.json", lambda r: r.update(scenarios=[]), "no suite scenarios"),
-        ("BENCH_capacity.json",
-         lambda r: r["points"][0].update(confirmed=False), "not discrete-confirmed"),
-        # a lost acked write in global-strong mode
-        ("BENCH_geo.json",
-         lambda r: _first(r["points"], mode="global_strong").update(rpo_bytes=120),
-         "nonzero RPO"),
-        # coalescing must not change the bytes readers observe
-        ("BENCH_read.json",
-         lambda r: r["replay"]["on"].update(delivered_bytes=1),
-         "changed delivered bytes"),
-    )
+    pytest.param(fname, lambda r: r["scenarios"].pop(), ": not recorded", id=fname)
+    for fname in FILES
 ] + [
-    pytest.param("BENCH_suite.json", _push_past_threshold(row), row.statement, id=row.id)
+    pytest.param(_file_of(row.scenario), _push_past_threshold(row), row.statement, id=row.id)
     for row in claims.CLAIMS
 ]
 
@@ -254,15 +257,46 @@ def test_every_committed_file_has_a_perturbation(committed):
 
 @pytest.mark.parametrize("fname, mutate, fragment", BROKEN_CLAIMS)
 def test_gate_reports_the_owning_benchs_message(committed, fname, mutate, fragment):
-    _assert_gate_repeats_the_bench(committed, fname, mutate, fragment)
+    _assert_gate_repeats_the_check(committed, fname, mutate, fragment)
 
 
-def test_structure_check_rejects_thin_or_unconfirmed_capacity(committed):
-    for mutate, fragment in (
-        (lambda r: r.update(points=r["points"][:2]), "2 capacity points"),
-        (lambda r: r["points"][0].update(converged=False), "did not converge"),
+def test_the_probes_one_check_per_file_catches(committed):
+    # a file without one of its scenarios (a kernel file without
+    # mini_workload, a suite file without fig10a and its 14 rows) and a
+    # metric past a documented bound (a 40% fluid error) are drifts
+    def drop(name):
+        return lambda r: r.update(scenarios=[s for s in r["scenarios"] if s["name"] != name])
+
+    def fluid_off_by_40pct(report):
+        claims.records(report)["fig05a_xval"]["metrics"]["max_err_pct"] = 40.0
+
+    for fname, mutate, message in (
+        ("BENCH_kernel.json", drop("mini_workload"), "mini_workload: not recorded"),
+        ("BENCH_suite.json", drop("fig10a"), "fig10a: not recorded"),
+        ("BENCH_scale.json", fluid_off_by_40pct,
+         "fig05a_xval: claim failed: fig05a_xval.fluid_within_5pct"),
     ):
-        _assert_gate_repeats_the_bench(committed, "BENCH_capacity.json", mutate, fragment)
+        files = copy.deepcopy(committed)
+        mutate(files[fname])
+        messages = [d.message for d in structure_checks(files) if d.file == fname]
+        assert any(m.startswith(message) for m in messages), (fname, messages)
+
+
+def test_every_file_carries_the_run_manifest(committed):
+    for fname, report in committed.items():
+        assert set(claims.MANIFEST) <= set(report["manifest"]), fname
+        files = copy.deepcopy(committed)
+        files[fname]["manifest"].pop("cpu_count")
+        assert [d.message for d in structure_checks(files)] == [
+            "manifest: lacks ['cpu_count']"
+        ]
+    # a `run --check` smoke writes nothing and may run outside a git
+    # checkout; a full run's file, and every committed one, names its commit
+    report = copy.deepcopy(committed["BENCH_read.json"])
+    report["manifest"]["git_sha"] = None
+    names = harness.scenario_names("BENCH_read.json")
+    assert claims.check(report, names) == ["manifest: lacks ['git_sha']"]
+    assert not [p for p in claims.check(report, names, full=False) if "manifest" in p]
 
 
 def test_structure_check_rejects_failed_suite_scenario(committed):
@@ -270,102 +304,99 @@ def test_structure_check_rejects_failed_suite_scenario(committed):
         report["scenarios"][0]["claims"][0]["margin"] += 0.25
 
     for mutate, fragment in (
+        # a scenario that died before it had metrics to evaluate
+        (lambda r: claims.records(r)["table1"].update(ok=False, error="KeyError: 'x'"),
+         "table1: not ok (KeyError: 'x')"),
         # a claim row that failed when the scenario ran is still failed
         # when the gate re-evaluates the committed metrics
-        (lambda r: suite_records(r)["fig12"]["metrics"].update(pravega_caught_up=False),
+        (lambda r: claims.records(r)["fig12"]["metrics"].update(pravega_caught_up=False),
          "claim failed: fig12.pravega_catches_up: Pravega catches up"),
         (stale_verdicts, "recorded claims are not what the claims table says"),
     ):
-        _assert_gate_repeats_the_bench(committed, "BENCH_suite.json", mutate, fragment)
-    # a metric a row reads has gone missing: a malformed report, not a crash
+        _assert_gate_repeats_the_check(committed, "BENCH_suite.json", mutate, fragment)
+    # a metric a row reads has gone missing: the row fails, not the gate
     files = copy.deepcopy(committed)
-    del suite_records(files["BENCH_suite.json"])["fig05a"]["metrics"]["kafka_flush_max_eps"]
-    assert [d.message for d in structure_checks(files)] == [
-        "malformed report: KeyError: 'kafka_flush_max_eps'"
+    del claims.records(files["BENCH_suite.json"])["fig05a"]["metrics"]["kafka_flush_max_eps"]
+    unread, failed, stale = [d.message for d in structure_checks(files)]
+    assert unread == (
+        "fig05a: fig05a.kafka_flush_collapses cannot read its operand "
+        "(KeyError: 'kafka_flush_max_eps')"
+    )
+    assert failed.startswith("fig05a: claim failed: fig05a.kafka_flush_collapses: ")
+    assert failed.endswith("(margin 0)")
+    assert stale.startswith("fig05a: recorded claims are not what the claims table says")
+
+
+def test_a_null_measurement_fails_its_row_instead_of_crashing(committed):
+    # a failover that never recovered records rto_s = null: the run
+    # still writes its record, and the gate names the row and the operand
+    metrics = copy.deepcopy(claims.records(committed["BENCH_geo.json"])["geo_global"]["metrics"])
+    metrics["async"]["rto_s"] = None
+    record = harness.record("geo_global", metrics)
+    assert [v for v in record["claims"] if not v["ok"]] == [
+        {"id": "geo_global.async_recovers", "ok": False, "margin": 0.0}
     ]
+    report = {"manifest": harness.manifest(), "scenarios": [record]}
+    unread, failed = claims.check(report, ["geo_global"])
+    assert unread == (
+        "geo_global: geo_global.async_recovers cannot read its operand (KeyError: 'async.rto_s')"
+    )
+    assert "global, async: a survivor serves a post-failover ack" in failed
+    _assert_gate_repeats_the_check(
+        committed, "BENCH_geo.json",
+        lambda r: claims.records(r)["geo_metro"]["metrics"]["async"].update(rto_s=None),
+        "claim failed: geo_metro.async_recovers",
+    )
 
 
-def test_structure_check_rejects_bad_geo_points(committed):
-    for mutate, fragment in (
-        # admission lag over the configured staleness bound
-        (lambda r: _first(r["points"], mode="async").update(max_lag_at_admission=10**9),
-         "exceeds bound"),
-        # a point that never measured failover recovery
-        (lambda r: r["points"][0].update(rto_s=None), "never recovered"),
-        # a point that lost the field a claim reads
-        (lambda r: r["points"][0].pop("availability"), "lacks ['availability']"),
-        # a thinned sweep (fewer than 2 modes x 3 tiers)
-        (lambda r: r.update(points=r["points"][:4]), "4 geo points"),
+def test_a_wrongly_shaped_file_is_a_drift_not_a_crash(committed):
+    for fname, mutate, fragment in (
+        # the layout kernel and scale files had: scenarios keyed by name
+        ("BENCH_kernel.json",
+         lambda r: r.update(scenarios={s["name"]: s for s in r["scenarios"]}),
+         "no scenario recorded"),
+        ("BENCH_scale.json", lambda r: r.update(manifest=["git_sha"]),
+         "malformed report: AttributeError"),
+        ("BENCH_read.json", lambda r: claims.records(r)["replay"].update(metrics=3),
+         "malformed report: TypeError"),
     ):
-        _assert_gate_repeats_the_bench(committed, "BENCH_geo.json", mutate, fragment)
-
-
-def test_structure_check_rejects_bad_kernel_baseline(committed):
-    # ... and says which commit and which box it was measured on
-    for mutate, fragment in (
-        (lambda r: r["baseline"].pop("commit"), "baseline: no commit"),
-        (lambda r: r.pop("cpu_count"), "cpu_count"),
-        (lambda r: r["scenarios"]["ping_pong"].pop("stats"), "lacks events + stats"),
-    ):
-        _assert_gate_repeats_the_bench(committed, "BENCH_kernel.json", mutate, fragment)
+        _assert_gate_repeats_the_check(committed, fname, mutate, fragment)
+    files = copy.deepcopy(committed)
+    files["BENCH_workload.json"] = []
+    assert [d.message for d in structure_checks(files)] == [
+        "malformed report: AttributeError: 'list' object has no attribute 'get'"
+    ]
 
 
 def test_kernel_gc_collections_are_contracted_but_never_compared(committed):
     # How often the collector ran belongs to the interpreter process, not
     # to the simulation: a fresh run may report any counts ...
-    base = committed["BENCH_kernel.json"]["scenarios"]["mini_workload"]
+    base = claims.records(committed["BENCH_kernel.json"])["mini_workload"]
     fresh = copy.deepcopy(base)
-    fresh["gc_collections"] = [n + 17 for n in base["gc_collections"]]
-    assert compare("BENCH_kernel.json", "scenarios.mini_workload", base, fresh) == []
+    fresh["metrics"]["gc_collections"] = [n + 17 for n in base["metrics"]["gc_collections"]]
+    assert compare("BENCH_kernel.json", "mini_workload", base, fresh) == []
     # ... but it must report them,
-    del fresh["gc_collections"]
-    drifts = compare("BENCH_kernel.json", "scenarios.mini_workload", base, fresh)
+    del fresh["metrics"]["gc_collections"]
+    drifts = compare("BENCH_kernel.json", "mini_workload", base, fresh)
     assert [(d.kind, d.path) for d in drifts] == [
-        ("missing", "scenarios.mini_workload.gc_collections")
+        ("missing", "mini_workload.metrics.gc_collections")
     ]
     # ... and the committed record must hold three non-negative ints.
-    for broken in ([1, 2], [1, 2, -1], [1.0, 2, 3], [True, 2, 3], None, "1/2/3"):
-        _assert_gate_repeats_the_bench(
+    for broken in ([1, 2], [1, 2, -1], [1.0, 2, 3], [True, 2, 3], [1, 2, 3, 4], None, "1/2/3"):
+        _assert_gate_repeats_the_check(
             committed, "BENCH_kernel.json",
-            lambda r: r["scenarios"]["cancel_storm"].update(gc_collections=broken),
-            "cancel_storm: gc_collections",
+            lambda r: claims.records(r)["cancel_storm"]["metrics"].update(gc_collections=broken),
+            "cancel_storm: claim failed: cancel_storm.gc_counted",
         )
-    _assert_gate_repeats_the_bench(
+    _assert_gate_repeats_the_check(
         committed, "BENCH_kernel.json",
-        lambda r: r["scenarios"]["timeout_churn"].pop("gc_collections"),
-        "timeout_churn: gc_collections None",
+        lambda r: claims.records(r)["timeout_churn"]["metrics"].pop("gc_collections"),
+        "timeout_churn: claim failed: timeout_churn.gc_counted",
     )
     # The scenario's simulated counters stay exact beside it.
     fresh = copy.deepcopy(base)
-    fresh["stats"]["events_executed"] += 1
+    fresh["metrics"]["stats"]["events_executed"] += 1
     assert [d.kind for d in compare("BENCH_kernel.json", "s", base, fresh)] == ["exact"]
-
-
-def test_structure_check_rejects_bad_read_report(committed):
-    def no_mass_fanout(report):  # every point dropped below 1000 readers
-        for point in report["fanout"]["points"]:
-            point["events"] = point["events"] * point["readers"] // 100
-            point["readers"] = 100
-
-    for mutate, fragment in (
-        (no_mass_fanout, "no >=1000-reader"),
-        # coalescing that *increases* LTS ops is a broken single-flight
-        (lambda r: r["replay"]["on"].update(lts_fetch_ops=10**6), "increased LTS ops"),
-        # a hit rate outside [0, 1] is a broken counter
-        (lambda r: r["policies"]["generation/always"].update(hit_rate=1.2), "outside [0,1]"),
-        # determinism fields must be recorded for re-run comparison
-        (lambda r: r["fanout"]["points"][0].pop("kernel_events"), "no kernel_events"),
-        # a fan-out point whose readers never drained the backlog
-        (lambda r: r["fanout"]["points"][0].update(caught_up=False), "not caught up"),
-        (lambda r: r.pop("seed"), "no seed"),
-    ):
-        _assert_gate_repeats_the_bench(committed, "BENCH_read.json", mutate, fragment)
-    # a record missing altogether is a malformed report, not a gate crash
-    files = copy.deepcopy(committed)
-    del files["BENCH_read.json"]["replay"]["on"]
-    assert [d.message for d in structure_checks(files)] == [
-        "malformed report: KeyError: 'on'"
-    ]
 
 
 def test_structure_check_rejects_uncontracted_file(committed):
@@ -393,15 +424,18 @@ def test_gate_fails_end_to_end_on_perturbed_copy(tmp_path, committed):
     for fname, report in committed.items():
         bad = copy.deepcopy(report)
         if fname == "BENCH_capacity.json":
-            bad["points"][0]["confirmed"] = False
+            claims.records(bad)["pravega/uniform"]["metrics"]["confirmed"] = False
         (tmp_path / fname).write_text(json.dumps(bad))
     report = run_gate(tmp_path, smoke="none")
     assert not report.ok
-    # the structured diff names the file and quotes the bench's claim
-    (drift,) = report.drifts
-    assert drift.file == "BENCH_capacity.json"
-    assert drift.kind == "structure"
-    assert "not discrete-confirmed" in drift.message
+    # the structured diff names the file and quotes the claim row (the
+    # committed verdict, taken when the point was confirmed, is now stale)
+    failed, stale = report.drifts
+    assert {failed.file, stale.file} == {"BENCH_capacity.json"}
+    assert {failed.kind, stale.kind} == {"structure"}
+    assert "claim failed: pravega/uniform.confirmed: pravega/uniform: both bracket ends" in (
+        failed.message
+    )
 
 
 def test_smoke_rerun_reports_unknown_and_uncommitted_scenarios(committed):
@@ -437,10 +471,20 @@ def test_run_check_exits_zero(name):
 
 def test_run_rejects_an_unknown_scenario(capsys):
     with pytest.raises(SystemExit) as exc:
-        harness.main(["kernel", "--check", "--scenario", "no_such"])
+        bench_main(["run", "kernel", "--check", "--scenario", "no_such"])
     assert exc.value.code == 2
     assert "unknown scenario(s) ['no_such']" in capsys.readouterr().err
 
+
+def test_run_check_rejects_a_scenario_without_a_check_variant(capsys):
+    # naming a scenario --check cannot run is a usage error, not an empty `ok`
+    for bench, scenario in (("capacity", "kafka/uniform"), ("geo", "geo_global")):
+        with pytest.raises(SystemExit) as exc:
+            bench_main(["run", bench, "--check", "--scenario", scenario])
+        assert exc.value.code == 2
+        assert f"scenario(s) [{scenario!r}]" in capsys.readouterr().err
+    # and a report that recorded nothing is never ok
+    assert claims.check({"manifest": harness.manifest()}, []) == ["no scenario recorded"]
 
 # ----------------------------------------------------------------------
 # (c) per-metric tolerance overrides
@@ -475,7 +519,16 @@ def test_first_matching_override_wins():
 
 
 def test_nan_metrics_compare_equal():
-    assert compare("f", "s", {"m": float("nan")}, {"m": float("nan")}) == []
+    nan = float("nan")
+    assert compare("f", "s", {"m": nan}, {"m": nan}) == []
+    assert compare("f", "s", {"wall_s": nan}, {"wall_s": nan}) == []
+    # every comparison with NaN is False: against a number it is a drift
+    # in either direction, on a metric and on a wall field alike
+    for field, kind in (("m", "exact"), ("wall_s", "wall")):
+        for committed, fresh in ((1.0, nan), (nan, 1.0)):
+            drifts = compare("f", "p", {field: committed}, {field: fresh})
+            assert [(d.kind, d.path) for d in drifts] == [(kind, f"p.{field}")]
+    assert compare("f", "p", {"m": 1.0}, {"m": nan}, overrides=[("m", 0.5)])
 
 
 # ----------------------------------------------------------------------

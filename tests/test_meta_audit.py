@@ -199,6 +199,12 @@ def test_bench_scripts_carry_no_cli_of_their_own():
         if script.name.startswith("bench_"):
             for banned in ("def _best_of", "def main"):
                 assert banned not in source, f"{script.name}: {banned}"
+    # `python -m repro.bench` is the one parser, its commands subparsers
+    parsers = {
+        path.name: path.read_text().count("argparse.ArgumentParser(")
+        for path in (REPO / "src" / "repro" / "bench").glob("*.py")
+    }
+    assert {name: n for name, n in parsers.items() if n} == {"__main__.py": 1}
 
 
 def test_every_committed_bench_file_has_one_owner_and_one_make_rule():
@@ -215,7 +221,7 @@ def test_every_committed_bench_file_has_one_owner_and_one_make_rule():
         assert f"--json BENCH_{name}.json" in text, name
     for name, module in harness.RUNNABLE.items():
         bench = harness.load(module)
-        for attr in ("SCENARIOS", "REPEATS", "describe", "build_report", "check_claims"):
+        for attr in ("SCENARIOS", "REPEATS", "describe"):
             assert hasattr(bench, attr), f"{module}.{attr}"
 
 
@@ -244,28 +250,38 @@ def test_figure_scripts_state_no_claims_and_take_no_fixture():
 def test_every_figure_scenario_is_claimed_over_recorded_metrics():
     import json
 
-    from repro.bench.claims import CLAIMS
+    from repro.bench import harness
+    from repro.bench.claims import CLAIMS, records, view
 
-    scenarios = _figure_scenarios()
     ids = [row.id for row in CLAIMS]
     assert len(ids) == len(set(ids)), "duplicate claim ids"
-    assert {row.scenario for row in CLAIMS} == set(scenarios), (
-        "every figure scenario carries at least one row, every row a scenario"
+    # every committed file's scenarios, by their defining module: a name
+    # is one scenario wherever it is recorded (the workload file records
+    # a subset of the suite's)
+    files = {f"BENCH_{name}.json": module for name, module in harness.OWNERS.items()}
+    defined = {fname: harness.scenario_names(fname) for fname in files}
+    owner = {}
+    for fname, names in defined.items():
+        for name in names:
+            assert owner.setdefault(name, files[fname]) == files[fname], (
+                f"{name} is a scenario of two modules"
+            )
+    assert {row.scenario for row in CLAIMS} == set(owner), (
+        "every scenario carries at least one row, every row a scenario"
     )
     # an operand that is not in the committed record is a claim the
     # committed artefact cannot answer for
-    committed = {
-        record["name"]: record
-        for record in json.loads((REPO / "BENCH_suite.json").read_text())["scenarios"]
-    }
-    assert set(committed) == set(scenarios)
-    for row in CLAIMS:
-        record = committed[row.scenario]
-        try:
-            row.predicate(record["metrics"])
-        except KeyError as exc:
-            raise AssertionError(f"{row.id} reads the unrecorded metric {exc}") from None
-        assert row.id in [v["id"] for v in record["claims"]]
+    for fname, names in defined.items():
+        committed = records(json.loads((REPO / fname).read_text()))
+        assert set(committed) == set(names), fname
+        for row in CLAIMS:
+            if row.scenario in committed:
+                record = committed[row.scenario]
+                try:
+                    row.predicate(view(record["metrics"]))
+                except KeyError as exc:
+                    raise AssertionError(f"{fname}: {row.id} reads the unrecorded {exc}") from None
+                assert row.id in [v["id"] for v in record["claims"]]
 
 
 # ----------------------------------------------------------------------

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench import claims, harness, suite
+from repro.bench import claims, harness
 from repro.bench.suite import (
     SCENARIOS,
     deterministic_view,
@@ -68,7 +68,6 @@ def test_parallel_jobs_do_not_change_results():
 
 def test_suite_report_shape():
     report = run_suite(["smoke_pravega"], jobs=1, progress=False)
-    assert report["cpu_count"] >= 1
     assert report["suite_wall_s"] > 0
     assert report["serial_wall_estimate_s"] > 0
     # capacity-planning fields: the per-scenario wall sum and the
@@ -76,9 +75,10 @@ def test_suite_report_shape():
     longest = report["longest_scenario"]
     assert longest["name"] == "smoke_pravega"
     assert 0 < longest["wall_s"] <= report["serial_wall_estimate_s"]
-    # one flat run: what `make suite` writes is what is committed
+    # one flat run: what `make suite` writes is what is committed (the
+    # writer adds the run manifest, core count included)
     assert set(report) == {
-        "jobs", "cpu_count", "suite_wall_s", "serial_wall_estimate_s",
+        "jobs", "suite_wall_s", "serial_wall_estimate_s",
         "longest_scenario", "parallel_speedup_vs_serial_estimate", "ok",
         "scenarios",
     }
@@ -111,12 +111,11 @@ def test_a_scenario_is_held_to_its_claim_rows(monkeypatch):
         f"nanosecond (margin {margin:.3g}; assumes nothing)"
     )
     # the gate's half: the same rows over the recorded metrics, the same words
-    assert suite.check_claims({"scenarios": [record]}) == [
-        f"smoke_pravega: {record['error']}"
-    ]
+    report = {"manifest": harness.manifest(), "scenarios": [record]}
+    assert claims.check(report, ["smoke_pravega"]) == [f"smoke_pravega: {record['error']}"]
     # a row the record does not carry: the file predates the table
     monkeypatch.setattr(claims, "CLAIMS", rows[:1])
-    not_ok, stale = suite.check_claims({"scenarios": [record]})
+    not_ok, stale = claims.check(report, ["smoke_pravega"])
     assert not_ok == f"smoke_pravega: not ok ({record['error']})"
     assert "recorded claims are not what the claims table says" in stale
 
