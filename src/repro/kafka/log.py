@@ -107,30 +107,30 @@ class PartitionLog:
         wire = batch_payload.size + BATCH_OVERHEAD
         self.size_bytes += wire
 
-        def run():
-            # Single-threaded per-partition append path; with per-message
-            # flushing the fsync barrier is paid under the log lock.
-            service = APPEND_OVERHEAD_TIME + wire / APPEND_BANDWIDTH
-            if self.flush_every_message:
-                service += FSYNC_BARRIER_TIME
-            yield self._append_path.submit(service)
-            if self.flush_every_message:
-                # The fsync barrier held under the log lock is flush work,
-                # not queueing — attribute it to the fsync bucket.
-                if span is not None:
-                    span.component("fsync", FSYNC_BARRIER_TIME)
-                    t_sync = self.sim.now
-                # fsync before acknowledging (flush.messages=1).
-                yield self.disk.write(self.name, wire, sync=True)
-                if span is not None:
-                    span.component("fsync", self.sim.now - t_sync)
-            else:
-                yield self.page_cache.write(self.name, wire)
-            if span is not None:
-                span.finish()
-            return batch
+        return self.sim.process(self._append(batch, wire, span))
 
-        return self.sim.process(run())
+    def _append(self, batch: LogRecordBatch, wire: int, span):
+        # Single-threaded per-partition append path; with per-message
+        # flushing the fsync barrier is paid under the log lock.
+        service = APPEND_OVERHEAD_TIME + wire / APPEND_BANDWIDTH
+        if self.flush_every_message:
+            service += FSYNC_BARRIER_TIME
+        yield self._append_path.submit(service)
+        if self.flush_every_message:
+            # The fsync barrier held under the log lock is flush work,
+            # not queueing — attribute it to the fsync bucket.
+            if span is not None:
+                span.component("fsync", FSYNC_BARRIER_TIME)
+                t_sync = self.sim.now
+            # fsync before acknowledging (flush.messages=1).
+            yield self.disk.write(self.name, wire, sync=True)
+            if span is not None:
+                span.component("fsync", self.sim.now - t_sync)
+        else:
+            yield self.page_cache.write(self.name, wire)
+        if span is not None:
+            span.finish()
+        return batch
 
     def read(self, offset: int, max_batches: int = 64) -> List[LogRecordBatch]:
         """Record batches starting at ``offset`` (consumer fetch).

@@ -17,11 +17,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.common.hashing import stable_hash64
 from repro.common.payload import Payload
-from repro.sim.core import SimFuture, Simulator
+from repro.sim.core import Drain, SimFuture, Simulator
 from repro.sim.resources import FifoServer
 from repro.kafka.broker import KafkaCluster, TopicPartition
 
@@ -98,9 +99,8 @@ class KafkaProducer:
         self._parked: Dict[str, Deque[Tuple[int, _PartitionBatch]]] = {}
         self._cpu = FifoServer(sim, name=f"cpu:{self.producer_id}")
         self._sticky_partition = 0
-        self._unacked = 0
-        #: bound once — every send registers it on its ack future
-        self._count_ack = self._on_acked
+        #: records sent and not yet acknowledged; flush() waits on it
+        self._unacked = Drain(sim)
         self.records_sent = 0
         self.bytes_sent = 0
         #: optional repro.obs.Tracer; None keeps the send path untraced
@@ -131,8 +131,7 @@ class KafkaProducer:
         if count > 1 and wire > self.config.batch_size:
             return self._send_split(size, key, count, wire)
         fut = self.sim.future()
-        self._unacked += 1
-        fut.add_callback(self._count_ack)
+        self._unacked.add(fut)
         partition = self._partition_for(key)
         span = None
         if self.tracer is not None:
@@ -152,7 +151,11 @@ class KafkaProducer:
                 self._close_batch(partition, batch)
             batch = _PartitionBatch(open_time=self.sim.now)
             self._batches[partition] = batch
-            self.sim.process(self._linger_timer(partition, batch))
+            # linger.ms: one timer callback per batch (a no-op if the
+            # batch closed on size first)
+            self.sim.schedule(
+                self.config.linger, partial(self._close_batch, partition, batch)
+            )
         batch.records.append(record)
         batch.size += wire
         if batch.size >= self.config.batch_size:
@@ -182,14 +185,6 @@ class KafkaProducer:
             if share:
                 self.send(per_event * share, key, share).add_callback(on_piece)
         return done
-
-    def _on_acked(self, fut: SimFuture) -> None:
-        self._unacked -= 1
-
-    def _linger_timer(self, partition: int, batch: _PartitionBatch):
-        yield self.config.linger
-        if not batch.closed:
-            self._close_batch(partition, batch)
 
     def _close_batch(
         self, partition: int, batch: _PartitionBatch, force: bool = False
@@ -321,12 +316,7 @@ class KafkaProducer:
 
     def flush(self) -> SimFuture:
         """Resolves when every sent record has been acknowledged."""
-
-        def run():
-            for partition, batch in list(self._batches.items()):
-                if not batch.closed:
-                    self._close_batch(partition, batch)
-            while self._unacked > 0:
-                yield 0.001
-
-        return self.sim.process(run())
+        for partition, batch in list(self._batches.items()):
+            if not batch.closed:
+                self._close_batch(partition, batch)
+        return self._unacked.wait()

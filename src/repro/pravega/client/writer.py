@@ -40,7 +40,7 @@ from repro.pravega.client.serializers import (
     frame_synthetic_event,
 )
 from repro.pravega.controller import SegmentLocation
-from repro.sim.core import SimFuture, Simulator, all_of
+from repro.sim.core import Drain, SimFuture, Simulator, all_of
 from repro.sim.resources import FifoServer
 
 __all__ = ["WriterConfig", "EventStreamWriter"]
@@ -311,9 +311,8 @@ class EventStreamWriter:
         self._round_robin = 0
         self.events_written = 0
         self.bytes_written = 0
-        self._unacked = 0
-        #: bound once — every send registers it on its ack future
-        self._count_ack = self._on_acked
+        #: events written and not yet acknowledged; flush() waits on it
+        self._unacked = Drain(sim)
         #: optional repro.obs.Tracer; None keeps the write path untraced
         self.tracer = None
         #: extra attributes stamped on every root write span (e.g. the
@@ -423,8 +422,7 @@ class EventStreamWriter:
         event = _PendingEvent(
             payload, event_count, fut, self.sim.now, routing_key, span=span
         )
-        self._unacked += 1
-        fut.add_callback(self._count_ack)
+        self._unacked.add(fut)
         self.sim.process(self._route(event))
         return fut
 
@@ -439,17 +437,9 @@ class EventStreamWriter:
             writer = self._segment_writers[location.segment_number]
         writer.enqueue(event)
 
-    def _on_acked(self, fut: SimFuture) -> None:
-        self._unacked -= 1
-
     def flush(self) -> SimFuture:
         """Resolves when every previously written event is acknowledged."""
-
-        def run():
-            while self._unacked > 0:
-                yield 0.001
-
-        return self.sim.process(run())
+        return self._unacked.wait()
 
     # ------------------------------------------------------------------
     # Scale / failure handling

@@ -405,8 +405,6 @@ class PulsarBroker:
 
         return self.sim.process(run())
 
-    _offload_read_lock_busy = False
-
     def _offload_read(self, ledger: _LedgerRecord) -> SimFuture:
         """Serialized per broker: one offloaded-ledger fetch at a time."""
 

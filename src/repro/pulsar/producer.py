@@ -11,11 +11,12 @@ latency or high throughput, but not both."
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional
 
 from repro.common.hashing import stable_hash64
 from repro.common.payload import Payload
-from repro.sim.core import SimFuture, Simulator
+from repro.sim.core import Drain, SimFuture, Simulator
 from repro.sim.resources import FifoServer
 from repro.pulsar.broker import PulsarCluster
 
@@ -78,9 +79,8 @@ class PulsarProducer:
         self._pending_waiters: Dict[int, list] = {}
         self._cpu = FifoServer(sim, name=f"cpu:{self.producer_id}")
         self._round_robin = 0
-        self._unacked = 0
-        #: bound once — every send registers it on its ack future
-        self._count_ack = self._on_acked
+        #: records sent and not yet acknowledged; flush() waits on it
+        self._unacked = Drain(sim)
         self.records_sent = 0
         self.bytes_sent = 0
         #: optional repro.obs.Tracer; None keeps the publish path untraced
@@ -152,8 +152,7 @@ class PulsarProducer:
                     self.send(per_event * share, key, share).add_callback(on_piece)
             return done
         fut = self.sim.future()
-        self._unacked += 1
-        fut.add_callback(self._count_ack)
+        self._unacked.add(fut)
         partition = self._partition_for(key)
         span = None
         if self.tracer is not None:
@@ -174,20 +173,16 @@ class PulsarProducer:
         if batch is None or batch.closed:
             batch = _OpenBatch()
             self._batches[partition] = batch
-            self.sim.process(self._batch_timer(partition, batch))
+            # batchingMaxPublishDelay: one timer callback per batch (a
+            # no-op if the batch closed on size first)
+            self.sim.schedule(
+                self.config.batch_delay, partial(self._close_batch, partition, batch)
+            )
         batch.records.append(record)
         batch.size += size
         if batch.size >= self.config.batch_size:
             self._close_batch(partition, batch)
         return fut
-
-    def _on_acked(self, fut: SimFuture) -> None:
-        self._unacked -= 1
-
-    def _batch_timer(self, partition: int, batch: _OpenBatch):
-        yield self.config.batch_delay
-        if not batch.closed:
-            self._close_batch(partition, batch)
 
     def _close_batch(self, partition: int, batch: _OpenBatch) -> None:
         if batch.closed:
@@ -253,10 +248,7 @@ class PulsarProducer:
                 record.future.set_result(partition)
 
     def flush(self) -> SimFuture:
-        def run():
-            for partition, batch in list(self._batches.items()):
-                self._close_batch(partition, batch)
-            while self._unacked > 0:
-                yield 0.001
-
-        return self.sim.process(run())
+        """Resolves when every sent record has been acknowledged."""
+        for partition, batch in list(self._batches.items()):
+            self._close_batch(partition, batch)
+        return self._unacked.wait()

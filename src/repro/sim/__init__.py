@@ -1,6 +1,7 @@
 """Discrete-event simulation substrate (replaces the paper's AWS testbed)."""
 
 from repro.sim.core import (
+    Drain,
     Interrupt,
     Process,
     SimFuture,
@@ -20,6 +21,7 @@ __all__ = [
     "SimStats",
     "Process",
     "Interrupt",
+    "Drain",
     "all_of",
     "any_of",
     "FluidSpec",

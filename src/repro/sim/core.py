@@ -46,6 +46,7 @@ __all__ = [
     "SimStats",
     "Process",
     "Interrupt",
+    "Drain",
     "all_of",
     "any_of",
 ]
@@ -885,6 +886,46 @@ def all_of(sim: Simulator, futures: Iterable[SimFuture]) -> SimFuture:
     for fut in futures:
         fut.add_callback(on_done)
     return result
+
+
+class Drain:
+    """An in-flight counter whose "all done" is a completion, not a poll.
+
+    A client passes each send's future to :meth:`add`; :meth:`wait` is
+    the client's ``flush()`` future.  Zero is announced with ``call_soon``,
+    never inline: ack callbacks run synchronously, so an inline resolve
+    would wake the flusher before the callbacks a caller added to the
+    last send's future have run.
+    """
+
+    __slots__ = ("sim", "pending", "_future")
+
+    def __init__(self, sim: Simulator) -> None:
+        self.sim = sim
+        self.pending = 0
+        self._future: Optional[SimFuture] = None
+
+    def add(self, fut: SimFuture) -> None:
+        """Count ``fut`` in flight until it resolves (value or exception)."""
+        self.pending += 1
+        fut.add_callback(self)
+
+    def __call__(self, fut: SimFuture) -> None:
+        """The ack callback: one send resolved."""
+        self.pending -= 1
+        if self.pending == 0 and self._future is not None:
+            self.sim.call_soon(self._future.set_result)
+            self._future = None
+
+    def wait(self) -> SimFuture:
+        """Resolves once nothing is in flight (already, if that is now)."""
+        if self.pending == 0:
+            done = SimFuture(self.sim)
+            done.set_result(None)
+            return done
+        if self._future is None:
+            self._future = SimFuture(self.sim)
+        return self._future
 
 
 def any_of(sim: Simulator, futures: Iterable[SimFuture]) -> SimFuture:

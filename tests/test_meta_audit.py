@@ -378,3 +378,62 @@ def test_every_knob_has_one_table_row():
         if default is not None:
             assert row["default"] == default, f"{name}: table says {row['default']}"
         assert row["verdict"], f"{name}: no verdict"
+
+
+# ----------------------------------------------------------------------
+# No polling: waiting is a completion, not `while <cond>: yield <number>`
+# ----------------------------------------------------------------------
+#: qualified name of the enclosing function -> why its poll is the model
+POLL_ALLOWLIST = {
+    "PulsarBroker._offload_read": (
+        "the 1 ms retry is the modelled per-broker serialization of "
+        "offloaded-ledger reads behind Fig. 12; replacing it moves simulated "
+        "results"
+    ),
+}
+
+
+def _polls(tree: ast.AST) -> list[tuple[str, int]]:
+    """``(enclosing function, line)`` of every ``while`` loop whose body is
+    a lone ``yield <numeric literal>``."""
+    found: list[tuple[str, int]] = []
+
+    def visit(node: ast.AST, scope: tuple[str, ...]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, (*scope, child.name))
+                continue
+            if isinstance(child, ast.While) and len(child.body) == 1:
+                stmt = child.body[0]
+                if (
+                    isinstance(stmt, ast.Expr)
+                    and isinstance(stmt.value, ast.Yield)
+                    and isinstance(stmt.value.value, ast.Constant)
+                    and type(stmt.value.value.value) in (int, float)
+                ):
+                    found.append((".".join(scope), child.lineno))
+            visit(child, scope)
+
+    visit(tree, ())
+    return found
+
+
+def _allowlisted(scope: str) -> str | None:
+    return next(
+        (name for name in POLL_ALLOWLIST if scope == name or scope.startswith(name + ".")),
+        None,
+    )
+
+
+def test_no_client_or_server_polls_on_a_timer():
+    polls = [
+        (f"{path.relative_to(REPO)}:{line} in {scope}", _allowlisted(scope))
+        for path in sorted((REPO / "src" / "repro").rglob("*.py"))
+        for scope, line in _polls(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    flagged = [where for where, allowed in polls if allowed is None]
+    assert not flagged, f"wait on a future instead of polling: {flagged}"
+    seen = {allowed for _, allowed in polls if allowed is not None}
+    assert seen == POLL_ALLOWLIST.keys(), (
+        f"allowlisted polls that are gone: {sorted(POLL_ALLOWLIST.keys() - seen)}"
+    )
