@@ -236,26 +236,24 @@ SCENARIOS = [
 
 #: The parent commit under this same bench (``--repeats 5``) on the same
 #: box, back to back with the run committed as ``BENCH_kernel.json``.  At
-#: 5ddff77 every produce client's ``flush()`` polled its ack counter on a
-#: 1 ms timer; it now waits on a drain future that resolves at the last
-#: ack, so ``mini_workload``'s final flush ends up to 1 ms sooner and
-#: executes 4 fewer kernel events (109,326 -> 109,322).  The other four
-#: scenarios never touch a client and run the parent's exact events.
-#: Walls on this box swing 20% between invocations, so the mini pairs
-#: show no wall change: 4 events of 109k were the only work removed
-#: (``parallel_3sys`` in ``benchmarks/layered`` is where the polls
-#: were, 271,590 of its 587,347 events).  Each record
+#: 2d31eb2 a tail read with no data parked a container process that the
+#: append fan-out woke; it now parks a bare future the fan-out resolves,
+#: so the two consumers of ``mini_workload`` and ``mini_tracer_off``
+#: execute fewer kernel events (109,322 -> 106,514): only microtasks fall
+#: (48,910 -> 46,102), every timed event is the parent's.  The other four
+#: scenarios never read a segment and run the parent's exact events.  Walls on this box swing
+#: 20% between invocations, so a mini pair is no wall claim.  Each record
 #: carries its scenario's entry, and a claim row holds today's event
 #: count at or below the parent's.
 BASELINE = {
-    "commit": "5ddff77",
+    "commit": "2d31eb2",
     "scenarios": {
-        "timeout_churn": {"wall_seconds": 0.1228, "events": 200100, "gc_collections": [0, 0, 0]},
-        "ping_pong": {"wall_seconds": 0.1396, "events": 100100, "gc_collections": [0, 0, 0]},
-        "ping_pong_sliced": {"wall_seconds": 0.1423, "events": 100100, "gc_collections": [0, 0, 0]},
-        "cancel_storm": {"wall_seconds": 0.073, "events": 1001, "gc_collections": [20, 2, 0]},
-        "mini_workload": {"wall_seconds": 0.6105, "events": 109326, "gc_collections": [37, 4, 0]},
-        "mini_tracer_off": {"wall_seconds": 0.6144, "events": 109326, "gc_collections": [38, 3, 0]},
+        "timeout_churn": {"wall_seconds": 0.1182, "events": 200100, "gc_collections": [0, 0, 0]},
+        "ping_pong": {"wall_seconds": 0.139, "events": 100100, "gc_collections": [0, 0, 0]},
+        "ping_pong_sliced": {"wall_seconds": 0.1408, "events": 100100, "gc_collections": [0, 0, 0]},
+        "cancel_storm": {"wall_seconds": 0.0711, "events": 1001, "gc_collections": [19, 2, 0]},
+        "mini_workload": {"wall_seconds": 0.574, "events": 109322, "gc_collections": [38, 3, 0]},
+        "mini_tracer_off": {"wall_seconds": 0.5784, "events": 109322, "gc_collections": [37, 3, 0]},
     },
 }
 

@@ -3,10 +3,10 @@
 Four experiment families, all deterministic except wall-clock fields:
 
 * **fanout** — N independent tail clients on one segment; per-event
-  delivery latency percentiles vs reader count, including the
-  1000-reader point that motivates shared tail fan-out + direct
-  delivery (one append resolves every parked future from one cache
-  read, with no per-request reader process).
+  delivery latency percentiles vs reader count, up to the 1000-reader
+  point that motivates the shared tail fan-out (one append resolves
+  every parked future from one cache read, with no per-request reader
+  process).
 * **replay** — a mass historical replay (many readers catching up
   through the same cold LTS-resident backlog) with single-flight fetch
   coalescing off vs on; the headline is LTS read ops saved at equal
@@ -16,8 +16,7 @@ Four experiment families, all deterministic except wall-clock fields:
   scan mix.
 * **reader_heavy** — the end-to-end client-stack scenario (64 reader
   groups over 2 segments) whose best-of-5 simulator wall is compared
-  against the recorded pre-optimization baseline, in the default
-  (event-count-neutral) config and with direct tail delivery.
+  against the recorded pre-optimization baseline.
 
 Driven by ``python -m repro.bench run read [--check]`` (``make
 bench-read`` / ``make read-check``): the full run writes
@@ -48,20 +47,19 @@ from repro.sim.core import Interrupt, Simulator
 #: immediately before the serving tier + read hot-path cuts landed
 #: (recorded by running this same scenario against that tree).
 BASELINE_WALL_S = 2.4518
-#: kernel events of the baseline run — the default config must still
-#: execute exactly this many (the hot-path cuts are event-neutral).
-#: 331,810 → 331,809 when the writer's flush() became a drain future
-#: instead of a 1 ms poll (one fewer poll wake-up at the end of produce()).
-BASELINE_KERNEL_EVENTS = 331_809
+#: kernel events the default config must execute exactly: the baseline
+#: run's count while the hot-path cuts were event-neutral, re-pinned at
+#: each deliberate re-sequencing.  331,810 → 331,809 when the writer's
+#: flush() became a drain future instead of a 1 ms poll (one fewer poll
+#: wake-up at the end of produce()); 331,809 → 280,481 when tail reads
+#: stopped parking a container process (a bare future the append fan-out
+#: resolves is now the only park).
+BASELINE_KERNEL_EVENTS = 280_481
 
 SEED = 7
 
 #: cache used by the fan-out scenarios (64 KiB blocks, 128 MiB)
 READ_CACHE = CacheSpec(block_size=65536, blocks_per_buffer=32, max_buffers=64)
-
-#: serving config for the fan-out headline: shared delivery without a
-#: per-request reader process
-DIRECT = ServingConfig(direct_tail_delivery=True)
 
 
 def _kernel_events(sims: List[Simulator]) -> int:
@@ -133,7 +131,6 @@ def _pct(sorted_values: List[float], q: float) -> float:
 # ----------------------------------------------------------------------
 def run_fanout(
     readers: int,
-    serving=DIRECT,
     events: int = 40,
     event_size: int = 4096,
     tick: float = 0.002,
@@ -145,7 +142,7 @@ def run_fanout(
     random.seed(SEED)
     start = time.perf_counter()
     sim = Simulator()
-    cluster = _build_cluster(sim, serving=serving)
+    cluster = _build_cluster(sim)
     _make_stream(sim, cluster, "read", "tail", 1)
     qualified, store = _segment_location(sim, cluster, "read", "tail")
     writer = cluster.create_writer("bench-0", "read", "tail")
@@ -263,7 +260,7 @@ def run_replay(
     waiters (including the read-ahead they would have duplicated)."""
     random.seed(SEED)
     start = time.perf_counter()
-    serving = ServingConfig(coalesce_lts_fetches=coalesce, direct_tail_delivery=True)
+    serving = ServingConfig(coalesce_lts_fetches=coalesce)
     sim, cluster, store, qualified, _, total_bytes = _tiered_backlog(
         "replay", serving, backlog_bytes, cache_bytes, event_size
     )
@@ -321,11 +318,7 @@ def run_policy(
     and the hot set survives."""
     random.seed(SEED)
     start = time.perf_counter()
-    serving = ServingConfig(
-        coalesce_lts_fetches=True,
-        admission_policy=admission,
-        direct_tail_delivery=True,
-    )
+    serving = ServingConfig(coalesce_lts_fetches=True, admission_policy=admission)
     sim, cluster, store, qualified, container, total_bytes = _tiered_backlog(
         "policy", serving, backlog_bytes, cache_bytes, event_size
     )
@@ -398,7 +391,6 @@ def run_policy(
 # reader_heavy: full client stack, wall-clock headline
 # ----------------------------------------------------------------------
 def run_reader_heavy(
-    serving=None,
     groups: int = 64,
     segments: int = 2,
     rate: float = 2000.0,
@@ -410,7 +402,7 @@ def run_reader_heavy(
     random.seed(SEED)
     start = time.perf_counter()
     sim = Simulator()
-    cluster = _build_cluster(sim, serving=serving)
+    cluster = _build_cluster(sim)
     _make_stream(sim, cluster, "read", "fanout", segments)
     writer = cluster.create_writer("bench-0", "read", "fanout")
 
@@ -485,10 +477,7 @@ def _fanout(smoke: bool) -> Dict[str, object]:
     points = [run_fanout(**_SMOKE_FANOUT)] if smoke else [
         run_fanout(readers=n) for n in (10, 100, 1000)
     ]
-    record = {"serving": "direct_tail_delivery", "points": {p["readers"]: p for p in points}}
-    if not smoke:
-        record["process_tail_1000"] = run_fanout(readers=1000, serving=None)
-    return record
+    return {"points": {p["readers"]: p for p in points}}
 
 
 def _replay(**kwargs) -> Dict[str, object]:
@@ -501,18 +490,18 @@ def _policies(**kwargs) -> Dict[str, object]:
     return {f"generation/{adm}": run_policy(adm, **kwargs) for adm in ADMISSIONS}
 
 
-def _reader_heavy(repeats: int, servings=(("default", None), ("direct", DIRECT))):
-    family = {"baseline": {"wall_s": BASELINE_WALL_S, "kernel_events": BASELINE_KERNEL_EVENTS}}
-    for key, serving in servings:
-        record, walls = harness.best_of(lambda: run_reader_heavy(serving=serving), repeats)
-        walls = [round(wall, 4) for wall in walls]
-        family[key] = {
+def _reader_heavy(repeats: int):
+    record, walls = harness.best_of(run_reader_heavy, repeats)
+    walls = [round(wall, 4) for wall in walls]
+    return {
+        "baseline": {"wall_s": BASELINE_WALL_S, "kernel_events": BASELINE_KERNEL_EVENTS},
+        "default": {
             **record,
             "wall_s_runs": walls,
             "wall_s": min(walls),
             "speedup": round(BASELINE_WALL_S / min(walls), 4),
-        }
-    return family
+        },
+    }
 
 
 def _seeded(run):
@@ -525,8 +514,7 @@ SCENARIOS = [(name, _seeded(full), _seeded(smoke), budget) for name, full, smoke
     ("fanout", lambda r: _fanout(smoke=False), lambda r: _fanout(smoke=True), 60.0),
     ("replay", lambda r: _replay(), lambda r: _replay(**_SMOKE_REPLAY), 60.0),
     ("policies", lambda r: _policies(), lambda r: _policies(backlog_bytes=8 * _MB), 60.0),
-    ("reader_heavy", _reader_heavy,
-     lambda r: _reader_heavy(1, servings=(("default", None),)), 120.0),
+    ("reader_heavy", _reader_heavy, lambda r: _reader_heavy(1), 120.0),
 )]
 
 
@@ -540,7 +528,5 @@ def describe(record: Dict) -> str:
             f"{record['on']['lts_fetch_ops']:.0f} ({record['lts_ops_ratio']}x)"
         )
     if "baseline" in record:
-        return ", ".join(
-            f"{k} {record[k]['wall_s']:.3f}s" for k in ("default", "direct") if k in record
-        )
+        return f"default {record['default']['wall_s']:.3f}s"
     return ", ".join(f"{k} hot {record[k]['hot_hit_rate']}" for k in record if k != "seed")

@@ -70,9 +70,7 @@ __all__ = [
 class ServingConfig:
     """Read-path serving-tier policy knobs (DESIGN.md §13).
 
-    The defaults reproduce the pre-serving-tier behavior exactly —
-    golden kernel/trace/figure fixtures are byte-identical with this
-    config — so scenarios opt in per cluster.
+    Both default off; scenarios opt in per cluster.
     """
 
     #: single-flight coalescing of LTS chunk fetches: concurrent readers
@@ -82,10 +80,6 @@ class ServingConfig:
     #: directly; "second_touch" starts runs on probation (a one-pass
     #: mass replay cannot evict the tail working set)
     admission_policy: str = "always"
-    #: park tail reads as bare futures resolved directly by the shared
-    #: append fan-out, skipping the per-request reader process; changes
-    #: kernel event counts, so mass fan-out scenarios opt in explicitly
-    direct_tail_delivery: bool = False
 
 
 @dataclass(frozen=True)
@@ -93,7 +87,7 @@ class ContainerConfig:
     durable_log: DurableLogConfig = field(default_factory=DurableLogConfig)
     storage: StorageWriterConfig = field(default_factory=StorageWriterConfig)
     cache: CacheSpec = field(default_factory=CacheSpec)
-    #: read-path serving-tier policies (coalescing, admission, delivery)
+    #: read-path serving-tier policies (coalescing, admission)
     serving: ServingConfig = field(default_factory=ServingConfig)
     #: take a metadata checkpoint every this many operations ...
     checkpoint_interval_ops: int = 20_000
@@ -147,12 +141,6 @@ class ReadResult:
     end_of_segment: bool = False
 
 
-def _finish_read(read_span, source: str) -> None:
-    if read_span is not None:
-        read_span.attrs["source"] = source
-        read_span.finish()
-
-
 class _AppendAck(SimFuture):
     """A fast-path append's result, registered as the callback of its own
     WAL future: one object per append instead of future + partial + bound
@@ -197,8 +185,8 @@ class SegmentContainer:
         self.metrics = metrics or MetricsRegistry()
         #: fault-injection hook (repro.faults.FaultEngine); unwired by default
         self.faults = faults
-        #: optional repro.obs.Tracer (spans arrive via append/read kwargs;
-        #: the tracer itself is only needed for background tiering spans)
+        #: optional repro.obs.Tracer (spans arrive via append kwargs; the
+        #: tracer itself is only needed for background tiering spans)
         self.tracer = tracer
         self.segments: Dict[str, SegmentState] = {}
         self.cache = BlockCache(self.config.cache)
@@ -230,12 +218,10 @@ class SegmentContainer:
         self._unapplied_bytes = 0
         self._applies_since_evict = 0
         #: parked tail reads per segment: waiter future -> (offset,
-        #: max_bytes).  Insertion-ordered; O(1) deregistration when a
-        #: reader detaches mid-wait.
-        #: parked tail reads: segment -> {future: (offset, max_bytes, direct)}
-        #: where ``direct`` futures are resolved straight to a ReadResult
-        #: by the fan-out (no reader process behind them)
-        self._tail_waiters: Dict[str, Dict[SimFuture, Tuple[int, int, bool]]] = {}
+        #: max_bytes), each resolved with a ReadResult by the append
+        #: fan-out.  Insertion-ordered; O(1) deregistration when a reader
+        #: detaches mid-wait (cancel_tail_read).
+        self._tail_waiters: Dict[str, Dict[SimFuture, Tuple[int, int]]] = {}
         #: single-flight LTS fetches in progress: (segment, chunk) -> future
         self._inflight_fetches: Dict[Tuple[str, str], SimFuture] = {}
         self._event_rates: Dict[str, RateMeter] = {}
@@ -809,12 +795,16 @@ class SegmentContainer:
     # ------------------------------------------------------------------
     # Read path (§4.2)
     # ------------------------------------------------------------------
-    def read(self, segment: str, offset: int, max_bytes: int, span=None) -> SimFuture:
-        """Read up to ``max_bytes`` from ``offset``.
+    def read(self, segment: str, offset: int, max_bytes: int) -> SimFuture:
+        """Read up to ``max_bytes`` from ``offset``; resolves with a
+        :class:`ReadResult`.  Three outcomes:
 
-        Serves from cache when resident, fetches from LTS (with parallel
-        read-ahead) when tiered out, or waits for new data (tail read)
-        when at the segment's end.  Resolves with :class:`ReadResult`.
+        * cache hit — an already-resolved future;
+        * at the segment's end — end-of-segment if sealed, otherwise a
+          bare future parked in the tail-waiter table and resolved by the
+          append fan-out (:meth:`cancel_tail_read` withdraws it);
+        * cache miss — one process that fetches from LTS (with parallel
+          read-ahead), then serves the read from the cache or raises.
         """
         try:
             self._require_online()
@@ -825,120 +815,53 @@ class SegmentContainer:
             return self._fail(
                 StreamError(f"read below truncation point of {segment}")
             )
+        available = state.applied_length - offset
+        if available <= 0:
+            done = self.sim.future()
+            if state.sealed:
+                done.set_result(ReadResult(Payload.empty(), offset, end_of_segment=True))
+                return done
+            waiters = self._tail_waiters.get(segment)
+            if waiters is None:
+                waiters = self._tail_waiters[segment] = {}
+            waiters[done] = (offset, max_bytes)
+            return done
+        cached = self._read_index(segment).read_cached(offset, min(max_bytes, available))
+        if cached is not None and cached.size > 0:
+            self._read_cache_hits.add()
+            self._read_cache_bytes.add(cached.size)
+            done = self.sim.future()
+            done.set_result(ReadResult(cached, offset))
+            return done
+        return self.sim.process(self._read_miss(segment, offset, max_bytes))
 
-        # Hot path: requested data is already applied and cache-resident
-        # and tracing is off — serve synchronously, skipping the
-        # per-request reader process.
-        if span is None:
-            available = state.applied_length - offset
-            if available > 0:
-                want = min(max_bytes, available)
-                cached = self._read_index(segment).read_cached(offset, want)
-                if cached is not None and cached.size > 0:
-                    self._read_cache_hits.add()
-                    self._read_cache_bytes.add(cached.size)
-                    done = self.sim.future()
-                    done.set_result(ReadResult(cached, offset))
-                    return done
-            elif self.config.serving.direct_tail_delivery:
-                # Direct tail park: no reader process — the shared append
-                # fan-out resolves this future with the ReadResult (or
-                # end-of-segment) itself.  Cancellation goes through
-                # cancel_tail_read().
-                if state.sealed:
-                    done = self.sim.future()
-                    done.set_result(
-                        ReadResult(Payload.empty(), offset, end_of_segment=True)
-                    )
-                    return done
-                waiter = self.sim.future()
-                waiters = self._tail_waiters.get(segment)
-                if waiters is None:
-                    waiters = self._tail_waiters[segment] = {}
-                waiters[waiter] = (offset, max_bytes, True)
-                return waiter
-
-        return self.sim.process(self._serve_read(segment, offset, max_bytes, span))
-
-    def _serve_read(self, segment: str, offset: int, max_bytes: int, span):
-        """The waiting read path: tail park, LTS fetch, or tracing on."""
-        read_span = None
-        if span is not None:
-            read_span = span.child(
-                "container.read",
-                actor=f"container-{self.container_id}",
-                segment=segment,
-                offset=offset,
+    def _read_miss(self, segment: str, offset: int, max_bytes: int):
+        """A cache miss: fetch the chunk covering ``offset`` from LTS and
+        prefetch the next chunks in parallel (Fig. 12), then serve the
+        read from the cache."""
+        state = self._state(segment)
+        want = min(max_bytes, state.applied_length - offset)
+        index = self._read_index(segment)
+        cached = index.read_cached(offset, want)
+        if cached is not None and cached.size > 0:
+            # A fetch that landed in a same-instant event ordered before
+            # this process's start filled the run since read() missed.
+            self._read_cache_hits.add()
+            self._read_cache_bytes.add(cached.size)
+            return ReadResult(cached, offset)
+        self._read_cache_misses.add()
+        yield from self._fetch_from_lts(segment, offset)
+        cached = index.read_cached(offset, want)
+        if cached is None or cached.size == 0:
+            raise StreamError(
+                f"data unavailable at {segment}@{offset} "
+                f"(applied={state.applied_length}, "
+                f"flushed={self.storage_writer.flushed_offset(segment)})"
             )
-        waited = False
+        self.metrics.counter("read.lts_bytes").add(cached.size)
+        return ReadResult(cached, offset)
 
-        try:
-            while True:
-                state = self._state(segment)
-                available = state.applied_length - offset
-                if available <= 0:
-                    if state.sealed:
-                        _finish_read(read_span, "eos")
-                        return ReadResult(Payload.empty(), offset, end_of_segment=True)
-                    waiter = self.sim.future()
-                    waiters = self._tail_waiters.get(segment)
-                    if waiters is None:
-                        waiters = self._tail_waiters[segment] = {}
-                    waiters[waiter] = (offset, max_bytes, False)
-                    wait_from = self.sim.now if read_span is not None else 0.0
-                    try:
-                        wake = yield waiter
-                    except BaseException:
-                        # Reader detached mid-wait (interrupt) or the
-                        # waiter failed: drop the registration so the
-                        # wakeup list doesn't pin this future.
-                        live = self._tail_waiters.get(segment)
-                        if live is not None:
-                            live.pop(waiter, None)
-                        raise
-                    waited = True
-                    if read_span is not None:
-                        read_span.component("tail_wait", self.sim.now - wait_from)
-                    if wake is True:
-                        _finish_read(read_span, "eos")
-                        return ReadResult(Payload.empty(), offset, end_of_segment=True)
-                    if wake is not False:
-                        # Shared fan-out delivered the payload directly.
-                        self._read_cache_hits.add()
-                        self._read_cache_bytes.add(wake.payload.size)
-                        _finish_read(read_span, "tail")
-                        return wake
-                    continue
-                want = min(max_bytes, available)
-                index = self._read_index(segment)
-                cached = index.read_cached(offset, want)
-                if cached is not None and cached.size > 0:
-                    self._read_cache_hits.add()
-                    self._read_cache_bytes.add(cached.size)
-                    _finish_read(read_span, "tail" if waited else "cache")
-                    return ReadResult(cached, offset)
-                # Cache miss: fetch the chunk covering `offset` from LTS and
-                # prefetch the next chunks in parallel (Fig. 12).
-                self._read_cache_misses.add()
-                fetch_from = self.sim.now if read_span is not None else 0.0
-                yield from self._fetch_from_lts(segment, offset, read_span)
-                if read_span is not None:
-                    read_span.component("lts", self.sim.now - fetch_from)
-                cached = index.read_cached(offset, want)
-                if cached is not None and cached.size > 0:
-                    self.metrics.counter("read.lts_bytes").add(cached.size)
-                    _finish_read(read_span, "lts")
-                    return ReadResult(cached, offset)
-                raise StreamError(
-                    f"data unavailable at {segment}@{offset} "
-                    f"(applied={state.applied_length}, "
-                    f"flushed={self.storage_writer.flushed_offset(segment)})"
-                )
-        finally:
-            if read_span is not None and read_span.end is None:
-                read_span.finish()
-
-    def _fetch_from_lts(self, segment: str, offset: int, read_span=None):
+    def _fetch_from_lts(self, segment: str, offset: int):
         chunks = self.storage_writer.chunks_for_range(segment, offset, 1)
         if not chunks:
             # Data not in a chunk: nothing to fetch (caller will fail).
@@ -965,8 +888,6 @@ class SegmentContainer:
                 # Single-flight: join the fetch already in flight (a
                 # concurrent reader's, or our own earlier read-ahead).
                 self._read_coalesced.add()
-                if read_span is not None:
-                    read_span.annotate("lts-coalesced", chunk=target.chunk_name)
                 yield shared
                 return
             shared = self._inflight_fetches[key] = self.sim.future()
@@ -1040,40 +961,29 @@ class SegmentContainer:
         if not waiters:
             return
         if force_eos:
-            for fut, (offset, _max_bytes, direct) in waiters.items():
-                if not fut.done:
-                    if direct:
-                        fut.set_result(
-                            ReadResult(Payload.empty(), offset, end_of_segment=True)
-                        )
-                    else:
-                        fut.set_result(True)
+            for fut, (offset, _max_bytes) in waiters.items():
+                fut.set_result(ReadResult(Payload.empty(), offset, end_of_segment=True))
             waiters.clear()
             return
         state = self.segments.get(segment)
         length = state.applied_length if state is not None else 0
         ready = [
-            (fut, offset, max_bytes, direct)
-            for fut, (offset, max_bytes, direct) in waiters.items()
+            (fut, offset, max_bytes)
+            for fut, (offset, max_bytes) in waiters.items()
             if offset < length
         ]
         if not ready:
             return
-        for fut, _, _, _ in ready:
+        for fut, _, _ in ready:
             del waiters[fut]
         # Shared tail fan-out: every parked reader waits at (one of a
         # handful of) distinct offsets, so one append's payload is read
         # from the cache once per distinct (offset, want) and the same
-        # ReadResult resolves every waiter — per-reader delivery work no
-        # longer scales with payload size.  Wake order matches the old
-        # per-waiter protocol (registration order), so event timing is
-        # unchanged; a cache miss here falls back to the legacy
-        # wake-and-retry protocol.
+        # ReadResult resolves every waiter, in registration order —
+        # per-reader delivery work does not scale with payload size.
         index = self.read_indexes.get(segment)
         shared: Dict[Tuple[int, int], Optional[ReadResult]] = {}
-        for fut, offset, max_bytes, direct in ready:
-            if fut.done:
-                continue
+        for fut, offset, max_bytes in ready:
             key = (offset, min(max_bytes, length - offset))
             if key in shared:
                 result = shared[key]
@@ -1085,19 +995,14 @@ class SegmentContainer:
                         result = ReadResult(cached, offset)
                 shared[key] = result
             if result is not None:
-                if direct:
-                    # Process-backed waiters account the hit in their own
-                    # wake branch; direct futures have no process.
-                    self._read_cache_hits.add()
-                    self._read_cache_bytes.add(result.payload.size)
+                self._read_cache_hits.add()
+                self._read_cache_bytes.add(result.payload.size)
                 fut.set_result(result)
-            elif direct:
+            else:
                 # Woken past the cache (rare: the run was evicted between
                 # apply and fan-out) — fall back to a full read, chained
                 # into the parked future.
                 self._chain(self.read(segment, offset, max_bytes), fut)
-            else:
-                fut.set_result(False)
 
     @staticmethod
     def _chain(src: SimFuture, dst: SimFuture) -> None:

@@ -204,52 +204,34 @@ class SegmentStore:
         )
 
     def rpc_read(
-        self, client_host: str, segment: str, offset: int, max_bytes: int, span=None
+        self, client_host: str, segment: str, offset: int, max_bytes: int
     ) -> SimFuture:
         """Read from a segment; resolves with ReadResult (tail reads wait)."""
         return self.sim.process(
-            self._serve_read(client_host, segment, offset, max_bytes, span)
+            self._serve_read(client_host, segment, offset, max_bytes)
         )
 
-    def _serve_read(self, client_host, segment, offset, max_bytes, span):
+    def _serve_read(self, client_host, segment, offset, max_bytes):
+        yield self.network.transfer(client_host, self.name, RPC_OVERHEAD)
+        if not self.alive:
+            raise ContainerOfflineError(f"store {self.name} is down")
+        yield self.config.request_processing_time
+        container = self.container_for(segment)
+        inner = container.read(segment, offset, max_bytes)
         try:
-            if span is not None:
-                t_request = self.sim.now
-            yield self.network.transfer(client_host, self.name, RPC_OVERHEAD)
-            if span is not None:
-                span.component("network", self.sim.now - t_request)
-            if not self.alive:
-                raise ContainerOfflineError(f"store {self.name} is down")
-            yield self.config.request_processing_time
-            container = self.container_for(segment)
-            inner = container.read(segment, offset, max_bytes, span=span)
-            try:
-                value = yield inner
-            except Interrupt:
-                # Client cancelled the read (reader released/reassigned
-                # its segments): propagate into the container so a
-                # parked tail waiter deregisters instead of pinning
-                # the wakeup list.  Process-backed reads deregister
-                # themselves on interrupt; bare direct-delivery
-                # futures are dropped explicitly.
-                interrupt = getattr(inner, "interrupt", None)
-                if interrupt is not None:
-                    if not inner.done:
-                        interrupt()
-                else:
-                    container.cancel_tail_read(segment, inner)
-                raise
-            if span is not None:
-                t_reply = self.sim.now
-            yield self.network.transfer(
-                self.name, client_host, RPC_OVERHEAD + value.payload.size
-            )
-            if span is not None:
-                span.component("network", self.sim.now - t_reply)
-            return value
-        finally:
-            if span is not None:
-                span.finish()
+            value = yield inner
+        except Interrupt:
+            # The client cancelled the read (its reader released or was
+            # reassigned its segments): a parked tail read leaves the
+            # wakeup list.  A container-side LTS fetch runs on — its bytes
+            # land in the cache either way, and readers that joined it
+            # must not see this reader's cancellation.
+            container.cancel_tail_read(segment, inner)
+            raise
+        yield self.network.transfer(
+            self.name, client_host, RPC_OVERHEAD + value.payload.size
+        )
+        return value
 
     def rpc_get_info(self, client_host: str, segment: str) -> SimFuture:
         return self._rpc(client_host, RPC_OVERHEAD, SegmentContainer.get_info, segment)

@@ -9,7 +9,7 @@ Semantics (SRE-standard, evaluated over the measurement window):
   when the window closes count against the budget — an infinitely
   latent ack is indistinguishable from a loss to the tenant.
 * **Latency SLI** — the run is bucketed into fixed windows
-  (``window`` seconds); a window is *good* when its p99 write latency is
+  (``WINDOW`` seconds); a window is *good* when its p99 write latency is
   under ``p99_latency``.  The latency compliance is good windows /
   total windows, compared against ``LATENCY_COMPLIANCE``.
 
@@ -29,6 +29,7 @@ from repro.common.metrics import percentile
 
 __all__ = [
     "LATENCY_COMPLIANCE",
+    "WINDOW",
     "SloSpec",
     "SloTracker",
     "capacity_report",
@@ -39,6 +40,8 @@ __all__ = [
 
 #: required fraction of evaluation windows meeting the p99 target
 LATENCY_COMPLIANCE = 0.95
+#: evaluation window length, seconds
+WINDOW = 1.0
 
 
 @dataclass(frozen=True)
@@ -49,16 +52,11 @@ class SloSpec:
     p99_latency: float = 0.050
     #: fraction of offered events that must be acknowledged
     availability: float = 0.999
-    #: evaluation window length, seconds
-    window: float = 1.0
 
     def __post_init__(self) -> None:
-        # bad configs fail here, not mid-run: window=0 divides by zero at
-        # the first in-window send, a negative one scores any run as one
-        # window
-        for name in ("p99_latency", "window"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)!r}")
+        # bad configs fail here, not mid-run
+        if not self.p99_latency > 0:
+            raise ValueError(f"p99_latency must be > 0, got {self.p99_latency!r}")
         if not 0 < self.availability <= 1:
             raise ValueError(f"availability must be in (0, 1], got {self.availability!r}")
 
@@ -83,7 +81,7 @@ class SloTracker:
     def _window(self, now: float) -> Optional[_Window]:
         if not (self.start <= now < self.end):
             return None
-        index = int((now - self.start) / self.spec.window)
+        index = int((now - self.start) / WINDOW)
         win = self._windows.get(index)
         if win is None:
             win = self._windows[index] = _Window()
@@ -110,7 +108,7 @@ class SloTracker:
     # -- evaluation ----------------------------------------------------
     def report(self) -> Dict[str, float]:
         spec = self.spec
-        total_windows = max(1, int(round((self.end - self.start) / spec.window)))
+        total_windows = max(1, int(round((self.end - self.start) / WINDOW)))
         sent = acked = failed = 0
         latency_bad = 0
         worst_p99 = 0.0

@@ -330,8 +330,9 @@ def _env_reads() -> set[str]:
     return names
 
 
-def _knob_table() -> dict[str, dict[str, str]]:
-    """Rows of DESIGN.md §15's knob table (the one headed ``knob``)."""
+def _knob_table(first: str = "knob") -> dict[str, dict[str, str]]:
+    """Rows of DESIGN.md §15's table whose first column is ``first``: the
+    knob table, or the per-class census headed ``class``."""
     text = (REPO / "DESIGN.md").read_text()
     section = text[text.index("\n## 15. ") :]
     section = section.split("\n## ", 2)[1]
@@ -344,7 +345,7 @@ def _knob_table() -> dict[str, dict[str, str]]:
         cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
         if header is None:
             header = cells
-        elif header[0] == "knob" and not set(cells[0]) <= set("-"):
+        elif header[0] == first and not set(cells[0]) <= set("-"):
             name = cells[0].strip("`")
             assert name not in rows, f"two rows for {name}"
             rows[name] = dict(zip(header, cells))
@@ -378,6 +379,12 @@ def test_every_knob_has_one_table_row():
         if default is not None:
             assert row["default"] == default, f"{name}: table says {row['default']}"
         assert row["verdict"], f"{name}: no verdict"
+    # the census's per-class "after" counts are the live knob counts
+    census = _knob_table("class")
+    owners = [name.split(".")[0] if "." in name else "environment" for name in defaults]
+    for owner in set(owners):
+        assert census[owner]["after"] == str(owners.count(owner)), owner
+    assert census["**total**"]["after"] == f"**{len(defaults)}**"
 
 
 # ----------------------------------------------------------------------

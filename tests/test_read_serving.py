@@ -4,16 +4,18 @@ Covers the contracts the serving tier must keep while it optimizes the
 read path:
 
 * the default configuration is byte-identical to the committed golden
-  record (tests/data/golden_read_default.json) — the hot-path cuts and
-  the serving features are invisible until opted into;
-* read-your-writes at the tail, including across a seal + successor
-  handoff, in both process-backed and direct-delivery tail modes;
+  record (tests/data/golden_read_default.json) — the serving features
+  are invisible until opted into;
+* read-your-writes at the tail (a read parks as a bare future the append
+  fan-out resolves), including across a seal + successor handoff, both
+  through the read RPC process and on the bare container future;
 * bytes reconstructed through eviction + LTS re-fetch are identical to
   what the writer framed;
 * a coalesced fetch fans the leader's failure out to every joined
   waiter (injected ``lts_fail``), and a retry serves all of them with a
-  single storage read;
-* a detached reader is removed from the tail wakeup list (both modes);
+  single storage read; a reader released mid-fetch fails only itself;
+* a detached reader, a withdrawn container read, or an interrupted raw
+  read is removed from the tail wakeup list;
 * the CacheManager policy seam: probation, promotion, ghost-list
   readmission and rejection of unknown policies.
 """
@@ -32,12 +34,13 @@ from repro.pravega import (
     ScalingPolicy,
     StreamConfiguration,
 )
+from repro.pravega.client.serializers import unframe_events
 from repro.pravega.container.cache import BlockCache, CacheSpec
 from repro.pravega.container.container import ContainerConfig, ServingConfig
 from repro.pravega.container.read_index import CacheManager, SegmentReadIndex
 from repro.pravega.container.storage_writer import StorageWriterConfig
 from repro.pravega.segment_store import SegmentStoreConfig
-from repro.sim import Simulator
+from repro.sim import Interrupt, Simulator
 
 from helpers import drain_reader, make_stream, run
 
@@ -46,12 +49,12 @@ pytestmark = pytest.mark.read
 REPO_ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = REPO_ROOT / "tests" / "data" / "golden_read_default.json"
 
-DIRECT = ServingConfig(direct_tail_delivery=True)
-FULL = ServingConfig(
-    coalesce_lts_fetches=True,
-    admission_policy="second_touch",
-    direct_tail_delivery=True,
-)
+FULL = ServingConfig(coalesce_lts_fetches=True, admission_policy="second_touch")
+
+#: How a tail read reaches the park: "process" through the segment
+#: store's read RPC, a sim process the client reader drives; "direct" as
+#: the bare future SegmentContainer.read hands out, no process in front.
+TAIL_PATHS = ["process", "direct"]
 
 
 @pytest.fixture()
@@ -132,7 +135,9 @@ class TestGoldenDefaultPath:
     def test_smoke_pravega_matches_committed_record(self):
         """With every serving feature off (the default), the end-to-end
         Pravega smoke run reproduces the committed fixture exactly —
-        metrics, simulated time and kernel event count."""
+        metrics, simulated time and kernel event count.  Re-pinned when
+        the process-backed tail park was deleted: its kernel events fell,
+        its metrics and simulated time did not move."""
         from repro.bench.suite import run_scenario
 
         fixture = json.loads(GOLDEN.read_text())
@@ -147,30 +152,51 @@ class TestGoldenDefaultPath:
 # ----------------------------------------------------------------------
 # Read-your-writes at the tail
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("serving", [None, DIRECT], ids=["process", "direct"])
+@pytest.mark.parametrize("path", TAIL_PATHS)
 class TestTailReadYourWrites:
-    def test_tail_read_sees_each_write(self, sim, serving):
-        cluster = build_serving_cluster(sim, serving=serving)
+    def test_tail_read_sees_each_write(self, sim, path):
+        cluster = build_serving_cluster(sim)
         make_stream(
             sim, cluster, stream="ryw",
             config=StreamConfiguration(scaling=ScalingPolicy.fixed(1)),
         )
         writer = cluster.create_writer("bench-0", "test", "ryw")
-        group = run(sim, cluster.create_reader_group("bench-0", "g", "test", "ryw"))
-        reader = cluster.create_reader("bench-0", "r0", group)
-        run(sim, reader.join())
+        if path == "process":
+            group = run(
+                sim, cluster.create_reader_group("bench-0", "g", "test", "ryw")
+            )
+            reader = cluster.create_reader("bench-0", "r0", group)
+            run(sim, reader.join())
+            read_next = reader.read_next
+        else:
+            qualified, store = segment_location(sim, cluster, "test", "ryw")
+            container = store.container_for(qualified)
+            offset = 0
+
+            def read_next():
+                return container.read(qualified, offset, 65536)
+
         for i in range(5):
-            pending = reader.read_next()
+            pending = read_next()
             sim.run(until=sim.now + 0.01)
             assert not pending.done, "tail read completed before the write"
             writer.write_event(f"tail-{i}".encode(), routing_key="k")
-            batch = run(sim, pending)
-            assert batch.events == [f"tail-{i}".encode()]
+            result = run(sim, pending)
+            if path == "process":
+                events = result.events
+            else:
+                events, consumed = unframe_events(result.payload.content)
+                assert consumed == result.payload.size
+                assert result.offset == offset
+                offset += result.payload.size
+            assert events == [f"tail-{i}".encode()]
+        if path == "direct":
+            assert not container._tail_waiters.get(qualified)
 
-    def test_read_your_writes_across_seal_and_successor(self, sim, serving):
+    def test_read_your_writes_across_seal_and_successor(self, sim, path):
         from repro.common.keyspace import KeyRange, split_range
 
-        cluster = build_serving_cluster(sim, serving=serving)
+        cluster = build_serving_cluster(sim)
         client = make_stream(sim, cluster, stream="handoff")
         writer = cluster.create_writer("bench-0", "test", "handoff")
         for i in range(25):
@@ -185,16 +211,58 @@ class TestTailReadYourWrites:
         for i in range(25, 50):
             writer.write_event(f"k:{i:04d}".encode(), routing_key="k")
         run(sim, writer.flush())
-        group = run(
-            sim, cluster.create_reader_group("bench-0", "g", "test", "handoff")
-        )
-        reader = cluster.create_reader("bench-0", "r0", group)
-        run(sim, reader.join())
-        batches = drain_reader(sim, reader, 50)
-        numbers = [
-            int(e.decode().split(":")[1]) for b in batches for e in b.events
-        ]
+        if path == "process":
+            group = run(
+                sim, cluster.create_reader_group("bench-0", "g", "test", "handoff")
+            )
+            reader = cluster.create_reader("bench-0", "r0", group)
+            run(sim, reader.join())
+            batches = drain_reader(sim, reader, 50)
+            events = [e for b in batches for e in b.events]
+        else:
+            # The sealed predecessor read to its end-of-segment, then every
+            # successor up to its current length, each straight on its
+            # container.
+            events, _ = self._read_direct(sim, cluster, 0, sealed=True)
+            tails = []
+            for number in sorted(run(sim, client.get_successors("test", "handoff", 0))):
+                more, tail = self._read_direct(sim, cluster, number, sealed=False)
+                events += more
+                tails.append(tail)
+            # A tail read parked on each successor: the next write reaches
+            # exactly the one its routing key maps to.
+            parked = [
+                container.read(qualified, end, 65536)
+                for container, qualified, end in tails
+            ]
+            writer.write_event(b"k:0050", routing_key="k")
+            run(sim, writer.flush())
+            sim.run(until=sim.now + 0.05)
+            delivered = [unframe_events(f.value.payload.content)[0] for f in parked if f.done]
+            assert delivered == [[b"k:0050"]]
+        numbers = [int(e.decode().split(":")[1]) for e in events]
         assert numbers == list(range(50))
+
+    @staticmethod
+    def _read_direct(sim, cluster, number, sealed):
+        """Read segment ``number`` of test/handoff from offset 0 through
+        SegmentContainer.read: to its end-of-segment when ``sealed``, else
+        up to its current length.  Returns (events, (container, qualified,
+        end offset))."""
+        qualified, store = segment_location(sim, cluster, "test", "handoff", number)
+        container = store.container_for(qualified)
+        length = None if sealed else container.get_info(qualified).length
+        data, offset = b"", 0
+        while length is None or offset < length:
+            result = run(sim, container.read(qualified, offset, 65536))
+            assert result.offset == offset
+            if result.end_of_segment:
+                break
+            data += result.payload.content
+            offset += result.payload.size
+        events, consumed = unframe_events(data)
+        assert consumed == len(data)
+        return events, (container, qualified, offset)
 
 
 # ----------------------------------------------------------------------
@@ -239,8 +307,6 @@ class TestEvictionByteIdentity:
         assert container.metrics.counter("read.cache_misses").value > misses_before
         assert container.metrics.counter("read.lts_fetch_ops").value > lts_before
         # The framed stream decodes back to exactly the written events.
-        from repro.pravega.client.serializers import unframe_events
-
         decoded, consumed = unframe_events(after)
         assert consumed == total
         assert decoded == events
@@ -275,6 +341,33 @@ class TestCoalescedFailureFanout:
         tier_out(sim, cluster, qualified, store, total)
         return cluster, store, container, qualified, total, baseline
 
+    def _three_coalesced_reads(self, sim, store, container, qualified):
+        """Three reads of one cold chunk whose storage read hangs on a
+        future the test resolves: the first leads the fetch, the other two
+        join it.  Returns (reads, the hung future, a thunk issuing the real
+        storage read)."""
+        lts = container.storage_writer.lts
+        original = lts.read_chunk
+        stalled = sim.future()
+        asked = []
+
+        def stall_once(name):
+            lts.read_chunk = original
+            asked.append(name)
+            return stalled
+
+        lts.read_chunk = stall_once
+        coalesced = container.metrics.counter("read.coalesced_fetches")
+        joined_before = coalesced.value
+        reads = [
+            store.rpc_read(f"bench-{i}", qualified, 0, 65536) for i in range(3)
+        ]
+        sim.run(until=sim.now + 1.0)
+        assert coalesced.value == joined_before + 2, (
+            "followers did not join the leader's in-flight fetch"
+        )
+        return reads, stalled, lambda: original(asked[0])
+
     def test_injected_lts_failure_reaches_the_reader(self, sim):
         cluster, store, container, qualified, total, baseline = (
             self._tiered_segment(sim)
@@ -293,24 +386,7 @@ class TestCoalescedFailureFanout:
         cluster, store, container, qualified, total, baseline = (
             self._tiered_segment(sim)
         )
-        lts = container.storage_writer.lts
-        original = lts.read_chunk
-        stalled = sim.future()
-
-        def stall_once(name):
-            lts.read_chunk = original
-            return stalled
-
-        lts.read_chunk = stall_once
-        coalesced = container.metrics.counter("read.coalesced_fetches")
-        joined_before = coalesced.value
-        reads = [
-            store.rpc_read(f"bench-{i}", qualified, 0, 65536) for i in range(3)
-        ]
-        sim.run(until=sim.now + 1.0)
-        assert coalesced.value == joined_before + 2, (
-            "followers did not join the leader's in-flight fetch"
-        )
+        reads, stalled, _ = self._three_coalesced_reads(sim, store, container, qualified)
         stalled.set_exception(StorageError("injected LTS failure"))
         sim.run(until=sim.now + 1.0)
         for fut in reads:
@@ -332,13 +408,36 @@ class TestCoalescedFailureFanout:
             assert result.payload.content == baseline[: result.payload.size]
             assert result.payload.size > 0
 
+    def test_released_leader_does_not_fail_the_readers_that_joined_it(self, sim):
+        """The reader whose read leads a coalesced fetch is released
+        mid-fetch: only its own read ends (``Interrupt``); the fetch runs
+        on and serves the two readers that joined it."""
+        cluster, store, container, qualified, total, baseline = (
+            self._tiered_segment(sim)
+        )
+        reads, stalled, read_chunk = self._three_coalesced_reads(
+            sim, store, container, qualified
+        )
+        reads[0].interrupt()
+        sim.run(until=sim.now + 0.1)
+        read_chunk().add_callback(lambda f: stalled.set_result(f.value))
+        sim.run(until=sim.now + 1.0)
+        assert isinstance(reads[0].exception, Interrupt)
+        outcomes = [repr(fut.exception) for fut in reads[1:] if fut.exception]
+        assert not outcomes, f"joined readers failed with {outcomes}"
+        for fut in reads[1:]:
+            result = fut.value
+            assert result.payload.size > 0
+            assert result.payload.content == baseline[: result.payload.size]
+        assert not container._inflight_fetches
+
 
 # ----------------------------------------------------------------------
 # Tail-waiter lifecycle: detached readers leave the wakeup list
 # ----------------------------------------------------------------------
 class TestTailWaiterLifecycle:
-    def _parked_reader(self, sim, serving):
-        cluster = build_serving_cluster(sim, serving=serving)
+    def _parked_reader(self, sim):
+        cluster = build_serving_cluster(sim)
         make_stream(
             sim, cluster, stream="park",
             config=StreamConfiguration(scaling=ScalingPolicy.fixed(1)),
@@ -351,17 +450,21 @@ class TestTailWaiterLifecycle:
         container = store.container_for(qualified)
         return cluster, writer, reader, container, qualified
 
-    @pytest.mark.parametrize("serving", [None, DIRECT], ids=["process", "direct"])
-    def test_released_reader_leaves_the_wakeup_list(self, sim, serving):
-        cluster, writer, reader, container, qualified = self._parked_reader(
-            sim, serving
-        )
-        pending = reader.read_next()
+    @pytest.mark.parametrize("path", TAIL_PATHS)
+    def test_released_reader_leaves_the_wakeup_list(self, sim, path):
+        cluster, writer, reader, container, qualified = self._parked_reader(sim)
+        if path == "process":
+            pending = reader.read_next()
+        else:
+            pending = container.read(qualified, 0, 65536)
         sim.run(until=sim.now + 0.05)
         assert len(container._tail_waiters.get(qualified, {})) == 1, (
             "tail read did not park a waiter"
         )
-        run(sim, reader.release_all())
+        if path == "process":
+            run(sim, reader.release_all())
+        else:
+            container.cancel_tail_read(qualified, pending)
         sim.run(until=sim.now + 0.05)
         assert not container._tail_waiters.get(qualified), (
             "detached reader still registered in the tail wakeup list"
@@ -371,23 +474,23 @@ class TestTailWaiterLifecycle:
         run(sim, writer.flush())
         sim.run(until=sim.now + 0.05)
         assert not container._tail_waiters.get(qualified)
+        if path == "direct":
+            assert not pending.done, "the append resolved a withdrawn read"
 
-    def test_interrupted_raw_read_is_deregistered_in_direct_mode(self, sim):
-        cluster, writer, reader, container, qualified = self._parked_reader(
-            sim, DIRECT
-        )
-        # Park a raw direct tail read at the segment's current end.
+    def test_interrupted_raw_read_is_deregistered(self, sim):
+        cluster, writer, reader, container, qualified = self._parked_reader(sim)
+        # Park a raw tail read at the segment's current end.
         store = [
             s for s in cluster.stores.values()
             if container in s.containers.values()
         ][0]
         fut = store.rpc_read("bench-0", qualified, 0, 65536)
         sim.run(until=sim.now + 0.05)
-        assert len(container._tail_waiters.get(qualified, {})) == 1
+        assert list(container._tail_waiters[qualified].values()) == [(0, 65536)]
         fut.interrupt()
         sim.run(until=sim.now + 0.05)
         assert not container._tail_waiters.get(qualified), (
-            "cancelled direct read still pinned in the wakeup list"
+            "cancelled raw read still pinned in the wakeup list"
         )
 
 

@@ -9,7 +9,7 @@ from repro.workload import SloSpec, SloTracker, capacity_report
 
 def make_tracker(**kw):
     spec_kw = {}
-    for key in ("p99_latency", "availability", "window"):
+    for key in ("p99_latency", "availability"):
         if key in kw:
             spec_kw[key] = kw.pop(key)
     spec = SloSpec(**spec_kw)
@@ -65,7 +65,7 @@ def test_unacked_events_count_against_budget():
 def test_latency_attribution_by_send_time():
     # An ack arriving after a window closes still charges the window the
     # event was *sent* in (send-time attribution).
-    tracker = make_tracker(p99_latency=0.010, window=1.0, end=2.0)
+    tracker = make_tracker(p99_latency=0.010, end=2.0)
     tracker.on_sent(0.5, 10)
     tracker.on_sent(1.5, 10)
     # Window 0 events ack late AND slow; window 1 events are fast.
@@ -79,7 +79,7 @@ def test_latency_attribution_by_send_time():
 
 
 def test_sent_but_never_acked_window_is_infinitely_slow():
-    tracker = make_tracker(window=1.0, end=2.0)
+    tracker = make_tracker(end=2.0)
     tracker.on_sent(0.5, 10)
     tracker.on_ack(0.5, 10, latency=0.001, ok=True)
     tracker.on_sent(1.5, 10)  # nothing ever acks in window 1
