@@ -206,55 +206,68 @@ class LedgerHandle:
         return fut
 
     def _replicate(self, entry: Entry, entry_span=None):
-        cluster = self.client.cluster
-        network = cluster.network
+        if entry_span is None:
+            acks = self._send(entry)
+        else:
+            acks = self._send_traced(entry, entry_span)
+        try:
+            yield acks
+        except Exception as exc:  # noqa: BLE001 - fail the handle
+            # The LAC can never pass this entry, so every add still pending
+            # on the handle fails with it (BookKeeper's errorOutPendingAdds);
+            # a later entry already on a quorum would otherwise never resolve.
+            self._failed = True
+            pending, self._acked = self._acked, {}
+            for fut in pending.values():
+                if not fut.done:
+                    fut.set_exception(exc)
+            return
+        self._confirmed.add(entry.entry_id)
+        self._advance_lac()
+
+    def _send(self, entry: Entry) -> "_QuorumAck":
+        """Send ``entry`` to its write set; returns the quorum wait.
+
+        A plain method, not inline in :meth:`_replicate`, so the fan-out's
+        locals die here instead of living in the generator frame for the
+        whole in-flight time.
+        """
         write_set = self.metadata.write_set(entry.entry_id)
+        acks = _QuorumAck(self.sim, entry, self.metadata.ack_quorum, len(write_set))
+        cluster = self.client.cluster
+        transfer = cluster.network.transfer
+        bookies = cluster.bookies
+        host = self.client.client_host
         wire_size = entry.payload.size + ENTRY_OVERHEAD
-        acks = self.sim.future()
-        state = {"acked": 0, "failed": 0, "fenced": False}
-        quorum = self.metadata.ack_quorum
-        replicas = len(write_set)
+        send = acks.send
+        for name in write_set:
+            transfer(host, name, wire_size, payload=bookies[name]).add_callback(send)
+        return acks
 
-        def on_store_done(store: SimFuture) -> None:
-            if store.exception is None:
-                state["acked"] += 1
-            else:
-                state["failed"] += 1
-                if isinstance(store.exception, LedgerFencedError):
-                    state["fenced"] = True
-            if acks.done:
-                return
-            if state["acked"] >= quorum:
-                acks.set_result(None)
-            elif state["failed"] > replicas - quorum:
-                if state["fenced"]:
-                    acks.set_exception(LedgerFencedError(f"ledger {self.ledger_id}"))
-                else:
-                    acks.set_exception(
-                        BookkeeperError(
-                            f"entry {entry.entry_id}: quorum unreachable"
-                        )
-                    )
+    def _send_traced(self, entry: Entry, entry_span) -> "_QuorumAck":
+        """:meth:`_send` with per-replica spans (the cold path).
 
+        Same transfers in the same order; only the callbacks differ,
+        recording each replica's network and journal time before the
+        store result reaches the quorum wait.
+        """
+        sim = self.sim
+        cluster = self.client.cluster
+        write_set = self.metadata.write_set(entry.entry_id)
+        acks = _QuorumAck(sim, entry, self.metadata.ack_quorum, len(write_set))
+        wire_size = entry.payload.size + ENTRY_OVERHEAD
         for name in write_set:
             bookie = cluster.bookies[name]
-            replica_span = None
-            if entry_span is not None:
-                replica_span = entry_span.child(
-                    "bk.replica", actor=name, bytes=wire_size
-                )
-            rpc = network.transfer(self.client.client_host, name, wire_size)
+            replica_span = entry_span.child("bk.replica", actor=name, bytes=wire_size)
+            rpc = cluster.network.transfer(self.client.client_host, name, wire_size)
 
             def send(
                 _: SimFuture,
                 bookie: Bookie = bookie,
                 replica_span=replica_span,
-                sent_at: float = self.sim.now,
+                sent_at: float = sim.now,
             ) -> None:
-                if replica_span is None:
-                    bookie.add_entry(entry).add_callback(on_store_done)
-                    return
-                replica_span.component("network", self.sim.now - sent_at)
+                replica_span.component("network", sim.now - sent_at)
                 store = bookie.add_entry(entry, span=replica_span)
 
                 def store_done(f: SimFuture, replica_span=replica_span) -> None:
@@ -263,32 +276,22 @@ class LedgerHandle:
                     # parent (the tail is off the critical path) and keep
                     # the true completion time as an annotation.
                     parent_end = entry_span.end
-                    if parent_end is not None and self.sim.now > parent_end:
-                        replica_span.annotate("straggler", completed=self.sim.now)
+                    if parent_end is not None and sim.now > parent_end:
+                        replica_span.annotate("straggler", completed=sim.now)
                         replica_span.finish(parent_end)
                     else:
                         replica_span.finish()
                     # The fastest replica defines the sequential part of the
                     # entry's critical path (its network + fsync time).
                     if f.exception is None and "_first_ack" not in entry_span.attrs:
-                        entry_span.attrs["_first_ack"] = self.sim.now
+                        entry_span.attrs["_first_ack"] = sim.now
                         entry_span.absorb(replica_span)
 
                 store.add_callback(store_done)
-                store.add_callback(on_store_done)
+                store.add_callback(acks)
 
             rpc.add_callback(send)
-
-        try:
-            yield acks
-        except Exception as exc:  # noqa: BLE001 - fail the handle
-            self._failed = True
-            pending = self._acked.pop(entry.entry_id, None)
-            if pending is not None and not pending.done:
-                pending.set_exception(exc)
-            return
-        self._confirmed.add(entry.entry_id)
-        self._advance_lac()
+        return acks
 
     def _advance_lac(self) -> None:
         while (self._last_add_confirmed + 1) in self._confirmed:
@@ -338,3 +341,50 @@ class LedgerHandle:
             return entries
 
         return self.sim.process(reading())
+
+
+class _QuorumAck(SimFuture):
+    """The ack-quorum wait of one entry, and the store callback of every
+    replica: one object per entry instead of a state dict plus closures.
+
+    :meth:`send` is the delivery callback of each replica's transfer
+    (which resolves with its bookie); :meth:`__call__` counts each
+    replica's store result and resolves this future at ``quorum`` acks,
+    or fails it once more replicas failed than the quorum tolerates.
+    """
+
+    __slots__ = ("entry", "quorum", "tolerated", "acked", "failed", "fenced")
+
+    def __init__(
+        self, sim: Simulator, entry: Entry, quorum: int, replicas: int
+    ) -> None:
+        SimFuture.__init__(self, sim)
+        self.entry = entry
+        self.quorum = quorum
+        self.tolerated = replicas - quorum
+        self.acked = 0
+        self.failed = 0
+        self.fenced = False
+
+    def send(self, rpc: SimFuture) -> None:
+        rpc._value.add_entry(self.entry).add_callback(self)
+
+    def __call__(self, store: SimFuture) -> None:
+        exc = store._exception
+        if exc is None:
+            self.acked += 1
+        else:
+            self.failed += 1
+            if isinstance(exc, LedgerFencedError):
+                self.fenced = True
+        if self._done:
+            return
+        if self.acked >= self.quorum:
+            self.set_result(None)
+        elif self.failed > self.tolerated:
+            if self.fenced:
+                self.set_exception(LedgerFencedError(f"ledger {self.entry.ledger_id}"))
+            else:
+                self.set_exception(
+                    BookkeeperError(f"entry {self.entry.entry_id}: quorum unreachable")
+                )

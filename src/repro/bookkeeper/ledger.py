@@ -25,14 +25,15 @@ class LedgerState(enum.Enum):
     CLOSED = "closed"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Entry:
     """One replicated log record.
 
     ``record`` is the structured object the payload bytes decode to
     (e.g. a Pravega data frame).  It rides along with the stored entry so
     recovery can replay operations after reading the ledger — the
-    simulation equivalent of deserializing the entry's bytes.
+    simulation equivalent of deserializing the entry's bytes.  Slotted:
+    every bookie keeps one per stored entry.
     """
 
     ledger_id: int

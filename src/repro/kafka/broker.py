@@ -8,7 +8,8 @@ once the leader and at least one follower have the batch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.common.errors import KafkaError, NotEnoughReplicasError
 from repro.common.payload import Payload
@@ -57,6 +58,9 @@ class KafkaBroker:
         self.faults = None
         #: tail-fetch waiters per partition
         self._fetch_waiters: Dict[TopicPartition, List[Tuple[int, SimFuture]]] = {}
+        #: per partition, the append callback that wakes its fetchers
+        #: (bound once here, not per append)
+        self._wakers: Dict[TopicPartition, Callable[[SimFuture], None]] = {}
 
     def host_replica(self, tp: TopicPartition) -> PartitionLog:
         log = PartitionLog(
@@ -67,6 +71,7 @@ class KafkaBroker:
             flush_every_message=self.flush_every_message,
         )
         self.logs[tp] = log
+        self._wakers[tp] = partial(self._wake_fetchers, tp)
         return log
 
     def append_local(
@@ -88,14 +93,10 @@ class KafkaBroker:
             result = log.append(
                 payload, record_count, producer_id, sequence, span=span
             )
-
-        def wake(_: SimFuture) -> None:
-            self._wake_fetchers(tp)
-
-        result.add_callback(wake)
+        result.add_callback(self._wakers[tp])
         return result
 
-    def _wake_fetchers(self, tp: TopicPartition) -> None:
+    def _wake_fetchers(self, tp: TopicPartition, _append: SimFuture) -> None:
         waiters = self._fetch_waiters.get(tp)
         if not waiters:
             return
@@ -228,45 +229,13 @@ class KafkaCluster:
             tp, payload, record_count, producer_id, sequence, span=append_span
         )
         needed = (self.min_insync_replicas - 1) if acks_all else 0
-        follower_acks = self.sim.future()
-        state = {"acked": 0, "failed": 0}
-        followers = replicas[1:]
+        follower_acks = _FollowerAcks(
+            self.sim, self.network, leader.name, tp, payload, record_count,
+            producer_id, sequence, wire, needed, len(replicas) - 1,
+        )
         if needed == 0:
             follower_acks.set_result(None)
-
-        def on_follower(fut: SimFuture) -> None:
-            if fut.exception is None:
-                state["acked"] += 1
-            else:
-                state["failed"] += 1
-            if follower_acks.done:
-                return
-            if state["acked"] >= needed:
-                follower_acks.set_result(None)
-            elif state["failed"] > len(followers) - needed:
-                follower_acks.set_exception(
-                    NotEnoughReplicasError(f"{tp}: in-sync replicas unavailable")
-                )
-
-        for follower_name in followers:
-            follower = self.brokers[follower_name]
-
-            def start_replication(_: SimFuture, follower=follower) -> None:
-                transfer = self.network.transfer(leader.name, follower.name, wire)
-
-                def replicate(__: SimFuture) -> None:
-                    follower.append_local(
-                        tp, payload, record_count, producer_id, sequence
-                    ).add_callback(on_follower)
-
-                transfer.add_callback(replicate)
-
-            # Follower-fetch round: data leaves the leader only when the
-            # follower's next fetch arrives.
-            self.sim.timeout(self.replication_poll_delay).add_callback(
-                start_replication
-            )
-
+        self._start_fetch_rounds(follower_acks, replicas)
         yield leader_done
         if span is not None:
             if append_span is not None:
@@ -283,6 +252,14 @@ class KafkaCluster:
             span.component("network", self.sim.now - t_reply)
             span.finish()
         return self.brokers[replicas[0]].logs[tp].leo
+
+    def _start_fetch_rounds(self, acks: "_FollowerAcks", replicas: List[str]) -> None:
+        """Follower-fetch round: the batch leaves the leader only when each
+        follower's next fetch arrives (its poll timer carries the follower)."""
+        fetch = acks.fetch
+        delay = self.replication_poll_delay
+        for name in replicas[1:]:
+            self.sim.timeout(delay, self.brokers[name]).add_callback(fetch)
 
     # ------------------------------------------------------------------
     # Fetch path (consumers)
@@ -327,3 +304,68 @@ class KafkaCluster:
             return batches, next_offset, taken
 
         return self.sim.process(run())
+
+
+class _FollowerAcks(SimFuture):
+    """The in-sync wait of one produce: resolves once ``needed`` followers
+    have the batch, fails once more followers failed than that allows.
+
+    One object per produce instead of a state dict plus closures per
+    follower.  :meth:`fetch` is the callback of every follower's poll
+    timer, which resolves with that follower; the object itself is the
+    callback of the leader -> follower transfer, which resolves with the
+    follower too (so the batch is appended there), and of that append,
+    which resolves with the batch or an error (so it is counted).
+    """
+
+    __slots__ = (
+        "network", "leader", "tp", "payload", "record_count", "producer_id",
+        "sequence", "wire", "needed", "tolerated", "acked", "failed",
+    )
+
+    def __init__(
+        self, sim: Simulator, network: Network, leader: str, tp: TopicPartition,
+        payload: Payload, record_count: int, producer_id: str, sequence: int,
+        wire: int, needed: int, followers: int,
+    ) -> None:
+        SimFuture.__init__(self, sim)
+        self.network = network
+        self.leader = leader
+        self.tp = tp
+        self.payload = payload
+        self.record_count = record_count
+        self.producer_id = producer_id
+        self.sequence = sequence
+        self.wire = wire
+        self.needed = needed
+        self.tolerated = followers - needed
+        self.acked = 0
+        self.failed = 0
+
+    def fetch(self, poll: SimFuture) -> None:
+        follower = poll._value
+        self.network.transfer(
+            self.leader, follower.name, self.wire, payload=follower
+        ).add_callback(self)
+
+    def __call__(self, fut: SimFuture) -> None:
+        exc = fut._exception
+        if exc is None and isinstance(fut._value, KafkaBroker):
+            # the batch reached the follower: append it there
+            fut._value.append_local(
+                self.tp, self.payload, self.record_count, self.producer_id,
+                self.sequence,
+            ).add_callback(self)
+            return
+        if exc is None:
+            self.acked += 1
+        else:
+            self.failed += 1
+        if self._done:
+            return
+        if self.acked >= self.needed:
+            self.set_result(None)
+        elif self.failed > self.tolerated:
+            self.set_exception(
+                NotEnoughReplicasError(f"{self.tp}: in-sync replicas unavailable")
+            )

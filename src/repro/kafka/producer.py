@@ -99,6 +99,10 @@ class KafkaProducer:
         self._parked: Dict[str, Deque[Tuple[int, _PartitionBatch]]] = {}
         self._cpu = FifoServer(sim, name=f"cpu:{self.producer_id}")
         self._sticky_partition = 0
+        #: one TopicPartition per partition, built on first use
+        self._tps: Dict[int, TopicPartition] = {}
+        #: routing key -> partition (a pure function of the key; hashed once)
+        self._key_partitions: Dict[str, int] = {}
         #: records sent and not yet acknowledged; flush() waits on it
         self._unacked = Drain(sim)
         self.records_sent = 0
@@ -115,9 +119,19 @@ class KafkaProducer:
 
     def _partition_for(self, key: Optional[str]) -> int:
         if key is not None:
-            return stable_hash64(key) % self.num_partitions
+            partition = self._key_partitions.get(key)
+            if partition is None:
+                partition = stable_hash64(key) % self.num_partitions
+                self._key_partitions[key] = partition
+            return partition
         # Sticky partitioner: stay on one partition until its batch closes.
         return self._sticky_partition
+
+    def _tp(self, partition: int) -> TopicPartition:
+        tp = self._tps.get(partition)
+        if tp is None:
+            tp = self._tps[partition] = TopicPartition(self.topic, partition)
+        return tp
 
     # ------------------------------------------------------------------
     def send(self, size: int, key: Optional[str] = None, count: int = 1) -> SimFuture:
@@ -201,8 +215,7 @@ class KafkaProducer:
             # tiny batches that each pay the full per-request cost — fatal
             # under flush-per-message, where every batch also pays a
             # multi-millisecond fsync barrier.
-            tp = TopicPartition(self.topic, partition)
-            broker = self.cluster.assignments[tp][0]
+            broker = self.cluster.assignments[self._tp(partition)][0]
             if self._in_flight.get(broker, 0) >= self.config.max_in_flight:
                 if not batch.parked:
                     batch.parked = True
@@ -235,7 +248,7 @@ class KafkaProducer:
         config = self.config
         # Respect max.in.flight: the limit applies per *broker connection*
         # (one connection per broker), not per partition.
-        tp = TopicPartition(self.topic, partition)
+        tp = self._tp(partition)
         broker = self.cluster.assignments[tp][0]
         first_span = next(
             (r.span for r in batch.records if r.span is not None), None
@@ -267,7 +280,6 @@ class KafkaProducer:
             if config.idempotent:
                 sequence = self._sequence
                 self._sequence += 1
-            tp = TopicPartition(self.topic, partition)
             if batch.span is not None:
                 produce_span = batch.span.child(
                     "kafka.produce",

@@ -242,25 +242,15 @@ class PulsarBroker:
         )
         managed.entry_offsets.append(offset)
         append = managed.current.handle.append(payload, span=span)
-
-        def full_replication_done(_: SimFuture) -> None:
-            self.replication_buffer = max(
-                0, self.replication_buffer - payload.size
-            )
-
         # ackQuorum acks complete `append`; the *full* write quorum is
         # what frees the buffer.  With aQ == wQ they coincide; with
         # aQ < wQ the slowest bookie's lag keeps memory occupied — we
         # model the lag as an extra journal-backlog delay on the
         # slowest bookie.
-        lag = self._slowest_bookie_lag()
-        if self.config.ack_quorum >= self.config.write_quorum:
-            append.add_callback(full_replication_done)
-        else:
-            def after_ack(fut: SimFuture) -> None:
-                self.sim.schedule(lag, lambda: full_replication_done(fut))
-
-            append.add_callback(after_ack)
+        lag = None
+        if self.config.ack_quorum < self.config.write_quorum:
+            lag = self._slowest_bookie_lag()
+        append.add_callback(_BufferRelease(self, payload.size, lag))
         yield append
         self.entries_written += 1
         self.bytes_written += payload.size
@@ -420,6 +410,29 @@ class PulsarBroker:
         return self.sim.process(run())
 
     _offload_read_busy = False
+
+
+class _BufferRelease:
+    """Frees one entry's bytes from the broker's replication buffer once
+    the full write quorum has it: the callback of the entry's append,
+    which with ``lag`` (aQ < wQ) first re-arms itself as a timer for the
+    slowest bookie's lag."""
+
+    __slots__ = ("broker", "size", "lag")
+
+    def __init__(self, broker: PulsarBroker, size: int, lag: Optional[float]) -> None:
+        self.broker = broker
+        self.size = size
+        self.lag = lag
+
+    def __call__(self, _append: Optional[SimFuture] = None) -> None:
+        lag = self.lag
+        if lag is not None:
+            self.lag = None
+            self.broker.sim.schedule(lag, self)
+            return
+        broker = self.broker
+        broker.replication_buffer = max(0, broker.replication_buffer - self.size)
 
 
 class PulsarCluster:

@@ -79,6 +79,8 @@ class PulsarProducer:
         self._pending_waiters: Dict[int, list] = {}
         self._cpu = FifoServer(sim, name=f"cpu:{self.producer_id}")
         self._round_robin = 0
+        #: routing key -> partition (a pure function of the key; hashed once)
+        self._key_partitions: Dict[str, int] = {}
         #: records sent and not yet acknowledged; flush() waits on it
         self._unacked = Drain(sim)
         self.records_sent = 0
@@ -95,7 +97,11 @@ class PulsarProducer:
 
     def _partition_for(self, key: Optional[str]) -> int:
         if key is not None:
-            return stable_hash64(key) % self.num_partitions
+            partition = self._key_partitions.get(key)
+            if partition is None:
+                partition = stable_hash64(key) % self.num_partitions
+                self._key_partitions[key] = partition
+            return partition
         self._round_robin = (self._round_robin + 1) % self.num_partitions
         return self._round_robin
 

@@ -213,7 +213,7 @@ class PageCache:
         self._dirty[file_id] = self._dirty.get(file_id, 0) + nbytes
         self._dirty_total += nbytes
         copy_time = nbytes / self.spec.memory_bandwidth
-        self.sim.schedule(copy_time, lambda: fut.set_result(None))
+        self.sim.schedule(copy_time, fut.set_result)
         self._kick_writeback()
 
     def flush(self, file_id: str) -> SimFuture:

@@ -165,6 +165,31 @@ class TestLedgerHandle:
             run(sim, handle.append(Payload.of(b"y")))
         assert handle.metadata.last_entry_id == 0
 
+    def test_failed_entry_fails_every_later_pending_add(self, sim, cluster, client):
+        """An entry that loses its quorum fails every add still pending
+        on the handle (BookKeeper's ``errorOutPendingAdds``): the LAC can
+        never pass the failed entry, so a later entry that did reach a
+        quorum must not wait forever."""
+        handle = client.create_ledger(ensemble_size=3, write_quorum=3, ack_quorum=2)
+        assert run(sim, handle.append(Payload.synthetic(100))) == 0
+        down = [cluster.bookie(name) for name in handle.metadata.ensemble[:2]]
+        for bookie in down:
+            bookie.crash()
+        first = handle.append(Payload.synthetic(100))
+        later = []
+        # e2 leaves 50 us after e1; both bookies are back 170 us after e1,
+        # after e1's replicas bounced and before e2's arrive.
+        sim.schedule(50e-6, lambda: later.append(handle.append(Payload.synthetic(100))))
+        sim.schedule(170e-6, lambda: [bookie.restart() for bookie in down])
+        sim.run()
+        (second,) = later
+        assert isinstance(first.exception, BookkeeperError)
+        assert second.done, "a later in-flight add was stranded by the failed one"
+        assert second.exception is first.exception
+        assert handle.last_add_confirmed == 0
+        with pytest.raises(LedgerFencedError):
+            run(sim, handle.append(Payload.synthetic(100)))
+
     def test_striping_with_write_quorum_smaller_than_ensemble(self, sim, cluster, client):
         handle = client.create_ledger(ensemble_size=3, write_quorum=2, ack_quorum=2)
         futures = [handle.append(Payload.synthetic(10)) for _ in range(6)]

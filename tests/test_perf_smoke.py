@@ -98,31 +98,22 @@ def test_producer_paths_allocate_no_validating_payloads():
         )
 
 
-@pytest.mark.perf
-def test_in_flight_appends_stay_within_their_allocation_budget():
-    """GC-tracked objects alive per in-flight append, at three instants.
-
-    64 appends per generator tick against a gen0 threshold of 700 means
-    every tracked object an append drags along (a closure and its cells,
-    a bound method, a per-future callback list, a ``_ScheduledEvent`` per
-    spawn) turns into collector passes that free nothing.  Deterministic:
-    no wall clock, the collector parked for this test only, and
-    ``gc.get_count()[0]`` is allocations minus deallocations of tracked
-    objects.  Measured (Python 3.11): 5.1 / 4.5 / 8.4 per append right
-    after issue / after 0.5 ms / after 1 ms; 15.1 / 8.4 / 18.2 before the
-    request paths lost their scaffolding.
-    """
-    from repro.bench import PravegaAdapter
-
-    sim = Simulator()
-    adapter = PravegaAdapter(sim)
+def _tracked_per_in_flight(sim, adapter, group_events, event_size):
+    """GC-tracked objects alive per in-flight send group right after
+    issue, at +0.5 ms and at +1 ms: 64 groups from 4 producers on 2 hosts
+    over 16 partitions, after one warm round (connections, RTT estimates,
+    ledgers).  Deterministic: no wall clock, the collector parked for the
+    measurement only, and ``gc.get_count()[0]`` is allocations minus
+    deallocations of tracked objects."""
     adapter.setup(16)
     producers = [adapter.new_producer(f"bench-{i % 2}") for i in range(4)]
 
     def issue():
-        return [producers[k % 4].send_group(k % 16, 15, 100) for k in range(64)]
+        return [
+            producers[k % 4].send_group(k % 16, group_events, event_size)
+            for k in range(64)
+        ]
 
-    # Warm one round to completion: connections, RTT estimates, ledgers.
     for fut in issue():
         sim.run_until_complete(fut, timeout=10)
     gc.collect()
@@ -141,12 +132,64 @@ def test_in_flight_appends_stay_within_their_allocation_budget():
     for fut in futures:
         sim.run_until_complete(fut, timeout=10)
         assert fut.exception is None
-    per_append = [count / len(futures) for count in tracked]
+    return [count / len(futures) for count in tracked]
+
+
+@pytest.mark.perf
+def test_in_flight_appends_stay_within_their_allocation_budget():
+    """GC-tracked objects alive per in-flight append, at three instants.
+
+    64 appends per generator tick against a gen0 threshold of 700 means
+    every tracked object an append drags along (a closure and its cells,
+    a bound method, a per-future callback list, a ``_ScheduledEvent`` per
+    spawn) turns into collector passes that free nothing.  Measured
+    (Python 3.11): 5.1 / 4.5 / 8.4 per append right after issue / after
+    0.5 ms / after 1 ms; 15.1 / 8.4 / 18.2 before the request paths lost
+    their scaffolding.
+    """
+    from repro.bench import PravegaAdapter
+
+    sim = Simulator()
+    per_append = _tracked_per_in_flight(sim, PravegaAdapter(sim), 15, 100)
     budget = (8.0, 7.0, 12.0)
     assert all(got <= cap for got, cap in zip(per_append, budget)), (
         f"tracked objects per in-flight append {per_append} exceed {budget} "
         f"(right after issue / +0.5 ms / +1 ms): a closure, bound method or "
         f"per-future list is back on the write path"
+    )
+
+
+@pytest.mark.perf
+@pytest.mark.parametrize("system", ["kafka", "pulsar"])
+def test_in_flight_produces_stay_within_their_allocation_budget(system):
+    """The same count for Kafka produces and Pulsar publishes (BookKeeper
+    replication underneath).  Each send group fills a 16 KB client batch
+    exactly, so every group is one produce request that leaves at issue:
+    the counts see the broker and replication paths, not linger buffering.
+    Measured (Python 3.11), right after issue / +0.5 ms / +1 ms: Kafka
+    12.1 / 20.4 / 21.9, Pulsar 12.1 / 18.9 / 20.5; with a state dict and
+    closures per produce/entry they were 12.1 / 35.9 / 44.5 and
+    12.1 / 24.8 / 34.7.
+    """
+    from repro.bench import KafkaAdapter, PulsarAdapter
+    from repro.kafka import KafkaProducerConfig
+    from repro.pulsar import PulsarProducerConfig
+
+    sim = Simulator()
+    if system == "kafka":
+        # 16 records x (1,012 B + 12 B framing) = one 16 KB batch
+        config = KafkaProducerConfig(batch_size=16 * 1024)
+        adapter = KafkaAdapter(sim, producer_config=config)
+        per_produce = _tracked_per_in_flight(sim, adapter, 16, 1012)
+    else:
+        config = PulsarProducerConfig(batch_size=16 * 1024)
+        adapter = PulsarAdapter(sim, producer_config=config)
+        per_produce = _tracked_per_in_flight(sim, adapter, 16, 1024)
+    budget = {"kafka": (15.0, 24.0, 26.0), "pulsar": (15.0, 22.0, 24.0)}[system]
+    assert all(got <= cap for got, cap in zip(per_produce, budget)), (
+        f"{system}: tracked objects per in-flight produce {per_produce} "
+        f"exceed {budget} (right after issue / +0.5 ms / +1 ms): a closure, "
+        f"cell or state dict is back on the produce path"
     )
 
 
