@@ -3,9 +3,9 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 ## the report benches `python -m repro.bench run <name>` drives; the
 ## claims about each BENCH_<name>.json are rows of repro.bench.claims
-BENCHES := kernel scale capacity geo read
+BENCHES := kernel scale capacity read
 ## the pytest domain markers with a `make <marker>-test` selection
-MARKERS := trace workload fluid capacity gate geo read
+MARKERS := trace workload fluid capacity gate read
 
 .PHONY: test check perf fuzz trace suite suite-check workloads gate \
 	$(BENCHES:%=bench-%) $(BENCHES:%=%-check) $(MARKERS:%=%-test)
@@ -63,7 +63,7 @@ suite:
 		$(if $(ONLY),--only $(ONLY)) --json BENCH_suite.json
 
 ## fast smoke of the suite runner: serial vs parallel determinism over
-## the six smoke scenarios (they carry no claim rows; the figure claims
+## the five smoke scenarios (they carry no claim rows; the figure claims
 ## are evaluated by `suite`/`workloads` fresh and by `gate` as committed)
 suite-check:
 	$(PYTHON) -m repro.bench suite --check --jobs $(or $(JOBS),$(shell nproc))

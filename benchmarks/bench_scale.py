@@ -1,20 +1,10 @@
 #!/usr/bin/env python
-"""Scale benchmarks for the hybrid fluid/discrete simulation kernel.
+"""Accuracy contract of the fluid model (:mod:`repro.sim.fluid`).
 
-Two families of scenarios, one JSON report (``BENCH_scale.json``):
-
-* ``scale_100k`` / ``scale_hotspot`` — the macroscope: a 10^5-tenant x
-  10^3-segment cluster modelled for a full diurnal day by
-  :class:`repro.workload.fluid.FluidScaleModel`, anchored by short
-  hybrid-accelerated calibration probes through the real bench driver.
-  Records modelled events and the kernel events a discrete run of the
-  same traffic would have cost.  ``scale_hotspot`` reruns the same
-  population on an underprovisioned store fleet so the diurnal peak
-  saturates and per-class SLO attainment degrades.
-* ``fig05a_xval`` / ``fig06a_xval`` — the accuracy contract: the
-  figure-5a and figure-6a headline metrics measured twice, full
-  discrete vs fluid-accelerated, recording per-variant error, wall
-  seconds per leg, and kernel events avoided.
+``fig05a_xval`` / ``fig06a_xval`` measure the figure-5a and figure-6a
+headline metrics twice, full discrete vs fluid-accelerated, recording
+per-variant error, wall seconds per leg, and kernel events avoided.
+One JSON report, ``BENCH_scale.json``.
 
 Driven by ``python -m repro.bench run scale [--check]`` (``make
 bench-scale`` / ``make scale-check``).  Each timed leg runs ``--repeats``
@@ -40,12 +30,6 @@ from repro.bench import (
 from repro.pulsar import PulsarProducerConfig
 from repro.sim import Simulator
 from repro.sim.fluid import FluidSpec
-from repro.workload.fluid import (
-    FluidScaleModel,
-    ScaleCalibration,
-    ScaleSpec,
-    calibrate_scale,
-)
 
 EVENT_SIZE = 100
 
@@ -217,74 +201,6 @@ def fig06a_xval(repeats: int, variants=None) -> Dict:
 
 
 # ----------------------------------------------------------------------
-# Macroscope scenarios.
-# ----------------------------------------------------------------------
-_CAL_CACHE: List[Optional[ScaleCalibration]] = [None]
-
-
-def _calibration() -> ScaleCalibration:
-    """One calibration, many what-if runs (scale_hotspot reuses it)."""
-    if _CAL_CACHE[0] is None:
-        _CAL_CACHE[0] = calibrate_scale(event_size=500)
-    return _CAL_CACHE[0]
-
-
-def _run_macroscope(spec: ScaleSpec, repeats: int, calibrate: bool) -> Dict:
-    def once() -> Dict:
-        if calibrate:
-            _CAL_CACHE[0] = None
-        cal = _calibration()
-        return {"report": FluidScaleModel(spec, cal).run(), "cal": cal}
-
-    best = _fastest(once, repeats)
-    report = best["report"]
-    cal = best["cal"]
-    summary = report.summary()
-    record = {
-        "wall_s": best["wall_s"],
-        "tenants": spec.tenants,
-        "segments": spec.segments,
-        "stores": spec.stores,
-        "horizon_s": spec.horizon,
-        "steps": report.steps,
-        "calibration": {
-            "base_latency_ms": cal.base_latency * 1e3,
-            "segment_cap_mbps": cal.segment_cap_bytes / 1e6,
-            "store_cap_mbps": cal.store_cap_bytes / 1e6,
-            "kernel_events_per_event": cal.kernel_events_per_event,
-            "probe_wall_s": cal.probe_wall_seconds,
-        },
-        "modelled_events": report.modelled_events,
-        "kernel_events_equivalent": report.kernel_events_equivalent,
-        "kernel_events_spent": report.kernel_events_spent,
-        "kernel_events_avoided": summary["kernel_events_avoided"],
-        "peak_store_utilization": report.peak_store_utilization,
-        "peak_backlog_seconds": report.peak_backlog_seconds,
-        "classes": report.classes,
-    }
-    return record
-
-
-def scale_100k(repeats: int, smoke: bool = False) -> Dict:
-    spec = (
-        ScaleSpec(tenants=20_000, segments=200, stores=10, step=900.0)
-        if smoke
-        else ScaleSpec()
-    )
-    return _run_macroscope(spec, repeats, calibrate=True)
-
-
-def scale_hotspot(repeats: int, smoke: bool = False) -> Dict:
-    # one store: the trimmed population's peak must oversubscribe too
-    spec = (
-        ScaleSpec(tenants=20_000, segments=200, stores=1, step=900.0)
-        if smoke
-        else ScaleSpec(stores=6)
-    )
-    return _run_macroscope(spec, repeats, calibrate=False)
-
-
-# ----------------------------------------------------------------------
 # Harness protocol (repro.bench.harness)
 # ----------------------------------------------------------------------
 REPEATS = 3
@@ -292,20 +208,13 @@ REPEATS = 3
 
 # (name, full thunk(repeats), smoke thunk(repeats), smoke budget s)
 SCENARIOS = [
-    ("scale_100k", scale_100k, lambda r: scale_100k(r, smoke=True), 120.0),
-    ("scale_hotspot", scale_hotspot, lambda r: scale_hotspot(r, smoke=True), 60.0),
     ("fig05a_xval", fig05a_xval, lambda r: fig05a_xval(1, variants=["Kafka (no flush)"]), 120.0),
     ("fig06a_xval", fig06a_xval, lambda r: fig06a_xval(1, variants=["Pulsar (no batch)"]), 120.0),
 ]
 
 
 def describe(record: Dict) -> str:
-    if "speedup" in record:
-        return (
-            f"{record['discrete_wall_s']:6.1f}s -> {record['fluid_wall_s']:5.1f}s "
-            f"({record['speedup']:.1f}x, max err {record['max_err_pct']:.2f}%)"
-        )
     return (
-        f"{record['wall_s']:6.1f}s  {record['modelled_events']:.3g} events "
-        f"({record['kernel_events_avoided']:.3g} kernel events avoided)"
+        f"{record['discrete_wall_s']:6.1f}s -> {record['fluid_wall_s']:5.1f}s "
+        f"({record['speedup']:.1f}x, max err {record['max_err_pct']:.2f}%)"
     )

@@ -3,7 +3,7 @@
 The paper's result is a set of comparative statements (Figs. 5-13,
 Table 1: who wins, by what factor, where curves cross), and every
 report bench's file states its own (the fluid model stays within 5% of
-discrete, coalescing cuts LTS ops, global-strong loses nothing, ...).
+discrete, coalescing cuts LTS ops, ...).
 Each is one row of ``CLAIMS`` — ``(id, statement, predicate[, assumes[,
 full_only]])``, the id being ``<scenario>.<what the row says>`` — whose
 predicate is built from a closed vocabulary over *recorded* metric names:
@@ -261,30 +261,6 @@ def _capacity_rows(point: str) -> List[tuple]:
     ]
 
 
-_GEO_MODES = ("async", "global_strong")
-
-
-def _geo_rows(tier: str) -> List[tuple]:
-    scenario = f"geo_{tier}"
-    return [
-        *((f"{scenario}.{mode}_oracle_clean",
-           f"{tier}, {mode}: the replication oracle finds no violation",
-           equal(f"{mode}.violations", 0)) for mode in _GEO_MODES),
-        *((f"{scenario}.{mode}_recovers",
-           f"{tier}, {mode}: a survivor serves a post-failover ack (a measured RTO)",
-           gt(f"{mode}.rto_s", 0)) for mode in _GEO_MODES),
-        (f"{scenario}.strong_loses_nothing",
-         f"{tier}: global-strong loses nothing, RPO = 0 bytes and 0 events",
-         both(equal("global_strong.rpo_bytes", 0), equal("global_strong.rpo_events", 0))),
-        (f"{scenario}.async_within_staleness_bound",
-         f"{tier}: async admission lag never exceeds the configured staleness bound",
-         le("async.max_lag_at_admission", "async.staleness_bound_bytes")),
-        (f"{scenario}.strong_pays_coordination",
-         f"{tier}: global-strong pre-loss p50 is above async's (the price of "
-         "cross-region coordination)", gt("global_strong.latency_p50_s", "async.latency_p50_s")),
-    ]
-
-
 def _fanout_rows(readers: int) -> List[tuple]:
     point = f"points.{readers}"
     full_only = readers != 100  # `run read --check` runs the 100-reader point only
@@ -490,20 +466,11 @@ CLAIMS: Tuple[Claim, ...] = tuple(Claim(*row) for row in [
         "timeout_churn", "ping_pong", "ping_pong_sliced", "cancel_storm", "mini_workload",
         "mini_tracer_off",
     ) for row in _kernel_rows(scenario)),
-    # ---- BENCH_scale.json: fluid accuracy and the macroscope ----------
+    # ---- BENCH_scale.json: fluid accuracy ------------------------------
     *(row for figure in ("fig05a", "fig06a") for row in _xval_rows(figure)),
-    ("scale_100k.fleet_keeps_up",
-     "scale_hotspot is 'the same population on an underprovisioned 6-store fleet' "
-     "(EXPERIMENTS.md): on 16 stores no store is oversubscribed and no backlog builds",
-     both(le("peak_store_utilization", 1), le("peak_backlog_seconds", 0))),
-    ("scale_hotspot.peak_oversubscribes",
-     "'the diurnal peak oversubscribes the stores ..., backlog builds' (EXPERIMENTS.md)",
-     both(gt("peak_store_utilization", 1), gt("peak_backlog_seconds", 0))),
     # ---- BENCH_capacity.json: one point per system x tenant mix -------
     *(row for system in ("pravega", "kafka", "pulsar") for mix in ("uniform", "mixed")
       for row in _capacity_rows(f"{system}/{mix}")),
-    # ---- BENCH_geo.json: both replication modes per WAN tier ----------
-    *(row for tier in ("metro", "continental", "global") for row in _geo_rows(tier)),
     # ---- BENCH_read.json: the read-path serving tier ------------------
     *((f"{family}.seeded", f"{family}: the record carries the seed its run replays from",
        ge("seed", 0)) for family in ("fanout", "replay", "policies", "reader_heavy")),

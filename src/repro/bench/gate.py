@@ -2,8 +2,8 @@
 
 The repo commits its performance trajectory as ``BENCH_*.json`` files
 (kernel microbenchmarks, the figure suite, workload experiments, the
-fluid-scale report, the capacity map, the geo-replication and read-path
-reports).  Nothing guarded them: a regression could land silently and
+fluid-model accuracy report, the capacity map and the read-path
+report).  Nothing guarded them: a regression could land silently and
 only be noticed when a full suite re-run happened to be eyeballed.  The
 gate closes that hole in three layers, cheapest first:
 

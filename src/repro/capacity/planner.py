@@ -13,7 +13,8 @@ to the real stack:
 * the **confirming oracle** runs the true multi-tenant mix discretely
   through ``run_tenants`` and judges it with the SLO engine
   (:func:`repro.workload.slo.sustainable_verdict`): error-budget burn,
-  latency-window compliance, and the load-timeout backlog signal.
+  latency-window compliance, the load-timeout backlog signal and the
+  driver's shed ticks.
   Every boundary decision in a committed capacity map is discrete.
 
 Probes are seeded through the ``TenantSpec`` seeds only — the sim is
@@ -327,6 +328,8 @@ class CapacityPlanner:
             "completed": verdict["completed"],
             "crashed": verdict["crashed"],
         }
+        if verdict["shed_ticks"]:  # only an infeasible probe sheds
+            self._last_verdict["shed_ticks"] = verdict["shed_ticks"]
         return Probe(
             rate=rate,
             feasible=bool(verdict["feasible"]),

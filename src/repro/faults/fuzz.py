@@ -1,6 +1,6 @@
 """Seeded randomized fault-schedule explorer.
 
-    python -m repro.faults.fuzz --seed S --steps N [--system pravega|kafka|pulsar|geo|all]
+    python -m repro.faults.fuzz --seed S --steps N [--system pravega|kafka|pulsar|all]
 
 Derives a fault plan and workload from the seed, runs it, checks the
 crash-consistency oracle and exits non-zero on any violation.  A

@@ -37,7 +37,6 @@ __all__ = [
     "run_pravega",
     "run_kafka",
     "run_pulsar",
-    "run_geo",
     "wire_pravega",
     "wire_kafka",
     "wire_pulsar",
@@ -670,18 +669,8 @@ def run_pulsar(
     )
 
 
-def run_geo(
-    seed: int, steps: int, plan: Optional[FaultPlan] = None
-) -> ScenarioResult:
-    """Geo-replicated multi-region fuzz (lazy import: repro.geo)."""
-    from ..geo.scenarios import run_geo_fuzz
-
-    return run_geo_fuzz(seed, steps, plan=plan)
-
-
 RUNNERS = {
     "pravega": run_pravega,
     "kafka": run_kafka,
     "pulsar": run_pulsar,
-    "geo": run_geo,
 }

@@ -55,10 +55,6 @@ class PravegaClusterConfig:
     network: NetworkSpec = field(default_factory=NetworkSpec)
     #: optional override for the LTS performance envelope
     lts_spec: Optional["LtsSpec"] = None
-    #: prefix for every host name ("east:" gives "east:segmentstore-0");
-    #: lets several clusters coexist in one simulation (repro.geo regions)
-    #: with globally unique node names for fault registration
-    host_prefix: str = ""
 
 
 class PravegaCluster:
@@ -101,7 +97,7 @@ class PravegaCluster:
             sim, zk_service, config.num_containers
         )
         for i in range(config.num_segment_stores):
-            host = f"{config.host_prefix}segmentstore-{i}"
+            host = f"segmentstore-{i}"
             # Bookie colocated with the segment store (Table 1), sharing
             # the host but with a dedicated journal drive.
             disk = Disk(sim, config.disk)
@@ -115,7 +111,7 @@ class PravegaCluster:
             sim,
             network,
             store_cluster,
-            f"{config.host_prefix}controller",
+            "controller",
             config.controller,
             metrics,
         )

@@ -12,10 +12,7 @@ Layers on top of the benchmark driver (``repro.bench``):
 * :mod:`~repro.workload.tenants` — N tenants, each with its own stream,
   pattern, event size and SLO, multiplexed through one simulation, plus
   scale-event/offered-load correlation;
-* :mod:`~repro.workload.faults` — fault-under-burst composition;
-* :mod:`~repro.workload.fluid` — the cluster-scale fluid macroscope
-  (10^5-tenant diurnal populations modelled analytically, anchored by
-  hybrid fluid/discrete calibration probes — DESIGN.md §10).
+* :mod:`~repro.workload.faults` — fault-under-burst composition.
 
 Import direction: workload imports bench, never the reverse — the
 driver only duck-types ``ArrivalProcess`` / ``KeySkew``.
@@ -34,14 +31,6 @@ from repro.workload.arrival import (
     Ramp,
 )
 from repro.workload.faults import fault_at_peak
-from repro.workload.fluid import (
-    FluidScaleModel,
-    ScaleCalibration,
-    ScaleReport,
-    ScaleSpec,
-    TenantClass,
-    calibrate_scale,
-)
 from repro.workload.skew import HotKeyChurn, KeyRouter, KeySkew, UniformSkew, ZipfSkew
 from repro.workload.slo import (
     SloSpec,
@@ -83,10 +72,4 @@ __all__ = [
     "run_tenants",
     "correlate_scale_events",
     "fault_at_peak",
-    "TenantClass",
-    "ScaleSpec",
-    "ScaleCalibration",
-    "ScaleReport",
-    "FluidScaleModel",
-    "calibrate_scale",
 ]

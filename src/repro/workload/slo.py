@@ -185,14 +185,21 @@ def sustainable_verdict(result, tenants) -> Dict[str, object]:
     held, no backend crashed, and the run completed without hitting its
     load timeout — the timeout is the "unbounded backlog" signal: an
     open loop that cannot drain its backlog cap never finishes load
-    generation.
+    generation.  A tenant whose driver shed ticks at that cap is
+    infeasible too (margin at most -1): the load it did not offer is
+    missing from its SLO report, which may then look fine.
     """
     margins: Dict[str, float] = {}
     crashed = False
+    shed_ticks = 0
     for tenant in tenants:
-        report = result.slo[tenant.name]
-        margins[tenant.name] = slo_margin(report)
-        crashed = crashed or result.results[tenant.name].crashed
+        run = result.results[tenant.name]
+        margins[tenant.name] = slo_margin(result.slo[tenant.name])
+        crashed = crashed or run.crashed
+        shed = int(run.extra["shed_ticks"])
+        if shed:
+            margins[tenant.name] = min(margins[tenant.name], -1.0)
+            shed_ticks += shed
     margin = min(margins.values()) if margins else 0.0
     if not result.completed:
         # backlog never drained: the violation is at least a full budget
@@ -207,6 +214,7 @@ def sustainable_verdict(result, tenants) -> Dict[str, object]:
         "margins": margins,
         "completed": result.completed,
         "crashed": crashed,
+        "shed_ticks": shed_ticks,
         "min_headroom": min(headrooms) if headrooms else 1.0,
     }
 

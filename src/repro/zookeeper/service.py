@@ -49,10 +49,11 @@ class WatchEvent:
 class ZookeeperService:
     """The server side: the znode tree, sessions and watch dispatch."""
 
-    def __init__(self, sim: Simulator, network: Network, host: str = "zookeeper") -> None:
+    host = "zookeeper"
+
+    def __init__(self, sim: Simulator, network: Network) -> None:
         self.sim = sim
         self.network = network
-        self.host = host
         self._root = ZNode(name="")
         self._next_session_id = 1
         self._sessions: Dict[int, List[str]] = {}

@@ -27,7 +27,6 @@ DOMAIN_MARKERS = (
     "fluid",
     "capacity",
     "gate",
-    "geo",
     "read",
 )
 

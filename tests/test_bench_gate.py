@@ -328,24 +328,25 @@ def test_structure_check_rejects_failed_suite_scenario(committed):
 
 
 def test_a_null_measurement_fails_its_row_instead_of_crashing(committed):
-    # a failover that never recovered records rto_s = null: the run
-    # still writes its record, and the gate names the row and the operand
-    metrics = copy.deepcopy(claims.records(committed["BENCH_geo.json"])["geo_global"]["metrics"])
-    metrics["async"]["rto_s"] = None
-    record = harness.record("geo_global", metrics)
+    # a replay whose simulated clock went unrecorded records sim_time_s =
+    # null: the run still writes its record, and the gate names the row
+    # and the operand
+    metrics = copy.deepcopy(claims.records(committed["BENCH_read.json"])["replay"]["metrics"])
+    metrics["on"]["sim_time_s"] = None
+    record = harness.record("replay", metrics)
     assert [v for v in record["claims"] if not v["ok"]] == [
-        {"id": "geo_global.async_recovers", "ok": False, "margin": 0.0}
+        {"id": "replay.on_recorded", "ok": False, "margin": 0.0}
     ]
     report = {"manifest": harness.manifest(), "scenarios": [record]}
-    unread, failed = claims.check(report, ["geo_global"])
+    unread, failed = claims.check(report, ["replay"])
     assert unread == (
-        "geo_global: geo_global.async_recovers cannot read its operand (KeyError: 'async.rto_s')"
+        "replay: replay.on_recorded cannot read its operand (KeyError: 'on.sim_time_s')"
     )
-    assert "global, async: a survivor serves a post-failover ack" in failed
+    assert "coalescing on: the replay records the fields a re-run is compared on" in failed
     _assert_gate_repeats_the_check(
-        committed, "BENCH_geo.json",
-        lambda r: claims.records(r)["geo_metro"]["metrics"]["async"].update(rto_s=None),
-        "claim failed: geo_metro.async_recovers",
+        committed, "BENCH_capacity.json",
+        lambda r: claims.records(r)["pulsar/mixed"]["metrics"].update(bracket_width_rel=None),
+        "claim failed: pulsar/mixed.converged",
     )
 
 
@@ -478,11 +479,15 @@ def test_run_rejects_an_unknown_scenario(capsys):
 
 def test_run_check_rejects_a_scenario_without_a_check_variant(capsys):
     # naming a scenario --check cannot run is a usage error, not an empty `ok`
-    for bench, scenario in (("capacity", "kafka/uniform"), ("geo", "geo_global")):
+    # (capacity plans one point under --check), also when named beside one
+    for wanted, smokeless in (
+        ("kafka/uniform", ["kafka/uniform"]),
+        ("pravega/uniform,pulsar/mixed", ["pulsar/mixed"]),
+    ):
         with pytest.raises(SystemExit) as exc:
-            bench_main(["run", bench, "--check", "--scenario", scenario])
+            bench_main(["run", "capacity", "--check", "--scenario", wanted])
         assert exc.value.code == 2
-        assert f"scenario(s) [{scenario!r}]" in capsys.readouterr().err
+        assert f"scenario(s) {smokeless!r}" in capsys.readouterr().err
     # and a report that recorded nothing is never ok
     assert claims.check({"manifest": harness.manifest()}, []) == ["no scenario recorded"]
 

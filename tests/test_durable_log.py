@@ -213,3 +213,23 @@ class TestRecovery:
         recovered = [op for frame in frames for op in frame.operations]
         assert recovered  # the tail survives
         assert all(op.sequence_number > ops[5].sequence_number for op in recovered)
+
+    def test_second_crash_before_checkpoint_replays_everything(self, sim, env):
+        """A repeat crash before any checkpoint lets truncation run must
+        still find the ledgers the first recovery replayed: the recovered
+        ledgers stay on the new log's ZK ledger list, not only the one it
+        opened (losing them was silent data loss)."""
+        network, zk_service, bk = env
+        log, _ = make_log(sim, env)
+        for _ in range(6):
+            sim.run_until_complete(log.add(append_op("seg", 50)))
+        _, second = sim.run_until_complete(
+            DurableLog.recover(sim, 0, bk.client("store-1"), zk_service.connect("store-1"))
+        )
+        for _ in range(4):
+            sim.run_until_complete(second.add(append_op("seg", 50)))
+        frames, _ = sim.run_until_complete(
+            DurableLog.recover(sim, 0, bk.client("store-2"), zk_service.connect("store-2"))
+        )
+        recovered = [op for frame in frames for op in frame.operations]
+        assert [op.sequence_number for op in recovered] == list(range(10))

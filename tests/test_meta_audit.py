@@ -140,8 +140,8 @@ def _selected_markers(makefile_text):
 
 
 def test_selected_markers_reads_quoted_expressions_and_trailing_flags():
-    line = "\t$(PYTHON) -m pytest -q -m \"perf and not trace\" -x -m geo\n"
-    assert _selected_markers(line) == {"perf", "trace", "geo"}
+    line = "\t$(PYTHON) -m pytest -q -m \"perf and not trace\" -x -m read\n"
+    assert _selected_markers(line) == {"perf", "trace", "read"}
     assert _selected_markers("\t$(PYTHON) -m repro.bench gate\n") == set()
 
 
@@ -330,11 +330,12 @@ def _env_reads() -> set[str]:
     return names
 
 
-def _knob_table(first: str = "knob") -> dict[str, dict[str, str]]:
-    """Rows of DESIGN.md §15's table whose first column is ``first``: the
-    knob table, or the per-class census headed ``class``."""
+def _design_table(number: int, first: str) -> dict[str, dict[str, str]]:
+    """Rows of the DESIGN.md §``number`` table whose first column is
+    ``first`` (§15: the knob table or the per-class census headed
+    ``class``; §16: the package census or its ``deleted`` table)."""
     text = (REPO / "DESIGN.md").read_text()
-    section = text[text.index("\n## 15. ") :]
+    section = text[text.index(f"\n## {number}. ") :]
     section = section.split("\n## ", 2)[1]
     rows: dict[str, dict[str, str]] = {}
     header = None
@@ -367,7 +368,7 @@ def test_every_knob_has_one_table_row():
             defaults[f"{cls.__name__}.{f.name}"] = default
     for name in _env_reads():
         defaults[name] = None  # an unset variable has no repr to check
-    rows = _knob_table()
+    rows = _design_table(15, "knob")
     assert not defaults.keys() - rows.keys(), (
         f"knobs without a DESIGN.md §15 row: {sorted(defaults.keys() - rows.keys())}"
     )
@@ -380,11 +381,34 @@ def test_every_knob_has_one_table_row():
             assert row["default"] == default, f"{name}: table says {row['default']}"
         assert row["verdict"], f"{name}: no verdict"
     # the census's per-class "after" counts are the live knob counts
-    census = _knob_table("class")
+    census = _design_table(15, "class")
     owners = [name.split(".")[0] if "." in name else "environment" for name in defaults]
     for owner in set(owners):
         assert census[owner]["after"] == str(owners.count(owner)), owner
     assert census["**total**"]["after"] == f"**{len(defaults)}**"
+
+
+# ----------------------------------------------------------------------
+# Package census: every src/repro package has one row in DESIGN.md §16
+# ----------------------------------------------------------------------
+def _live(module: str) -> bool:
+    path = REPO / "src" / Path(*module.split("."))
+    return path.with_suffix(".py").is_file() or (path / "__init__.py").is_file()
+
+
+def test_every_package_has_one_census_row():
+    rows = _design_table(16, "package")
+    packages = {f"repro.{init.parent.name}" for init in (REPO / "src" / "repro").glob("*/__init__.py")}
+    assert not packages - rows.keys(), (
+        f"packages without a DESIGN.md §16 row: {sorted(packages - rows.keys())}"
+    )
+    dead = sorted(name for name in rows if not _live(name))
+    assert not dead, f"§16 rows for modules that are gone: {dead}"
+    for name, row in rows.items():
+        assert row["verdict"], f"{name}: no verdict"
+    # what the census deleted stays deleted until its row is revisited
+    deleted = _design_table(16, "deleted")
+    assert deleted and not [name for name in deleted if _live(name)]
 
 
 # ----------------------------------------------------------------------

@@ -4,7 +4,18 @@ import math
 
 import pytest
 
-from repro.workload import SloSpec, SloTracker, capacity_report
+from repro.bench.adapters import PravegaAdapter
+from repro.bench.runner import WorkloadSpec
+from repro.sim import Simulator
+from repro.workload import (
+    SloSpec,
+    SloTracker,
+    TenantSpec,
+    capacity_report,
+    run_tenants,
+    slo_margin,
+    sustainable_verdict,
+)
 
 
 def make_tracker(**kw):
@@ -161,3 +172,30 @@ def test_capacity_report_ranks_tenants():
     assert capacity["healthy"]["headroom"] > capacity["burning"]["headroom"]
     assert capacity["burning"]["burn_rate"] == 50.0
 
+
+
+def test_a_shedding_tenant_is_infeasible_though_its_slo_looks_fine():
+    # 20k e/s offered per 1 ms tick against a 10-event backlog cap: the
+    # driver skips every tick on which acks lag, so the tenant offers
+    # only part of its load and its SLO report sees none of the rest
+    sim = Simulator()
+    window = dict(duration=1.0, warmup=0.25)
+    tenants = [
+        TenantSpec("calm", WorkloadSpec(target_rate=2_000.0, seed=1, **window)),
+        TenantSpec("capped", WorkloadSpec(
+            target_rate=20_000.0, tick=0.001, backlog_cap=10, seed=2, **window
+        )),
+    ]
+    run = run_tenants(sim, PravegaAdapter(sim), tenants, series_interval=None)
+    capped = run.slo["capped"]
+    assert run.results["capped"].extra["shed_ticks"] > 0
+    assert capped["offered"] < 20_000.0 * window["duration"]
+    assert capped["ok"] == 1.0 and slo_margin(capped) > 0
+    assert run.results["calm"].extra["shed_ticks"] == 0
+
+    verdict = sustainable_verdict(run, tenants)
+    assert not verdict["feasible"]
+    assert verdict["margins"]["capped"] <= -1.0 and verdict["margin"] <= -1.0
+    assert verdict["margins"]["calm"] > 0
+    assert verdict["shed_ticks"] == run.results["capped"].extra["shed_ticks"]
+    assert verdict["completed"] and not verdict["crashed"]
