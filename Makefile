@@ -3,9 +3,9 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 ## the report benches `python -m repro.bench run <name>` drives; the
 ## claims about each BENCH_<name>.json are rows of repro.bench.claims
-BENCHES := kernel scale capacity read
+BENCHES := kernel capacity read
 ## the pytest domain markers with a `make <marker>-test` selection
-MARKERS := trace workload fluid capacity gate read
+MARKERS := trace workload capacity gate read
 
 .PHONY: test check perf fuzz trace suite suite-check workloads gate \
 	$(BENCHES:%=bench-%) $(BENCHES:%=%-check) $(MARKERS:%=%-test)

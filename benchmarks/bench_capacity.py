@@ -2,23 +2,23 @@
 """Capacity map: max sustainable throughput per (system, tenant mix).
 
 Sweeps every registered system x tenant mix through
-:class:`repro.capacity.CapacityPlanner` — fluid-accelerated coarse
-bracketing, SLO-engine discrete confirmation at the boundary — and
+:class:`repro.capacity.CapacityPlanner` — bracket, then bisect, every
+probe a discrete multi-tenant run judged by the SLO engine — and
 writes the capacity map as ``BENCH_capacity.json`` (``make capacity``).
 
 Per point the record carries: the found rate, the final bracket and its
-relative width, probe counts split by mode (fluid vs discrete), the
-full probe log, the confirming run's per-tenant SLO margins, wall time
-per mode, and the planner seed.  Everything except the ``wall_s`` block
-is deterministic at a fixed seed, which is what the regression gate
-(``python -m repro.bench gate``) compares.
+relative width, the probe count, the full probe log, the last feasible
+run's per-tenant SLO margins, the search's wall time, and the planner
+seed.  Everything except ``wall_s`` is deterministic at a fixed seed,
+which is what the regression gate (``python -m repro.bench gate``)
+compares.
 
 Driven by ``python -m repro.bench run capacity [--check]`` (``make
 bench-capacity`` / ``make capacity-check``); a scenario is one
 ``system/mix`` point (``--scenario pravega/mixed``).  ``--check`` plans
 one cheap point under a generous wall-clock budget and fails on a
-blowout or an unconfirmed boundary (its claim rows are
-``<system>/<mix>.confirmed`` and ``.converged``).
+blowout or an unconverged bracket (its claim row is
+``<system>/<mix>.converged``).
 """
 
 from __future__ import annotations
@@ -31,15 +31,13 @@ CONFIG = PlannerConfig(seed=0)
 
 
 def describe(record: Dict) -> str:
-    probes = record["probes"]
-    wall = record.get("wall_s", {})
     return (
         f"{record['rate_eps']:>12,.0f} eps  "
         f"width {record['bracket_width_rel'] * 100:4.1f}%  "
-        f"probes {probes.get('fluid', 0)}F+{probes.get('discrete', 0)}D  "
+        f"probes {record['probes']}  "
         f"margin {record['slo_margin']:+.3f}  "
-        f"{'confirmed' if record['confirmed'] else 'UNCONFIRMED'}  "
-        f"({wall.get('total', 0.0):.1f}s)"
+        f"{'converged' if record['converged'] else 'UNCONVERGED'}  "
+        f"({record.get('wall_s', 0.0):.1f}s)"
     )
 
 

@@ -16,18 +16,15 @@ from repro.bench.results import (
     fmt_rate,
 )
 from repro.bench.runner import WorkloadSpec, run_workload
-from repro.bench.sweeps import find_max_throughput, sweep_rates
-from repro.sim.fluid import FluidSpec
+from repro.bench.sweeps import find_max_throughput
 
 __all__ = [
-    "FluidSpec",
     "PravegaAdapter",
     "KafkaAdapter",
     "PulsarAdapter",
     "attach_tracer",
     "WorkloadSpec",
     "run_workload",
-    "sweep_rates",
     "find_max_throughput",
     "BenchResult",
     "Table",

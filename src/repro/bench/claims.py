@@ -2,8 +2,8 @@
 
 The paper's result is a set of comparative statements (Figs. 5-13,
 Table 1: who wins, by what factor, where curves cross), and every
-report bench's file states its own (the fluid model stays within 5% of
-discrete, coalescing cuts LTS ops, ...).
+report bench's file states its own (a capacity bracket converges,
+coalescing cuts LTS ops, ...).
 Each is one row of ``CLAIMS`` — ``(id, statement, predicate[, assumes[,
 full_only]])``, the id being ``<scenario>.<what the row says>`` — whose
 predicate is built from a closed vocabulary over *recorded* metric names:
@@ -238,24 +238,9 @@ def _kernel_rows(scenario: str) -> List[tuple]:
     ]
 
 
-def _xval_rows(figure: str) -> List[tuple]:
-    scenario = f"{figure}_xval"
-    return [
-        (f"{scenario}.fluid_within_5pct",
-         f"fluid mode reproduces the {figure} headline metrics 'within ±5% of "
-         "full-discrete' (DESIGN.md §10)", lt("max_err_pct", 5)),
-        (f"{scenario}.fluid_10x_faster",
-         f"fluid mode runs {figure} 'at ≥10× lower wall time' (DESIGN.md §10)",
-         ge("speedup", 10), None, True),
-    ]
-
-
 def _capacity_rows(point: str) -> List[tuple]:
-    # EXPERIMENTS.md: "A point is trustworthy iff `confirmed` ... and `converged`"
+    # EXPERIMENTS.md: "A point is trustworthy iff `converged`"
     return [
-        (f"{point}.confirmed",
-         f"{point}: both bracket ends re-judged by a discrete multi-tenant run",
-         equal("confirmed", True)),
         (f"{point}.converged", f"{point}: the bracket converged to its rel_tol width",
          both(equal("converged", True), le("bracket_width_rel", "rel_tol"))),
     ]
@@ -466,8 +451,6 @@ CLAIMS: Tuple[Claim, ...] = tuple(Claim(*row) for row in [
         "timeout_churn", "ping_pong", "ping_pong_sliced", "cancel_storm", "mini_workload",
         "mini_tracer_off",
     ) for row in _kernel_rows(scenario)),
-    # ---- BENCH_scale.json: fluid accuracy ------------------------------
-    *(row for figure in ("fig05a", "fig06a") for row in _xval_rows(figure)),
     # ---- BENCH_capacity.json: one point per system x tenant mix -------
     *(row for system in ("pravega", "kafka", "pulsar") for mix in ("uniform", "mixed")
       for row in _capacity_rows(f"{system}/{mix}")),

@@ -2,9 +2,9 @@
 
 The repo commits its performance trajectory as ``BENCH_*.json`` files
 (kernel microbenchmarks, the figure suite, workload experiments, the
-fluid-model accuracy report, the capacity map and the read-path
-report).  Nothing guarded them: a regression could land silently and
-only be noticed when a full suite re-run happened to be eyeballed.  The
+capacity map and the read-path report).  Nothing guarded them: a
+regression could land silently and only be noticed when a full suite
+re-run happened to be eyeballed.  The
 gate closes that hole in three layers, cheapest first:
 
 1. **structure** — every committed file parses, has an owning bench
@@ -74,7 +74,6 @@ WALL_PATTERNS = (
     "*wall_seconds*",
     "*events_per_second*",
     "*ns_per_event*",
-    "*probe_wall*",
     "*speedup*",
     "*suite_wall*",
     "*serial_wall*",

@@ -47,7 +47,7 @@ ROOT = Path(__file__).resolve().parents[3]
 
 #: the report benches ``run`` drives: name -> module under benchmarks/
 RUNNABLE = {
-    name: f"bench_{name}" for name in ("kernel", "scale", "capacity", "read")
+    name: f"bench_{name}" for name in ("kernel", "capacity", "read")
 }
 #: the suite's committed files -> the prefix selecting their scenarios
 SUITE_FILES = {"suite": "", "workload": "workload_"}

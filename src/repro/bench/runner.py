@@ -34,7 +34,6 @@ from typing import Deque, Dict, List, Optional, Tuple
 from repro.common.errors import ReproError
 from repro.common.metrics import TimeSeries
 from repro.sim.core import Interrupt, SimFuture, SimulationError, Simulator, all_of
-from repro.sim.fluid import FluidController
 from repro.bench.results import BenchResult
 
 __all__ = ["WorkloadSpec", "WorkloadEngine", "run_workload"]
@@ -82,11 +81,6 @@ class WorkloadSpec:
     ack_grace: float = 0.25
     #: seeds the arrival samplers and skew routers
     seed: int = 0
-    #: hybrid fluid/discrete mode (repro.sim.fluid.FluidSpec) — the one
-    #: fluid switch; None keeps the run fully discrete.  Strictly an
-    #: approximation: steady-state stretches are integrated analytically,
-    #: transitions stay exact.
-    fluid: Optional[object] = None
 
     def __post_init__(self) -> None:
         # bad configs fail here, not mid-run: tick=0 never advances the
@@ -161,14 +155,12 @@ class WorkloadEngine:
         observer=None,
         label: Optional[str] = None,
         series_interval: Optional[float] = None,
-        fault_engine=None,
     ) -> None:
         self.sim = sim
         self.client = client
         self.spec = spec
         self.observer = observer
         self.series_interval = series_interval
-        self.fault_engine = fault_engine
         name = getattr(client, "name", "bench")
         self.result = BenchResult(
             label=label or f"{name} p={spec.partitions} w={spec.producers}",
@@ -181,8 +173,6 @@ class WorkloadEngine:
         self.window_end = 0.0
         self.epoch = 0.0
         self.load_end = 0.0
-        #: the hybrid-mode controller (None when fully discrete)
-        self.fluid: Optional[FluidController] = None
 
     # ------------------------------------------------------------------
     def start(self) -> "WorkloadEngine":
@@ -200,11 +190,6 @@ class WorkloadEngine:
         window_end = self.window_end = sim.now + spec.warmup + spec.duration
         load_end = self.load_end = window_end
         ack_grace = spec.ack_grace
-        if spec.fluid is not None:
-            self.fluid = FluidController(
-                sim, self, spec.fluid, fault_engine=self.fault_engine
-            )
-        fluid_ctl = self.fluid
         if spec.arrival is not None:
             # Report the pattern's mean offered rate over the window.
             result.target_rate = spec.arrival.mean_rate(
@@ -249,11 +234,6 @@ class WorkloadEngine:
                 )
             while sim.now < load_end:
                 yield tick
-                # Analytic span in progress: park on the gate; the fluid
-                # controller integrates the offered load meanwhile.
-                if fluid_ctl is not None and fluid_ctl.gate is not None:
-                    yield fluid_ctl.gate
-                    continue
                 # Open-loop generation, bounded: once the system is hopelessly
                 # behind (several seconds of unacked events), stop piling more
                 # into client queues — the run is already saturated, and this
@@ -304,15 +284,8 @@ class WorkloadEngine:
                 if observer is not None:
                     observer.on_ack(send_time, n, 0.0, False)
                 return
-            if fluid_ctl is not None and fluid_ctl.active:
-                # Pre-span in-flight sends draining mid-jump: the flow
-                # integration already accounts them (they are part of the
-                # baseline backlog), so counting here would double-book.
-                return
             counters.produced_events += n
             latency = sim.now - send_time
-            if fluid_ctl is not None and fluid_ctl.calibrating:
-                fluid_ctl.cal_samples.append((latency, n))
             if observer is not None:
                 observer.on_ack(send_time, n, latency, True)
             # An ack counts toward the measured rate only if the *ack* also
@@ -380,8 +353,6 @@ class WorkloadEngine:
             self._consumer_procs.append(sim.process(consumer_process(i)))
         if self.series_interval is not None:
             sim.process(series_process())
-        if fluid_ctl is not None:
-            fluid_ctl.start()
         return self
 
     # ------------------------------------------------------------------
@@ -410,14 +381,6 @@ class WorkloadEngine:
         # spec alone — needed to align ``result.series`` samples).
         result.extra["window_start"] = self.window_start
         result.extra["window_end"] = self.window_end
-        fluid = self.fluid
-        if fluid is not None:
-            result.extra["fluid.spans"] = float(fluid.spans)
-            result.extra["fluid.time_s"] = fluid.fluid_time
-            result.extra["fluid.events_avoided"] = fluid.events_avoided
-            result.extra["fluid.recalibrations"] = float(fluid.recalibrations)
-            if fluid.refusal is not None:
-                result.extra["fluid.refusal"] = fluid.refusal
         return result
 
 
@@ -478,9 +441,7 @@ def run_workload(
     adapter.setup(spec.partitions)
     if fault_engine is not None:
         fault_engine.start()
-    engine = WorkloadEngine(
-        sim, adapter, spec, series_interval=series_interval, fault_engine=fault_engine
-    )
+    engine = WorkloadEngine(sim, adapter, spec, series_interval=series_interval)
     engine.start()
     _drive(sim, [engine])
     result = engine.finalize()
@@ -492,9 +453,6 @@ def run_workload(
             result.extra[key] = result.extra.get(key, 0.0) + 1.0
     if tracer is not None:
         tracer.stamp_fault_windows()
-        if engine.fluid is not None:
-            for start, end in engine.fluid.windows:
-                tracer.record_fluid_window(start, end)
         result.extra["trace.window_start"] = engine.window_start
         result.extra["trace.window_end"] = engine.window_end
         result.extra["trace.spans"] = float(len(tracer.spans))

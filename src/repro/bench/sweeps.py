@@ -1,6 +1,6 @@
-"""Sweep helpers: latency-vs-throughput curves and max-throughput probes.
+"""The max-throughput probe.
 
-Every sweep point runs on a fresh simulator and a cold cluster, so no
+Every probe runs on a fresh simulator and a cold cluster, so no
 state leaks between configurations (matching the paper's methodology of
 independent benchmark runs).
 """
@@ -8,38 +8,15 @@ independent benchmark runs).
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Callable, Iterable, List
+from typing import Callable
 
 from repro.sim.core import Simulator
 from repro.bench.results import BenchResult
 from repro.bench.runner import WorkloadSpec, run_workload
 
-__all__ = ["sweep_rates", "find_max_throughput"]
+__all__ = ["find_max_throughput"]
 
 AdapterFactory = Callable[[Simulator], object]
-
-
-def sweep_rates(
-    make_adapter: AdapterFactory,
-    spec: WorkloadSpec,
-    rates: Iterable[float],
-    stop_at_saturation: bool = True,
-) -> List[BenchResult]:
-    """Run the workload at each target rate (fresh cluster per point)."""
-    if spec.arrival is not None:
-        raise ValueError(
-            "sweep_rates varies constant target rates; spec.arrival must "
-            "be None (use run_workload/run_tenants for shaped traffic)"
-        )
-    results: List[BenchResult] = []
-    for rate in rates:
-        sim = Simulator()
-        adapter = make_adapter(sim)
-        point = run_workload(sim, adapter, replace(spec, target_rate=rate))
-        results.append(point)
-        if stop_at_saturation and (point.saturated or point.crashed):
-            break
-    return results
 
 
 def find_max_throughput(

@@ -4,11 +4,10 @@ Karimov et al. (PAPERS.md) define *sustainable throughput* as the
 highest offered rate a system holds without unbounded backlog.  This
 package finds it per (system, config, tenant mix):
 
-* :mod:`~repro.capacity.search` — the pure bracket/bisect/confirm
-  driver (property-testable without a simulator);
-* :mod:`~repro.capacity.planner` — the sim-backed oracles: fluid-
-  accelerated aggregate probes for the coarse bracket, discrete
-  multi-tenant SLO-engine runs for every boundary decision.
+* :mod:`~repro.capacity.search` — the pure bracket-then-bisect driver
+  (property-testable without a simulator);
+* :mod:`~repro.capacity.planner` — the sim-backed oracle: a discrete
+  multi-tenant run judged by the SLO engine, for every probe.
 
 ``benchmarks/bench_capacity.py`` (``make capacity``) sweeps the
 registered systems × mixes and commits the map as

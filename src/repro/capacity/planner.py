@@ -1,21 +1,13 @@
 """Sim-backed capacity planning: (system, config, tenant mix) -> rate.
 
 The planner wires :func:`repro.capacity.search.find_sustainable_rate`
-to the real stack:
-
-* the **bracketing oracle** collapses the tenant mix into one aggregate
-  constant-rate workload and runs it in hybrid fluid/discrete mode
-  (:meth:`FluidSpec.probe`), so each coarse probe costs roughly one
-  fluid calibration instead of a full discrete run.  The fluid model is
-  conservative near saturation (its backlog ODE charges queueing delay
-  the moment admitted exceeds flushed), so fluid brackets lean low —
-  never silently high;
-* the **confirming oracle** runs the true multi-tenant mix discretely
-  through ``run_tenants`` and judges it with the SLO engine
-  (:func:`repro.workload.slo.sustainable_verdict`): error-budget burn,
-  latency-window compliance, the load-timeout backlog signal and the
-  driver's shed ticks.
-  Every boundary decision in a committed capacity map is discrete.
+to the real stack with one oracle: every probe runs the true
+multi-tenant mix discretely through ``run_tenants`` and judges it with
+the SLO engine (:func:`repro.workload.slo.sustainable_verdict`):
+error-budget burn, latency-window compliance, the load-timeout backlog
+signal and the driver's shed ticks.  Every bracketing and bisection
+decision in a committed capacity map is therefore the real system's
+backlog verdict.
 
 Probes are seeded through the ``TenantSpec`` seeds only — the sim is
 deterministic — so the same planner config regenerates the same
@@ -29,10 +21,9 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.bench.adapters import KafkaAdapter, PravegaAdapter, PulsarAdapter
-from repro.bench.runner import WorkloadSpec, run_workload
+from repro.bench.runner import WorkloadSpec
 from repro.capacity.search import Probe, SearchResult, find_sustainable_rate
 from repro.sim.core import Simulator
-from repro.sim.fluid import FluidSpec
 from repro.workload.arrival import Poisson
 from repro.workload.skew import ZipfSkew
 from repro.workload.slo import SloSpec, sustainable_verdict
@@ -119,27 +110,6 @@ class TenantMix:
             for i, t in enumerate(self.tenants)
         ]
 
-    # -- aggregate view for the fluid bracketing probe -----------------
-    @property
-    def aggregate_event_size(self) -> int:
-        return max(1, round(sum(t.weight * t.event_size for t in self.tenants)))
-
-    @property
-    def total_partitions(self) -> int:
-        return sum(t.partitions for t in self.tenants)
-
-    @property
-    def total_producers(self) -> int:
-        return len(self.tenants)
-
-    @property
-    def strictest_p99(self) -> float:
-        return min(t.slo.p99_latency for t in self.tenants)
-
-    @property
-    def strictest_availability(self) -> float:
-        return max(t.slo.availability for t in self.tenants)
-
 
 MIXES: Dict[str, TenantMix] = {
     # One tenant, uniform keys, the paper's 100-byte events: the
@@ -191,10 +161,6 @@ class PlannerConfig:
     #: measured window of every discrete probe (simulated seconds)
     duration: float = 1.0
     warmup: float = 0.25
-    #: fluid bracketing probes run longer — the calibration cost is
-    #: fixed, so a longer window amortizes it into a bigger speedup
-    fluid_duration: float = 2.0
-    fluid_warmup: float = 0.4
     #: search range and resolution
     start: float = 250_000.0
     floor: float = 1_000.0
@@ -211,19 +177,19 @@ class CapacityPoint:
     system: str
     config: str
     mix: str
-    #: max sustainable aggregate rate (events/s), discrete-confirmed
+    #: max sustainable aggregate rate (events/s)
     rate: float
     bracket: Tuple[float, float]
     width_rel: float
     converged: bool
-    confirmed: bool
-    #: SLO margin of the final feasible (confirming) probe
+    #: SLO margin of the final feasible probe
     slo_margin: float
-    probes: Dict[str, int]
+    probes: int
     probe_log: List[Dict[str, object]]
     slo: Dict[str, object]
     seed: int
-    wall_s: Dict[str, float]
+    #: wall-clock seconds the whole search took
+    wall_s: float
 
     def record(self, include_wall: bool = True) -> Dict[str, object]:
         """JSON record; ``include_wall=False`` yields the deterministic
@@ -236,15 +202,14 @@ class CapacityPoint:
             "bracket_eps": [round(self.bracket[0], 3), round(self.bracket[1], 3)],
             "bracket_width_rel": round(self.width_rel, 6),
             "converged": self.converged,
-            "confirmed": self.confirmed,
             "slo_margin": round(self.slo_margin, 6),
-            "probes": dict(self.probes),
+            "probes": self.probes,
             "probe_log": self.probe_log,
             "slo": self.slo,
             "seed": self.seed,
         }
         if include_wall:
-            out["wall_s"] = {k: round(v, 3) for k, v in self.wall_s.items()}
+            out["wall_s"] = round(self.wall_s, 3)
         return out
 
 
@@ -260,83 +225,29 @@ class CapacityPlanner:
         self.make_adapter, self.config_label = SYSTEMS[system]
         self.mix = mix
         self.config = config
-        self.wall: Dict[str, float] = {"fluid": 0.0, "discrete": 0.0}
-        self._last_verdict: Dict[str, object] = {}
 
-    # -- oracles -------------------------------------------------------
-    def fluid_probe(self, rate: float) -> Probe:
-        """Aggregate-workload probe in hybrid fluid/discrete mode."""
-        cfg = self.config
-        start = time.perf_counter()
-        sim = Simulator()
-        adapter = self.make_adapter(sim)
-        spec = WorkloadSpec(
-            event_size=self.mix.aggregate_event_size,
-            target_rate=rate,
-            partitions=self.mix.total_partitions,
-            producers=self.mix.total_producers,
-            consumers=0,
-            duration=cfg.fluid_duration,
-            warmup=cfg.fluid_warmup,
-            seed=cfg.seed,
-            fluid=FluidSpec.probe(),
-        )
-        result = run_workload(sim, adapter, spec)
-        wall = time.perf_counter() - start
-        self.wall["fluid"] += wall
-        offered = rate * cfg.fluid_duration
-        frac = result.produce_rate / rate if rate > 0 else 1.0
-        p99 = result.write_latency.p99
-        p99 = p99 if p99 == p99 else float("inf")  # NaN -> worst case
-        p99_target = self.mix.strictest_p99
-        avail_req = self.mix.strictest_availability
-        margin = min(
-            (p99_target - p99) / p99_target,
-            (frac - avail_req) / max(1.0 - avail_req, 1e-9),
-        )
-        if result.crashed or result.extra.get("load_timed_out"):
-            margin = min(margin, -1.0)
-        return Probe(
-            rate=rate,
-            feasible=margin > 0.0 and not result.saturated,
-            margin=round(margin, 6),
-            mode="fluid",
-            wall_s=wall,
-            detail={
-                "produce_eps": round(result.produce_rate, 3),
-                "write_p99_ms": round(p99 * 1e3, 4),
-                "offered_events": round(offered, 1),
-                "fluid_spans": result.extra.get("fluid.spans", 0.0),
-                "fluid_refusal": result.extra.get("fluid.refusal"),
-            },
-        )
-
+    # -- the oracle ----------------------------------------------------
     def discrete_probe(self, rate: float) -> Probe:
         """True-mix discrete run judged by the SLO engine."""
         cfg = self.config
-        start = time.perf_counter()
         sim = Simulator()
         adapter = self.make_adapter(sim)
         tenants = self.mix.tenant_specs(rate, cfg.seed + 7, cfg.duration, cfg.warmup)
         result = run_tenants(sim, adapter, tenants, series_interval=None)
-        wall = time.perf_counter() - start
-        self.wall["discrete"] += wall
         verdict = sustainable_verdict(result, tenants)
-        self._last_verdict = {
+        detail: Dict[str, object] = {
             "margins": {k: round(v, 6) for k, v in verdict["margins"].items()},
             "min_headroom": round(verdict["min_headroom"], 6),
             "completed": verdict["completed"],
             "crashed": verdict["crashed"],
         }
         if verdict["shed_ticks"]:  # only an infeasible probe sheds
-            self._last_verdict["shed_ticks"] = verdict["shed_ticks"]
+            detail["shed_ticks"] = verdict["shed_ticks"]
         return Probe(
             rate=rate,
             feasible=bool(verdict["feasible"]),
             margin=round(float(verdict["margin"]), 6),
-            mode="discrete",
-            wall_s=wall,
-            detail=dict(self._last_verdict),
+            detail=detail,
         )
 
     # -- planning ------------------------------------------------------
@@ -344,19 +255,18 @@ class CapacityPlanner:
         cfg = self.config
         start = time.perf_counter()
         search = find_sustainable_rate(
-            self.fluid_probe,
+            self.discrete_probe,
             start=cfg.start,
             floor=cfg.floor,
             cap=cfg.cap,
             growth=BRACKET_GROWTH,
             rel_tol=cfg.rel_tol,
-            confirm=self.discrete_probe,
             max_probes=cfg.max_probes,
         )
-        total = time.perf_counter() - start
+        wall = time.perf_counter() - start
         slo_detail: Dict[str, object] = {}
         for probe in reversed(search.probes):
-            if probe.mode == "discrete" and probe.rate == search.rate:
+            if probe.rate == search.rate:
                 slo_detail = dict(probe.detail)
                 break
         return CapacityPoint(
@@ -367,22 +277,19 @@ class CapacityPlanner:
             bracket=search.bracket,
             width_rel=search.width_rel,
             converged=search.converged,
-            confirmed=search.confirmed,
             slo_margin=search.margin,
-            probes=search.probes_by_mode(),
+            probes=search.probe_count,
             probe_log=[
                 {
                     "rate_eps": round(p.rate, 3),
                     "feasible": p.feasible,
                     "margin": p.margin,
-                    "mode": p.mode,
                 }
                 for p in search.probes
             ],
             slo=slo_detail,
             seed=cfg.seed,
-            wall_s={**{k: round(v, 3) for k, v in self.wall.items()},
-                    "total": round(total, 3)},
+            wall_s=wall,
         )
 
 

@@ -1,25 +1,21 @@
-"""The sustainable-rate search: bracket, bisect, confirm.
+"""The sustainable-rate search: bracket, then bisect.
 
 Karimov et al. define *sustainable throughput* as the highest offered
 rate a system holds without unbounded backlog.  Feasibility at a given
-rate is delegated to an oracle (in production the SLO engine's
-error-budget/backlog verdict, in tests any synthetic predicate); this
-module owns only the search structure, so its convergence properties
-can be property-tested without a simulator:
+rate is delegated to one oracle (in production the SLO engine's
+error-budget/backlog verdict over a discrete run, in tests any synthetic
+predicate); this module owns only the search structure, so its
+convergence properties can be property-tested without a simulator:
 
 * **bracket** — geometric ramp (up from a feasible start, down from an
   infeasible one) until the threshold is straddled;
 * **bisect** — geometric-mean bisection until the bracket's relative
-  width is under ``rel_tol``;
-* **confirm** — re-judge the boundary with a second, more trustworthy
-  oracle (the discrete-mode run, where the bracketing probes were
-  fluid-accelerated).  Disagreement does not abort the search: the
-  bracket is re-anchored on the confirming oracle's verdicts and
-  re-bisected, so the returned rate is always confirmed feasible and
-  the bracket's upper end confirmed infeasible.
+  width is under ``rel_tol``.
 
-Every probe is recorded; the caller can audit exactly which rates were
-tried, in which mode, and what the margin was.
+Every boundary decision is the oracle's own verdict, so the returned
+rate was judged feasible and the bracket's upper end infeasible.  Every
+probe is recorded; the caller can audit exactly which rates were tried
+and what the margin was.
 """
 
 from __future__ import annotations
@@ -40,9 +36,6 @@ class Probe:
     #: signed headroom: > 0 means the SLO held with room to spare,
     #: <= 0 the magnitude of the violation (units are oracle-defined)
     margin: float
-    #: "fluid" | "discrete" | "synthetic" — who judged this rate
-    mode: str = "synthetic"
-    wall_s: float = 0.0
     detail: Dict[str, float] = field(default_factory=dict)
 
 
@@ -62,34 +55,12 @@ class SearchResult:
     probes: List[Probe]
     #: the bracket reached ``rel_tol`` before the probe budget ran out
     converged: bool
-    #: both bracket ends were judged by the ``confirm`` oracle
-    confirmed: bool
     #: margin reported by the final feasible probe
     margin: float
 
     @property
     def probe_count(self) -> int:
         return len(self.probes)
-
-    def probes_by_mode(self) -> Dict[str, int]:
-        out: Dict[str, int] = {}
-        for probe in self.probes:
-            out[probe.mode] = out.get(probe.mode, 0) + 1
-        return out
-
-
-class _Budget:
-    """Probe allowance shared across the search stages."""
-
-    def __init__(self, limit: int) -> None:
-        self.limit = limit
-        self.spent = 0
-
-    def take(self) -> bool:
-        if self.spent >= self.limit:
-            return False
-        self.spent += 1
-        return True
 
 
 def _width(lo: float, hi: float) -> float:
@@ -104,162 +75,88 @@ def find_sustainable_rate(
     cap: float = 1e9,
     growth: float = 2.0,
     rel_tol: float = 0.05,
-    confirm: Optional[Oracle] = None,
     max_probes: int = 64,
 ) -> SearchResult:
     """Find the largest rate the oracle accepts, to ``rel_tol``.
 
-    ``oracle`` judges every bracketing/bisection probe (cheap, possibly
-    fluid-accelerated); ``confirm`` — when given — re-judges the final
-    bracket ends and, on disagreement, takes over the search entirely.
     A monotone oracle with its threshold inside ``[floor, cap]``
     guarantees convergence within ``O(log(cap/floor) + log(1/rel_tol))``
-    probes.
+    probes; at most ``max_probes`` are asked.
     """
     if not (0 < floor <= start <= cap):
         raise ValueError(f"need 0 < floor <= start <= cap, got {floor}, {start}, {cap}")
     if growth <= 1.0:
         raise ValueError(f"growth must be > 1, got {growth}")
     probes: List[Probe] = []
-    budget = _Budget(max_probes)
-    cache: Dict[Tuple[float, bool], Probe] = {}
 
-    def ask(rate: float, judge: Oracle, confirming: bool) -> Optional[Probe]:
-        key = (rate, confirming)
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-        if not budget.take():
+    def ask(rate: float) -> Optional[Probe]:
+        if len(probes) >= max_probes:
             return None
-        probe = judge(rate)
-        cache[key] = probe
+        probe = oracle(rate)
         probes.append(probe)
         return probe
 
-    def bracket(judge: Oracle, confirming: bool, start_rate: float):
-        """Geometric ramp straddling the threshold; returns (lo, hi)
-        where lo is feasible and hi infeasible (either may be None when
-        the threshold escapes [floor, cap] or the budget runs out)."""
-        first = ask(start_rate, judge, confirming)
-        if first is None:
-            return None, None
-        lo: Optional[float] = None
-        hi: Optional[float] = None
-        if first.feasible:
-            lo = start_rate
-            rate = start_rate
-            while rate < cap:
-                rate = min(rate * growth, cap)
-                probe = ask(rate, judge, confirming)
-                if probe is None:
-                    return lo, None
-                if probe.feasible:
-                    lo = rate
-                else:
-                    hi = rate
-                    break
-        else:
-            hi = start_rate
-            rate = start_rate
-            while rate > floor:
-                rate = max(rate / growth, floor)
-                probe = ask(rate, judge, confirming)
-                if probe is None:
-                    return None, hi
-                if probe.feasible:
-                    lo = rate
-                    break
-                hi = rate
-        return lo, hi
-
-    def bisect(judge: Oracle, confirming: bool, lo: float, hi: float):
-        while _width(lo, hi) > rel_tol:
-            mid = math.sqrt(lo * hi)
-            if not (lo < mid < hi):  # bracket collapsed to float resolution
-                break
-            probe = ask(mid, judge, confirming)
-            if probe is None:
-                break
-            if probe.feasible:
-                lo = mid
-            else:
-                hi = mid
-        return lo, hi
-
-    def finish(lo, hi, confirmed: bool) -> SearchResult:
-        if lo is None:
-            # nothing feasible down to the floor: report rate 0 honestly
-            bracket_ = (0.0, hi if hi is not None else float(floor))
-            return SearchResult(
-                rate=0.0, bracket=bracket_, width_rel=1.0, probes=probes,
-                converged=False, confirmed=confirmed, margin=_margin_at(0.0),
-            )
-        if hi is None:
-            # feasible all the way to the cap (or budget exhausted going up)
-            return SearchResult(
-                rate=lo, bracket=(lo, float(cap)), width_rel=_width(lo, cap),
-                probes=probes, converged=lo >= cap, confirmed=confirmed,
-                margin=_margin_at(lo),
-            )
-        return SearchResult(
-            rate=lo, bracket=(lo, hi), width_rel=_width(lo, hi), probes=probes,
-            converged=_width(lo, hi) <= rel_tol, confirmed=confirmed,
-            margin=_margin_at(lo),
-        )
-
-    def _margin_at(rate: float) -> float:
+    def margin_at(rate: float) -> float:
         for probe in reversed(probes):
             if probe.rate == rate:
                 return probe.margin
         return 0.0
 
-    # -- stage 1 + 2: bracket and bisect with the (cheap) oracle -------
-    lo, hi = bracket(oracle, False, start)
-    if lo is not None and hi is not None:
-        lo, hi = bisect(oracle, False, lo, hi)
-    if confirm is None:
-        return finish(lo, hi, confirmed=False)
+    # -- bracket: a geometric ramp until the threshold is straddled ----
+    # lo is feasible and hi infeasible; either stays None when the
+    # threshold escapes [floor, cap] or the budget runs out.
+    lo: Optional[float] = None
+    hi: Optional[float] = None
+    first = ask(start)
+    if first is not None and first.feasible:
+        lo = rate = start
+        while rate < cap:
+            rate = min(rate * growth, cap)
+            probe = ask(rate)
+            if probe is None:
+                break
+            if not probe.feasible:
+                hi = rate
+                break
+            lo = rate
+    elif first is not None:
+        hi = rate = start
+        while rate > floor:
+            rate = max(rate / growth, floor)
+            probe = ask(rate)
+            if probe is None:
+                break
+            if probe.feasible:
+                lo = rate
+                break
+            hi = rate
 
-    # -- stage 3: confirmation handoff ---------------------------------
-    # Re-judge the boundary with the confirming oracle.  Whatever it
-    # disagrees with is discarded and the search continues on the
-    # confirming oracle's own verdicts.
-    c_lo: Optional[float] = None
-    c_hi: Optional[float] = None
-    if lo is not None:
-        probe = ask(lo, confirm, True)
-        if probe is not None and probe.feasible:
-            c_lo = lo
-        elif probe is not None:
-            c_hi = lo  # optimistic fluid bracket: walk down discretely
-    if c_lo is None and c_hi is None and hi is not None:
-        # the cheap oracle found nothing feasible; let the confirming
-        # oracle retry from the infeasible edge downward
-        b_lo, b_hi = bracket(confirm, True, hi)
-        c_lo, c_hi = b_lo, (b_hi if b_hi is not None else c_hi)
-    if c_lo is None and c_hi is not None:
-        b_lo, b_hi = bracket(confirm, True, max(c_hi / growth, floor))
-        c_lo = b_lo
-        if b_hi is not None:
-            c_hi = min(c_hi, b_hi)
-    if c_lo is not None and c_hi is None:
-        if hi is not None:
-            probe = ask(hi, confirm, True)
-            if probe is not None and not probe.feasible:
-                c_hi = hi
-            elif probe is not None:
-                # conservative fluid bracket: the discrete system still
-                # keeps up at `hi` — resume the upward ramp discretely
-                b_lo, b_hi = bracket(confirm, True, hi)
-                c_lo = max(c_lo, b_lo if b_lo is not None else c_lo)
-                c_hi = b_hi
+    if lo is None:
+        # nothing feasible down to the floor: report rate 0 honestly
+        return SearchResult(
+            rate=0.0, bracket=(0.0, hi if hi is not None else float(floor)),
+            width_rel=1.0, probes=probes, converged=False, margin=margin_at(0.0),
+        )
+    if hi is None:
+        # feasible all the way to the cap (or budget exhausted going up)
+        return SearchResult(
+            rate=lo, bracket=(lo, float(cap)), width_rel=_width(lo, cap),
+            probes=probes, converged=lo >= cap, margin=margin_at(lo),
+        )
+
+    # -- bisect by geometric mean --------------------------------------
+    while _width(lo, hi) > rel_tol:
+        mid = math.sqrt(lo * hi)
+        if not (lo < mid < hi):  # bracket collapsed to float resolution
+            break
+        probe = ask(mid)
+        if probe is None:
+            break
+        if probe.feasible:
+            lo = mid
         else:
-            b_lo, b_hi = bracket(confirm, True, c_lo)
-            c_lo = max(c_lo, b_lo if b_lo is not None else c_lo)
-            c_hi = b_hi
-    if c_lo is None:
-        return finish(None, c_hi, confirmed=c_hi is not None)
-    if c_hi is None:
-        return finish(c_lo, None, confirmed=False)
-    c_lo, c_hi = bisect(confirm, True, c_lo, c_hi)
-    return finish(c_lo, c_hi, confirmed=True)
+            hi = mid
+    return SearchResult(
+        rate=lo, bracket=(lo, hi), width_rel=_width(lo, hi), probes=probes,
+        converged=_width(lo, hi) <= rel_tol, margin=margin_at(lo),
+    )

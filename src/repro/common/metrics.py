@@ -136,43 +136,6 @@ class LatencyHistogram:
             self._sorted = self._sorted[::2]
             self._stride *= 2
 
-    def record_bulk(self, sorted_values: List[float], count: int, shift: float = 0.0) -> None:
-        """Record ``count`` samples drawn from an empirical distribution.
-
-        ``sorted_values`` is a (small, sorted) calibration sample; the bulk
-        is folded in by quantile resampling — for each reservoir slot the
-        stride earns, insert the interpolated quantile plus ``shift``.  The
-        fluid controller uses this to account a whole analytic span's worth
-        of latencies in O(slots) instead of O(count) events, while keeping
-        ``count``/``total``/``max`` semantics exact.
-        """
-        if count <= 0 or not sorted_values:
-            return
-        self.count += count
-        mean = sum(sorted_values) / len(sorted_values) + shift
-        self.total += mean * count
-        top = sorted_values[-1] + shift
-        if top > self._max:
-            self._max = top
-        # Grow the stride up front so this bulk contributes a bounded
-        # number of inserts (~512), mirroring what per-event halving would
-        # converge to for the same total count.
-        while (self.count // self._stride) > self.max_samples:
-            self._sorted = self._sorted[::2]
-            self._stride *= 2
-        inserts, self._phase = divmod(self._phase + count, self._stride)
-        while inserts > 512:
-            # Bound worst-case work for enormous spans; the reservoir
-            # stays a uniform sample either way.
-            self._sorted = self._sorted[::2]
-            self._stride *= 2
-            inserts, self._phase = divmod(self._phase + inserts * (self._stride // 2), self._stride)
-        for i in range(inserts):
-            insort(self._sorted, percentile(sorted_values, (i + 0.5) / inserts) + shift)
-            if len(self._sorted) > self.max_samples:
-                self._sorted = self._sorted[::2]
-                self._stride *= 2
-
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else float("nan")

@@ -116,10 +116,6 @@ class Tracer:
         self.spans_created = 0
         #: (start, end, action, target) windows recorded by the fault engine
         self.fault_windows: List[Tuple[float, float, str, str]] = []
-        #: (start, end) analytic spans recorded by the fluid controller —
-        #: no per-message spans exist inside these; analyses that count
-        #: spans per second must exclude (or down-weight) them
-        self.fluid_windows: List[Tuple[float, float]] = []
         self._next_id = 1
         self._stamped_windows = 0
 
@@ -155,10 +151,6 @@ class Tracer:
     def record_fault_window(self, start: float, end: float, action: str, target: str) -> None:
         """Called by the fault engine when a windowed fault activates."""
         self.fault_windows.append((start, end, action, target))
-
-    def record_fluid_window(self, start: float, end: float) -> None:
-        """Called after a run for each analytic (fluid) span it used."""
-        self.fluid_windows.append((start, end))
 
     def stamp_fault_windows(self) -> int:
         """Annotate every finished span overlapping an active fault window.

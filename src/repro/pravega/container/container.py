@@ -231,7 +231,6 @@ class SegmentContainer:
         self._rate_pairs: Dict[str, Tuple[RateMeter, RateMeter]] = {}
         self._append_count = self.metrics.counter("append.count")
         self._append_bytes = self.metrics.counter("append.bytes")
-        sim.register_fluid(self)
         self._read_cache_bytes = self.metrics.counter("read.cache_bytes")
         self._read_cache_hits = self.metrics.counter("read.cache_hits")
         self._read_cache_misses = self.metrics.counter("read.cache_misses")
@@ -559,51 +558,6 @@ class SegmentContainer:
         pair[1].record(now, nbytes)
         self._append_count.add()
         self._append_bytes.add(nbytes)
-
-    # ------------------------------------------------------------------
-    # Fluid-mode protocol (repro.sim.fluid)
-    # ------------------------------------------------------------------
-    def fluid_snapshot(self) -> tuple:
-        return (
-            float(self._append_bytes.value),
-            float(self.storage_writer.bytes_flushed),
-            float(self.cache.used_bytes),
-        )
-
-    def fluid_advance(self, dt: float, rates) -> None:
-        # Admitted bytes and cache occupancy are derived/live state owned
-        # by the discrete machinery; nothing to extrapolate here.  (The
-        # storage writer registers separately for its flush counters.)
-        pass
-
-    def fluid_throttle(self, rates):
-        """``(eta, flush_rate, backlog_growth)`` when ingestion outruns
-        tiering and an admission throttle is on course to engage.
-
-        The structural signal is admitted byte rate vs. LTS flush
-        bandwidth: their difference accumulates *somewhere* — the storage
-        writer's watermarked backlog or the cache's pinned unflushed data
-        — until one of the two admission gates (storage-writer watermark,
-        cache overflow) closes.  ``eta`` is the earlier of the two
-        projected closings; past it, conservation across the gate's
-        hysteresis cycle caps the long-run admitted rate at the flush
-        bandwidth.
-        """
-        admitted, flushed, cache_growth = rates
-        if admitted <= 0.0 or admitted <= 1.02 * max(flushed, 0.0):
-            return None
-        if self.storage_writer.bytes_flushed <= 0:
-            # The flush pipeline has not primed yet — the admitted/flushed
-            # gap is one-time fill, not sustained backlog growth.
-            return None
-        growth = admitted - flushed
-        sw = self.storage_writer
-        headroom = sw.config.backlog_high_watermark - sw.total_backlog_bytes
-        eta = max(headroom, 0.0) / growth
-        if cache_growth > 0.0:
-            cache_headroom = self.cache.spec.capacity_bytes - self.cache.used_bytes
-            eta = min(eta, max(cache_headroom, 0.0) / cache_growth)
-        return (eta, flushed, growth)
 
     def load_report(self) -> Dict[str, Tuple[float, float]]:
         """Per-segment (events/s, bytes/s) for the auto-scale feedback loop."""

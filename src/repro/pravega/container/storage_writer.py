@@ -107,7 +107,6 @@ class StorageWriter:
         self.chunks_written = 0
         self.bytes_flushed = 0
         self._running = True
-        sim.register_fluid(self)
 
     # ------------------------------------------------------------------
     # Ingest side (called by the container when append ops are applied)
@@ -161,22 +160,6 @@ class StorageWriter:
         else:
             self._throttle_waiters.append(fut)
         return fut
-
-    # ------------------------------------------------------------------
-    # Fluid-mode protocol (repro.sim.fluid)
-    # ------------------------------------------------------------------
-    def fluid_snapshot(self) -> tuple:
-        return (
-            float(self.bytes_flushed),
-            float(self.chunks_written),
-            float(self.total_backlog_bytes),
-        )
-
-    def fluid_advance(self, dt: float, rates) -> None:
-        # Flush counters extrapolate; the backlog is live state owned by
-        # the flush processes (which keep draining it) and is left alone.
-        self.bytes_flushed += int(round(rates[0] * dt))
-        self.chunks_written += int(round(rates[1] * dt))
 
     def release_check(self) -> None:
         """Re-evaluate the throttle gate (called when any backlog shrinks)."""

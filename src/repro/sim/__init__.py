@@ -11,7 +11,6 @@ from repro.sim.core import (
     any_of,
 )
 from repro.sim.disk import Disk, DiskSpec, PageCache, PageCacheSpec
-from repro.sim.fluid import FluidController, FluidSpec
 from repro.sim.network import Host, Network, NetworkSpec
 from repro.sim.resources import FifoServer, Resource, Store
 
@@ -24,8 +23,6 @@ __all__ = [
     "Drain",
     "all_of",
     "any_of",
-    "FluidSpec",
-    "FluidController",
     "Disk",
     "DiskSpec",
     "PageCache",

@@ -449,9 +449,7 @@ class Simulator:
         self._heap_peak = 0
         self._cancellations_skipped = 0
         self._compactions = 0
-        #: resources that opted into the fluid protocol (fluid_snapshot /
-        #: fluid_advance); registration is append-only and deterministic,
-        #: so the fluid controller's rate vectors line up across runs.
+        #: the device registry: every Disk and Host, in creation order
         self._fluid_resources: list[Any] = []
 
     @property
@@ -459,19 +457,22 @@ class Simulator:
         """Current simulated time in seconds."""
         return self._now
 
-    # -- fluid-resource registry ---------------------------------------
+    # -- device registry -----------------------------------------------
     def register_fluid(self, resource: Any) -> None:
-        """Enroll a resource in the fluid protocol (see ``sim/fluid.py``).
+        """Enroll a device (every :class:`Disk` and :class:`Host` does).
 
-        The resource must expose ``fluid_snapshot() -> tuple[float, ...]``
-        and ``fluid_advance(dt, rates)``.  Registration costs one list
-        append; resources that never meet a fluid controller pay nothing
-        else.
+        The name predates the registry's one remaining use: the layered
+        yardstick (``benchmarks/layered/workloads.py::device_counters``)
+        reads :attr:`fluid_resources` to find every disk and NIC on the
+        simulator and sum their op/byte counters.  Renaming it waits for
+        a benchmark-only change that may touch that reader.  Registration
+        costs one list append.
         """
         self._fluid_resources.append(resource)
 
     @property
     def fluid_resources(self) -> list:
+        """Every registered device, in creation order."""
         return self._fluid_resources
 
     @property

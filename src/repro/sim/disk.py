@@ -109,19 +109,6 @@ class Disk:
         self.ops += 1
         return self._server.submit(cost)
 
-    # -- fluid protocol (see sim/fluid.py) -----------------------------
-    def fluid_snapshot(self) -> tuple:
-        # The underlying FifoServer registers itself, so busy/backlog
-        # extrapolation happens there; the disk only owns its own
-        # byte/op/switch counters.
-        return (float(self.bytes_written), float(self.ops), float(self.switches))
-
-    def fluid_advance(self, dt: float, rates: tuple) -> None:
-        bytes_rate, ops_rate, switch_rate = rates
-        self.bytes_written += int(round(bytes_rate * dt))
-        self.ops += int(round(ops_rate * dt))
-        self.switches += int(round(switch_rate * dt))
-
     def read(self, nbytes: int) -> SimFuture:
         """Sequential read of ``nbytes`` (used during recovery replay)."""
         cost = self.spec.op_latency + nbytes / self.spec.bandwidth
@@ -173,7 +160,6 @@ class PageCache:
         self._waiters: Deque[tuple[str, int, SimFuture]] = deque()
         self._writeback_running = False
         self._sync_waiters: dict[str, list[SimFuture]] = {}
-        sim.register_fluid(self)
 
     @property
     def dirty_bytes(self) -> int:
@@ -225,44 +211,6 @@ class PageCache:
         self._sync_waiters.setdefault(file_id, []).append(fut)
         self._kick_writeback()
         return fut
-
-    # -- fluid protocol (see sim/fluid.py) -----------------------------
-    def fluid_snapshot(self) -> tuple:
-        return (float(self._dirty_total),)
-
-    def fluid_advance(self, dt: float, rates: tuple) -> None:
-        """Restore the dirty-page level an analytic span would have left.
-
-        During a jump the writeback loop keeps draining discretely (it is
-        cheap — a handful of chunk-sized events), so at span end the cache
-        is *cleaner* than the discrete run would be.  Refill dirty bytes
-        to the extrapolated level, spreading them over the files that were
-        already dirty (or a synthetic file when none are), then kick
-        writeback so post-span behaviour — fsync latency, dirty
-        throttling — resumes from the right state.
-        """
-        (dirty_rate,) = rates
-        target = self._dirty_total + dirty_rate * dt
-        target = int(min(max(target, 0.0), float(self.spec.dirty_limit)))
-        delta = target - self._dirty_total
-        if delta <= 0:
-            return
-        if self._dirty:
-            share, extra = divmod(delta, len(self._dirty))
-            for index, file_id in enumerate(list(self._dirty)):
-                self._dirty[file_id] += share + (1 if index < extra else 0)
-        else:
-            self._dirty["<fluid>"] = delta
-        self._dirty_total = target
-        self._kick_writeback()
-
-    def fluid_transition_eta(self, rates: tuple) -> float:
-        """Seconds until dirty throttling changes the service regime."""
-        (dirty_rate,) = rates
-        if dirty_rate <= 0.0:
-            return float("inf")
-        headroom = self.spec.dirty_limit - self._dirty_total
-        return max(headroom, 0) / dirty_rate
 
     # ------------------------------------------------------------------
     def _kick_writeback(self) -> None:

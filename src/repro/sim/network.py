@@ -50,17 +50,6 @@ class Host:
     def egress_backlog_seconds(self) -> float:
         return self._egress.backlog_seconds()
 
-    # -- fluid protocol (see sim/fluid.py) -----------------------------
-    def fluid_snapshot(self) -> tuple:
-        # The egress FifoServer registers itself; only the host-level
-        # byte/message counters live here.
-        return (float(self.bytes_sent), float(self.messages_sent))
-
-    def fluid_advance(self, dt: float, rates: tuple) -> None:
-        bytes_rate, messages_rate = rates
-        self.bytes_sent += int(round(bytes_rate * dt))
-        self.messages_sent += int(round(messages_rate * dt))
-
 
 class Network:
     """Registry of hosts plus the message-transfer primitive."""

@@ -94,7 +94,6 @@ class FifoServer:
         #: futures for in-flight requests, in completion (== submit) order
         self._completions: Deque[SimFuture] = deque()
         self._complete_cb = self._complete
-        sim.register_fluid(self)
 
     @property
     def pending(self) -> int:
@@ -151,24 +150,6 @@ class FifoServer:
     def backlog_seconds(self) -> float:
         """Seconds of already-queued work ahead of a new submission."""
         return max(0.0, self._busy_until - self.sim.now)
-
-    # -- fluid protocol (see sim/fluid.py) -----------------------------
-    def fluid_snapshot(self) -> tuple:
-        return (float(self.ops_served), self.total_busy_time, self.backlog_seconds())
-
-    def fluid_advance(self, dt: float, rates: tuple) -> None:
-        """Extrapolate counters over an analytic span of ``dt`` seconds.
-
-        ``rates`` are the per-second derivatives the controller measured
-        during calibration (elementwise over :meth:`fluid_snapshot`).
-        Utilization is clamped to 1: a device cannot accrue more than
-        ``dt`` busy seconds no matter what the calibration slice said.
-        """
-        ops_rate, busy_rate, backlog_rate = rates
-        self.ops_served += int(round(ops_rate * dt))
-        self.total_busy_time += min(busy_rate, 1.0) * dt
-        backlog = self.backlog_seconds() + backlog_rate * dt
-        self._busy_until = self.sim.now + max(0.0, backlog)
 
 
 class Store:

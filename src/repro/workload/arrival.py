@@ -103,40 +103,6 @@ class ArrivalProcess:
         """Sampler for one producer carrying ``fraction`` of the load."""
         return _CarrySampler(self, fraction)
 
-    def steady_until(self, t: float, horizon: float, tolerance: float = 0.05) -> float:
-        """Last instant in ``[t, horizon]`` where the rate still matches
-        ``rate(t)`` within ``tolerance`` (relative, floored at 1 eps).
-
-        This is the fluid controller's rate-function export: an analytic
-        span may extend at most to here before the offered load drifts
-        from what the calibration slice measured.  Deterministic grid
-        scan plus bisection refinement; stochastic shapes (MMPP) override
-        this to return ``t`` since their sample path never holds steady.
-        """
-        if horizon <= t:
-            return horizon
-        r0 = self.rate(t)
-        slack = tolerance * max(abs(r0), 1.0)
-        steps = 256
-        dt = (horizon - t) / steps
-        lo = t
-        hi = None
-        for i in range(1, steps + 1):
-            probe = t + i * dt
-            if abs(self.rate(probe) - r0) > slack:
-                hi = probe
-                break
-            lo = probe
-        if hi is None:
-            return horizon
-        for _ in range(24):
-            mid = 0.5 * (lo + hi)
-            if abs(self.rate(mid) - r0) > slack:
-                hi = mid
-            else:
-                lo = mid
-        return lo
-
     def __add__(self, other: "ArrivalProcess") -> "Composite":
         return Composite((self, other))
 
@@ -370,12 +336,6 @@ class MMPP(ArrivalProcess):
         """Burst-state rate over the stationary mean rate."""
         return self.peak_rate / max(self.rate(0.0), 1e-12)
 
-    def steady_until(self, t: float, horizon: float, tolerance: float = 0.05) -> float:
-        # ``rate`` reports only the stationary mean; the sample path
-        # flips between burst and quiet on dwell timescales, so no
-        # window is ever fluid-steady.
-        return t
-
     def sampler(self, seed: int, fraction: float = 1.0) -> ArrivalSampler:
         return _MMPPSampler(self, fraction, _seeded_rng(seed, "mmpp"))
 
@@ -419,11 +379,6 @@ class Composite(ArrivalProcess):
     def peak_rate(self) -> float:
         # Upper bound: peaks may not coincide, but a cap must cover them.
         return sum(p.peak_rate for p in self.parts)
-
-    def steady_until(self, t: float, horizon: float, tolerance: float = 0.05) -> float:
-        # The sum can look flat while parts move (or one part is
-        # stochastic); every component must hold steady on its own.
-        return min(p.steady_until(t, horizon, tolerance) for p in self.parts)
 
     def sampler(self, seed: int, fraction: float = 1.0) -> ArrivalSampler:
         return _CompositeSampler(

@@ -102,7 +102,6 @@ def run_tenants(
             observer=tracker,
             label=f"{getattr(adapter, 'name', 'bench')}/{tenant.name}",
             series_interval=series_interval,
-            fault_engine=fault_engine,
         )
         engine.start()
         trackers[tenant.name] = tracker

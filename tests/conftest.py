@@ -24,7 +24,6 @@ DOMAIN_MARKERS = (
     "faults",
     "trace",
     "workload",
-    "fluid",
     "capacity",
     "gate",
     "read",

@@ -27,8 +27,6 @@ GOLDEN_SYSTEMS = ("pravega", "kafka", "pulsar")
 GOLDEN_CONFIG = PlannerConfig(
     duration=0.6,
     warmup=0.2,
-    fluid_duration=1.5,
-    fluid_warmup=0.3,
     start=200_000.0,
     floor=10_000.0,
     cap=8_000_000.0,

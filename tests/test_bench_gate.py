@@ -72,7 +72,6 @@ def test_gate_passes_without_reruns_on_this_repo():
         "BENCH_kernel.json",
         "BENCH_suite.json",
         "BENCH_workload.json",
-        "BENCH_scale.json",
         "BENCH_capacity.json",
         "BENCH_read.json",
     }
@@ -263,18 +262,18 @@ def test_gate_reports_the_owning_benchs_message(committed, fname, mutate, fragme
 def test_the_probes_one_check_per_file_catches(committed):
     # a file without one of its scenarios (a kernel file without
     # mini_workload, a suite file without fig10a and its 14 rows) and a
-    # metric past a documented bound (a 40% fluid error) are drifts
+    # metric past a documented bound (a cache hit rate above 1) are drifts
     def drop(name):
         return lambda r: r.update(scenarios=[s for s in r["scenarios"] if s["name"] != name])
 
-    def fluid_off_by_40pct(report):
-        claims.records(report)["fig05a_xval"]["metrics"]["max_err_pct"] = 40.0
+    def hit_rate_above_one(report):
+        claims.records(report)["policies"]["metrics"]["generation/always"]["hit_rate"] = 1.4
 
     for fname, mutate, message in (
         ("BENCH_kernel.json", drop("mini_workload"), "mini_workload: not recorded"),
         ("BENCH_suite.json", drop("fig10a"), "fig10a: not recorded"),
-        ("BENCH_scale.json", fluid_off_by_40pct,
-         "fig05a_xval: claim failed: fig05a_xval.fluid_within_5pct"),
+        ("BENCH_read.json", hit_rate_above_one,
+         "policies: claim failed: policies.always_hit_rate_is_a_fraction"),
     ):
         files = copy.deepcopy(committed)
         mutate(files[fname])
@@ -352,11 +351,11 @@ def test_a_null_measurement_fails_its_row_instead_of_crashing(committed):
 
 def test_a_wrongly_shaped_file_is_a_drift_not_a_crash(committed):
     for fname, mutate, fragment in (
-        # the layout kernel and scale files had: scenarios keyed by name
+        # the layout the kernel file once had: scenarios keyed by name
         ("BENCH_kernel.json",
          lambda r: r.update(scenarios={s["name"]: s for s in r["scenarios"]}),
          "no scenario recorded"),
-        ("BENCH_scale.json", lambda r: r.update(manifest=["git_sha"]),
+        ("BENCH_capacity.json", lambda r: r.update(manifest=["git_sha"]),
          "malformed report: AttributeError"),
         ("BENCH_read.json", lambda r: claims.records(r)["replay"].update(metrics=3),
          "malformed report: TypeError"),
@@ -425,16 +424,16 @@ def test_gate_fails_end_to_end_on_perturbed_copy(tmp_path, committed):
     for fname, report in committed.items():
         bad = copy.deepcopy(report)
         if fname == "BENCH_capacity.json":
-            claims.records(bad)["pravega/uniform"]["metrics"]["confirmed"] = False
+            claims.records(bad)["pravega/uniform"]["metrics"]["converged"] = False
         (tmp_path / fname).write_text(json.dumps(bad))
     report = run_gate(tmp_path, smoke="none")
     assert not report.ok
     # the structured diff names the file and quotes the claim row (the
-    # committed verdict, taken when the point was confirmed, is now stale)
+    # committed verdict, taken when the point converged, is now stale)
     failed, stale = report.drifts
     assert {failed.file, stale.file} == {"BENCH_capacity.json"}
     assert {failed.kind, stale.kind} == {"structure"}
-    assert "claim failed: pravega/uniform.confirmed: pravega/uniform: both bracket ends" in (
+    assert "claim failed: pravega/uniform.converged: pravega/uniform: the bracket converged" in (
         failed.message
     )
 

@@ -1,19 +1,17 @@
-"""Capacity planner: search properties, golden fixture, probe agreement.
+"""Capacity planner: search properties, golden fixture, probe verdicts.
 
 Three layers:
 
 * **search properties** — for any monotone feasibility oracle with its
   threshold inside ``[floor, cap]`` the bracket converges: the found
   rate is feasible, the bracket's upper end is infeasible, and the
-  relative width is within tolerance.  The confirmation handoff must
-  recover from a cheap oracle that is biased low, biased high, or
-  flatly wrong in either direction.
+  relative width is within tolerance.
 * **golden fixture** — ``tests/data/golden_capacity.json`` regenerates
   byte for byte at the fixed seed (the golden kernel/trace contract).
-* **probe agreement** — the fluid bracketing probe and the discrete
-  SLO-engine probe must agree on two committed capacity points: same
-  feasibility verdict comfortably inside/outside the found rate, and
-  produce-rate agreement within tolerance at a feasible rate.
+* **probe verdicts** — the discrete SLO-engine probe, re-run on every
+  committed golden point, accepts a rate comfortably inside the found
+  rate (acking what it was offered) and refuses one comfortably past
+  the bracket.
 """
 
 from __future__ import annotations
@@ -40,12 +38,12 @@ GOLDEN_PATH = os.path.join(DATA_DIR, "golden_capacity.json")
 pytestmark = pytest.mark.capacity
 
 
-def monotone_oracle(threshold: float, mode: str = "synthetic"):
+def monotone_oracle(threshold: float):
     """Feasible iff rate <= threshold; margin is the signed distance."""
 
     def oracle(rate: float) -> Probe:
         margin = (threshold - rate) / threshold
-        return Probe(rate=rate, feasible=rate <= threshold, margin=margin, mode=mode)
+        return Probe(rate=rate, feasible=rate <= threshold, margin=margin)
 
     return oracle
 
@@ -114,6 +112,7 @@ class TestSearchProperties:
         assert not result.converged
 
     def test_probe_cache_avoids_duplicate_rates(self):
+        # no cache is needed: the ramp and the bisection never revisit a rate
         seen = []
 
         def oracle(rate: float) -> Probe:
@@ -132,58 +131,6 @@ class TestSearchProperties:
             find_sustainable_rate(
                 monotone_oracle(10.0), start=5.0, floor=1.0, cap=100.0, growth=1.0
             )
-
-
-class TestConfirmationHandoff:
-    """The cheap oracle brackets; the confirming oracle decides."""
-
-    @pytest.mark.parametrize("cheap_threshold", [40_000.0, 100_000.0, 250_000.0])
-    def test_confirm_overrides_biased_cheap_oracle(self, cheap_threshold):
-        true_threshold = 100_000.0
-        result = find_sustainable_rate(
-            monotone_oracle(cheap_threshold, mode="fluid"),
-            start=1_000.0, floor=100.0, cap=1e7, rel_tol=0.05,
-            confirm=monotone_oracle(true_threshold, mode="discrete"),
-        )
-        assert result.confirmed
-        assert result.converged
-        assert result.bracket[0] <= true_threshold < result.bracket[1]
-        assert result.width_rel <= 0.05
-
-    def test_confirm_recovers_from_always_infeasible_cheap_oracle(self):
-        def pessimist(rate: float) -> Probe:
-            return Probe(rate=rate, feasible=False, margin=-1.0, mode="fluid")
-
-        result = find_sustainable_rate(
-            pessimist, start=1_000.0, floor=100.0, cap=1e7, rel_tol=0.05,
-            confirm=monotone_oracle(100_000.0, mode="discrete"),
-        )
-        assert result.confirmed
-        assert result.bracket[0] <= 100_000.0 < result.bracket[1]
-
-    def test_confirm_recovers_from_always_feasible_cheap_oracle(self):
-        def optimist(rate: float) -> Probe:
-            return Probe(rate=rate, feasible=True, margin=1.0, mode="fluid")
-
-        result = find_sustainable_rate(
-            optimist, start=1_000.0, floor=100.0, cap=1e7, rel_tol=0.05,
-            confirm=monotone_oracle(100_000.0, mode="discrete"),
-        )
-        assert result.confirmed
-        assert result.bracket[0] <= 100_000.0 < result.bracket[1]
-
-    def test_boundary_decisions_are_confirm_mode(self):
-        result = find_sustainable_rate(
-            monotone_oracle(70_000.0, mode="fluid"),
-            start=1_000.0, floor=100.0, cap=1e7, rel_tol=0.05,
-            confirm=monotone_oracle(100_000.0, mode="discrete"),
-        )
-        lo, hi = result.bracket
-        modes = {p.rate: p.mode for p in result.probes}
-        assert modes[lo] == "discrete"
-        assert modes[hi] == "discrete"
-        counts = result.probes_by_mode()
-        assert counts.get("fluid", 0) > 0 and counts.get("discrete", 0) > 0
 
 
 # ----------------------------------------------------------------------
@@ -206,37 +153,33 @@ def test_golden_points_are_confirmed_and_converged():
         golden = json.load(fh)
     assert len(golden["points"]) == 3
     for point in golden["points"]:
-        assert point["confirmed"], point["system"]
         assert point["converged"], point["system"]
         assert point["bracket_width_rel"] <= golden["rel_tol"]
-        # the boundary decisions were discrete
-        feasible_modes = {
-            p["mode"] for p in point["probe_log"]
-            if p["rate_eps"] == point["rate_eps"]
-        }
-        assert "discrete" in feasible_modes
+        assert point["probes"] == len(point["probe_log"])
+        # both bracket ends are the oracle's own verdicts: the lower end
+        # a feasible probe, the upper end an infeasible one
+        verdicts = {p["rate_eps"]: p["feasible"] for p in point["probe_log"]}
+        lo, hi = point["bracket_eps"]
+        assert verdicts.get(lo) is True, point["system"]
+        assert verdicts.get(hi) is False, point["system"]
 
 
 # ----------------------------------------------------------------------
-# Fluid-probe vs discrete-confirmation agreement on committed points
+# The discrete probe's verdicts on committed points
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("system", ["pravega", "kafka"])
-def test_fluid_and_discrete_probes_agree_on_committed_points(system):
+@pytest.mark.parametrize("system", ["pravega", "kafka", "pulsar"])
+def test_discrete_probe_verdicts_on_committed_points(system):
     with open(GOLDEN_PATH) as fh:
         golden = json.load(fh)
     point = next(p for p in golden["points"] if p["system"] == system)
     planner = CapacityPlanner(system, MIXES["uniform"], GOLDEN_CONFIG)
 
-    # comfortably inside the found rate: both modes must call it
-    # feasible, and their measured produce rates must agree
-    inside = point["rate_eps"] * 0.8
-    fluid = planner.fluid_probe(inside)
-    discrete = planner.discrete_probe(inside)
-    assert fluid.feasible and discrete.feasible
-    fluid_produce = fluid.detail["produce_eps"]
-    assert fluid_produce == pytest.approx(inside, rel=0.10)
+    # comfortably inside the found rate: feasible, and the tenant's
+    # acked/offered ratio (its produce rate over the offered one) is
+    # within 10 % of 1
+    inside = planner.discrete_probe(point["rate_eps"] * 0.8)
+    assert inside.feasible
+    assert inside.detail["min_headroom"] == pytest.approx(1.0, abs=0.10)
 
-    # comfortably outside the confirmed bracket: both must refuse
-    outside = point["bracket_eps"][1] * 2.0
-    assert not planner.fluid_probe(outside).feasible
-    assert not planner.discrete_probe(outside).feasible
+    # comfortably past the bracket's infeasible end: refused
+    assert not planner.discrete_probe(point["bracket_eps"][1] * 2.0).feasible

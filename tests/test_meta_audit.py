@@ -291,13 +291,11 @@ def _audited_classes():
     from repro.bench.runner import WorkloadSpec
     from repro.capacity.planner import MixTenant, PlannerConfig
     from repro.pravega.container.container import ServingConfig
-    from repro.sim.fluid import FluidSpec
     from repro.workload.slo import SloSpec
     from repro.workload.tenants import TenantSpec
 
     return (
-        WorkloadSpec, TenantSpec, MixTenant, SloSpec, FluidSpec, PlannerConfig,
-        ServingConfig,
+        WorkloadSpec, TenantSpec, MixTenant, SloSpec, PlannerConfig, ServingConfig,
     )
 
 

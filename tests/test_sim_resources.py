@@ -2,11 +2,19 @@
 
 import pytest
 
+from repro.bench import (
+    KafkaAdapter,
+    PravegaAdapter,
+    PulsarAdapter,
+    WorkloadSpec,
+    run_workload,
+)
 from repro.common.errors import SimulationError
 from repro.sim import (
     Disk,
     DiskSpec,
     FifoServer,
+    Host,
     Network,
     NetworkSpec,
     PageCache,
@@ -217,3 +225,44 @@ class TestNetwork:
         net = Network(sim, NetworkSpec(rtt=2e-3))
         assert net.rtt_between("a", "b") == pytest.approx(2e-3)
         assert net.rtt_between("a", "a") < 2e-3
+
+
+# ----------------------------------------------------------------------
+# The device registry the layered yardstick reads
+# ----------------------------------------------------------------------
+def _cluster_disks(system, adapter):
+    if system == "kafka":
+        return [broker.disk for broker in adapter.cluster.brokers.values()]
+    return [bookie.journal_disk for bookie in adapter.cluster.bk_cluster.bookies.values()]
+
+
+def _device_totals(disks, hosts):
+    return {
+        "disk_ops": sum(d.ops for d in disks),
+        "disk_bytes": sum(d.bytes_written for d in disks),
+        "net_msgs": sum(h.messages_sent for h in hosts),
+        "net_bytes": sum(h.bytes_sent for h in hosts),
+    }
+
+
+@pytest.mark.parametrize("system", ["pravega", "kafka", "pulsar"])
+def test_device_registry_counts_every_disk_and_nic(system):
+    # benchmarks/layered/workloads.py::device_counters sums its disk.* and
+    # net.* metrics over sim.fluid_resources: a device that stopped
+    # registering would silently zero them
+    adapters = {"pravega": PravegaAdapter, "kafka": KafkaAdapter, "pulsar": PulsarAdapter}
+    sim = Simulator()
+    adapter = adapters[system](sim)
+    spec = WorkloadSpec(target_rate=2_000.0, partitions=2, duration=0.3, warmup=0.1)
+    run_workload(sim, adapter, spec)
+
+    registered = sim.fluid_resources
+    from_registry = _device_totals(
+        [r for r in registered if isinstance(r, Disk)],
+        [r for r in registered if isinstance(r, Host)],
+    )
+    from_cluster = _device_totals(
+        _cluster_disks(system, adapter), adapter.cluster.network._hosts.values()
+    )
+    assert all(from_registry.values()), from_registry
+    assert from_registry == from_cluster

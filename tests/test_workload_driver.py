@@ -9,7 +9,6 @@ from repro.bench.suite import SCENARIOS, _expand_selection
 from repro.faults import FaultPlan
 from repro.pravega import ScalingPolicy
 from repro.sim import Simulator
-from repro.sim.fluid import FluidSpec
 from repro.workload import (
     Constant,
     Diurnal,
@@ -161,16 +160,11 @@ def test_bad_spec_fails_at_construction(field, value):
     [
         (SloSpec, "p99_latency", 0.0), (SloSpec, "availability", 0.0),
         (SloSpec, "availability", 1.5),
-        (FluidSpec, "step", 0.0), (FluidSpec, "calibration_time", 0.0),
-        (FluidSpec, "min_calibration_time", -0.01), (FluidSpec, "min_jump", 0.0),
-        (FluidSpec, "calibration_target_samples", -1.0),
-        (FluidSpec, "stationarity_tol", -0.1), (FluidSpec, "max_recalibrations", -1),
     ],
 )
-def test_bad_slo_or_fluid_config_fails_at_construction(cls, field, value):
-    # unchecked, p99_latency=0 fails every window that saw traffic, an
-    # availability outside (0, 1] is no fraction of acked events, and
-    # step=0 hangs the fluid jump loop
+def test_bad_slo_config_fails_at_construction(cls, field, value):
+    # unchecked, p99_latency=0 fails every window that saw traffic, and
+    # an availability outside (0, 1] is no fraction of acked events
     with pytest.raises(ValueError, match=field):
         cls(**{field: value})
 
