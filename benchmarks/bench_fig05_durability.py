@@ -21,10 +21,11 @@ from repro.bench import (
     PravegaAdapter,
     Table,
     WorkloadSpec,
-    find_max_throughput,
     fmt_latency,
     fmt_rate,
 )
+from repro.capacity import find_max_throughput
+from repro.workload import saturation_margin, sustainable_verdict
 
 from common import run_fresh, trim
 
@@ -57,6 +58,7 @@ def _run_figure(partitions: int):
         title=f"Fig. 5 ({partitions} segment(s)/partition(s), 1 writer, 100B events)",
     )
     outcome = {}
+    probes: dict = {}
     for label, make in VARIANTS.items():
         for rate in rates:
             result = run_fresh(
@@ -71,46 +73,50 @@ def _run_figure(partitions: int):
                 fmt_latency(result.write_latency.p50),
                 fmt_latency(result.write_latency.p95),
             )
-            if result.saturated:
+            verdict = sustainable_verdict({label: (result, saturation_margin(result))})
+            if not verdict["feasible"]:
                 break
         probe = find_max_throughput(
-            make, _spec(partitions, 0), start_rate=100_000, growth=2.0, refine_steps=1,
-            max_rate=4_000_000,
+            make, _spec(partitions, 0), start=800_000, cap=4_000_000, rel_tol=0.2,
+            log=probes.setdefault(label, []),
         )
         outcome[label] = probe.produce_rate
         table.add(label, "max", fmt_rate(probe.produce_rate), "-", "-")
     table.show()
-    return outcome
+    return outcome, probes
 
 
 def fig05a() -> dict:
-    outcome = _run_figure(1)
+    outcome, probes = _run_figure(1)
     return {
         "pravega_flush_max_eps": outcome["Pravega (flush)"],
         "kafka_noflush_max_eps": outcome["Kafka (no flush)"],
         "kafka_flush_max_eps": outcome["Kafka (flush)"],
+        "probes": probes,
     }
 
 
 def fig05b() -> dict:
-    outcome = _run_figure(16)
+    outcome, probes = _run_figure(16)
     return {
         "pravega_flush_max_eps": outcome["Pravega (flush)"],
         "kafka_noflush_max_eps": outcome["Kafka (no flush)"],
+        "probes": probes,
     }
 
 
 def fig05c() -> dict:
     """Pravega's own flush/no-flush pair at 1 segment."""
-    flush = find_max_throughput(
-        VARIANTS["Pravega (flush)"], _spec(1, 0), start_rate=200_000,
-        growth=2.0, refine_steps=1, max_rate=4_000_000,
-    )
-    no_flush = find_max_throughput(
-        VARIANTS["Pravega (no flush)"], _spec(1, 0), start_rate=200_000,
-        growth=2.0, refine_steps=1, max_rate=4_000_000,
-    )
+    probes: dict = {}
+    flush, no_flush = [
+        find_max_throughput(
+            VARIANTS[label], _spec(1, 0), start=1_600_000, cap=4_000_000, rel_tol=0.2,
+            log=probes.setdefault(label, []),
+        )
+        for label in ("Pravega (flush)", "Pravega (no flush)")
+    ]
     return {
         "pravega_flush_eps": flush.produce_rate,
         "pravega_noflush_eps": no_flush.produce_rate,
+        "probes": probes,
     }

@@ -24,11 +24,11 @@ from repro.bench import (
     PulsarAdapter,
     Table,
     WorkloadSpec,
-    find_max_throughput,
     fmt_latency,
     fmt_rate,
     run_workload,
 )
+from repro.capacity import find_max_throughput
 from repro.kafka import KafkaProducerConfig
 from repro.kafka.broker import TopicPartition
 from repro.pulsar import PulsarProducerConfig
@@ -76,10 +76,9 @@ def _low_rate_latency(make, partitions: int, label: str = "run"):
     return result.write_latency.p95
 
 
-def _max_rate(make, partitions: int, start=50_000):
+def _max_rate(make, partitions: int, log: list, start=50_000):
     probe = find_max_throughput(
-        make, _spec(partitions, 0), start_rate=start, growth=2.0,
-        refine_steps=1, max_rate=4_000_000,
+        make, _spec(partitions, 0), start=start, cap=4_000_000, rel_tol=0.2, log=log,
     )
     return probe.produce_rate
 
@@ -90,10 +89,11 @@ def fig06a() -> dict:
         title="Fig. 6a (1 segment/partition, 1 writer, 100B events)",
     )
     out = {}
+    probes: dict = {}
     for label in ("Pravega (dynamic)", "Pulsar (batch)", "Pulsar (no batch)"):
         make = VARIANTS[label]
         latency = _low_rate_latency(make, 1, label=label)
-        max_rate = _max_rate(make, 1)
+        max_rate = _max_rate(make, 1, probes.setdefault(label, []))
         out[label] = (latency, max_rate)
         table.add(label, fmt_latency(latency), fmt_rate(max_rate))
     table.show()
@@ -107,6 +107,7 @@ def fig06a() -> dict:
         "pulsar_batch_max_eps": batch_max,
         "pulsar_nobatch_max_eps": nobatch_max,
         "pravega_max_eps": pravega_max,
+        "probes": probes,
     }
 
 
@@ -146,8 +147,11 @@ def fig06b() -> dict:
         _spec(16, 10_000),
         trace_name="fig06b_kafka_big_linger",
     ).write_latency.p95
-    default_max = _max_rate(VARIANTS["Kafka (default 1ms/128KB)"], 16)
-    big_max = _max_rate(VARIANTS["Kafka (10ms/1MB)"], 16)
+    probes: dict = {}
+    default_max, big_max = [
+        _max_rate(VARIANTS[label], 16, probes.setdefault(label, []), start=1_600_000)
+        for label in ("Kafka (default 1ms/128KB)", "Kafka (10ms/1MB)")
+    ]
     keyed_batch = _avg_batch_bytes("random")
     sticky_batch = _avg_batch_bytes("none")
     table = Table(
@@ -165,4 +169,5 @@ def fig06b() -> dict:
         "kafka_bigbatch_max_eps": big_max,
         "keyed_avg_batch_bytes": keyed_batch,
         "sticky_avg_batch_bytes": sticky_batch,
+        "probes": probes,
     }

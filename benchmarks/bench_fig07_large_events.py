@@ -22,9 +22,9 @@ from repro.bench import (
     PulsarAdapter,
     Table,
     WorkloadSpec,
-    find_max_throughput,
     fmt_bytes_rate,
 )
+from repro.capacity import find_max_throughput
 
 EVENT_SIZE = 10_000
 
@@ -48,43 +48,41 @@ def _spec(partitions: int) -> WorkloadSpec:
     )
 
 
-def _max_mbps(make, partitions: int, start: float) -> float:
-    probe = find_max_throughput(
-        make, _spec(partitions), start_rate=start, growth=2.0,
-        refine_steps=1, max_rate=150_000,
-    )
-    return probe.produce_mbps
-
-
-def _figure(title: str, labels, partitions: int, start: float) -> dict:
+def _figure(title: str, labels, partitions: int, start: float):
     table = Table(["system", "max byte throughput"], title=title)
     out = {}
+    probes: dict = {}
     for label in labels:
-        out[label] = _max_mbps(VARIANTS[label], partitions, start)
+        out[label] = find_max_throughput(
+            VARIANTS[label], _spec(partitions), start=start, cap=150_000, rel_tol=0.2,
+            log=probes.setdefault(label, []),
+        ).produce_mbps
         table.add(label, fmt_bytes_rate(out[label]))
     table.show()
-    return out
+    return out, probes
 
 
 def fig07a() -> dict:
-    out = _figure(
-        "Fig. 7a (1 segment/partition, 1 writer, 10KB events)", VARIANTS, 1, 2_000
+    out, probes = _figure(
+        "Fig. 7a (1 segment/partition, 1 writer, 10KB events)", VARIANTS, 1, 8_000
     )
     return {
         "pravega_efs_mbps": out["Pravega (EFS LTS)"] / 1e6,
         "pravega_noop_mbps": out["Pravega (NoOp LTS)"] / 1e6,
         "kafka_mbps": out["Kafka"] / 1e6,
         "pulsar_mbps": out["Pulsar (tiering)"] / 1e6,
+        "probes": probes,
     }
 
 
 def fig07b() -> dict:
-    out = _figure(
+    out, probes = _figure(
         "Fig. 7b (16 segments/partitions, 1 writer, 10KB events)",
-        ("Pravega (EFS LTS)", "Kafka", "Pulsar (tiering)"), 16, 16_000,
+        ("Pravega (EFS LTS)", "Kafka", "Pulsar (tiering)"), 16, 64_000,
     )
     return {
         "pravega_mbps": out["Pravega (EFS LTS)"] / 1e6,
         "kafka_mbps": out["Kafka"] / 1e6,
         "pulsar_mbps": out["Pulsar (tiering)"] / 1e6,
+        "probes": probes,
     }

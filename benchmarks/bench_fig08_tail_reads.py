@@ -20,10 +20,10 @@ from repro.bench import (
     PulsarAdapter,
     Table,
     WorkloadSpec,
-    find_max_throughput,
     fmt_latency,
     fmt_rate,
 )
+from repro.capacity import find_max_throughput
 
 from common import run_fresh
 
@@ -48,14 +48,10 @@ def _spec(partitions: int, rate: float, consumers: int) -> WorkloadSpec:
     )
 
 
-def _consume_max(make, partitions: int, consumers: int) -> float:
+def _consume_max(make, partitions: int, consumers: int, log: list, start: float) -> float:
     probe = find_max_throughput(
-        make,
-        _spec(partitions, 0, consumers),
-        start_rate=50_000,
-        growth=2.0,
-        refine_steps=1,
-        max_rate=4_000_000,
+        make, _spec(partitions, 0, consumers), start=start, cap=4_000_000,
+        rel_tol=0.2, log=log,
     )
     # Tail readers can't outrun the writers; window-edge drain can make the
     # raw consume counter exceed produce, so clamp to the sustainable rate.
@@ -72,8 +68,11 @@ def fig08a() -> dict:
         result = run_fresh(make, _spec(1, 10_000, 1))
         out[label] = {"e2e_p95": result.e2e_latency.p95}
         table.add(label, fmt_rate(10_000), fmt_latency(result.e2e_latency.p95))
+    probes: dict = {}
     for label, make in VARIANTS.items():
-        out[label]["read_max"] = _consume_max(make, 1, 1)
+        out[label]["read_max"] = _consume_max(
+            make, 1, 1, probes.setdefault(label, []), start=400_000
+        )
         table.add(label, "max read", fmt_rate(out[label]["read_max"]))
     table.show()
     return {
@@ -82,6 +81,7 @@ def fig08a() -> dict:
         "pulsar_e2e_p95_ms": out["Pulsar"]["e2e_p95"] * 1e3,
         "pravega_read_max_eps": out["Pravega"]["read_max"],
         "kafka_read_max_eps": out["Kafka"]["read_max"],
+        "probes": probes,
     }
 
 
@@ -97,10 +97,14 @@ def fig08b() -> dict:
         ["system", "read max (1 part)", "read max (16 parts)"],
         title="Fig. 8b (16 partitions, 1 writer, 16 consumers)",
     )
-    one = _consume_max(VARIANTS["Pulsar"], 1, 1)
-    sixteen = _consume_max(VARIANTS["Pulsar"], 16, 16)
-    pravega16 = _consume_max(VARIANTS["Pravega"], 16, 16)
-    kafka16 = _consume_max(VARIANTS["Kafka"], 16, 16)
+    probes: dict = {}
+    one, sixteen, pravega16, kafka16 = [
+        _consume_max(
+            VARIANTS[label], parts, parts, probes.setdefault(f"{label} {parts}p", []),
+            start=400_000 if parts == 1 else 1_600_000,
+        )
+        for label, parts in (("Pulsar", 1), ("Pulsar", 16), ("Pravega", 16), ("Kafka", 16))
+    ]
     table.add("Pulsar", fmt_rate(one), fmt_rate(sixteen))
     table.add("Pravega", "-", fmt_rate(pravega16))
     table.add("Kafka", "-", fmt_rate(kafka16))
@@ -110,4 +114,5 @@ def fig08b() -> dict:
         "pulsar_read_16p_eps": sixteen,
         "pravega_read_16p_eps": pravega16,
         "kafka_read_16p_eps": kafka16,
+        "probes": probes,
     }

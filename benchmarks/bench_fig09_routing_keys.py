@@ -23,10 +23,10 @@ from repro.bench import (
     PulsarAdapter,
     Table,
     WorkloadSpec,
-    find_max_throughput,
     fmt_latency,
     fmt_rate,
 )
+from repro.capacity import find_max_throughput
 
 from common import run_fresh
 
@@ -61,6 +61,7 @@ def fig09() -> dict:
         title="Fig. 9 (16 partitions, 100B events, random keys vs none)",
     )
     out = {}
+    probes: dict = {}
     for label, make in VARIANTS.items():
         out[label] = {}
         for key_mode in ("random", "none"):
@@ -68,10 +69,12 @@ def fig09() -> dict:
             probe = find_max_throughput(
                 make,
                 dataclasses.replace(_spec(key_mode, 0), consumers=0),
-                start_rate=400_000,
-                growth=1.6,
-                refine_steps=2,
-                max_rate=6_000_000,
+                # just below the ~1.8M e/s threshold: a lower rung costs as
+                # many kernel events as this one (thinner batches)
+                start=1_600_000,
+                cap=6_000_000,
+                rel_tol=0.12,
+                log=probes.setdefault(f"{label} {key_mode} keys", []),
             )
             out[label][key_mode] = {
                 "e2e_p95": point.e2e_latency.p95,
@@ -94,4 +97,5 @@ def fig09() -> dict:
         # recorded, unclaimed: see the note above the fig09 claim rows
         "kafka_nokeys_throughput_gain": ratio("Kafka", "max", "none", "random"),
         "pravega_keys_vs_nokeys": ratio("Pravega", "max", "random", "none"),
+        "probes": probes,
     }

@@ -28,10 +28,10 @@ from repro.bench import (
     PulsarAdapter,
     Table,
     WorkloadSpec,
-    find_max_throughput,
     fmt_bytes_rate,
     run_workload,
 )
+from repro.capacity import find_max_throughput
 from repro.pulsar import PulsarProducerConfig
 from repro.sim import Simulator
 
@@ -64,17 +64,13 @@ def _spec(partitions: int, k: int) -> WorkloadSpec:
     )
 
 
-def _max_mbps(make, partitions: int, start=100_000):
+def _max_mbps(make, partitions: int, log: list, start=400_000):
     k = _slice(partitions)
     probe = find_max_throughput(
-        lambda sim: make(sim, k),
-        _spec(partitions, k),
-        start_rate=start / k,
-        growth=2.0,
-        refine_steps=1,
-        max_rate=2_000_000,
+        lambda sim: make(sim, k), _spec(partitions, k), start=start / k,
+        cap=2_000_000, rel_tol=0.2, log=log,
     )
-    return probe.produce_mbps * k, int(probe.extra["shed_ticks"])
+    return probe.produce_mbps * k
 
 
 SYSTEMS = {
@@ -99,12 +95,13 @@ def fig11() -> dict:
         title="Fig. 11 (max throughput, 10 producers, 1KB events)",
     )
     out = {}
-    shed_ticks = 0
+    probes: dict = {}
     for label, make in SYSTEMS.items():
-        ten, shed10 = _max_mbps(make, 10)
-        five_hundred, shed500 = _max_mbps(make, 500)
+        ten, five_hundred = [
+            _max_mbps(make, parts, probes.setdefault(f"{label} {parts}p", []))
+            for parts in (10, 500)
+        ]
         out[label] = (ten, five_hundred)
-        shed_ticks += shed10 + shed500
         table.add(label, fmt_bytes_rate(ten), fmt_bytes_rate(five_hundred))
     table.show()
     return {
@@ -117,8 +114,7 @@ def fig11() -> dict:
         "pulsar_10p_mbps": out["Pulsar"][0] / 1e6,
         "pulsar_500p_mbps": out["Pulsar"][1] / 1e6,
         "pulsar_10ms_10p_mbps": out["Pulsar (10ms batch)"][0] / 1e6,
-        # ticks the open loop skipped in the ten reported probe points
-        "shed_ticks": shed_ticks,
+        "probes": probes,
     }
 
 

@@ -1,5 +1,6 @@
-"""Benchmark harness: OMB-like workloads, system adapters, sweeps,
-result tables (reproduces every figure of the paper's §5)."""
+"""Benchmark harness: OMB-like workloads, system adapters and result
+tables (reproduces every figure of the paper's §5).  A figure's maximum
+throughput is one search, :func:`repro.capacity.find_max_throughput`."""
 
 from repro.bench.adapters import (
     KafkaAdapter,
@@ -16,7 +17,6 @@ from repro.bench.results import (
     fmt_rate,
 )
 from repro.bench.runner import WorkloadSpec, run_workload
-from repro.bench.sweeps import find_max_throughput
 
 __all__ = [
     "PravegaAdapter",
@@ -25,7 +25,6 @@ __all__ = [
     "attach_tracer",
     "WorkloadSpec",
     "run_workload",
-    "find_max_throughput",
     "BenchResult",
     "Table",
     "fmt_rate",

@@ -39,16 +39,6 @@ class BenchResult:
     extra: Dict[str, float] = field(default_factory=dict)
     series: Dict[str, TimeSeries] = field(default_factory=dict)
 
-    @property
-    def saturated(self) -> bool:
-        """The system did not sustain the offered rate: it either acked
-        too few events in the window or its latency ran away (queues
-        growing without bound)."""
-        if self.produce_rate < 0.9 * self.target_rate:
-            return True
-        p95 = self.write_latency.p95
-        return p95 == p95 and p95 > 1.0  # NaN-safe
-
     def summary(self) -> Dict[str, float]:
         return {
             "target_eps": self.target_rate,

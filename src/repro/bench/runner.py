@@ -36,7 +36,7 @@ from repro.common.metrics import TimeSeries
 from repro.sim.core import Interrupt, SimFuture, SimulationError, Simulator, all_of
 from repro.bench.results import BenchResult
 
-__all__ = ["WorkloadSpec", "WorkloadEngine", "run_workload"]
+__all__ = ["WorkloadSpec", "WorkloadEngine", "run_workload", "run_probe"]
 
 GLOBAL_TRACKER = -1
 
@@ -355,6 +355,16 @@ class WorkloadEngine:
             sim.process(series_process())
         return self
 
+    @property
+    def settled_at(self) -> float:
+        """Sim time after which no window measurement can change: an ack
+        of an in-window send counts until ``window_end + ack_grace``, a
+        consumed event until ``window_end + warmup``.  Set by ``start``."""
+        spec = self.spec
+        return self.window_end + max(
+            spec.ack_grace, spec.warmup if spec.consumers else 0.0
+        )
+
     # ------------------------------------------------------------------
     def interrupt_consumers(self) -> None:
         for proc in self._consumer_procs:
@@ -457,6 +467,21 @@ def run_workload(
         result.extra["trace.window_end"] = engine.window_end
         result.extra["trace.spans"] = float(len(tracer.spans))
     return result
+
+
+def run_probe(sim: Simulator, adapter, spec: WorkloadSpec) -> BenchResult:
+    """One workload, stopped as soon as its window measurements are final.
+
+    ``produce_rate``, ``consume_rate`` and the write percentiles equal
+    ``run_workload``'s for the same spec; the producers' drain flush, and
+    what only it would add (the totals, late end-to-end samples, a crash
+    after the window), is never run.  Every max-throughput probe
+    (:func:`repro.capacity.find_max_throughput`) runs this way.
+    """
+    adapter.setup(spec.partitions)
+    engine = WorkloadEngine(sim, adapter, spec).start()
+    sim.run(until=engine.settled_at)
+    return engine.finalize()
 
 
 #: memoized spread shares; the result only depends on (count, partitions,

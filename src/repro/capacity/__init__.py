@@ -1,13 +1,16 @@
-"""repro.capacity — sustainable-throughput capacity planning.
+"""repro.capacity — the one sustainable-throughput search.
 
 Karimov et al. (PAPERS.md) define *sustainable throughput* as the
 highest offered rate a system holds without unbounded backlog.  This
-package finds it per (system, config, tenant mix):
+package finds it, with one search and one verdict
+(:func:`repro.workload.slo.sustainable_verdict`), for two consumers:
 
 * :mod:`~repro.capacity.search` — the pure bracket-then-bisect driver
   (property-testable without a simulator);
-* :mod:`~repro.capacity.planner` — the sim-backed oracle: a discrete
-  multi-tenant run judged by the SLO engine, for every probe.
+* :mod:`~repro.capacity.planner` — the sim-backed oracles: a discrete
+  multi-tenant run judged on its SLOs, per (system, config, tenant mix)
+  capacity point, and a constant-rate workload judged on saturation,
+  for every max-throughput figure (:func:`find_max_throughput`).
 
 ``benchmarks/bench_capacity.py`` (``make capacity``) sweeps the
 registered systems × mixes and commits the map as
@@ -22,6 +25,7 @@ from repro.capacity.planner import (
     MixTenant,
     PlannerConfig,
     TenantMix,
+    find_max_throughput,
     plan_capacity,
 )
 from repro.capacity.search import Probe, SearchResult, find_sustainable_rate
@@ -30,6 +34,7 @@ __all__ = [
     "Probe",
     "SearchResult",
     "find_sustainable_rate",
+    "find_max_throughput",
     "MixTenant",
     "TenantMix",
     "PlannerConfig",

@@ -12,6 +12,11 @@ backlog verdict.
 Probes are seeded through the ``TenantSpec`` seeds only — the sim is
 deterministic — so the same planner config regenerates the same
 capacity point byte for byte (the golden-fixture contract).
+
+:func:`find_max_throughput` is the same search for the paper's
+max-throughput figures (Figs. 5–9 and 11): one constant-rate workload
+per probe, stopped when its window closes and judged by the same
+verdict over its :func:`~repro.workload.slo.saturation_margin`.
 """
 
 from __future__ import annotations
@@ -21,12 +26,13 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.bench.adapters import KafkaAdapter, PravegaAdapter, PulsarAdapter
-from repro.bench.runner import WorkloadSpec
+from repro.bench.results import BenchResult
+from repro.bench.runner import WorkloadSpec, run_probe
 from repro.capacity.search import Probe, SearchResult, find_sustainable_rate
 from repro.sim.core import Simulator
 from repro.workload.arrival import Poisson
 from repro.workload.skew import ZipfSkew
-from repro.workload.slo import SloSpec, sustainable_verdict
+from repro.workload.slo import SloSpec, saturation_margin, slo_margin, sustainable_verdict
 from repro.workload.tenants import TenantSpec, run_tenants
 
 __all__ = [
@@ -36,6 +42,7 @@ __all__ = [
     "CapacityPoint",
     "CapacityPlanner",
     "plan_capacity",
+    "find_max_throughput",
     "SYSTEMS",
     "MIXES",
 ]
@@ -234,10 +241,14 @@ class CapacityPlanner:
         adapter = self.make_adapter(sim)
         tenants = self.mix.tenant_specs(rate, cfg.seed + 7, cfg.duration, cfg.warmup)
         result = run_tenants(sim, adapter, tenants, series_interval=None)
-        verdict = sustainable_verdict(result, tenants)
+        verdict = sustainable_verdict({
+            t.name: (result.results[t.name], slo_margin(result.slo[t.name]))
+            for t in tenants
+        })
+        headrooms = [c["headroom"] for c in result.capacity.values()]
         detail: Dict[str, object] = {
             "margins": {k: round(v, 6) for k, v in verdict["margins"].items()},
-            "min_headroom": round(verdict["min_headroom"], 6),
+            "min_headroom": round(min(headrooms) if headrooms else 1.0, 6),
             "completed": verdict["completed"],
             "crashed": verdict["crashed"],
         }
@@ -304,3 +315,63 @@ def plan_capacity(
             raise ValueError(f"unknown mix {mix!r} (known: {sorted(MIXES)})")
         mix = MIXES[mix]
     return CapacityPlanner(system, mix, config).plan()
+
+
+# ----------------------------------------------------------------------
+# A figure's maximum throughput
+# ----------------------------------------------------------------------
+def find_max_throughput(
+    make_adapter: Callable[[Simulator], object],
+    spec: WorkloadSpec,
+    *,
+    start: float,
+    cap: float,
+    rel_tol: float,
+    log: Optional[List[Dict[str, object]]] = None,
+) -> BenchResult:
+    """The run of the highest rate ``spec`` sustains (Karimov et al.).
+
+    :func:`find_sustainable_rate` doubles up (or halves down) from
+    ``start`` within ``[1, cap]`` and bisects to ``rel_tol``.  Each probe
+    runs ``spec`` at one constant rate on a fresh simulator and a cold
+    cluster (:func:`repro.bench.runner.run_probe`: it ends when the
+    window's measurements are final) and is judged by
+    :func:`sustainable_verdict` over its saturation margin.  Returns the
+    highest feasible probe's result — an all-zero ``BenchResult`` when
+    nothing down to the floor is feasible — and appends one record per
+    probe (rate, verdict, margin, kernel events, wall seconds) to
+    ``log`` when given.
+    """
+    if spec.arrival is not None:
+        # The search owns the offered rate; a time-varying arrival process
+        # would silently override every probed target_rate.
+        raise ValueError(
+            "find_max_throughput probes constant rates; spec.arrival must "
+            "be None (use run_workload/run_tenants for shaped traffic)"
+        )
+    feasible: Dict[float, BenchResult] = {}
+
+    def probe(rate: float) -> Probe:
+        started = time.perf_counter()
+        sim = Simulator()
+        result = run_probe(sim, make_adapter(sim), replace(spec, target_rate=rate))
+        verdict = sustainable_verdict({"probe": (result, saturation_margin(result))})
+        margin = round(float(verdict["margin"]), 6)
+        if verdict["feasible"]:
+            feasible[rate] = result
+        if log is not None:
+            stats = sim.stats
+            log.append({
+                "rate_eps": round(float(rate), 3),
+                "feasible": verdict["feasible"],
+                "margin": margin,
+                "kernel_events": stats.events_executed + stats.microtasks_executed,
+                "wall_s": round(time.perf_counter() - started, 3),
+            })
+        return Probe(rate=rate, feasible=verdict["feasible"], margin=margin)
+
+    search = find_sustainable_rate(
+        probe, start=start, cap=cap, growth=BRACKET_GROWTH, rel_tol=rel_tol
+    )
+    # the bracket's lower end is the highest rate judged feasible
+    return feasible.get(search.rate) or BenchResult()

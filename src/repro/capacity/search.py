@@ -2,9 +2,11 @@
 
 Karimov et al. define *sustainable throughput* as the highest offered
 rate a system holds without unbounded backlog.  Feasibility at a given
-rate is delegated to one oracle (in production the SLO engine's
-error-budget/backlog verdict over a discrete run, in tests any synthetic
-predicate); this module owns only the search structure, so its
+rate is delegated to one oracle (in production
+:func:`repro.workload.slo.sustainable_verdict` over a discrete run — a
+tenant mix for the capacity map, one constant-rate workload for a
+figure's maximum throughput — in tests any synthetic predicate); this
+module owns only the search structure, so its
 convergence properties can be property-tested without a simulator:
 
 * **bracket** — geometric ramp (up from a feasible start, down from an
@@ -87,6 +89,13 @@ def find_sustainable_rate(
         raise ValueError(f"need 0 < floor <= start <= cap, got {floor}, {start}, {cap}")
     if growth <= 1.0:
         raise ValueError(f"growth must be > 1, got {growth}")
+    # a bad budget is a config error, not a measurement: max_probes=0
+    # would report rate 0 as if nothing were sustainable, and rel_tol
+    # <= 0 would bisect to float resolution
+    if not 0.0 < rel_tol < 1.0:
+        raise ValueError(f"rel_tol must be in (0, 1), got {rel_tol}")
+    if max_probes < 1:
+        raise ValueError(f"max_probes must be >= 1, got {max_probes}")
     probes: List[Probe] = []
 
     def ask(rate: float) -> Optional[Probe]:

@@ -36,6 +36,7 @@ from repro.workload.slo import (
     SloSpec,
     SloTracker,
     capacity_report,
+    saturation_margin,
     slo_margin,
     sustainable_verdict,
 )
@@ -65,6 +66,7 @@ __all__ = [
     "SloSpec",
     "SloTracker",
     "capacity_report",
+    "saturation_margin",
     "slo_margin",
     "sustainable_verdict",
     "TenantSpec",

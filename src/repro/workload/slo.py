@@ -18,12 +18,16 @@ Semantics (SRE-standard, evaluated over the measurement window):
 no extra simulation events.
 Reports flatten into ``BenchResult.extra`` as ``slo.*`` floats
 (JSON-ready for the figure suite).
+
+``sustainable_verdict`` is the one feasibility verdict of a probe run:
+the capacity planner feeds it each tenant's ``slo_margin``, a figure's
+max-throughput search its probe's ``saturation_margin``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.common.metrics import percentile
 
@@ -33,6 +37,7 @@ __all__ = [
     "SloSpec",
     "SloTracker",
     "capacity_report",
+    "saturation_margin",
     "slo_margin",
     "sustainable_verdict",
 ]
@@ -42,6 +47,11 @@ __all__ = [
 LATENCY_COMPLIANCE = 0.95
 #: evaluation window length, seconds
 WINDOW = 1.0
+#: a max-throughput probe must ack at least this share of its offered
+#: events in the window ...
+SATURATION_ACKED = 0.9
+#: ... with a write p95 of at most this many seconds
+SATURATION_P95 = 1.0
 
 
 @dataclass(frozen=True)
@@ -176,46 +186,62 @@ def slo_margin(report: Dict[str, float]) -> float:
     return min(budget_slack, latency_slack)
 
 
-def sustainable_verdict(result, tenants) -> Dict[str, object]:
-    """Feasibility verdict for one multi-tenant probe run.
+def saturation_margin(result) -> float:
+    """Signed headroom of one max-throughput probe run (a
+    :class:`~repro.bench.results.BenchResult` at a constant offered rate).
 
-    ``result`` is a :class:`~repro.workload.tenants.MultiTenantResult`;
-    ``tenants`` the ``TenantSpec`` sequence that produced it.  A rate is
-    *sustainable* (Karimov et al.'s definition) when every tenant's SLO
+    The probe sustains its rate when it acks at least
+    ``SATURATION_ACKED`` of the offered events in the window and its
+    write p95 stays within ``SATURATION_P95`` — a latency that runs away
+    means queues growing without bound.  The margin is the smaller of the
+    two slacks, each relative to its bound, so ``margin > 0`` is exactly
+    "neither bound is crossed".
+    """
+    acked_slack = result.produce_rate / (SATURATION_ACKED * result.target_rate) - 1.0
+    p95 = result.write_latency.p95
+    latency_slack = 1.0 - p95 / SATURATION_P95 if p95 == p95 else 1.0  # NaN: no ack
+    return min(acked_slack, latency_slack)
+
+
+def sustainable_verdict(runs: Mapping[str, Tuple[object, float]]) -> Dict[str, object]:
+    """The one feasibility verdict: one probe run, whole or per tenant.
+
+    ``runs`` maps a name to ``(result, objective margin)``: the run's
+    :class:`~repro.bench.results.BenchResult` and the signed headroom of
+    its objective — :func:`slo_margin` of a capacity tenant's SLO report,
+    :func:`saturation_margin` of a figure probe.  A rate is
+    *sustainable* (Karimov et al.'s definition) when every objective
     held, no backend crashed, and the run completed without hitting its
     load timeout — the timeout is the "unbounded backlog" signal: an
     open loop that cannot drain its backlog cap never finishes load
-    generation.  A tenant whose driver shed ticks at that cap is
-    infeasible too (margin at most -1): the load it did not offer is
-    missing from its SLO report, which may then look fine.
+    generation.  A run whose driver shed ticks at that cap is infeasible
+    too (margin at most -1): the load it did not offer is missing from
+    its measurements, which may then look fine.
     """
     margins: Dict[str, float] = {}
     crashed = False
+    completed = True
     shed_ticks = 0
-    for tenant in tenants:
-        run = result.results[tenant.name]
-        margins[tenant.name] = slo_margin(result.slo[tenant.name])
+    for name, (run, objective) in runs.items():
+        margins[name] = objective
         crashed = crashed or run.crashed
+        completed = completed and not run.extra.get("load_timed_out")
         shed = int(run.extra["shed_ticks"])
         if shed:
-            margins[tenant.name] = min(margins[tenant.name], -1.0)
+            margins[name] = min(margins[name], -1.0)
             shed_ticks += shed
     margin = min(margins.values()) if margins else 0.0
-    if not result.completed:
-        # backlog never drained: the violation is at least a full budget
+    if not completed or crashed:
+        # backlog never drained, or a backend died: the violation is at
+        # least a full budget
         margin = min(margin, -1.0)
-    if crashed:
-        margin = min(margin, -1.0)
-    feasible = result.completed and not crashed and margin > 0.0
-    headrooms = [c["headroom"] for c in result.capacity.values()]
     return {
-        "feasible": feasible,
+        "feasible": completed and not crashed and margin > 0.0,
         "margin": margin,
         "margins": margins,
-        "completed": result.completed,
+        "completed": completed,
         "crashed": crashed,
         "shed_ticks": shed_ticks,
-        "min_headroom": min(headrooms) if headrooms else 1.0,
     }
 
 

@@ -1,5 +1,5 @@
-"""Tests for the benchmark harness: key tables, workload runner,
-results/saturation accounting, adapters, slice scaling."""
+"""Tests for the benchmark harness: key tables, workload runner, the
+saturation verdict, adapters, slice scaling."""
 
 import math
 
@@ -19,7 +19,13 @@ from repro.bench import (
     run_workload,
 )
 from repro.bench.adapters import scaled_disk_spec, scaled_network_spec
-from repro.bench.runner import WorkloadEngine, _drive, _spread
+from repro.bench.runner import WorkloadEngine, _drive, _spread, run_probe
+from repro.workload import saturation_margin, sustainable_verdict
+
+
+def feasible(result: BenchResult) -> bool:
+    """The max-throughput probe's verdict on one run."""
+    return sustainable_verdict({"run": (result, saturation_margin(result))})["feasible"]
 
 
 class TestKeyTables:
@@ -62,20 +68,28 @@ class TestSpread:
         assert _spread(100, 1, rotate=7) == [(0, 100)]
 
 
+#: each signal on its own turns a clean run infeasible
+INFEASIBLE_SIGNALS = {
+    "crash": lambda r: setattr(r, "crashed", True),
+    "shed_tick": lambda r: r.extra.update(shed_ticks=1.0),
+    "load_timeout": lambda r: r.extra.update(load_timed_out=1.0),
+    # 0.89x offered acked in the window
+    "acked_short": lambda r: setattr(r, "produce_rate", 890.0),
+    # p95 > 1 s: queues growing without bound
+    "p95_runaway": lambda r: [r.write_latency.record(5.0) for _ in range(100)],
+}
+
+
 class TestResults:
-    def test_saturated_by_rate(self):
-        result = BenchResult(target_rate=1000.0, produce_rate=500.0)
-        assert result.saturated
-
-    def test_not_saturated(self):
-        result = BenchResult(target_rate=1000.0, produce_rate=980.0)
-        assert not result.saturated
-
-    def test_saturated_by_runaway_latency(self):
-        result = BenchResult(target_rate=1000.0, produce_rate=1000.0)
+    @pytest.mark.parametrize("signal", sorted(INFEASIBLE_SIGNALS))
+    def test_one_signal_makes_a_clean_run_infeasible(self, signal):
+        result = BenchResult(target_rate=1000.0, produce_rate=980.0, extra={"shed_ticks": 0.0})
         for _ in range(100):
-            result.write_latency.record(5.0)
-        assert result.saturated
+            result.write_latency.record(0.002)
+        assert feasible(result) and saturation_margin(result) > 0
+        INFEASIBLE_SIGNALS[signal](result)
+        verdict = sustainable_verdict({"run": (result, saturation_margin(result))})
+        assert not verdict["feasible"] and verdict["margin"] <= 0
 
     def test_table_renders(self):
         table = Table(["a", "b"], title="t")
@@ -135,7 +149,7 @@ class TestRunWorkload:
     def test_all_systems_meet_modest_rate(self, make):
         sim = Simulator()
         result = run_workload(sim, make(sim), self._spec())
-        assert not result.saturated
+        assert feasible(result)
         assert result.errors == 0
         assert result.produce_rate == pytest.approx(5_000, rel=0.1)
         assert result.consume_rate > 0
@@ -152,16 +166,38 @@ class TestRunWorkload:
         result = run_workload(
             sim, KafkaAdapter(sim), self._spec(key_mode="none", consumers=0)
         )
-        assert not result.saturated
+        assert feasible(result)
 
     def test_overload_detected_as_saturation(self):
-        """A target far beyond capacity must be reported as saturated."""
+        """A target far beyond capacity must be judged infeasible."""
         sim = Simulator()
         adapter = KafkaAdapter(sim, flush_every_message=True)
         result = run_workload(
             sim, adapter, self._spec(target_rate=3_000_000, consumers=0, partitions=1)
         )
-        assert result.saturated
+        assert saturation_margin(result) < 0
+        assert not feasible(result)
+
+    @pytest.mark.parametrize(
+        "make",
+        [PravegaAdapter, KafkaAdapter, PulsarAdapter],
+        ids=["pravega", "kafka", "pulsar"],
+    )
+    def test_probe_stopped_at_window_close_measures_the_full_run(self, make):
+        """A probe ends once its window measurements are final, without
+        the drain: its rates and write percentiles are the full run's."""
+        spec = self._spec(target_rate=20_000)
+        sim = Simulator()
+        full = run_workload(sim, make(sim), spec)
+        sim = Simulator()
+        probe = run_probe(sim, make(sim), spec)
+        # a consumer's window outlasts the ack grace by the warmup
+        assert sim.now == probe.extra["window_end"] + spec.warmup
+        assert feasible(full) and feasible(probe)
+        assert probe.produce_rate == full.produce_rate
+        assert probe.consume_rate == full.consume_rate
+        for q in ("p50", "p95", "p99"):
+            assert getattr(probe.write_latency, q) == getattr(full.write_latency, q)
 
     def test_totals_tracked(self):
         sim = Simulator()

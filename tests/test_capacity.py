@@ -12,6 +12,8 @@ Three layers:
   committed golden point, accepts a rate comfortably inside the found
   rate (acking what it was offered) and refuses one comfortably past
   the bracket.
+* **max throughput** — the figures' wrapper reports its highest
+  feasible probe, not the probe that happened to produce the most.
 """
 
 from __future__ import annotations
@@ -19,18 +21,23 @@ from __future__ import annotations
 import json
 import math
 import os
+from dataclasses import replace
 
 import pytest
 
 from golden_capacity import GOLDEN_CONFIG, build_capacity_map, render
 
+from repro.bench import WorkloadSpec
+from repro.bench.runner import run_probe
 from repro.capacity import (
     MIXES,
     CapacityPlanner,
     PlannerConfig,
     Probe,
+    find_max_throughput,
     find_sustainable_rate,
 )
+from repro.sim import Simulator
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 GOLDEN_PATH = os.path.join(DATA_DIR, "golden_capacity.json")
@@ -131,6 +138,13 @@ class TestSearchProperties:
             find_sustainable_rate(
                 monotone_oracle(10.0), start=5.0, floor=1.0, cap=100.0, growth=1.0
             )
+        # a bad budget is a config error, not "nothing is sustainable"
+        for bad in (0.0, -0.1, 1.0, 2.0):
+            with pytest.raises(ValueError):
+                find_sustainable_rate(monotone_oracle(10.0), start=5.0, rel_tol=bad)
+        for bad in (0, -1):
+            with pytest.raises(ValueError):
+                find_sustainable_rate(monotone_oracle(10.0), start=5.0, max_probes=bad)
 
 
 # ----------------------------------------------------------------------
@@ -183,3 +197,71 @@ def test_discrete_probe_verdicts_on_committed_points(system):
 
     # comfortably past the bracket's infeasible end: refused
     assert not planner.discrete_probe(point["bracket_eps"][1] * 2.0).feasible
+
+
+# ----------------------------------------------------------------------
+# The figures' max-throughput wrapper
+# ----------------------------------------------------------------------
+KNEE = 100_000.0
+TICK = 0.01
+
+
+class _Knee:
+    """A scripted system: every group is acked 1 ms after it is sent
+    while the offered rate (group size per tick) is at most ``KNEE``;
+    past it, every fifth group is never acked.  Acking 0.8x the offered
+    rate is saturated, yet at 2x ``KNEE`` it out-produces every feasible
+    rate."""
+
+    def __init__(self, sim: Simulator) -> None:
+        self.sim = sim
+        self.groups = 0
+
+    def setup(self, partitions: int) -> None:
+        pass
+
+    def new_producer(self, host: str) -> "_Knee":
+        return self
+
+    def send_group(self, partition, count: int, size: int):
+        fut = self.sim.future()
+        self.groups += 1
+        if count <= KNEE * TICK or self.groups % 5:
+            self.sim.schedule(0.001, lambda: fut.set_result(None))
+        return fut
+
+    def flush(self):
+        return self.sim.future()
+
+
+def test_max_throughput_reports_the_highest_feasible_probe():
+    spec = WorkloadSpec(partitions=1, duration=1.0, warmup=0.25, tick=TICK)
+    log: list = []
+    best = find_max_throughput(
+        _Knee, spec, start=KNEE / 2, cap=4 * KNEE, rel_tol=0.5, log=log
+    )
+    assert [(p["rate_eps"], p["feasible"]) for p in log] == [
+        (KNEE / 2, True), (KNEE, True), (2 * KNEE, False),
+    ]
+    sim = Simulator()
+    saturated = run_probe(sim, _Knee(sim), replace(spec, target_rate=2 * KNEE))
+    # the saturated probe produced more, but only a feasible one is a max
+    assert saturated.produce_rate > best.produce_rate
+    assert best.target_rate == KNEE
+    assert best.produce_rate == pytest.approx(KNEE, rel=0.01)
+    assert all(p["kernel_events"] > 0 and p["wall_s"] >= 0 for p in log)
+
+
+class _Mute(_Knee):
+    """Acks nothing: no rate down to the floor is feasible."""
+
+    def send_group(self, partition, count: int, size: int):
+        return self.sim.future()
+
+
+def test_max_throughput_is_all_zero_when_nothing_is_feasible():
+    spec = WorkloadSpec(partitions=1, duration=1.0, warmup=0.25, tick=TICK)
+    log: list = []
+    best = find_max_throughput(_Mute, spec, start=1_000.0, cap=1_000.0, rel_tol=0.5, log=log)
+    assert not any(p["feasible"] for p in log) and log[-1]["rate_eps"] == 1.0
+    assert (best.target_rate, best.produce_rate, best.write_latency.count) == (0.0, 0.0, 0)

@@ -193,7 +193,9 @@ def test_a_shedding_tenant_is_infeasible_though_its_slo_looks_fine():
     assert capped["ok"] == 1.0 and slo_margin(capped) > 0
     assert run.results["calm"].extra["shed_ticks"] == 0
 
-    verdict = sustainable_verdict(run, tenants)
+    verdict = sustainable_verdict({
+        t.name: (run.results[t.name], slo_margin(run.slo[t.name])) for t in tenants
+    })
     assert not verdict["feasible"]
     assert verdict["margins"]["capped"] <= -1.0 and verdict["margin"] <= -1.0
     assert verdict["margins"]["calm"] > 0
