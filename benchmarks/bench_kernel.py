@@ -234,26 +234,29 @@ SCENARIOS = [
 ]
 
 
-#: The parent commit under this same bench (``--repeats 5``) on the same
-#: box, back to back with the run committed as ``BENCH_kernel.json``.  At
-#: 2d31eb2 a tail read with no data parked a container process that the
-#: append fan-out woke; it now parks a bare future the fan-out resolves,
-#: so the two consumers of ``mini_workload`` and ``mini_tracer_off``
-#: execute fewer kernel events (109,322 -> 106,514): only microtasks fall
-#: (48,910 -> 46,102), every timed event is the parent's.  The other four
-#: scenarios never read a segment and run the parent's exact events.  Walls on this box swing
-#: 20% between invocations, so a mini pair is no wall claim.  Each record
-#: carries its scenario's entry, and a claim row holds today's event
-#: count at or below the parent's.
+#: The parent commit under this same bench (``--repeats 10``) on the same
+#: box, back to back with the run committed as ``BENCH_kernel.json``
+#: (``manifest.cpu_count`` records the box).  At ad5ad1b every process
+#: that waited for a network message or a CPU slot yielded a future; it
+#: now yields the delay (``Network.delay`` / ``FifoServer.delay``) and
+#: resumes on the timer fast path at the same ``(time, seq)``, so every
+#: scenario executes the parent's exact events.  Compare
+#: ``mini_workload`` by best-of-N wall, not ns/event.  Walls on this
+#: 2-cpu box swing 20-50% between invocations, more than the cut: in the
+#: committed pair the untouched ``timeout_churn`` reads 153 -> 205 ms.
+#: Eight alternating ``--scenario mini_workload --repeats 3`` runs per
+#: side gave a best-of-24 of 607.1 ms at the parent and 580.3 ms here.
+#: Each record carries its scenario's entry, and a claim row holds
+#: today's event count at or below the parent's.
 BASELINE = {
-    "commit": "2d31eb2",
+    "commit": "ad5ad1b",
     "scenarios": {
-        "timeout_churn": {"wall_seconds": 0.1182, "events": 200100, "gc_collections": [0, 0, 0]},
-        "ping_pong": {"wall_seconds": 0.139, "events": 100100, "gc_collections": [0, 0, 0]},
-        "ping_pong_sliced": {"wall_seconds": 0.1408, "events": 100100, "gc_collections": [0, 0, 0]},
-        "cancel_storm": {"wall_seconds": 0.0711, "events": 1001, "gc_collections": [19, 2, 0]},
-        "mini_workload": {"wall_seconds": 0.574, "events": 109322, "gc_collections": [38, 3, 0]},
-        "mini_tracer_off": {"wall_seconds": 0.5784, "events": 109322, "gc_collections": [37, 3, 0]},
+        "timeout_churn": {"wall_seconds": 0.153, "events": 200100, "gc_collections": [0, 0, 0]},
+        "ping_pong": {"wall_seconds": 0.1994, "events": 100100, "gc_collections": [0, 0, 0]},
+        "ping_pong_sliced": {"wall_seconds": 0.19, "events": 100100, "gc_collections": [0, 0, 0]},
+        "cancel_storm": {"wall_seconds": 0.0841, "events": 1001, "gc_collections": [19, 2, 0]},
+        "mini_workload": {"wall_seconds": 0.6099, "events": 106514, "gc_collections": [35, 3, 0]},
+        "mini_tracer_off": {"wall_seconds": 0.8986, "events": 106514, "gc_collections": [35, 3, 0]},
     },
 }
 

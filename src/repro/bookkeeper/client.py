@@ -125,7 +125,7 @@ class BookKeeperClient:
 
         def deletion():
             for name in metadata.ensemble:
-                yield self.cluster.network.transfer(self.client_host, name, 64)
+                yield self.cluster.network.delay(self.client_host, name, 64)
                 self.cluster.bookies[name].delete_ledger(ledger_id)
             self.cluster.ledger_manager.remove(ledger_id)
 
@@ -335,7 +335,7 @@ class LedgerHandle:
                     )
                 entries.append(entry)
             # One bulk transfer approximates the streaming read.
-            yield cluster.network.transfer(
+            yield cluster.network.delay(
                 metadata.ensemble[0], self.client.client_host, total
             )
             return entries

@@ -211,7 +211,7 @@ class KafkaCluster:
         wire = payload.size + BATCH_OVERHEAD + RPC_OVERHEAD
         if span is not None:
             t_request = self.sim.now
-        yield self.network.transfer(client_host, leader.name, wire)
+        yield self.network.delay(client_host, leader.name, wire)
         if span is not None:
             span.component("network", self.sim.now - t_request)
         if not leader.alive:
@@ -247,7 +247,7 @@ class KafkaCluster:
             # leader's own append (they replicate concurrently).
             span.component("quorum", self.sim.now - t_leader)
             t_reply = self.sim.now
-        yield self.network.transfer(leader.name, client_host, RPC_OVERHEAD)
+        yield self.network.delay(leader.name, client_host, RPC_OVERHEAD)
         if span is not None:
             span.component("network", self.sim.now - t_reply)
             span.finish()
@@ -279,7 +279,7 @@ class KafkaCluster:
         leader = self.leader(tp)
 
         def run():
-            yield self.network.transfer(client_host, leader.name, RPC_OVERHEAD)
+            yield self.network.delay(client_host, leader.name, RPC_OVERHEAD)
             if not leader.alive:
                 raise KafkaError(f"leader {leader.name} is down")
             yield leader.request_processing_time
@@ -300,7 +300,7 @@ class KafkaCluster:
                 batches.append(batch)
                 taken += batch.payload.size + BATCH_OVERHEAD
                 next_offset = batch.last_offset + 1
-            yield self.network.transfer(leader.name, client_host, RPC_OVERHEAD + taken)
+            yield self.network.delay(leader.name, client_host, RPC_OVERHEAD + taken)
             return batches, next_offset, taken
 
         return self.sim.process(run())

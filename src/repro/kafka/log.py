@@ -115,7 +115,7 @@ class PartitionLog:
         service = APPEND_OVERHEAD_TIME + wire / APPEND_BANDWIDTH
         if self.flush_every_message:
             service += FSYNC_BARRIER_TIME
-        yield self._append_path.submit(service)
+        yield self._append_path.delay(service)
         if self.flush_every_message:
             # The fsync barrier held under the log lock is flush work,
             # not queueing — attribute it to the fsync bucket.

@@ -275,7 +275,7 @@ class KafkaProducer:
                 + records * config.per_event_cpu
                 + batch.size / config.cpu_bandwidth
             )
-            yield self._cpu.submit(cpu)
+            yield self._cpu.delay(cpu)
             sequence = -1
             if config.idempotent:
                 sequence = self._sequence

@@ -72,7 +72,7 @@ class ThrottledTransferModel:
                 remaining -= piece
                 aggregate_time = piece / self.spec.aggregate_bandwidth
                 stream_time = piece / self.spec.per_stream_bandwidth
-                yield self._aggregate.submit(aggregate_time)
+                yield self._aggregate.delay(aggregate_time)
                 pacing = stream_time - aggregate_time
                 if pacing > 0:
                     yield self.sim.timeout(pacing)

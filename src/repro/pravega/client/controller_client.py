@@ -27,12 +27,12 @@ class ControllerClient:
         result = sim.future()
 
         def run():
-            yield network.transfer(self.client_host, self.controller.host, _REQUEST_BYTES)
+            yield network.delay(self.client_host, self.controller.host, _REQUEST_BYTES)
             yield sim.timeout(self.controller.config.request_processing_time)
             value = operation()
             if isinstance(value, SimFuture):
                 value = yield value
-            yield network.transfer(self.controller.host, self.client_host, _REQUEST_BYTES)
+            yield network.delay(self.controller.host, self.client_host, _REQUEST_BYTES)
             return value
 
         proc = sim.process(run())

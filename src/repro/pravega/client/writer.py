@@ -200,7 +200,7 @@ class _SegmentWriter:
             + event_count * config.per_event_cpu
             + batch.size / config.cpu_bandwidth
         )
-        yield parent._cpu.submit(cpu_time)
+        yield parent._cpu.delay(cpu_time)
         payload = Payload.concat([e.payload for e in batch.events])
         store = parent._stores[self.location.store_host]
         sent_at = self.sim.now

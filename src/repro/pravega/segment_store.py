@@ -162,7 +162,7 @@ class SegmentStore:
         try:
             if span is not None:
                 t_request = self.sim.now
-            yield self.network.transfer(client_host, self.name, request_bytes)
+            yield self.network.delay(client_host, self.name, request_bytes)
             if span is not None:
                 span.component("network", self.sim.now - t_request)
             if not self.alive:
@@ -174,7 +174,7 @@ class SegmentStore:
                 value = yield value
             if span is not None:
                 t_reply = self.sim.now
-            yield self.network.transfer(self.name, client_host, RPC_OVERHEAD)
+            yield self.network.delay(self.name, client_host, RPC_OVERHEAD)
             if span is not None:
                 span.component("network", self.sim.now - t_reply)
             return value
@@ -212,7 +212,7 @@ class SegmentStore:
         )
 
     def _serve_read(self, client_host, segment, offset, max_bytes):
-        yield self.network.transfer(client_host, self.name, RPC_OVERHEAD)
+        yield self.network.delay(client_host, self.name, RPC_OVERHEAD)
         if not self.alive:
             raise ContainerOfflineError(f"store {self.name} is down")
         yield self.config.request_processing_time
@@ -228,7 +228,7 @@ class SegmentStore:
             # must not see this reader's cancellation.
             container.cancel_tail_read(segment, inner)
             raise
-        yield self.network.transfer(
+        yield self.network.delay(
             self.name, client_host, RPC_OVERHEAD + value.payload.size
         )
         return value

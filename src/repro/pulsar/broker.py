@@ -194,7 +194,7 @@ class PulsarBroker:
     def _publish(self, client_host, partition, payload, record_count, span):
         if span is not None:
             t_request = self.sim.now
-        yield self.network.transfer(
+        yield self.network.delay(
             client_host, self.name, payload.size + RPC_OVERHEAD
         )
         if span is not None:
@@ -221,7 +221,7 @@ class PulsarBroker:
                 span.annotate("replication-buffer-oom")
                 span.finish()
             raise BrokerCrashedError(self.name)
-        yield self.cpu.submit(
+        yield self.cpu.delay(
             self.config.per_entry_cpu + payload.size / self.config.cpu_bandwidth
         )
         if not self.alive:
@@ -258,7 +258,7 @@ class PulsarBroker:
         self._wake_dispatch(partition)
         if span is not None:
             t_reply = self.sim.now
-        yield self.network.transfer(self.name, client_host, RPC_OVERHEAD)
+        yield self.network.delay(self.name, client_host, RPC_OVERHEAD)
         if span is not None:
             span.component("network", self.sim.now - t_reply)
             span.finish()
@@ -359,7 +359,7 @@ class PulsarBroker:
         """
 
         def run():
-            yield self.network.transfer(client_host, self.name, RPC_OVERHEAD)
+            yield self.network.delay(client_host, self.name, RPC_OVERHEAD)
             if not self.alive:
                 raise BrokerCrashedError(self.name)
             yield self.config.request_processing_time
@@ -387,10 +387,10 @@ class PulsarBroker:
                     if ledger.lts_object not in fetched_ledgers:
                         fetched_ledgers.add(ledger.lts_object)
                         yield self._offload_read(ledger)
-                yield self.cpu.submit(self.config.per_entry_cpu / 4)
+                yield self.cpu.delay(self.config.per_entry_cpu / 4)
                 taken += entry.size
                 records += entry.records
-            yield self.network.transfer(self.name, client_host, RPC_OVERHEAD + taken)
+            yield self.network.delay(self.name, client_host, RPC_OVERHEAD + taken)
             return records, taken, offset + taken
 
         return self.sim.process(run())

@@ -202,7 +202,7 @@ class PulsarProducer:
     def _publish(self, partition: int, records: List[_Record], size: int):
         config = self.config
         count = sum(r.count for r in records)
-        yield self._cpu.submit(
+        yield self._cpu.delay(
             config.per_request_cpu
             + count * config.per_event_cpu
             + size / config.cpu_bandwidth

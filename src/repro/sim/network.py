@@ -47,9 +47,6 @@ class Host:
         self.messages_sent = 0
         sim.register_fluid(self)
 
-    def egress_backlog_seconds(self) -> float:
-        return self._egress.backlog_seconds()
-
 
 class Network:
     """Registry of hosts plus the message-transfer primitive."""
@@ -69,17 +66,16 @@ class Network:
             self._hosts[name] = existing
         return existing
 
-    def transfer(
-        self, src: str, dst: str, nbytes: int, payload: Any = None
-    ) -> SimFuture:
-        """Deliver ``nbytes`` from ``src`` to ``dst``.
+    def delay(self, src: str, dst: str, nbytes: int) -> float:
+        """Send ``nbytes`` from ``src`` to ``dst``; seconds until arrival.
 
-        The returned future resolves with ``payload`` at the moment the
-        message arrives at ``dst``.
+        Does all of a message's accounting (byte and message counters,
+        the fault hook's extra delay, NIC serialization) at call time, so
+        a process that waits only for the arrival yields the returned
+        number and resumes on the kernel's allocation-free timer path.
         """
         if nbytes < 0:
             raise SimulationError(f"negative message size: {nbytes}")
-        sim = self.sim
         sender = self._hosts.get(src)
         if sender is None:
             sender = self.host(src)
@@ -90,15 +86,21 @@ class Network:
             extra = self.faults.net_message(src, dst)
         spec = self.spec
         if src == dst:
-            return sim.resolve_after(spec.local_latency + extra, payload)
+            return spec.local_latency + extra
         # The NIC is a FIFO with deterministic service times, so the
-        # serialization completion instant is known at submit time —
-        # fold serialization + propagation into a single delivery event
-        # instead of chaining a completion future into a second timer.
+        # serialization completion instant is known at send time —
+        # serialization + propagation fold into one arrival delay.
         service = spec.per_message_overhead + nbytes / spec.bandwidth
-        serialized_at = sender._egress.occupy(service)
-        delay = (serialized_at - sim._now) + spec.rtt * 0.5 + extra
-        return sim.resolve_after(delay, payload)
+        return (
+            sender._egress.occupy(service) - self.sim._now
+        ) + spec.rtt * 0.5 + extra
+
+    def transfer(
+        self, src: str, dst: str, nbytes: int, payload: Any = None
+    ) -> SimFuture:
+        """:meth:`delay` as a future resolving with ``payload`` on arrival,
+        for callers that attach callbacks instead of waiting in a process."""
+        return self.sim.resolve_after(self.delay(src, dst, nbytes), payload)
 
     def rtt_between(self, src: str, dst: str) -> float:
         """Nominal round-trip time between two hosts."""

@@ -9,7 +9,7 @@ FIFO of futures, and all classes use ``__slots__``.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Optional
+from typing import Any, Deque
 
 from repro.common.errors import SimulationError
 from repro.sim.core import SimFuture, Simulator
@@ -68,7 +68,8 @@ class FifoServer:
     This is the building block for disks and network links: submitting a
     request enqueues it; the returned future resolves when the device has
     finished serving it.  Total throughput is therefore bounded by the
-    service rate regardless of the number of concurrent submitters.
+    service rate regardless of the number of concurrent submitters.  A
+    process that waits only for the device yields :meth:`delay` instead.
 
     Completions are FIFO by construction (finish times are monotone in
     submit order), so one prebound drain callback serves every request —
@@ -99,18 +100,12 @@ class FifoServer:
     def pending(self) -> int:
         return len(self._completions)
 
-    def utilization(self, since: float, now: Optional[float] = None) -> float:
-        """Fraction of time busy over [since, now]. Approximate."""
-        now = self.sim.now if now is None else now
-        window = max(now - since, 1e-12)
-        return min(self.total_busy_time / window, 1.0)
-
     def submit(self, service_time: float) -> SimFuture:
         """Enqueue a request taking ``service_time`` seconds of device time."""
         if service_time < 0:
             raise SimulationError(f"negative service time: {service_time}")
         sim = self.sim
-        now = sim.now
+        now = sim._now
         busy = self._busy_until
         start = now if now > busy else busy
         finish = start + service_time
@@ -128,14 +123,14 @@ class FifoServer:
         Advances the FIFO accounting exactly as :meth:`submit`, but
         allocates no future and schedules no completion event — callers
         that only need the finish *time* (e.g. NIC serialization inside
-        ``Network.transfer``, which folds it into the delivery event)
-        skip one heap event and one future per request.  Occupied
-        requests are excluded from :attr:`pending` but are reflected in
-        :meth:`backlog_seconds` and utilization.
+        ``Network.delay``, which folds it into the arrival delay) skip
+        one heap event and one future per request.  Occupied requests
+        are excluded from :attr:`pending` but are reflected in
+        :meth:`backlog_seconds`.
         """
         if service_time < 0:
             raise SimulationError(f"negative service time: {service_time}")
-        now = self.sim.now
+        now = self.sim._now
         busy = self._busy_until
         start = now if now > busy else busy
         finish = start + service_time
@@ -143,6 +138,15 @@ class FifoServer:
         self.total_busy_time += service_time
         self.ops_served += 1
         return finish
+
+    def delay(self, service_time: float) -> float:
+        """Reserve device time; returns the seconds until it is served.
+
+        A process that waits only for the device yields this number
+        instead of a :meth:`submit` future: it resumes at the same
+        ``(time, seq)`` on the kernel's allocation-free timer path.
+        """
+        return self.occupy(service_time) - self.sim._now
 
     def _complete(self) -> None:
         self._completions.popleft().set_result(None)

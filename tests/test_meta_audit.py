@@ -422,9 +422,8 @@ POLL_ALLOWLIST = {
 }
 
 
-def _polls(tree: ast.AST) -> list[tuple[str, int]]:
-    """``(enclosing function, line)`` of every ``while`` loop whose body is
-    a lone ``yield <numeric literal>``."""
+def _scoped(tree: ast.AST, match) -> list[tuple[str, int]]:
+    """``(enclosing function, line)`` of every node ``match`` accepts."""
     found: list[tuple[str, int]] = []
 
     def visit(node: ast.AST, scope: tuple[str, ...]) -> None:
@@ -432,37 +431,83 @@ def _polls(tree: ast.AST) -> list[tuple[str, int]]:
             if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, (*scope, child.name))
                 continue
-            if isinstance(child, ast.While) and len(child.body) == 1:
-                stmt = child.body[0]
-                if (
-                    isinstance(stmt, ast.Expr)
-                    and isinstance(stmt.value, ast.Yield)
-                    and isinstance(stmt.value.value, ast.Constant)
-                    and type(stmt.value.value.value) in (int, float)
-                ):
-                    found.append((".".join(scope), child.lineno))
+            if match(child):
+                found.append((".".join(scope), child.lineno))
             visit(child, scope)
 
     visit(tree, ())
     return found
 
 
-def _allowlisted(scope: str) -> str | None:
+def _is_poll(node: ast.AST) -> bool:
+    """A ``while`` loop whose body is a lone ``yield <numeric literal>``."""
+    if not (isinstance(node, ast.While) and len(node.body) == 1):
+        return False
+    stmt = node.body[0]
+    return (
+        isinstance(stmt, ast.Expr)
+        and isinstance(stmt.value, ast.Yield)
+        and isinstance(stmt.value.value, ast.Constant)
+        and type(stmt.value.value.value) in (int, float)
+    )
+
+
+def _allowlisted(scope: str, allowlist: dict[str, str]) -> str | None:
     return next(
-        (name for name in POLL_ALLOWLIST if scope == name or scope.startswith(name + ".")),
+        (name for name in allowlist if scope == name or scope.startswith(name + ".")),
         None,
     )
 
 
-def test_no_client_or_server_polls_on_a_timer():
-    polls = [
-        (f"{path.relative_to(REPO)}:{line} in {scope}", _allowlisted(scope))
+def _audit_scopes(match, allowlist: dict[str, str]) -> tuple[list[str], set[str]]:
+    """Every match under ``src/repro`` outside ``allowlist`` as
+    ``path:line in scope``, and the allowlist entries that matched."""
+    hits = [
+        (f"{path.relative_to(REPO)}:{line} in {scope}", _allowlisted(scope, allowlist))
         for path in sorted((REPO / "src" / "repro").rglob("*.py"))
-        for scope, line in _polls(ast.parse(path.read_text(), filename=str(path)))
+        for scope, line in _scoped(ast.parse(path.read_text(), filename=str(path)), match)
     ]
-    flagged = [where for where, allowed in polls if allowed is None]
+    flagged = [where for where, allowed in hits if allowed is None]
+    return flagged, {allowed for _, allowed in hits if allowed is not None}
+
+
+def test_no_client_or_server_polls_on_a_timer():
+    flagged, seen = _audit_scopes(_is_poll, POLL_ALLOWLIST)
     assert not flagged, f"wait on a future instead of polling: {flagged}"
-    seen = {allowed for _, allowed in polls if allowed is not None}
     assert seen == POLL_ALLOWLIST.keys(), (
         f"allowlisted polls that are gone: {sorted(POLL_ALLOWLIST.keys() - seen)}"
+    )
+
+
+# ----------------------------------------------------------------------
+# Devices answer with a time: a process that waits only for a network
+# message or a FIFO device yields `Network.delay` / `FifoServer.delay`
+# ----------------------------------------------------------------------
+_PACED_LTS = (
+    "ThrottledTransferModel.transfer is a paced multi-step process "
+    "(op latency, 4 MB slices, per-stream pacing), not one delay"
+)
+#: qualified name of the enclosing function -> why it still yields a future
+DEVICE_FUTURE_ALLOWLIST = {
+    "LongTermStorage.write_chunk": _PACED_LTS,
+    "LongTermStorage.read_chunk": _PACED_LTS,
+}
+
+
+def _is_device_future_yield(node: ast.AST) -> bool:
+    """``yield <x>.transfer(...)`` or ``yield <x>.submit(...)``."""
+    return (
+        isinstance(node, ast.Yield)
+        and isinstance(node.value, ast.Call)
+        and isinstance(node.value.func, ast.Attribute)
+        and node.value.func.attr in ("transfer", "submit")
+    )
+
+
+def test_no_process_yields_a_device_future():
+    flagged, seen = _audit_scopes(_is_device_future_yield, DEVICE_FUTURE_ALLOWLIST)
+    assert not flagged, f"yield Network.delay / FifoServer.delay instead: {flagged}"
+    assert seen == DEVICE_FUTURE_ALLOWLIST.keys(), (
+        f"allowlisted device futures that are gone: "
+        f"{sorted(DEVICE_FUTURE_ALLOWLIST.keys() - seen)}"
     )

@@ -10,6 +10,8 @@ from repro.bench import (
     run_workload,
 )
 from repro.common.errors import SimulationError
+from repro.faults import FaultEngine, FaultPlan
+from repro.faults.engine import _FIFO_MARGIN
 from repro.sim import (
     Disk,
     DiskSpec,
@@ -79,6 +81,33 @@ class TestFifoServer:
         sim.schedule(9.0, lambda: server.submit(1.0))
         sim.run()
         assert sim.now == 11.0
+
+    def test_delay_finishes_where_submit_would(self):
+        """``yield server.delay(t)`` resumes where ``yield server.submit(t)``
+        would, with occupied and submitted requests on the same server,
+        and the kernel counts the same events."""
+
+        def run(wait):
+            sim = Simulator()
+            server = FifoServer(sim)
+            done = []
+
+            def proc():
+                yield getattr(server, wait)(0.5)
+                done.append(("proc", sim.now))
+                server.submit(0.25).add_callback(lambda f: done.append(("after", sim.now)))
+
+            server.occupy(1.0)
+            server.submit(2.0).add_callback(lambda f: done.append(("before", sim.now)))
+            sim.process(proc())
+            sim.run()
+            counters = (server.ops_served, server.total_busy_time, server.pending)
+            return done, counters, sim.stats.snapshot()
+
+        done, counters, stats = run("delay")
+        assert done == [("before", 3.0), ("proc", 3.5), ("after", 3.75)]
+        assert counters == (4, 3.75, 0)
+        assert (done, counters, stats) == run("submit")
 
 
 class TestStore:
@@ -225,6 +254,87 @@ class TestNetwork:
         net = Network(sim, NetworkSpec(rtt=2e-3))
         assert net.rtt_between("a", "b") == pytest.approx(2e-3)
         assert net.rtt_between("a", "a") < 2e-3
+
+
+def _arrival(wait, src, dst, nbytes, before=(), faults=None):
+    """Simulated instant a process resumes after one message sent with
+    ``wait`` (``"transfer"`` or ``"delay"``), behind ``before`` messages
+    sent un-awaited at t = 0."""
+    sim = Simulator()
+    net = Network(sim)
+    if faults is not None:
+        net.faults = faults(sim)
+    for args in before:
+        net.delay(*args)
+    arrived = []
+
+    def proc():
+        yield getattr(net, wait)(src, dst, nbytes)
+        arrived.append(sim.now)
+
+    sim.process(proc())
+    sim.run()
+    return arrived[0]
+
+
+def _delayed_links(sim):
+    engine = FaultEngine(sim, FaultPlan(seed=0).net_delay("a->b", on_op=1, delay=0.004))
+    engine.start()
+    return engine
+
+
+_SPEC = NetworkSpec()
+
+
+def _remote(nbytes, messages=1):
+    """Arrival of ``messages`` back-to-back sends totalling ``nbytes``."""
+    return messages * _SPEC.per_message_overhead + nbytes / _SPEC.bandwidth + _SPEC.rtt / 2
+
+
+@pytest.mark.parametrize(
+    "case, expected",
+    [
+        (dict(src="a", dst="b", nbytes=1000), _remote(1000)),
+        (dict(src="a", dst="a", nbytes=1000), _SPEC.local_latency),
+        (
+            dict(src="a", dst="b", nbytes=100, before=[("a", "c", 500_000)]),
+            _remote(500_100, messages=2),
+        ),
+        (
+            dict(src="a", dst="b", nbytes=100, before=[("a", "b", 10)], faults=_delayed_links),
+            # FIFO clamp: behind the delayed first message on the link
+            0.004 + _FIFO_MARGIN + _remote(110, messages=2),
+        ),
+    ],
+    ids=["remote", "local", "queued-on-nic", "fault-delay"],
+)
+def test_network_delay_lands_where_transfer_does(case, expected):
+    arrival = _arrival("delay", **case)
+    assert arrival == pytest.approx(expected, rel=1e-12)
+    assert arrival == _arrival("transfer", **case)
+
+
+def test_network_delay_and_transfer_resume_in_the_same_order():
+    """Two processes whose messages arrive at the same instant resume in
+    send order either way, and the kernel counts the same events."""
+
+    def run(wait):
+        sim = Simulator()
+        net = Network(sim)
+        order = []
+
+        def proc(name, src):
+            yield getattr(net, wait)(src, "b", 100)
+            order.append((name, sim.now))
+
+        sim.process(proc("first", "a"))
+        sim.process(proc("second", "c"))
+        sim.run()
+        return order, sim.stats.snapshot()
+
+    (order, stats), transfer = run("delay"), run("transfer")
+    assert order[0][0] == "first" and order[0][1] == order[1][1]
+    assert (order, stats) == transfer
 
 
 # ----------------------------------------------------------------------
