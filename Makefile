@@ -1,13 +1,14 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-## the report benches `python -m repro.bench run <name>` drives; the
-## claims about each BENCH_<name>.json are rows of repro.bench.claims
-BENCHES := kernel capacity read
+## the benches `python -m repro.bench run <name>` drives, each
+## benchmarks/bench_<name>.py; the claims about each BENCH_<name>.json
+## are rows of repro.bench.claims
+BENCHES := kernel capacity read suite
 ## the pytest domain markers with a `make <marker>-test` selection
 MARKERS := trace workload capacity gate read
 
-.PHONY: test check perf fuzz trace suite suite-check workloads gate \
+.PHONY: test check perf fuzz trace gate \
 	$(BENCHES:%=bench-%) $(BENCHES:%=%-check) $(MARKERS:%=%-test)
 
 ## tier-1 verification: the full unit/property/bench-harness suite
@@ -22,16 +23,19 @@ test:
 check: test gate
 	$(PYTHON) benchmarks/layered/run.py --check --smoke
 
-## full run of one report bench; writes BENCH_<name>.json
-## (override: ONLY=pravega/mixed REPEATS=5 — a scenario subset, timed repeats)
+## full run of one bench; writes BENCH_<name>.json (bench-suite: the
+## figures of §5, ~12 min at JOBS=1; each row's claims are evaluated on
+## the fresh run and recorded, a failing row = non-zero exit)
+## (override: JOBS=2 REPEATS=5 — worker processes, default 1, and timed
+## repeats; ONLY=fig05,table1 runs names or prefixes and writes nothing)
 $(BENCHES:%=bench-%): bench-%:
 	$(PYTHON) -m repro.bench run $* $(if $(ONLY),--scenario $(ONLY)) \
-		$(if $(REPEATS),--repeats $(REPEATS))
+		$(if $(REPEATS),--repeats $(REPEATS)) $(if $(JOBS),--jobs $(JOBS))
 
-## smoke of one report bench: trimmed scenarios, claims and generous
-## wall budgets, no JSON (`make perf` is the kernel one)
+## smoke of one bench: its smoke scenarios, claims and generous wall
+## budgets, no JSON (`make perf` is the kernel one)
 $(BENCHES:%=%-check): %-check:
-	$(PYTHON) -m repro.bench run $* --check
+	$(PYTHON) -m repro.bench run $* --check $(if $(JOBS),--jobs $(JOBS))
 
 perf: kernel-check
 
@@ -50,30 +54,6 @@ trace:
 	$(PYTHON) -m repro.bench trace --system $(or $(SYSTEM),pravega) \
 		--rate $(or $(RATE),2000) --duration $(or $(DURATION),1.0) \
 		--trace $(or $(TRACE_OUT),trace_$(or $(SYSTEM),pravega).json)
-
-## full figure suite across worker processes; writes BENCH_suite.json.
-## Each scenario returns metrics; its rows of repro.bench.claims are
-## evaluated here, on the fresh run, and recorded as `claims` (a failing
-## row = `ok: false` + non-zero exit).  JOBS=1 also prints every table.
-## (override: JOBS=8 ONLY=fig05a,fig08a; JOBS defaults to the machine's
-## core count — a hard-coded number oversubscribes small containers and
-## undersubscribes big ones)
-suite:
-	$(PYTHON) -m repro.bench suite --jobs $(or $(JOBS),$(shell nproc)) \
-		$(if $(ONLY),--only $(ONLY)) --json BENCH_suite.json
-
-## fast smoke of the suite runner: serial vs parallel determinism over
-## the five smoke scenarios (they carry no claim rows; the figure claims
-## are evaluated by `suite`/`workloads` fresh and by `gate` as committed)
-suite-check:
-	$(PYTHON) -m repro.bench suite --check --jobs $(or $(JOBS),$(shell nproc))
-
-## the repro.workload experiments (diurnal/flash-crowd auto-scaling,
-## multi-tenant SLO); prefix selection expands to all workload_* scenarios;
-## writes BENCH_workload.json, claims evaluated as in `suite`
-workloads:
-	$(PYTHON) -m repro.bench suite --only workload --jobs $(or $(JOBS),$(shell nproc)) \
-		--json BENCH_workload.json
 
 ## benchmark regression gate: committed BENCH_*.json vs fresh smoke
 ## re-runs, structured diff on drift; re-evaluates every claim row over

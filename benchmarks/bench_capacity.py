@@ -4,7 +4,7 @@
 Sweeps every registered system x tenant mix through
 :class:`repro.capacity.CapacityPlanner` — bracket, then bisect, every
 probe a discrete multi-tenant run judged by the SLO engine — and
-writes the capacity map as ``BENCH_capacity.json`` (``make capacity``).
+writes the capacity map as ``BENCH_capacity.json`` (``make bench-capacity``).
 
 Per point the record carries: the found rate, the final bracket and its
 relative width, the probe count, the full probe log, the last feasible
@@ -25,12 +25,14 @@ from __future__ import annotations
 
 from typing import Dict
 
+from repro.bench import harness
 from repro.capacity import MIXES, SYSTEMS, CapacityPlanner, PlannerConfig
 
 CONFIG = PlannerConfig(seed=0)
 
 
 def describe(record: Dict) -> str:
+    record = record["metrics"]
     return (
         f"{record['rate_eps']:>12,.0f} eps  "
         f"width {record['bracket_width_rel'] * 100:4.1f}%  "
@@ -51,7 +53,7 @@ def _row(system: str, mix: str):
 
     name = f"{system}/{mix}"
     # --check plans one cheap point; the other rows have no smoke variant
-    return name, plan, plan if name == "pravega/uniform" else None, 120.0
+    return harness.row(name, plan, plan if name == "pravega/uniform" else None, 120.0)
 
 
 # (system/mix point, full thunk(repeats), smoke thunk(repeats), smoke budget s)

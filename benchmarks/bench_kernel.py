@@ -186,7 +186,7 @@ def _timed(name: str, fn: Callable[[], Simulator]) -> Callable[[int], Dict]:
 
 
 def _row(name: str, full, smoke, budget_s: float):
-    return name, _timed(name, full), _timed(name, smoke), budget_s
+    return harness.row(name, _timed(name, full), _timed(name, smoke), budget_s)
 
 
 # (scenario name, full-size run, smoke-size run, smoke wall-clock budget s)
@@ -262,8 +262,9 @@ BASELINE = {
 
 
 def describe(record: Dict) -> str:
+    metrics = record["metrics"]
     return (
-        f"{record['wall_seconds'] * 1e3:9.1f} ms   "
-        f"{record['events_per_second'] or 0:>14,.0f} ev/s  "
-        f"{record['ns_per_event'] or 0:>10,.0f} ns/ev"
+        f"{metrics['wall_seconds'] * 1e3:9.1f} ms   "
+        f"{metrics['events_per_second'] or 0:>14,.0f} ev/s  "
+        f"{metrics['ns_per_event'] or 0:>10,.0f} ns/ev"
     )

@@ -510,15 +510,20 @@ def _seeded(run):
 
 
 # (family, full thunk(repeats), smoke thunk(repeats), smoke budget s)
-SCENARIOS = [(name, _seeded(full), _seeded(smoke), budget) for name, full, smoke, budget in (
+_FAMILIES = (
     ("fanout", lambda r: _fanout(smoke=False), lambda r: _fanout(smoke=True), 60.0),
     ("replay", lambda r: _replay(), lambda r: _replay(**_SMOKE_REPLAY), 60.0),
     ("policies", lambda r: _policies(), lambda r: _policies(backlog_bytes=8 * _MB), 60.0),
     ("reader_heavy", _reader_heavy, lambda r: _reader_heavy(1), 120.0),
-)]
+)
+SCENARIOS = [
+    harness.row(name, _seeded(full), _seeded(smoke), budget)
+    for name, full, smoke, budget in _FAMILIES
+]
 
 
 def describe(record: Dict) -> str:
+    record = record["metrics"]
     if "points" in record:
         last = max(record["points"].values(), key=lambda p: p["readers"])
         return f"fanout@{last['readers']} p99 {last['p99_ms']:.3f} ms"

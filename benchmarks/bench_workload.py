@@ -1,7 +1,8 @@
 """Workload-subsystem experiments: auto-scaling under realistic traffic.
 
 Three scenarios built on ``repro.workload`` (committed results in
-``BENCH_workload.json``; regenerate with ``make workloads``):
+``BENCH_suite.json``; run them with ``python -m repro.bench run suite
+--scenario workload``):
 
 * **Diurnal** — a day/night sinusoid against an auto-scaled Pravega
   stream.  The controller's feedback loop (§3.1, §5.8) should track the

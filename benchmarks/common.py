@@ -6,8 +6,8 @@ paper's claim with the measured value and returns its metrics dict.  The
 qualitative *shape* the paper claims (who wins, roughly by how much,
 where crossovers fall — absolute numbers are not expected to match a
 real AWS testbed) is the scenario's rows in ``repro.bench.claims``,
-evaluated over those metrics by the one runner, ``python -m repro.bench
-suite [--only fig05]``.
+evaluated over those metrics by the one driver, ``python -m repro.bench
+run suite [--scenario fig05]``.
 
 Set ``REPRO_BENCH_FULL=1`` for the full sweeps; the default trims sweep
 points to keep the whole suite fast.

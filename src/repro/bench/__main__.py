@@ -1,9 +1,8 @@
 """``python -m repro.bench``: the one command line of the benchmark harness.
 
-* ``run <name>`` — one report bench and its claims
-  (:mod:`repro.bench.harness`; writes ``BENCH_<name>.json``);
-* ``suite`` — the figure scenarios across worker processes
-  (:mod:`repro.bench.suite`; ``--json BENCH_suite.json``);
+* ``run <name>`` — one bench, its records and claims
+  (:mod:`repro.bench.harness`; a full run writes ``BENCH_<name>.json``;
+  ``run suite`` is the figure suite);
 * ``gate`` — the committed ``BENCH_*.json`` files against their claims
   and fresh smoke re-runs (:mod:`repro.bench.gate`);
 * ``trace`` — one workload against one system with the tracing
@@ -21,10 +20,9 @@ Example (the Fig. 5 durable-write point)::
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
-from repro.bench import gate, harness, suite
+from repro.bench import gate, harness
 from repro.bench.adapters import KafkaAdapter, PravegaAdapter, PulsarAdapter
 from repro.bench.runner import WorkloadSpec, run_workload
 from repro.bench.results import fmt_latency
@@ -92,11 +90,11 @@ def main(argv=None) -> int:
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    run = commands.add_parser("run", help="run one report benchmark and check its claims")
-    run.add_argument("name", choices=sorted(harness.RUNNABLE))
+    run = commands.add_parser("run", help="run one bench and check its claims")
+    run.add_argument("name", choices=harness.BENCHES)
     run.add_argument(
         "--check", action="store_true",
-        help="smoke: trimmed scenarios once each, claims and wall budgets, no JSON",
+        help="smoke: the smoke scenarios once each, claims and wall budgets",
     )
     run.add_argument(
         "--repeats", type=int, default=None,
@@ -104,36 +102,18 @@ def main(argv=None) -> int:
     )
     run.add_argument(
         "--scenario", action="append", default=[],
-        help="run only these scenarios (repeatable, comma-separated)",
+        help="run only these scenarios: names or prefixes (fig10 selects "
+        "fig10a,fig10b), comma-separated, repeatable",
     )
-    run.add_argument("--json", default=None, help="report path (full runs)")
+    run.add_argument(
+        "--jobs", type=int, default=1,
+        help="worker processes (default 1: a wall-timed bench shares no core unless asked)",
+    )
+    run.add_argument(
+        "--json", default=None,
+        help="report path (default: BENCH_<name>.json for a full run of every scenario)",
+    )
     run.set_defaults(main=harness.main, error=run.error)
-
-    figures = commands.add_parser(
-        "suite", help="run the figure benchmarks in parallel worker processes"
-    )
-    figures.add_argument(
-        "--jobs", type=int, default=max(1, os.cpu_count() or 1),
-        help="worker processes (default: cpu count)",
-    )
-    figures.add_argument(
-        "--only", default=None,
-        help="comma-separated scenario names or prefixes (e.g. fig10 "
-        "selects fig10a,fig10b; default: all figure scenarios)",
-    )
-    figures.add_argument(
-        "--skip", default=None,
-        help="comma-separated scenario names or prefixes to exclude "
-        "(applied after --only)",
-    )
-    figures.add_argument(
-        "--check", action="store_true",
-        help="fast smoke: run the smoke scenarios serially AND with "
-        "--jobs workers, verify the results are identical",
-    )
-    figures.add_argument("--json", default=None, help="write the report here")
-    figures.add_argument("--list", action="store_true", help="list scenarios and exit")
-    figures.set_defaults(main=suite.main)
 
     regression = commands.add_parser(
         "gate", help="compare fresh benchmark runs against the committed "

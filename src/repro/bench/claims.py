@@ -30,8 +30,8 @@ operand the view lacks (a null, an unrecorded metric) or cannot compare
 does not hold, margin 0.  So ``ok`` implies ``margin >= 0`` and
 ``margin > 0`` implies ``ok``.
 
-``evaluate(scenario, metrics)`` is the only evaluator: the suite and
-``python -m repro.bench run`` apply it to a fresh run and store the
+``evaluate(scenario, metrics)`` is the only evaluator: every bench of
+``python -m repro.bench run`` applies it to a fresh run and stores the
 verdicts in the scenario record (``claims: [{id, ok, margin}]``).
 ``check(report, scenarios)`` is the only check: what the regression
 gate holds every committed ``BENCH_*.json`` to, and ``run`` a fresh one.
@@ -527,7 +527,7 @@ def evaluate(scenario: str, metrics: dict, full: bool = True) -> List[dict]:
 
 
 def failures(verdicts: List[dict]) -> List[str]:
-    """What the suite and the gate say about the rows that do not hold."""
+    """What a run and the gate say about the rows that do not hold."""
     rows = {claim.id: claim for claim in CLAIMS}
     messages = []
     for verdict in verdicts:
@@ -585,6 +585,10 @@ def _problems(report: dict, scenarios: Sequence[str], full: bool) -> List[str]:
         for name in recorded if name not in scenarios
     )
     for name, record in recorded.items():
+        if record.get("error") and not record.get("metrics"):
+            # it died before it had metrics: its rows have nothing to read
+            problems.append(f"{name}: not ok ({record['error']})")
+            continue
         verdicts, unread = _judge(name, record.get("metrics") or {}, full)
         problems.extend(f"{name}: {message}" for message in unread)
         failed = failures(verdicts)

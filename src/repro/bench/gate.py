@@ -1,26 +1,26 @@
 """Benchmark regression gate: committed BENCH_*.json vs fresh runs.
 
 The repo commits its performance trajectory as ``BENCH_*.json`` files
-(kernel microbenchmarks, the figure suite, workload experiments, the
-capacity map and the read-path report).  Nothing guarded them: a
+(kernel microbenchmarks, the figure suite, the capacity map and the
+read-path report).  Nothing guarded them: a
 regression could land silently and only be noticed when a full suite
 re-run happened to be eyeballed.  The
 gate closes that hole in three layers, cheapest first:
 
-1. **structure** — every committed file parses, has an owning bench
+1. **structure** — every committed file parses, is written by a bench
    (an unowned ``BENCH_*.json`` is itself a drift) and passes
    ``claims.check`` — the same function ``python -m repro.bench run
-   <name> --check`` applies to a fresh run, so a claim is stated once,
-   as a row of ``repro.bench.claims.CLAIMS``: the file carries its run
-   manifest, records every scenario its owner defines, every row holds
-   over its committed record and the recorded verdicts are the
-   re-evaluated ones — and scenarios recorded in more than one file
-   agree on their deterministic fields;
+   <name>`` applies to a fresh run, so a claim is stated once, as a row
+   of ``repro.bench.claims.CLAIMS``: the file carries its run manifest,
+   records every scenario its bench defines, every row holds over its
+   committed record and the recorded verdicts are the re-evaluated ones;
 2. **smoke re-runs** — a configurable subset of scenarios is re-run
-   fresh and compared field by field against the committed records:
-   deterministic fields (kernel events, simulated time, figure
-   metrics, capacity rates) must match exactly, wall-clock fields only
-   within a generous ratio (different machines are expected to differ);
+   fresh — by the function a ``run`` worker runs it with — and compared
+   field by field against the committed records: the deterministic
+   fields (``harness.deterministic``: kernel events, simulated time,
+   figure metrics, capacity rates) must match exactly, wall-clock fields
+   only within a generous ratio (different machines are expected to
+   differ);
 3. **structured diff** — every violation is a :class:`Drift` with the
    file, dotted path, committed and fresh values, the tolerance that
    applied and the measured drift, so a gate failure states precisely
@@ -52,7 +52,6 @@ from pathlib import Path
 from typing import Dict, List, Sequence, Tuple
 
 from repro.bench import claims, harness
-from repro.bench.suite import DETERMINISTIC_FIELDS
 
 __all__ = [
     "Drift",
@@ -67,29 +66,16 @@ __all__ = [
     "main",
 ]
 
-# Fields that measure the machine, not the simulation: compared as a
-# ratio with a generous allowance instead of exactly.
-WALL_PATTERNS = (
-    "*wall_s*",
-    "*wall_seconds*",
-    "*events_per_second*",
-    "*ns_per_event*",
-    "*speedup*",
-    "*suite_wall*",
-    "*serial_wall*",
-)
-# Fields never compared: how often the cyclic collector ran describes the
-# interpreter process the run happened in (its shape is a kernel claim
-# row), and a record's claim verdicts are a function of its other
-# fields, compared themselves (some rows read wall-clock fields).
-UNCOMPARED_PATTERNS = ("*gc_collections*", "*.claims")
 #: fresh wall time may be up to this factor off the committed one in
 #: either direction before it counts as drift
 WALL_RATIO = 10.0
 #: wall values under this (seconds) are noise; ratio checks skip them
 WALL_FLOOR = 0.05
 
-DEFAULT_SMOKE = "kernel:timeout_churn+ping_pong_sliced+cancel_storm,suite:table1+fig05c,workload:workload_slo,capacity:pravega/uniform"
+DEFAULT_SMOKE = (
+    "kernel:timeout_churn+ping_pong_sliced+cancel_storm,"
+    "suite:table1+fig05c+workload_slo,capacity:pravega/uniform"
+)
 
 
 @dataclass(frozen=True)
@@ -133,10 +119,6 @@ class GateReport:
 # ----------------------------------------------------------------------
 # Tolerance resolution
 # ----------------------------------------------------------------------
-def _is_wall(path: str) -> bool:
-    return any(fnmatch.fnmatch(path, pat) for pat in WALL_PATTERNS)
-
-
 def resolve_tolerance(
     path: str, overrides: Sequence[Tuple[str, float]] = ()
 ) -> Tuple[str, float]:
@@ -146,16 +128,13 @@ def resolve_tolerance(
     factors for wall fields (a field is a wall field by pattern, or
     when its override value is > 1).
     """
+    wall = harness.field_kind(path) == "wall"
     for pattern, tol in overrides:
         if fnmatch.fnmatch(path, pattern) or fnmatch.fnmatch(
             path.rsplit(".", 1)[-1], pattern
         ):
-            if _is_wall(path) or tol > 1.0:
-                return "wall", tol
-            return "metric", tol
-    if _is_wall(path):
-        return "wall", WALL_RATIO
-    return "exact", 0.0
+            return ("wall" if wall or tol > 1.0 else "metric"), tol
+    return ("wall", WALL_RATIO) if wall else ("exact", 0.0)
 
 
 # ----------------------------------------------------------------------
@@ -174,9 +153,11 @@ def compare(
     fresh: object,
     overrides: Sequence[Tuple[str, float]] = (),
 ) -> List[Drift]:
-    """Recursive structured diff of a committed record vs a fresh one."""
+    """Recursive structured diff of a committed record vs a fresh one:
+    exact over :func:`repro.bench.harness.deterministic`'s fields, as a
+    ratio over the wall-clock ones."""
     drifts: List[Drift] = []
-    if any(fnmatch.fnmatch(path, pat) for pat in UNCOMPARED_PATTERNS):
+    if harness.field_kind(path) == "uncompared":
         return drifts
     if isinstance(committed, dict) and isinstance(fresh, dict):
         for key in committed:
@@ -263,46 +244,29 @@ def _structure(file: str, path: str, message: str) -> Drift:
 
 
 def structure_checks(files: Dict[str, dict]) -> List[Drift]:
-    """Every committed file against ``claims.check``, plus the one check
-    that spans files."""
-    owned = {f"BENCH_{name}.json" for name in harness.OWNERS}
-    # A committed file no bench owns is guarded by nothing.
+    """Every committed file against ``claims.check``."""
+    owned = {f"BENCH_{name}.json": name for name in harness.BENCHES}
+    # A committed file no bench writes is guarded by nothing.
     drifts = [
-        _structure(fname, "", "no bench in repro.bench.harness.OWNERS owns this file")
-        for fname in sorted(set(files) - owned)
+        _structure(fname, "", "no bench in repro.bench.harness.BENCHES writes this file")
+        for fname in sorted(set(files) - set(owned))
     ]
-    for fname in sorted(set(files) & owned):
+    for fname in sorted(set(files) & set(owned)):
         drifts.extend(
             _structure(fname, "claims", message)
-            for message in claims.check(files[fname], harness.scenario_names(fname))
+            for message in claims.check(files[fname], harness.scenario_names(owned[fname]))
         )
-
-    # Cross-file agreement: a scenario recorded in two files must agree
-    # on its deterministic fields (wall fields are per-run).
-    suite = claims.records(files.get("BENCH_suite.json", {}))
-    for name, record in claims.records(files.get("BENCH_workload.json", {})).items():
-        twin = suite.get(name)
-        if twin is None:
-            continue
-        for key in DETERMINISTIC_FIELDS:
-            if twin.get(key) != record.get(key):
-                drifts.append(_structure(
-                    "BENCH_workload.json", f"{name}.{key}",
-                    f"{record.get(key)!r} disagrees with BENCH_suite.json "
-                    f"({twin.get(key)!r})",
-                ))
     return drifts
 
 
 # ----------------------------------------------------------------------
 # Smoke re-runs
 # ----------------------------------------------------------------------
-#: smoke family (= the file BENCH_<family>.json) -> the scenario re-run
-#: when the spec names none
+#: smoke family (= the bench writing BENCH_<family>.json) -> the scenario
+#: re-run when the spec names none
 SMOKE_FAMILIES = {
     "kernel": "timeout_churn",
     "suite": "table1",
-    "workload": "workload_slo",
     "capacity": "pravega/uniform",
 }
 
@@ -335,12 +299,12 @@ def _smoke(
                 f"no committed baseline for {family} scenario {name!r}",
             ))
             continue
-        fresh = harness.rerun(fname, name)
-        if fresh is None:
+        if name not in harness.scenario_names(family):
             drifts.append(_structure(
                 fname, name, f"unknown {family} scenario {name!r}"
             ))
             continue
+        fresh, _, _ = harness.run_row(family, name, check=False, repeats=1)
         drifts.extend(compare(fname, name, committed[name], fresh, overrides))
         ran.append(name)
     return drifts, {"check": family, "scenarios": ran}

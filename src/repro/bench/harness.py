@@ -1,86 +1,139 @@
-"""One driver for the report benchmarks: ``python -m repro.bench run``.
+"""One driver for every bench: ``python -m repro.bench run``.
 
-A report bench is a module under ``benchmarks/`` that exposes
+A bench is a module ``benchmarks/bench_<name>.py`` that exposes
 
 * ``SCENARIOS`` — rows ``(name, full, smoke, budget_s)``; ``full`` and
-  ``smoke`` take the repeat count and return the scenario's metrics
-  (``smoke`` is None for a row ``--check`` skips), ``budget_s`` is the
-  wall budget of the smoke variant under ``--check``;
+  ``smoke`` take the repeat count and return the scenario's record
+  (:func:`row` builds them from thunks that return plain metrics).  A
+  full run records the rows that have a ``full`` thunk, ``--check`` runs
+  the rows that have a ``smoke`` one, each under its wall budget
+  ``budget_s``;
 * ``REPEATS`` — how many timed repeats a full run takes by default;
-* ``describe(metrics)`` — one progress line for a finished scenario.
+* ``describe(record)`` — one progress line for a finished scenario.
 
-The driver owns everything else: scenario selection, the best-of-N
-helper, the ``--check`` wall budgets, the record and the JSON writer.
-A record is ``{name, metrics, claims}``: its verdicts are the rows of
-:mod:`repro.bench.claims` evaluated over the metrics, and
-``claims.check`` — what the regression gate (:mod:`repro.bench.gate`)
-applies to the committed file — holds a fresh report to the same rows.
+The driver owns everything else: scenario selection, the optional
+worker pool, the best-of-N helper, the ``--check`` wall budgets, the
+report and the JSON writer.  A plain record is ``{name, metrics,
+claims}``: its verdicts are the rows of :mod:`repro.bench.claims`
+evaluated over the metrics, and ``claims.check`` — what the regression
+gate (:mod:`repro.bench.gate`) applies to the committed file — holds a
+fresh report to the same rows.  :func:`deterministic` is what must not
+change between two runs of a record: what the gate compares exactly and
+what ``--jobs`` may not move.
 
 Usage (the one parser is :mod:`repro.bench.__main__`)::
 
     python -m repro.bench run kernel                  # writes BENCH_kernel.json
-    python -m repro.bench run read --check            # smoke: claims + budgets
-    python -m repro.bench run capacity --scenario pravega/mixed --json out.json
+    python -m repro.bench run read --check --jobs 2   # smoke: claims + budgets
+    python -m repro.bench run suite --scenario fig05 --jobs 1
+    python -m repro.bench run capacity --scenario pravega --json out.json
 """
 
 from __future__ import annotations
 
+import contextlib
+import fnmatch
 import importlib
+import io
 import json
+import multiprocessing
 import os
 import platform
 import subprocess
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from pathlib import Path
 from types import ModuleType
-from typing import Callable, List, Optional, Tuple, TypeVar
+from typing import Callable, Iterator, List, Sequence, Tuple, TypeVar
 
 from repro.bench import claims
 
 __all__ = [
-    "RUNNABLE", "OWNERS", "load", "scenario_names", "best_of", "record", "rerun",
+    "BENCHES", "WALL_PATTERNS", "UNCOMPARED_PATTERNS", "field_kind", "deterministic",
+    "load", "scenario_names", "select", "best_of", "record", "row", "run_row",
     "manifest", "write_json", "main",
 ]
 
 ROOT = Path(__file__).resolve().parents[3]
 
-#: the report benches ``run`` drives: name -> module under benchmarks/
-RUNNABLE = {
-    name: f"bench_{name}" for name in ("kernel", "capacity", "read")
-}
-#: the suite's committed files -> the prefix selecting their scenarios
-SUITE_FILES = {"suite": "", "workload": "workload_"}
-#: every committed ``BENCH_<name>.json`` -> the module defining its scenarios
-OWNERS = {**RUNNABLE, **dict.fromkeys(SUITE_FILES, "repro.bench.suite")}
+#: every bench: ``run <name>`` drives ``benchmarks/bench_<name>.py`` and
+#: a full run writes ``BENCH_<name>.json``
+BENCHES = ("kernel", "capacity", "read", "suite")
+
+#: fields that measure the machine, not the simulation: compared as a
+#: ratio with a generous allowance instead of exactly
+WALL_PATTERNS = (
+    "*wall_s*",
+    "*wall_seconds*",
+    "*events_per_second*",
+    "*ns_per_event*",
+    "*speedup*",
+)
+#: fields never compared: how often the cyclic collector ran describes the
+#: interpreter process the run happened in (its shape is a kernel claim
+#: row), and a record's claim verdicts are a function of its other
+#: fields, compared themselves (some rows read wall-clock fields)
+UNCOMPARED_PATTERNS = ("*gc_collections*", "claims", "*.claims")
 
 T = TypeVar("T")
 
 
-def load(module: str) -> ModuleType:
-    """Import ``module`` with this checkout's ``benchmarks/`` importable."""
+def field_kind(path: str) -> str:
+    """``"uncompared"``, ``"wall"`` or ``"exact"`` for a dotted path."""
+    if any(fnmatch.fnmatch(path, pattern) for pattern in UNCOMPARED_PATTERNS):
+        return "uncompared"
+    if any(fnmatch.fnmatch(path, pattern) for pattern in WALL_PATTERNS):
+        return "wall"
+    return "exact"
+
+
+def deterministic(node, path: str = ""):
+    """The view of a record that is a pure function of its scenario:
+    every field but the wall-clock and the uncompared ones."""
+    if isinstance(node, dict):
+        view = {}
+        for key, value in node.items():
+            sub = f"{path}.{key}" if path else str(key)
+            if field_kind(sub) == "exact":
+                view[key] = deterministic(value, sub)
+        return view
+    if isinstance(node, list):
+        return [deterministic(value, f"{path}[{i}]") for i, value in enumerate(node)]
+    return node
+
+
+def load(name: str) -> ModuleType:
+    """Bench ``name``'s module, with this checkout's ``benchmarks/`` importable."""
     bench_dir = str(ROOT / "benchmarks")
     if bench_dir not in sys.path:
         sys.path.insert(0, bench_dir)
-    return importlib.import_module(module)
+    return importlib.import_module(f"bench_{name}")
 
 
-def _stem(fname: str) -> str:
-    return fname.removeprefix("BENCH_").removesuffix(".json")
+def scenario_names(name: str) -> List[str]:
+    """The scenarios a full run of bench ``name`` records, in order."""
+    return [r[0] for r in load(name).SCENARIOS if r[1] is not None]
 
 
-def scenario_names(fname: str) -> List[str]:
-    """The scenarios the owner of a committed ``BENCH_<name>.json``
-    defines for it, in recording order."""
-    stem = _stem(fname)
-    if stem in RUNNABLE:
-        return [row[0] for row in load(RUNNABLE[stem]).SCENARIOS]
-    from repro.bench.suite import SCENARIOS
-
-    return [
-        name for name, scenario in SCENARIOS.items()
-        if not scenario.smoke and name.startswith(SUITE_FILES[stem])
-    ]
+def select(bench: ModuleType, tokens: Sequence[str]) -> List[str]:
+    """The rows ``--scenario`` names, in registry order: each
+    comma-separated token is an exact name or a prefix (``fig10`` selects
+    ``fig10a,fig10b``); an unknown token or an empty selection is a
+    ValueError, not a silent no-op.  No ``--scenario`` selects every row."""
+    names = [r[0] for r in bench.SCENARIOS]
+    if not tokens:
+        return names
+    wanted = [t.strip() for token in tokens for t in token.split(",") if t.strip()]
+    if not wanted:
+        raise ValueError("the selection is empty")
+    chosen = set()
+    for token in wanted:
+        matches = [token] if token in names else [n for n in names if n.startswith(token)]
+        if not matches:
+            raise ValueError(f"unknown scenario {token!r} (known: {', '.join(names)})")
+        chosen.update(matches)
+    return [n for n in names if n in chosen]
 
 
 def best_of(fn: Callable[[], T], repeats: int) -> Tuple[T, List[float]]:
@@ -98,26 +151,58 @@ def best_of(fn: Callable[[], T], repeats: int) -> Tuple[T, List[float]]:
 
 
 def record(name: str, metrics: dict, full: bool = True) -> dict:
-    """A scenario's record, report bench or suite: its metrics as the
-    file will say them (tuples are lists, keys are strings; a value JSON
-    cannot carry raises here, not in the writer) and their verdicts."""
+    """A scenario's plain record: its metrics as the file will say them
+    (tuples are lists, keys are strings; a value JSON cannot carry raises
+    here, not in the writer) and their verdicts."""
     metrics = json.loads(json.dumps(metrics))
     return {"name": name, "metrics": metrics, "claims": claims.evaluate(name, metrics, full)}
 
 
-def rerun(fname: str, name: str) -> Optional[dict]:
-    """One fresh full-size record of a committed file's scenario (what
-    the gate compares against the committed one); None for a name the
-    file's owner does not define."""
-    if name not in scenario_names(fname):
-        return None
-    stem = _stem(fname)
-    if stem not in RUNNABLE:
-        from repro.bench.suite import run_scenario
+def row(name: str, full, smoke, budget_s: float) -> tuple:
+    """A ``SCENARIOS`` row over thunks that return plain metrics."""
+    return (
+        name,
+        full and (lambda repeats: record(name, full(repeats))),
+        smoke and (lambda repeats: record(name, smoke(repeats), full=False)),
+        budget_s,
+    )
 
-        return run_scenario(name)
-    full = next(row[1] for row in load(RUNNABLE[stem]).SCENARIOS if row[0] == name)
-    return record(name, full(1))
+
+def run_row(bench: str, name: str, check: bool, repeats: int) -> Tuple[dict, str, float]:
+    """One row in this process: its record, what it printed and its wall
+    seconds.  The pool's worker (a row holds lambdas, which do not
+    pickle, so the worker loads it by name) and the gate's re-run."""
+    thunk = next(r for r in load(bench).SCENARIOS if r[0] == name)[2 if check else 1]
+    output = io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(output):
+        result = thunk(repeats)
+    return result, output.getvalue(), time.perf_counter() - start
+
+
+def _longest_first(bench: str, names: List[str]) -> List[str]:
+    """Submission order: by the committed file's per-record ``wall_s``,
+    longest first (a straggler started last would serialize the tail of
+    a pooled run), otherwise in registry order."""
+    path = ROOT / f"BENCH_{bench}.json"
+    recorded = claims.records(json.loads(path.read_text())) if path.exists() else {}
+    walls = {n: r.get("wall_s") for n, r in recorded.items()}
+    return sorted(names, key=lambda n: -(walls.get(n) or 0))
+
+
+def _finished(bench: str, names: List[str], check: bool, repeats: int, jobs: int) -> Iterator:
+    """``(name, run_row(...))`` per row, in finishing order."""
+    if jobs <= 1:
+        for name in names:
+            yield name, run_row(bench, name, check, repeats)
+        return
+    # spawned workers start from a fresh import: no state leaks from this
+    # process into a row's run
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=jobs, mp_context=spawn) as pool:
+        futures = {pool.submit(run_row, bench, name, check, repeats): name for name in names}
+        for future in as_completed(futures):
+            yield futures[future], future.result()
 
 
 def manifest() -> dict:
@@ -148,42 +233,59 @@ def write_json(path: "str | Path", report: dict) -> None:
 
 def main(args) -> int:
     """``run <name>``: the bench's scenarios, their records and claims."""
-    bench = load(RUNNABLE[args.name])
+    bench = load(args.name)
     if args.repeats is not None and args.repeats < 1:
         args.error("--repeats must be >= 1")
-    wanted = [n for token in args.scenario for n in token.split(",") if n]
-    unknown = sorted(set(wanted) - {row[0] for row in bench.SCENARIOS})
-    if unknown:
-        args.error(f"unknown scenario(s) {unknown} for bench {args.name!r}")
-    rows = [row for row in bench.SCENARIOS if not wanted or row[0] in wanted]
-    if args.check:
-        smokeless = [row[0] for row in rows if row[2] is None]
-        if wanted and smokeless:
-            args.error(f"scenario(s) {smokeless} of bench {args.name!r} have no --check variant")
-        rows = [row for row in rows if row[2] is not None]
+    if args.jobs < 1:
+        args.error("--jobs must be >= 1")
+    try:
+        names = select(bench, args.scenario)
+    except ValueError as exc:
+        args.error(f"{exc} for bench {args.name!r}")
+    rows = {r[0]: r for r in bench.SCENARIOS}
+    thunk = 2 if args.check else 1
+    lacking = [n for n in names if rows[n][thunk] is None]
+    if args.scenario and lacking:
+        kind = "--check" if args.check else "full"
+        args.error(f"scenario(s) {lacking} of bench {args.name!r} have no {kind} variant")
+    names = [n for n in names if n not in lacking]
+    if not names:
+        args.error(f"the selection of bench {args.name!r} is empty")
     repeats = 1 if args.check else (args.repeats or bench.REPEATS)
 
-    print(f"{args.name} bench ({'smoke' if args.check else 'full'}, repeats={repeats})")
-    scenarios: List[dict] = []
-    problems: List[str] = []
+    print(f"{args.name} bench ({'smoke' if args.check else 'full'}, "
+          f"repeats={repeats}, jobs={args.jobs})")
+    done, walls, problems = {}, {}, []
     started = time.perf_counter()
-    for name, full, smoke, budget in rows:
-        start = time.perf_counter()
-        metrics = (smoke if args.check else full)(repeats)
-        wall = time.perf_counter() - start
-        scenarios.append(record(name, metrics, full=not args.check))
-        print(f"  {name:<26} {bench.describe(scenarios[-1]['metrics'])}")
-        if args.check and wall > budget:
-            problems.append(f"{name}: {wall:.1f}s > budget {budget:.0f}s")
+    order = _longest_first(args.name, names)
+    for name, (result, printed, wall) in _finished(
+        args.name, order, args.check, repeats, args.jobs
+    ):
+        done[name], walls[name] = result, wall
+        print(f"  {name:<26} {bench.describe(result)}", flush=True)
+        print(printed, end="", flush=True)
+        if args.check and wall > rows[name][3]:
+            problems.append(f"{name}: {wall:.1f}s > budget {rows[name][3]:.0f}s")
+    total = time.perf_counter() - started
     report = {
-        "manifest": manifest(),
+        "manifest": {**manifest(), "jobs": args.jobs},
         "repeats": repeats,
-        "wall_s_total": round(time.perf_counter() - started, 3),
-        "scenarios": scenarios,
+        "wall_s_total": round(total, 3),
+        "scenarios": [done[name] for name in names],
     }
-    problems.extend(claims.check(report, [row[0] for row in rows], full=not args.check))
-    if not args.check:
+    problems.extend(claims.check(report, names, full=not args.check))
+    # the sum of row walls approximates a serial run only on a box with
+    # >= jobs free cores; the longest row bounds the wall at any --jobs
+    longest, serial = max(walls, key=walls.get), sum(walls.values())
+    print(
+        f"{args.name}: {total:.1f}s wall at --jobs {args.jobs} on {os.cpu_count()} cpus "
+        f"(sum of scenario walls {serial:.1f}s, speedup {serial / total:.2f}x, "
+        f"longest {longest} {walls[longest]:.1f}s)"
+    )
+    if args.json or not (args.check or args.scenario):
         write_json(args.json or ROOT / f"BENCH_{args.name}.json", report)
+    elif args.scenario and not args.check:
+        print("a subset is written only to an explicit --json")
     for problem in problems:
         print(f"CLAIM FAILED: {problem}")
     print(f"{args.name}: {'FAIL' if problems else 'ok'}")

@@ -52,6 +52,11 @@ def _suite_record(files, name):
     return claims.records(files["BENCH_suite.json"])[name]
 
 
+def _names(fname):
+    """The scenarios the bench writing ``fname`` defines for it."""
+    return harness.scenario_names(fname.removeprefix("BENCH_").removesuffix(".json"))
+
+
 # ----------------------------------------------------------------------
 # (a) committed files pass
 # ----------------------------------------------------------------------
@@ -71,7 +76,6 @@ def test_gate_passes_without_reruns_on_this_repo():
     assert set(report.files) >= {
         "BENCH_kernel.json",
         "BENCH_suite.json",
-        "BENCH_workload.json",
         "BENCH_capacity.json",
         "BENCH_read.json",
     }
@@ -156,7 +160,7 @@ def test_perturbed_capacity_rate_fails(committed):
 def _assert_gate_repeats_the_check(committed, fname, mutate, fragment):
     files = copy.deepcopy(committed)
     mutate(files[fname])
-    expected = claims.check(files[fname], harness.scenario_names(fname))
+    expected = claims.check(files[fname], _names(fname))
     assert any(fragment in message for message in expected), expected
     assert [
         (d.kind, d.message) for d in structure_checks(files) if d.file == fname
@@ -229,13 +233,12 @@ def _push_past_threshold(row):
     return mutate
 
 
-FILES = sorted(f"BENCH_{name}.json" for name in harness.OWNERS)
+FILES = sorted(f"BENCH_{name}.json" for name in harness.BENCHES)
 
 
 def _file_of(scenario):
-    """The committed file a row is pushed in: a workload_* scenario,
-    recorded twice, is pushed in BENCH_suite.json."""
-    return next(f for f in FILES if scenario in harness.scenario_names(f))
+    """The committed file a row is pushed in: the one recording its scenario."""
+    return next(f for f in FILES if scenario in _names(f))
 
 
 #: (file, mutation, fragment of claims.check's message): per file, one
@@ -293,7 +296,7 @@ def test_every_file_carries_the_run_manifest(committed):
     # checkout; a full run's file, and every committed one, names its commit
     report = copy.deepcopy(committed["BENCH_read.json"])
     report["manifest"]["git_sha"] = None
-    names = harness.scenario_names("BENCH_read.json")
+    names = harness.scenario_names("read")
     assert claims.check(report, names) == ["manifest: lacks ['git_sha']"]
     assert not [p for p in claims.check(report, names, full=False) if "manifest" in p]
 
@@ -303,7 +306,7 @@ def test_structure_check_rejects_failed_suite_scenario(committed):
         report["scenarios"][0]["claims"][0]["margin"] += 0.25
 
     for mutate, fragment in (
-        # a scenario that died before it had metrics to evaluate
+        # a scenario recorded not ok whose rows all hold
         (lambda r: claims.records(r)["table1"].update(ok=False, error="KeyError: 'x'"),
          "table1: not ok (KeyError: 'x')"),
         # a claim row that failed when the scenario ran is still failed
@@ -313,6 +316,15 @@ def test_structure_check_rejects_failed_suite_scenario(committed):
         (stale_verdicts, "recorded claims are not what the claims table says"),
     ):
         _assert_gate_repeats_the_check(committed, "BENCH_suite.json", mutate, fragment)
+    # a scenario that died before it had metrics to evaluate: its
+    # exception is the one message, not a failure per row it could not read
+    files = copy.deepcopy(committed)
+    claims.records(files["BENCH_suite.json"])["table1"].update(
+        ok=False, error="ZeroDivisionError: division by zero", metrics={}, claims=[],
+    )
+    assert [d.message for d in structure_checks(files)] == [
+        "table1: not ok (ZeroDivisionError: division by zero)"
+    ]
     # a metric a row reads has gone missing: the row fails, not the gate
     files = copy.deepcopy(committed)
     del claims.records(files["BENCH_suite.json"])["fig05a"]["metrics"]["kafka_flush_max_eps"]
@@ -362,7 +374,7 @@ def test_a_wrongly_shaped_file_is_a_drift_not_a_crash(committed):
     ):
         _assert_gate_repeats_the_check(committed, fname, mutate, fragment)
     files = copy.deepcopy(committed)
-    files["BENCH_workload.json"] = []
+    files["BENCH_suite.json"] = []
     assert [d.message for d in structure_checks(files)] == [
         "malformed report: AttributeError: 'list' object has no attribute 'get'"
     ]
@@ -407,17 +419,7 @@ def test_structure_check_rejects_uncontracted_file(committed):
     drifts = structure_checks(files)
     assert [d.file for d in drifts] == ["BENCH_bogus.json"]
     assert drifts[0].kind == "structure"
-    assert set(committed) == {f"BENCH_{name}.json" for name in harness.OWNERS}
-
-
-def test_cross_file_disagreement_is_reported(committed):
-    files = copy.deepcopy(committed)
-    files["BENCH_workload.json"]["scenarios"][0]["kernel_events"] += 1
-    # keep the suite's twin untouched: the two files now disagree
-    drifts = structure_checks(files)
-    assert [(d.file, d.path) for d in drifts] == [
-        ("BENCH_workload.json", "workload_diurnal.kernel_events")
-    ]
+    assert set(committed) == {f"BENCH_{name}.json" for name in harness.BENCHES}
 
 
 def test_gate_fails_end_to_end_on_perturbed_copy(tmp_path, committed):
@@ -473,7 +475,7 @@ def test_run_rejects_an_unknown_scenario(capsys):
     with pytest.raises(SystemExit) as exc:
         bench_main(["run", "kernel", "--check", "--scenario", "no_such"])
     assert exc.value.code == 2
-    assert "unknown scenario(s) ['no_such']" in capsys.readouterr().err
+    assert "unknown scenario 'no_such'" in capsys.readouterr().err
 
 
 def test_run_check_rejects_a_scenario_without_a_check_variant(capsys):

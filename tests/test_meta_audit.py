@@ -208,34 +208,20 @@ def test_bench_scripts_carry_no_cli_of_their_own():
 
 
 def test_every_committed_bench_file_has_one_owner_and_one_make_rule():
+    # the Makefile's pattern rules run exactly the driver's benches
     from repro.bench import harness
 
-    text, lists = _makefile()
-    committed = {path.name for path in REPO.glob("BENCH_*.json")}
-    assert committed == {f"BENCH_{name}.json" for name in harness.OWNERS}
-    # the report benches are the pattern rules' list; the suite files
-    # are written by explicit recipes
-    assert sorted(lists["BENCHES"]) == sorted(harness.RUNNABLE)
-    assert "-m repro.bench run $*" in text
-    for name in set(harness.OWNERS) - set(harness.RUNNABLE):
-        assert f"--json BENCH_{name}.json" in text, name
-    for name, module in harness.RUNNABLE.items():
-        bench = harness.load(module)
-        for attr in ("SCENARIOS", "REPEATS", "describe"):
-            assert hasattr(bench, attr), f"{module}.{attr}"
+    _, lists = _makefile()
+    assert sorted(lists["BENCHES"]) == sorted(harness.BENCHES)
 
 
 # ----------------------------------------------------------------------
 # Figure claims as data: the scripts measure, one table claims
 # ----------------------------------------------------------------------
-def _figure_scenarios():
-    from repro.bench.suite import SCENARIOS
-
-    return {name: s for name, s in SCENARIOS.items() if not s.smoke}
-
-
 def test_figure_scripts_state_no_claims_and_take_no_fixture():
-    modules = {s.module for s in _figure_scenarios().values()} | {"common"}
+    from repro.bench import harness
+
+    modules = {module for _, module in harness.load("suite").FIGURES} | {"common"}
     for module in sorted(modules):
         script = REPO / "benchmarks" / f"{module}.py"
         tree = ast.parse(script.read_text(), filename=str(script))
@@ -255,17 +241,13 @@ def test_every_figure_scenario_is_claimed_over_recorded_metrics():
 
     ids = [row.id for row in CLAIMS]
     assert len(ids) == len(set(ids)), "duplicate claim ids"
-    # every committed file's scenarios, by their defining module: a name
-    # is one scenario wherever it is recorded (the workload file records
-    # a subset of the suite's)
-    files = {f"BENCH_{name}.json": module for name, module in harness.OWNERS.items()}
-    defined = {fname: harness.scenario_names(fname) for fname in files}
+    # every committed file's scenarios, by the bench defining them: a
+    # name is one scenario of one bench
+    defined = {f"BENCH_{name}.json": harness.scenario_names(name) for name in harness.BENCHES}
     owner = {}
     for fname, names in defined.items():
         for name in names:
-            assert owner.setdefault(name, files[fname]) == files[fname], (
-                f"{name} is a scenario of two modules"
-            )
+            assert owner.setdefault(name, fname) == fname, f"{name} is a scenario of two benches"
     assert {row.scenario for row in CLAIMS} == set(owner), (
         "every scenario carries at least one row, every row a scenario"
     )

@@ -138,10 +138,10 @@ class TestGoldenDefaultPath:
         metrics, simulated time and kernel event count.  Re-pinned when
         the process-backed tail park was deleted: its kernel events fell,
         its metrics and simulated time did not move."""
-        from repro.bench.suite import run_scenario
+        from repro.bench import harness
 
         fixture = json.loads(GOLDEN.read_text())
-        record = run_scenario(fixture["scenario"])
+        record, _, _ = harness.run_row("suite", fixture["scenario"], check=True, repeats=1)
         for key, want in fixture["fields"].items():
             assert record[key] == want, (
                 f"default read path drifted: {key} = {record[key]!r}, "

@@ -1,11 +1,10 @@
 """End-to-end workload driver tests: auto-scaling under a diurnal
 pattern, multi-tenant determinism, pattern-aware backpressure caps and
-fault scheduling, and suite scenario selection."""
+fault scheduling, and the bench driver's scenario selection."""
 
 import pytest
 
-from repro.bench import PravegaAdapter, WorkloadSpec
-from repro.bench.suite import SCENARIOS, _expand_selection
+from repro.bench import PravegaAdapter, WorkloadSpec, harness
 from repro.faults import FaultPlan
 from repro.pravega import ScalingPolicy
 from repro.sim import Simulator
@@ -186,26 +185,30 @@ def test_fault_at_peak_schedules_at_pattern_peak():
 
 
 # ----------------------------------------------------------------------
-# Suite selection (--only / --skip share the expansion rules)
+# Scenario selection (`run <bench> --scenario`, every bench)
 # ----------------------------------------------------------------------
 def test_expand_selection_exact_and_prefix():
-    assert _expand_selection("fig10a") == ["fig10a"]
-    assert _expand_selection("fig10") == ["fig10a", "fig10b"]
-    expanded = _expand_selection("workload")
-    assert set(expanded) >= {"workload_diurnal", "workload_flash", "workload_slo"}
-    # duplicates collapse, order is first-mention
-    assert _expand_selection("fig10a,fig10") == ["fig10a", "fig10b"]
+    suite = harness.load("suite")
+    assert harness.select(suite, ["fig10a"]) == ["fig10a"]
+    assert harness.select(suite, ["fig10"]) == ["fig10a", "fig10b"]
+    assert harness.select(suite, ["workload"]) == [
+        "workload_diurnal", "workload_flash", "workload_slo",
+    ]
+    # duplicates collapse, order is the registry's; tokens are
+    # comma-separated and the flag repeatable
+    assert harness.select(suite, ["fig10b,fig10", "fig10a"]) == ["fig10a", "fig10b"]
+    # an exact name wins over the prefix it also is
+    kernel = harness.load("kernel")
+    assert harness.select(kernel, ["ping_pong"]) == ["ping_pong"]
+    assert harness.select(harness.load("capacity"), ["pravega"]) == [
+        "pravega/uniform", "pravega/mixed",
+    ]
+    assert harness.select(kernel, []) == [row[0] for row in kernel.SCENARIOS]
 
 
 def test_expand_selection_rejects_unknown():
-    with pytest.raises(SystemExit):
-        _expand_selection("not_a_scenario")
-
-
-def test_skip_semantics_mirror_cli():
-    names = [n for n, s in SCENARIOS.items() if not s.smoke]
-    skipped = set(_expand_selection("fig10,workload"))
-    remaining = [n for n in names if n not in skipped]
-    assert "fig10a" not in remaining and "fig10b" not in remaining
-    assert not any(n.startswith("workload") for n in remaining)
-    assert "fig11" in remaining
+    suite = harness.load("suite")
+    with pytest.raises(ValueError, match="unknown scenario 'not_a_scenario'"):
+        harness.select(suite, ["fig10,not_a_scenario"])
+    with pytest.raises(ValueError, match="the selection is empty"):
+        harness.select(suite, [" , "])
