@@ -4,7 +4,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 ## the benches `python -m repro.bench run <name>` drives, each
 ## benchmarks/bench_<name>.py; the claims about each BENCH_<name>.json
 ## are rows of repro.bench.claims
-BENCHES := kernel capacity read suite
+BENCHES := kernel read suite
 ## the pytest domain markers with a `make <marker>-test` selection
 MARKERS := trace workload capacity gate read
 
@@ -58,6 +58,6 @@ trace:
 ## benchmark regression gate: committed BENCH_*.json vs fresh smoke
 ## re-runs, structured diff on drift; re-evaluates every claim row over
 ## every committed file
-## (override: SMOKE=none or SMOKE=suite:fig05c,capacity:kafka/mixed)
+## (override: SMOKE=none or SMOKE=suite:fig05c+workload_slo,kernel:ping_pong)
 gate:
 	$(PYTHON) -m repro.bench gate $(if $(SMOKE),--smoke $(SMOKE))

@@ -27,7 +27,7 @@ from repro.bench import (
 from repro.capacity import find_max_throughput
 from repro.workload import saturation_margin, sustainable_verdict
 
-from common import run_fresh, trim
+from common import run_fresh
 
 EVENT_SIZE = 100
 
@@ -52,7 +52,7 @@ def _spec(partitions: int, rate: float) -> WorkloadSpec:
 
 
 def _run_figure(partitions: int):
-    rates = trim([10_000, 50_000, 100_000, 250_000, 500_000, 1_000_000], keep=3)
+    rates = [10_000, 100_000, 500_000, 1_000_000]
     table = Table(
         ["system", "target", "achieved", "write p50", "write p95"],
         title=f"Fig. 5 ({partitions} segment(s)/partition(s), 1 writer, 100B events)",
@@ -73,8 +73,8 @@ def _run_figure(partitions: int):
                 fmt_latency(result.write_latency.p50),
                 fmt_latency(result.write_latency.p95),
             )
-            verdict = sustainable_verdict({label: (result, saturation_margin(result))})
-            if not verdict["feasible"]:
+            feasible, _ = sustainable_verdict(result, saturation_margin(result))
+            if not feasible:
                 break
         probe = find_max_throughput(
             make, _spec(partitions, 0), start=800_000, cap=4_000_000, rel_tol=0.2,

@@ -38,12 +38,10 @@ from repro.bench import (
 from repro.pulsar import PulsarBrokerConfig
 from repro.sim import Simulator
 
-from common import FULL
-
 EVENT_SIZE = 1_000
 TARGET_RATE = 250_000  # events/s == 250 MB/s
-SEGMENT_COUNTS = [10, 500, 5000] if not FULL else [10, 50, 100, 500, 1000, 5000]
-WRITER_COUNTS = [10, 100] if not FULL else [10, 50, 100]
+SEGMENT_COUNTS = [10, 500, 5000]
+WRITER_COUNTS = [10, 100]
 
 #: simulate at most this many partitions; beyond it, use a scaled slice
 MAX_SIMULATED_PARTITIONS = 25

@@ -28,12 +28,10 @@ from repro.bench import (
 from repro.pulsar import PulsarBrokerConfig
 from repro.sim import Simulator
 
-from common import FULL
-
 EVENT_SIZE = 10_000
 WRITE_RATE = 10_000  # events/s == 100 MB/s
 PARTITIONS = 16
-BACKLOG_BYTES = (1_500 if FULL else 600) * 1_000_000
+BACKLOG_BYTES = 600 * 1_000_000
 MAX_CATCHUP = 120.0
 
 

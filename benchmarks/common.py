@@ -9,9 +9,6 @@ real AWS testbed) is the scenario's rows in ``repro.bench.claims``,
 evaluated over those metrics by the one driver, ``python -m repro.bench
 run suite [--scenario fig05]``.
 
-Set ``REPRO_BENCH_FULL=1`` for the full sweeps; the default trims sweep
-points to keep the whole suite fast.
-
 Set ``REPRO_TRACE_DIR=<dir>`` to capture a Chrome trace (Perfetto-loadable)
 of every ``run_fresh`` workload into that directory; benches that pass
 ``trace_name=`` get stable file names, the rest are numbered per adapter.
@@ -22,12 +19,11 @@ from __future__ import annotations
 import itertools
 import os
 import re
-from typing import Callable, List, Optional
+from typing import Callable, Optional
 
 from repro.sim import Simulator
 from repro.bench import BenchResult, WorkloadSpec, attach_tracer, run_workload
 
-FULL = os.environ.get("REPRO_BENCH_FULL", "") not in ("", "0")
 TRACE_DIR = os.environ.get("REPRO_TRACE_DIR", "")
 
 _trace_seq = itertools.count()
@@ -66,13 +62,3 @@ def run_fresh(
         )
     return result
 
-
-def trim(points: List, keep: int = 3) -> List:
-    """Keep a reduced set of sweep points unless REPRO_BENCH_FULL is set."""
-    if FULL or len(points) <= keep:
-        return list(points)
-    step = max(1, len(points) // keep)
-    reduced = points[::step]
-    if points[-1] not in reduced:
-        reduced.append(points[-1])
-    return reduced

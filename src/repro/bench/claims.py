@@ -2,8 +2,8 @@
 
 The paper's result is a set of comparative statements (Figs. 5-13,
 Table 1: who wins, by what factor, where curves cross), and every
-report bench's file states its own (a capacity bracket converges,
-coalescing cuts LTS ops, ...).
+report bench's file states its own (the kernel records its collector
+runs, coalescing cuts LTS ops, ...).
 Each is one row of ``CLAIMS`` — ``(id, statement, predicate[, assumes[,
 full_only]])``, the id being ``<scenario>.<what the row says>`` — whose
 predicate is built from a closed vocabulary over *recorded* metric names:
@@ -36,9 +36,7 @@ verdicts in the scenario record (``claims: [{id, ok, margin}]``).
 ``check(report, scenarios)`` is the only check: what the regression
 gate holds every committed ``BENCH_*.json`` to, and ``run`` a fresh one.
 
-Suite rows are written for the default (trimmed) sweeps, which are what
-is committed; ``REPRO_BENCH_FULL=1`` adds sweep points, not claims.  A
-``full_only`` row is about what only a report bench's full-size run
+A ``full_only`` row is about what only a report bench's full-size run
 has (a sweep point, an event count, a wall-clock ratio): ``run
 --check`` skips it.
 """
@@ -235,14 +233,6 @@ def _kernel_rows(scenario: str) -> List[tuple]:
          "wall pair (equal when the change is event-neutral; a wall pair at a higher "
          "event count would hide a regression)",
          le("events", "baseline.events"), None, True),
-    ]
-
-
-def _capacity_rows(point: str) -> List[tuple]:
-    # EXPERIMENTS.md: "A point is trustworthy iff `converged`"
-    return [
-        (f"{point}.converged", f"{point}: the bracket converged to its rel_tol width",
-         both(equal("converged", True), le("bracket_width_rel", "rel_tol"))),
     ]
 
 
@@ -451,9 +441,6 @@ CLAIMS: Tuple[Claim, ...] = tuple(Claim(*row) for row in [
         "timeout_churn", "ping_pong", "ping_pong_sliced", "cancel_storm", "mini_workload",
         "mini_tracer_off",
     ) for row in _kernel_rows(scenario)),
-    # ---- BENCH_capacity.json: one point per system x tenant mix -------
-    *(row for system in ("pravega", "kafka", "pulsar") for mix in ("uniform", "mixed")
-      for row in _capacity_rows(f"{system}/{mix}")),
     # ---- BENCH_read.json: the read-path serving tier ------------------
     *((f"{family}.seeded", f"{family}: the record carries the seed its run replays from",
        ge("seed", 0)) for family in ("fanout", "replay", "policies", "reader_heavy")),

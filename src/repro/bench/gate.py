@@ -1,8 +1,7 @@
 """Benchmark regression gate: committed BENCH_*.json vs fresh runs.
 
 The repo commits its performance trajectory as ``BENCH_*.json`` files
-(kernel microbenchmarks, the figure suite, the capacity map and the
-read-path report).  Nothing guarded them: a
+(kernel microbenchmarks, the figure suite and the read-path report).  Nothing guarded them: a
 regression could land silently and only be noticed when a full suite
 re-run happened to be eyeballed.  The
 gate closes that hole in three layers, cheapest first:
@@ -18,7 +17,7 @@ gate closes that hole in three layers, cheapest first:
    fresh — by the function a ``run`` worker runs it with — and compared
    field by field against the committed records: the deterministic
    fields (``harness.deterministic``: kernel events, simulated time,
-   figure metrics, capacity rates) must match exactly, wall-clock fields
+   figure metrics, max-throughput probe logs) must match exactly, wall-clock fields
    only within a generous ratio (different machines are expected to
    differ);
 3. **structured diff** — every violation is a :class:`Drift` with the
@@ -35,7 +34,7 @@ Usage::
 
     python -m repro.bench gate                       # default smoke set
     python -m repro.bench gate --smoke none          # structure only
-    python -m repro.bench gate --smoke suite:fig05c+table1,capacity:kafka/mixed
+    python -m repro.bench gate --smoke suite:fig05c+table1,kernel:ping_pong
     python -m repro.bench gate --tol 'wall_s=20' --json gate_report.json
 """
 
@@ -74,7 +73,7 @@ WALL_FLOOR = 0.05
 
 DEFAULT_SMOKE = (
     "kernel:timeout_churn+ping_pong_sliced+cancel_storm,"
-    "suite:table1+fig05c+workload_slo,capacity:pravega/uniform"
+    "suite:table1+fig05c+workload_slo"
 )
 
 
@@ -267,7 +266,6 @@ def structure_checks(files: Dict[str, dict]) -> List[Drift]:
 SMOKE_FAMILIES = {
     "kernel": "timeout_churn",
     "suite": "table1",
-    "capacity": "pravega/uniform",
 }
 
 

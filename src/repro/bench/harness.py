@@ -26,7 +26,7 @@ Usage (the one parser is :mod:`repro.bench.__main__`)::
     python -m repro.bench run kernel                  # writes BENCH_kernel.json
     python -m repro.bench run read --check --jobs 2   # smoke: claims + budgets
     python -m repro.bench run suite --scenario fig05 --jobs 1
-    python -m repro.bench run capacity --scenario pravega --json out.json
+    python -m repro.bench run suite --scenario fig05c --json out.json
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ ROOT = Path(__file__).resolve().parents[3]
 
 #: every bench: ``run <name>`` drives ``benchmarks/bench_<name>.py`` and
 #: a full run writes ``BENCH_<name>.json``
-BENCHES = ("kernel", "capacity", "read", "suite")
+BENCHES = ("kernel", "read", "suite")
 
 #: fields that measure the machine, not the simulation: compared as a
 #: ratio with a generous allowance instead of exactly

@@ -186,9 +186,6 @@ class Bookie:
         self._fenced.add(ledger_id)
         return self.last_entry_id(ledger_id)
 
-    def is_fenced(self, ledger_id: int) -> bool:
-        return ledger_id in self._fenced
-
     def delete_ledger(self, ledger_id: int) -> None:
         """Drop the ledger's entries (WAL truncation deletes ledgers, §4.3)."""
         self._ledgers.pop(ledger_id, None)

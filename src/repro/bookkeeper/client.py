@@ -81,11 +81,6 @@ class BookKeeperClient:
         self.cluster.ledger_manager.register(metadata)
         return LedgerHandle(self, metadata, writable=True)
 
-    def open_ledger_no_recovery(self, ledger_id: int) -> "LedgerHandle":
-        """Open for reading without fencing (tail reading by the owner)."""
-        metadata = self.cluster.ledger_manager.get(ledger_id)
-        return LedgerHandle(self, metadata, writable=False)
-
     def open_ledger_with_recovery(self, ledger_id: int) -> SimFuture:
         """Fence the ensemble, recover the last entry, close the ledger.
 

@@ -3,11 +3,11 @@
 Karimov et al. define *sustainable throughput* as the highest offered
 rate a system holds without unbounded backlog.  Feasibility at a given
 rate is delegated to one oracle (in production
-:func:`repro.workload.slo.sustainable_verdict` over a discrete run — a
-tenant mix for the capacity map, one constant-rate workload for a
-figure's maximum throughput — in tests any synthetic predicate); this
-module owns only the search structure, so its
-convergence properties can be property-tested without a simulator:
+:func:`repro.workload.slo.sustainable_verdict` over one constant-rate
+discrete run, :func:`find_max_throughput`; in tests any synthetic
+predicate); :func:`find_sustainable_rate` owns only the search
+structure, so its convergence properties can be property-tested
+without a simulator:
 
 * **bracket** — geometric ramp (up from a feasible start, down from an
   infeasible one) until the threshold is straddled;
@@ -23,10 +23,16 @@ and what the margin was.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import time
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
-__all__ = ["Probe", "SearchResult", "find_sustainable_rate"]
+from repro.bench.results import BenchResult
+from repro.bench.runner import WorkloadSpec, run_probe
+from repro.sim.core import Simulator
+from repro.workload.slo import saturation_margin, sustainable_verdict
+
+__all__ = ["Probe", "SearchResult", "find_sustainable_rate", "find_max_throughput"]
 
 
 @dataclass(frozen=True)
@@ -38,7 +44,6 @@ class Probe:
     #: signed headroom: > 0 means the SLO held with room to spare,
     #: <= 0 the magnitude of the violation (units are oracle-defined)
     margin: float
-    detail: Dict[str, float] = field(default_factory=dict)
 
 
 Oracle = Callable[[float], Probe]
@@ -57,8 +62,6 @@ class SearchResult:
     probes: List[Probe]
     #: the bracket reached ``rel_tol`` before the probe budget ran out
     converged: bool
-    #: margin reported by the final feasible probe
-    margin: float
 
     @property
     def probe_count(self) -> int:
@@ -105,12 +108,6 @@ def find_sustainable_rate(
         probes.append(probe)
         return probe
 
-    def margin_at(rate: float) -> float:
-        for probe in reversed(probes):
-            if probe.rate == rate:
-                return probe.margin
-        return 0.0
-
     # -- bracket: a geometric ramp until the threshold is straddled ----
     # lo is feasible and hi infeasible; either stays None when the
     # threshold escapes [floor, cap] or the budget runs out.
@@ -144,13 +141,13 @@ def find_sustainable_rate(
         # nothing feasible down to the floor: report rate 0 honestly
         return SearchResult(
             rate=0.0, bracket=(0.0, hi if hi is not None else float(floor)),
-            width_rel=1.0, probes=probes, converged=False, margin=margin_at(0.0),
+            width_rel=1.0, probes=probes, converged=False,
         )
     if hi is None:
         # feasible all the way to the cap (or budget exhausted going up)
         return SearchResult(
             rate=lo, bracket=(lo, float(cap)), width_rel=_width(lo, cap),
-            probes=probes, converged=lo >= cap, margin=margin_at(lo),
+            probes=probes, converged=lo >= cap,
         )
 
     # -- bisect by geometric mean --------------------------------------
@@ -167,5 +164,60 @@ def find_sustainable_rate(
             hi = mid
     return SearchResult(
         rate=lo, bracket=(lo, hi), width_rel=_width(lo, hi), probes=probes,
-        converged=_width(lo, hi) <= rel_tol, margin=margin_at(lo),
+        converged=_width(lo, hi) <= rel_tol,
     )
+
+
+def find_max_throughput(
+    make_adapter: Callable[[Simulator], object],
+    spec: WorkloadSpec,
+    *,
+    start: float,
+    cap: float,
+    rel_tol: float,
+    log: Optional[List[Dict[str, object]]] = None,
+) -> BenchResult:
+    """The run of the highest rate ``spec`` sustains (Karimov et al.).
+
+    :func:`find_sustainable_rate` doubles up (or halves down) from
+    ``start`` within ``[1, cap]`` and bisects to ``rel_tol``.  Each probe
+    runs ``spec`` at one constant rate on a fresh simulator and a cold
+    cluster (:func:`repro.bench.runner.run_probe`: it ends when the
+    window's measurements are final) and is judged by
+    :func:`sustainable_verdict` over its saturation margin.  Returns the
+    highest feasible probe's result — an all-zero ``BenchResult`` when
+    nothing down to the floor is feasible — and appends one record per
+    probe (rate, verdict, margin, kernel events, wall seconds) to
+    ``log`` when given.
+    """
+    if spec.arrival is not None:
+        # The search owns the offered rate; a time-varying arrival process
+        # would silently override every probed target_rate.
+        raise ValueError(
+            "find_max_throughput probes constant rates; spec.arrival must "
+            "be None (use run_workload/run_tenants for shaped traffic)"
+        )
+    feasible: Dict[float, BenchResult] = {}
+
+    def probe(rate: float) -> Probe:
+        started = time.perf_counter()
+        sim = Simulator()
+        result = run_probe(sim, make_adapter(sim), replace(spec, target_rate=rate))
+        ok, margin = sustainable_verdict(result, saturation_margin(result))
+        margin = round(float(margin), 6)
+        if ok:
+            feasible[rate] = result
+        if log is not None:
+            stats = sim.stats
+            log.append({
+                "rate_eps": round(float(rate), 3),
+                "feasible": ok,
+                "margin": margin,
+                "kernel_events": stats.events_executed + stats.microtasks_executed,
+                "wall_s": round(time.perf_counter() - started, 3),
+            })
+        return Probe(rate=rate, feasible=ok, margin=margin)
+
+    search = find_sustainable_rate(probe, start=start, cap=cap, rel_tol=rel_tol)
+    # the bracket's lower end is the highest rate judged feasible
+    return feasible.get(search.rate) or BenchResult()

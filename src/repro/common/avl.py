@@ -203,14 +203,6 @@ class AvlTree(Generic[K, V]):
             node = node.left
         return (node.key, node.value)
 
-    def max_item(self) -> Optional[Tuple[K, V]]:
-        node = self._root
-        if node is None:
-            return None
-        while node.right is not None:
-            node = node.right
-        return (node.key, node.value)
-
     def items(self) -> Iterator[Tuple[K, V]]:
         """In-order traversal (ascending keys), iterative to bound stack use."""
         stack: list[_Node[K, V]] = []

@@ -100,10 +100,6 @@ class ContainerError(ReproError):
     """Base class for segment-container faults."""
 
 
-class ContainerFencedError(ContainerError):
-    """The container lost ownership (another instance fenced it out)."""
-
-
 class ContainerOfflineError(ContainerError):
     """The container is shut down or recovering."""
 
@@ -112,20 +108,12 @@ class ConditionalUpdateError(ReproError):
     """A conditional key-value-table update failed (version mismatch)."""
 
 
-class TransactionFailedError(ConditionalUpdateError):
-    """A multi-key table transaction aborted."""
-
-
 class WriterError(ReproError):
     """Base class for event-writer errors."""
 
 
 class ReaderError(ReproError):
     """Base class for event-reader errors."""
-
-
-class ReaderGroupError(ReaderError):
-    """Reader-group coordination failed."""
 
 
 class KafkaError(ReproError):
@@ -142,10 +130,6 @@ class PulsarError(ReproError):
 
 class BrokerCrashedError(PulsarError):
     """The broker crashed (memory-pressure model) during the operation."""
-
-
-class BackpressureError(ReproError):
-    """Ingestion was throttled and the caller chose not to wait."""
 
 
 class FaultInjectionError(ReproError):

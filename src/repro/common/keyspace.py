@@ -35,9 +35,6 @@ class KeyRange:
     def overlaps(self, other: "KeyRange") -> bool:
         return self.low < other.high and other.low < self.high
 
-    def adjacent_to(self, other: "KeyRange") -> bool:
-        return abs(self.high - other.low) < _EPS or abs(other.high - self.low) < _EPS
-
     @property
     def width(self) -> float:
         return self.high - self.low

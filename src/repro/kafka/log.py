@@ -175,12 +175,3 @@ class PartitionLog:
                 if batch.producer_id and batch.sequence >= 0:
                     self._producer_sequences[batch.producer_id] = batch.sequence
         return lost
-
-    def truncate_to(self, offset: int) -> None:
-        """Drop batches above ``offset`` (follower truncation on leader change)."""
-        kept = [b for b in self.batches if b.last_offset < offset]
-        removed = len(self.batches) - len(kept)
-        if removed:
-            self.batches = kept
-            self._base_offsets = [b.base_offset for b in kept]
-            self.leo = kept[-1].last_offset + 1 if kept else 0

@@ -16,7 +16,6 @@ from repro.obs.export import to_chrome_trace, export_chrome_trace
 from repro.obs.critical_path import (
     COMPONENTS,
     WRITE_ROOT_NAMES,
-    attr_breakdown,
     event_records,
     median_record,
     summarize,
@@ -29,7 +28,6 @@ __all__ = [
     "export_chrome_trace",
     "COMPONENTS",
     "WRITE_ROOT_NAMES",
-    "attr_breakdown",
     "event_records",
     "median_record",
     "summarize",

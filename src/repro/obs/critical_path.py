@@ -20,7 +20,6 @@ from repro.obs.tracer import Tracer
 __all__ = [
     "COMPONENTS",
     "WRITE_ROOT_NAMES",
-    "attr_breakdown",
     "event_records",
     "median_record",
     "summarize",
@@ -64,38 +63,6 @@ def event_records(
             }
         )
     return records
-
-
-def attr_breakdown(
-    tracer: Tracer, key: str, window: Optional[Tuple[float, float]] = None
-) -> Dict[str, Dict[str, float]]:
-    """Aggregate root write spans grouped by an attribute value.
-
-    ``key`` names a span attribute (the bench harness stamps ``tenant``
-    on every root span of a multi-tenant run); spans without it land in
-    ``"unattributed"``.  Per group: span count, payload event/byte sums,
-    and the mean ack latency — "who is spending the cluster's time".
-    """
-    groups: Dict[str, Dict[str, float]] = {}
-    for span in tracer.spans:
-        if span.parent is not None or span.name not in WRITE_ROOT_NAMES:
-            continue
-        if span.end is None:
-            continue
-        if window is not None and not (window[0] <= span.start < window[1]):
-            continue
-        value = str(span.attrs.get(key, "unattributed"))
-        group = groups.setdefault(
-            value,
-            {"spans": 0.0, "events": 0.0, "bytes": 0.0, "total_time": 0.0},
-        )
-        group["spans"] += 1.0
-        group["events"] += float(span.attrs.get("events", 1))
-        group["bytes"] += float(span.attrs.get("bytes", 0))
-        group["total_time"] += span.end - span.start
-    for group in groups.values():
-        group["mean_latency"] = group["total_time"] / group["spans"]
-    return groups
 
 
 def median_record(records: List[Dict[str, float]]) -> Optional[Dict[str, float]]:

@@ -113,14 +113,6 @@ class BlockCache:
         return self._used_blocks
 
     @property
-    def used_bytes(self) -> int:
-        return self._used_blocks * self.spec.block_size
-
-    @property
-    def free_blocks(self) -> int:
-        return self.spec.max_blocks - self._used_blocks
-
-    @property
     def overflowing(self) -> bool:
         """Above the target capacity (ingestion should be throttled)."""
         return self._used_blocks > self.spec.max_blocks

@@ -1045,7 +1045,3 @@ class SegmentContainer:
             self.storage_writer.track_segment(segment)
 
     # ------------------------------------------------------------------
-    def segment_names(self) -> List[str]:
-        return sorted(
-            name for name, state in self.segments.items() if not state.deleted
-        )

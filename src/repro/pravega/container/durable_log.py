@@ -325,10 +325,6 @@ class DurableLog:
     def ledger_count(self) -> int:
         return len(self._ledgers)
 
-    @property
-    def wal_bytes(self) -> int:
-        return sum(info.size for info in self._ledgers)
-
     # ------------------------------------------------------------------
     # Recovery (§4.4)
     # ------------------------------------------------------------------

@@ -26,7 +26,6 @@ __all__ = [
     "CreateSegmentOperation",
     "SealSegmentOperation",
     "TruncateSegmentOperation",
-    "MergeSegmentOperation",
     "DeleteSegmentOperation",
     "TableUpdateOperation",
     "MetadataCheckpointOperation",
@@ -133,18 +132,6 @@ class TruncateSegmentOperation(Operation):
     def __init__(self, segment: str, offset: int = 0) -> None:
         super().__init__(segment)
         self.offset = offset
-
-
-class MergeSegmentOperation(Operation):
-    """Merge ``source`` (sealed) into ``segment`` at its current length."""
-
-    __slots__ = ("source",)
-
-    op_type = OperationType.MERGE
-
-    def __init__(self, segment: str, source: str = "") -> None:
-        super().__init__(segment)
-        self.source = source
 
 
 class DeleteSegmentOperation(Operation):

@@ -130,9 +130,6 @@ class StorageWriter:
         self._outstanding[sequence] = True
         if pending.size >= self.config.flush_threshold:
             self._start_flush(segment)
-
-    def note_non_append(self, sequence: int) -> None:
-        """Non-append operations need no LTS flush; they never block truncation."""
         # Intentionally not tracked in _outstanding.
 
     @property

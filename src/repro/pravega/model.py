@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.common.keyspace import KeyRange
 
@@ -148,9 +148,3 @@ class StreamCut:
     @classmethod
     def of(cls, positions: Dict[int, int]) -> "StreamCut":
         return cls(tuple(sorted(positions.items())))
-
-    def offset_for(self, segment_number: int) -> Optional[int]:
-        for number, offset in self.positions:
-            if number == segment_number:
-                return offset
-        return None

@@ -94,11 +94,6 @@ class SegmentStore:
         self.containers[container_id] = container
         return container.recover() if recover else container.start()
 
-    def drop_container(self, container_id: int) -> None:
-        container = self.containers.pop(container_id, None)
-        if container is not None:
-            container.shutdown()
-
     def container_for(self, segment: str) -> SegmentContainer:
         """The container owning ``segment`` — if hosted here."""
         # The segment -> container mapping is a pure function of the name

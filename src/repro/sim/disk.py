@@ -66,10 +66,6 @@ class Disk:
         self.node = ""
         sim.register_fluid(self)
 
-    @property
-    def pending_ops(self) -> int:
-        return self._server.pending
-
     def backlog_seconds(self) -> float:
         return self._server.backlog_seconds()
 

@@ -38,10 +38,6 @@ class Resource:
     def in_use(self) -> int:
         return self._in_use
 
-    @property
-    def queue_length(self) -> int:
-        return len(self._waiters)
-
     def acquire(self) -> SimFuture:
         fut = SimFuture(self.sim)
         if self._in_use < self.capacity:

@@ -37,7 +37,6 @@ from repro.workload.slo import (
     SloTracker,
     capacity_report,
     saturation_margin,
-    slo_margin,
     sustainable_verdict,
 )
 from repro.workload.tenants import (
@@ -67,7 +66,6 @@ __all__ = [
     "SloTracker",
     "capacity_report",
     "saturation_margin",
-    "slo_margin",
     "sustainable_verdict",
     "TenantSpec",
     "MultiTenantResult",

@@ -20,14 +20,15 @@ Reports flatten into ``BenchResult.extra`` as ``slo.*`` floats
 (JSON-ready for the figure suite).
 
 ``sustainable_verdict`` is the one feasibility verdict of a probe run:
-the capacity planner feeds it each tenant's ``slo_margin``, a figure's
-max-throughput search its probe's ``saturation_margin``.
+a figure's max-throughput search feeds it its probe's
+``saturation_margin``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.common.metrics import percentile
 
@@ -38,7 +39,6 @@ __all__ = [
     "SloTracker",
     "capacity_report",
     "saturation_margin",
-    "slo_margin",
     "sustainable_verdict",
 ]
 
@@ -118,7 +118,9 @@ class SloTracker:
     # -- evaluation ----------------------------------------------------
     def report(self) -> Dict[str, float]:
         spec = self.spec
-        total_windows = max(1, int(round((self.end - self.start) / WINDOW)))
+        # a partial last window still holds sends: count it (rounding
+        # first, so float noise on a whole number of windows adds none)
+        total_windows = max(1, math.ceil(round((self.end - self.start) / WINDOW, 9)))
         sent = acked = failed = 0
         latency_bad = 0
         worst_p99 = 0.0
@@ -162,30 +164,6 @@ class SloTracker:
             extra[f"{prefix}{key}"] = value
 
 
-def slo_margin(report: Dict[str, float]) -> float:
-    """Signed SLO headroom of one tenant report, in budget units.
-
-    The margin is the minimum of two normalized slacks:
-
-    * **error budget** — ``1 - burn_rate``: 0 means the availability
-      budget is exactly spent, negative means overspent;
-    * **latency compliance** — the compliance surplus over the target,
-      normalized by the allowed bad-window fraction, so "one spare bad
-      window" scores comparably to "one spare nine".
-
-    Feasibility for the capacity planner is ``margin > 0``; the value
-    itself is the distance to the SLO boundary, which the planner
-    records per probe so a capacity map shows *how close* each found
-    rate sits to the cliff.
-    """
-    budget_slack = 1.0 - report.get("burn_rate", 0.0)
-    allowed_bad = 1.0 - LATENCY_COMPLIANCE
-    latency_slack = (
-        report.get("latency_compliance", 1.0) - LATENCY_COMPLIANCE
-    ) / allowed_bad
-    return min(budget_slack, latency_slack)
-
-
 def saturation_margin(result) -> float:
     """Signed headroom of one max-throughput probe run (a
     :class:`~repro.bench.results.BenchResult` at a constant offered rate).
@@ -203,46 +181,23 @@ def saturation_margin(result) -> float:
     return min(acked_slack, latency_slack)
 
 
-def sustainable_verdict(runs: Mapping[str, Tuple[object, float]]) -> Dict[str, object]:
-    """The one feasibility verdict: one probe run, whole or per tenant.
+def sustainable_verdict(result, margin: float) -> Tuple[bool, float]:
+    """The one feasibility verdict of a probe run: ``(feasible, margin)``.
 
-    ``runs`` maps a name to ``(result, objective margin)``: the run's
-    :class:`~repro.bench.results.BenchResult` and the signed headroom of
-    its objective — :func:`slo_margin` of a capacity tenant's SLO report,
-    :func:`saturation_margin` of a figure probe.  A rate is
-    *sustainable* (Karimov et al.'s definition) when every objective
-    held, no backend crashed, and the run completed without hitting its
-    load timeout — the timeout is the "unbounded backlog" signal: an
-    open loop that cannot drain its backlog cap never finishes load
-    generation.  A run whose driver shed ticks at that cap is infeasible
-    too (margin at most -1): the load it did not offer is missing from
-    its measurements, which may then look fine.
+    ``result`` is the run's :class:`~repro.bench.results.BenchResult` and
+    ``margin`` the signed headroom of its objective
+    (:func:`saturation_margin`).  A rate is *sustainable* (Karimov et
+    al.'s definition) when the objective held, no backend crashed, and
+    the run completed without hitting its load timeout — the timeout is
+    the "unbounded backlog" signal: an open loop that cannot drain its
+    backlog cap never finishes load generation.  A run whose driver shed
+    ticks at that cap is infeasible too: the load it did not offer is
+    missing from its measurements, which may then look fine.  Each of
+    the three forces the margin to at most -1, a full budget.
     """
-    margins: Dict[str, float] = {}
-    crashed = False
-    completed = True
-    shed_ticks = 0
-    for name, (run, objective) in runs.items():
-        margins[name] = objective
-        crashed = crashed or run.crashed
-        completed = completed and not run.extra.get("load_timed_out")
-        shed = int(run.extra["shed_ticks"])
-        if shed:
-            margins[name] = min(margins[name], -1.0)
-            shed_ticks += shed
-    margin = min(margins.values()) if margins else 0.0
-    if not completed or crashed:
-        # backlog never drained, or a backend died: the violation is at
-        # least a full budget
+    if result.crashed or result.extra.get("load_timed_out") or result.extra["shed_ticks"]:
         margin = min(margin, -1.0)
-    return {
-        "feasible": completed and not crashed and margin > 0.0,
-        "margin": margin,
-        "margins": margins,
-        "completed": completed,
-        "crashed": crashed,
-        "shed_ticks": shed_ticks,
-    }
+    return margin > 0.0, margin
 
 
 def capacity_report(tenant_reports: Dict[str, Dict[str, float]]) -> Dict[str, Dict[str, float]]:

@@ -53,7 +53,3 @@ class ZNode:
     #: counter used to name sequential children
     child_sequence: int = 0
     children: Dict[str, "ZNode"] = field(default_factory=dict)
-
-    @property
-    def is_ephemeral(self) -> bool:
-        return self.ephemeral_owner is not None

@@ -76,7 +76,6 @@ def test_gate_passes_without_reruns_on_this_repo():
     assert set(report.files) >= {
         "BENCH_kernel.json",
         "BENCH_suite.json",
-        "BENCH_capacity.json",
         "BENCH_read.json",
     }
 
@@ -143,13 +142,16 @@ def test_missing_and_extra_metric_fields_are_reported(committed):
 
 
 def test_perturbed_capacity_rate_fails(committed):
-    base = claims.records(committed["BENCH_capacity.json"])["pravega/uniform"]["metrics"]
-    committed_view = {k: v for k, v in base.items() if k != "wall_s"}
-    bad = copy.deepcopy(committed_view)
-    bad["rate_eps"] *= 0.9  # capacity regression: 10% lower found rate
-    drifts = compare("BENCH_capacity.json", "pravega/uniform", committed_view, bad)
-    paths = {d.path for d in drifts}
-    assert "pravega/uniform.rate_eps" in paths
+    # a max-throughput search whose highest feasible probe is 10% lower
+    base = _suite_record(committed, "fig05c")
+    bad = copy.deepcopy(base)
+    best = bad["metrics"]["probes"]["Pravega (flush)"][0]
+    assert best["feasible"]
+    best["rate_eps"] *= 0.9
+    drifts = compare("BENCH_suite.json", "fig05c", base, bad)
+    assert [(d.kind, d.path) for d in drifts] == [
+        ("exact", "fig05c.metrics.probes.Pravega (flush)[0].rate_eps")
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -355,9 +357,9 @@ def test_a_null_measurement_fails_its_row_instead_of_crashing(committed):
     )
     assert "coalescing on: the replay records the fields a re-run is compared on" in failed
     _assert_gate_repeats_the_check(
-        committed, "BENCH_capacity.json",
-        lambda r: claims.records(r)["pulsar/mixed"]["metrics"].update(bracket_width_rel=None),
-        "claim failed: pulsar/mixed.converged",
+        committed, "BENCH_suite.json",
+        lambda r: claims.records(r)["fig05c"]["metrics"].update(pravega_noflush_eps=None),
+        "claim failed: fig05c.noflush_gain_modest",
     )
 
 
@@ -367,7 +369,7 @@ def test_a_wrongly_shaped_file_is_a_drift_not_a_crash(committed):
         ("BENCH_kernel.json",
          lambda r: r.update(scenarios={s["name"]: s for s in r["scenarios"]}),
          "no scenario recorded"),
-        ("BENCH_capacity.json", lambda r: r.update(manifest=["git_sha"]),
+        ("BENCH_suite.json", lambda r: r.update(manifest=["git_sha"]),
          "malformed report: AttributeError"),
         ("BENCH_read.json", lambda r: claims.records(r)["replay"].update(metrics=3),
          "malformed report: TypeError"),
@@ -425,19 +427,17 @@ def test_structure_check_rejects_uncontracted_file(committed):
 def test_gate_fails_end_to_end_on_perturbed_copy(tmp_path, committed):
     for fname, report in committed.items():
         bad = copy.deepcopy(report)
-        if fname == "BENCH_capacity.json":
-            claims.records(bad)["pravega/uniform"]["metrics"]["converged"] = False
+        if fname == "BENCH_suite.json":
+            claims.records(bad)["fig12"]["metrics"]["pravega_caught_up"] = False
         (tmp_path / fname).write_text(json.dumps(bad))
     report = run_gate(tmp_path, smoke="none")
     assert not report.ok
     # the structured diff names the file and quotes the claim row (the
-    # committed verdict, taken when the point converged, is now stale)
+    # committed verdict, taken when Pravega caught up, is now stale)
     failed, stale = report.drifts
-    assert {failed.file, stale.file} == {"BENCH_capacity.json"}
+    assert {failed.file, stale.file} == {"BENCH_suite.json"}
     assert {failed.kind, stale.kind} == {"structure"}
-    assert "claim failed: pravega/uniform.converged: pravega/uniform: the bracket converged" in (
-        failed.message
-    )
+    assert "claim failed: fig12.pravega_catches_up: Pravega catches up" in failed.message
 
 
 def test_smoke_rerun_reports_unknown_and_uncommitted_scenarios(committed):
@@ -480,13 +480,13 @@ def test_run_rejects_an_unknown_scenario(capsys):
 
 def test_run_check_rejects_a_scenario_without_a_check_variant(capsys):
     # naming a scenario --check cannot run is a usage error, not an empty `ok`
-    # (capacity plans one point under --check), also when named beside one
+    # (a figure has no smoke variant), also when named beside one
     for wanted, smokeless in (
-        ("kafka/uniform", ["kafka/uniform"]),
-        ("pravega/uniform,pulsar/mixed", ["pulsar/mixed"]),
+        ("fig05a", ["fig05a"]),
+        ("smoke_kafka,fig05c", ["fig05c"]),
     ):
         with pytest.raises(SystemExit) as exc:
-            bench_main(["run", "capacity", "--check", "--scenario", wanted])
+            bench_main(["run", "suite", "--check", "--scenario", wanted])
         assert exc.value.code == 2
         assert f"scenario(s) {smokeless!r}" in capsys.readouterr().err
     # and a report that recorded nothing is never ok

@@ -25,7 +25,7 @@ from repro.workload import saturation_margin, sustainable_verdict
 
 def feasible(result: BenchResult) -> bool:
     """The max-throughput probe's verdict on one run."""
-    return sustainable_verdict({"run": (result, saturation_margin(result))})["feasible"]
+    return sustainable_verdict(result, saturation_margin(result))[0]
 
 
 class TestKeyTables:
@@ -88,8 +88,8 @@ class TestResults:
             result.write_latency.record(0.002)
         assert feasible(result) and saturation_margin(result) > 0
         INFEASIBLE_SIGNALS[signal](result)
-        verdict = sustainable_verdict({"run": (result, saturation_margin(result))})
-        assert not verdict["feasible"] and verdict["margin"] <= 0
+        ok, margin = sustainable_verdict(result, saturation_margin(result))
+        assert not ok and margin <= 0
 
     def test_table_renders(self):
         table = Table(["a", "b"], title="t")

@@ -1,17 +1,18 @@
-"""Capacity planner: search properties, golden fixture, probe verdicts.
+"""The sustainable-throughput search: properties, committed searches, verdicts.
 
-Three layers:
+Four layers:
 
 * **search properties** — for any monotone feasibility oracle with its
   threshold inside ``[floor, cap]`` the bracket converges: the found
   rate is feasible, the bracket's upper end is infeasible, and the
   relative width is within tolerance.
-* **golden fixture** — ``tests/data/golden_capacity.json`` regenerates
-  byte for byte at the fixed seed (the golden kernel/trace contract).
-* **probe verdicts** — the discrete SLO-engine probe, re-run on every
-  committed golden point, accepts a rate comfortably inside the found
-  rate (acking what it was offered) and refuses one comfortably past
-  the bracket.
+* **committed searches** — every max-throughput search recorded in
+  ``BENCH_suite.json`` (the gate re-runs fig05c's exactly) converged:
+  both ends of its bracket are probes the oracle judged.
+* **probe verdicts** — the one verdict over a real system's probe, at
+  rates off a committed search, accepts a rate comfortably inside the
+  found rate (acking what it was offered) and refuses one comfortably
+  past the bracket.
 * **max throughput** — the figures' wrapper reports its highest
   feasible probe, not the probe that happened to produce the most.
 """
@@ -20,27 +21,19 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from golden_capacity import GOLDEN_CONFIG, build_capacity_map, render
-
-from repro.bench import WorkloadSpec
+from repro.bench import WorkloadSpec, harness
+from repro.bench.claims import records
 from repro.bench.runner import run_probe
-from repro.capacity import (
-    MIXES,
-    CapacityPlanner,
-    PlannerConfig,
-    Probe,
-    find_max_throughput,
-    find_sustainable_rate,
-)
+from repro.capacity import Probe, find_max_throughput, find_sustainable_rate
 from repro.sim import Simulator
+from repro.workload import saturation_margin, sustainable_verdict
 
-DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
-GOLDEN_PATH = os.path.join(DATA_DIR, "golden_capacity.json")
+SUITE_PATH = Path(__file__).resolve().parents[1] / "BENCH_suite.json"
 
 pytestmark = pytest.mark.capacity
 
@@ -73,8 +66,6 @@ class TestSearchProperties:
         # the found rate is feasible, the bracket's far end is not
         assert lo <= threshold < hi
         assert result.width_rel <= rel_tol
-        # margins carried through from the oracle
-        assert result.margin >= 0.0
 
     @pytest.mark.parametrize("growth", [1.3, 2.0, 4.0])
     def test_growth_rates_all_converge(self, growth):
@@ -148,55 +139,65 @@ class TestSearchProperties:
 
 
 # ----------------------------------------------------------------------
-# Golden fixture
+# Committed searches
 # ----------------------------------------------------------------------
-def test_golden_capacity_regenerates_byte_identical():
-    with open(GOLDEN_PATH, "rb") as fh:
-        committed = fh.read()
-    fresh = render(build_capacity_map()).encode()
-    assert fresh == committed, (
-        "golden capacity map drifted — the kernel, the SLO engine or the "
-        "search changed behaviour; if intentional, regenerate with "
-        "`PYTHONPATH=src:tests python tests/golden_capacity.py > "
-        "tests/data/golden_capacity.json`"
-    )
+def _committed_searches():
+    """``(scenario, label, probe log)`` of every search in the suite file."""
+    with open(SUITE_PATH) as fh:
+        suite = records(json.load(fh))
+    return [
+        (name, label, log)
+        for name, record in suite.items()
+        for label, log in record["metrics"].get("probes", {}).items()
+    ]
+
+
+def _bracket(log):
+    """The highest feasible probe and the lowest infeasible one above it."""
+    lo = max((p["rate_eps"] for p in log if p["feasible"]), default=0.0)
+    hi = min(p["rate_eps"] for p in log if not p["feasible"] and p["rate_eps"] > lo)
+    return lo, hi
 
 
 def test_golden_points_are_confirmed_and_converged():
-    with open(GOLDEN_PATH) as fh:
-        golden = json.load(fh)
-    assert len(golden["points"]) == 3
-    for point in golden["points"]:
-        assert point["converged"], point["system"]
-        assert point["bracket_width_rel"] <= golden["rel_tol"]
-        assert point["probes"] == len(point["probe_log"])
-        # both bracket ends are the oracle's own verdicts: the lower end
-        # a feasible probe, the upper end an infeasible one
-        verdicts = {p["rate_eps"]: p["feasible"] for p in point["probe_log"]}
-        lo, hi = point["bracket_eps"]
-        assert verdicts.get(lo) is True, point["system"]
-        assert verdicts.get(hi) is False, point["system"]
+    searches = _committed_searches()
+    assert len(searches) == 45
+    for name, label, log in searches:
+        # fig09 bisects to 0.12, every other figure to 0.2
+        rel_tol = 0.12 if name == "fig09" else 0.2
+        lo, hi = _bracket(log)
+        assert lo > 0, (name, label)
+        assert (hi - lo) / hi <= rel_tol, (name, label)
+        # the ramp and the bisection never ask a rate twice
+        rates = [p["rate_eps"] for p in log]
+        assert len(rates) == len(set(rates)), (name, label)
 
 
 # ----------------------------------------------------------------------
-# The discrete probe's verdicts on committed points
+# The one verdict on committed searches
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("system", ["pravega", "kafka", "pulsar"])
 def test_discrete_probe_verdicts_on_committed_points(system):
-    with open(GOLDEN_PATH) as fh:
-        golden = json.load(fh)
-    point = next(p for p in golden["points"] if p["system"] == system)
-    planner = CapacityPlanner(system, MIXES["uniform"], GOLDEN_CONFIG)
+    # Fig. 8a asks all three systems at one segment with one tail reader
+    fig08 = harness.load("fig08_tail_reads")
+    label = system.capitalize()
+    log = next(log for name, lab, log in _committed_searches() if (name, lab) == ("fig08a", label))
+    lo, hi = _bracket(log)
 
-    # comfortably inside the found rate: feasible, and the tenant's
-    # acked/offered ratio (its produce rate over the offered one) is
-    # within 10 % of 1
-    inside = planner.discrete_probe(point["rate_eps"] * 0.8)
-    assert inside.feasible
-    assert inside.detail["min_headroom"] == pytest.approx(1.0, abs=0.10)
+    def probe(rate: float):
+        sim = Simulator()
+        result = run_probe(sim, fig08.VARIANTS[label](sim), fig08._spec(1, rate, 1))
+        feasible, _ = sustainable_verdict(result, saturation_margin(result))
+        return feasible, result
+
+    # comfortably inside the found rate: feasible, and the acked/offered
+    # ratio (the produce rate over the offered one) is within 10 % of 1
+    feasible, inside = probe(lo * 0.8)
+    assert feasible
+    assert inside.produce_rate / inside.target_rate == pytest.approx(1.0, abs=0.10)
 
     # comfortably past the bracket's infeasible end: refused
-    assert not planner.discrete_probe(point["bracket_eps"][1] * 2.0).feasible
+    assert not probe(hi * 2.0)[0]
 
 
 # ----------------------------------------------------------------------

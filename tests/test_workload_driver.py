@@ -200,9 +200,7 @@ def test_expand_selection_exact_and_prefix():
     # an exact name wins over the prefix it also is
     kernel = harness.load("kernel")
     assert harness.select(kernel, ["ping_pong"]) == ["ping_pong"]
-    assert harness.select(harness.load("capacity"), ["pravega"]) == [
-        "pravega/uniform", "pravega/mixed",
-    ]
+    assert harness.select(kernel, ["mini"]) == ["mini_workload", "mini_tracer_off"]
     assert harness.select(kernel, []) == [row[0] for row in kernel.SCENARIOS]
 
 
