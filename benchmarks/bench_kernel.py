@@ -124,14 +124,15 @@ def mini_workload(
     a disabled :class:`repro.obs.Tracer` wired through the full path (the
     zero-cost-when-disabled claim), ``"enabled"`` = full span capture.
     """
-    from repro.bench import PravegaAdapter, WorkloadSpec, run_workload
+    from repro.bench import PravegaAdapter, WorkloadSpec, attach_tracer, run_workload
     from repro.obs import Tracer
 
     sim = Simulator()
+    adapter = PravegaAdapter(sim)
     tracer = None
     if tracing is not None:
         tracer = Tracer(sim, enabled=(tracing == "enabled"))
-    adapter = PravegaAdapter(sim, tracer=tracer)
+        attach_tracer(adapter, tracer)
     spec = WorkloadSpec(
         event_size=100,
         target_rate=target_rate,

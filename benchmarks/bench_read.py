@@ -1,6 +1,6 @@
-"""Read-path serving-tier benchmark: tail fan-out, mass replay, policies.
+"""Read-path serving-tier benchmark: tail fan-out, mass replay, reader-heavy.
 
-Four experiment families, all deterministic except wall-clock fields:
+Three experiment families, all deterministic except wall-clock fields:
 
 * **fanout** — N independent tail clients on one segment; per-event
   delivery latency percentiles vs reader count, up to the 1000-reader
@@ -11,9 +11,6 @@ Four experiment families, all deterministic except wall-clock fields:
   through the same cold LTS-resident backlog) with single-flight fetch
   coalescing off vs on; the headline is LTS read ops saved at equal
   delivered bytes.
-* **policies** — cache hit rates for always vs second-touch admission
-  (generation eviction) under a hot-tail working set + one-pass cold
-  scan mix.
 * **reader_heavy** — the end-to-end client-stack scenario (64 reader
   groups over 2 segments) whose best-of-5 simulator wall is compared
   against the recorded pre-optimization baseline.
@@ -22,7 +19,7 @@ Driven by ``python -m repro.bench run read [--check]`` (``make
 bench-read`` / ``make read-check``): the full run writes
 BENCH_read.json, ``--check`` runs cheap variants of every family and
 holds them to the same claim rows (``fanout.*``, ``replay.*``,
-``policies.*``, ``reader_heavy.*`` in :mod:`repro.bench.claims`)
+``reader_heavy.*`` in :mod:`repro.bench.claims`)
 without touching the JSON.
 """
 
@@ -197,7 +194,7 @@ def run_fanout(
 
 
 # ----------------------------------------------------------------------
-# replay / policies: a cold backlog tiered out to a realistic LTS
+# replay: a cold backlog tiered out to a realistic LTS
 # ----------------------------------------------------------------------
 def _tiered_backlog(
     stream: str,
@@ -301,93 +298,6 @@ def run_replay(
 
 
 # ----------------------------------------------------------------------
-# policies: hot tail working set vs one-pass cold scan
-# ----------------------------------------------------------------------
-def run_policy(
-    admission: str,
-    backlog_bytes: int = 16 * 1024 * 1024,
-    hot_bytes: int = 1024 * 1024,
-    cache_bytes: int = 2 * 1024 * 1024,
-    event_size: int = 8192,
-    rounds: Optional[int] = None,
-) -> Dict[str, object]:
-    """One reader repeatedly serves a hot tail range while a one-pass
-    scan walks the cold history in cache-sized bursts.  Under ``always``
-    admission each burst's fetches evict the (older-stamped) hot set;
-    under ``second_touch`` the scan cycles through probationary slots
-    and the hot set survives."""
-    random.seed(SEED)
-    start = time.perf_counter()
-    serving = ServingConfig(coalesce_lts_fetches=True, admission_policy=admission)
-    sim, cluster, store, qualified, container, total_bytes = _tiered_backlog(
-        "policy", serving, backlog_bytes, cache_bytes, event_size
-    )
-
-    hot_lo = total_bytes - hot_bytes
-    step = 262144
-    burst = max(1, cache_bytes // step)
-    max_rounds = (hot_lo // step) // burst
-    total_rounds = max_rounds if rounds is None else min(rounds, max_rounds)
-    hot_stats = {"hits": 0.0, "misses": 0.0}
-
-    def hot_pass():
-        before = (
-            _sum_counter(cluster, "read.cache_hits"),
-            _sum_counter(cluster, "read.cache_misses"),
-        )
-        offset = hot_lo
-        while offset < total_bytes:
-            result = yield store.rpc_read("bench-0", qualified, offset, step)
-            offset += result.payload.size
-        hot_stats["hits"] += _sum_counter(cluster, "read.cache_hits") - before[0]
-        hot_stats["misses"] += _sum_counter(cluster, "read.cache_misses") - before[1]
-
-    def driver():
-        # Warm the hot range once (under second-touch, the second pass
-        # of the interleave promotes it off probation).
-        offset = hot_lo
-        while offset < total_bytes:
-            result = yield store.rpc_read("bench-0", qualified, offset, step)
-            offset += result.payload.size
-        scan = 0
-        for _r in range(total_rounds):
-            # A cache-sized burst of the one-pass cold scan...
-            burst_end = min(scan + burst * step, hot_lo)
-            while scan < burst_end:
-                result = yield store.rpc_read(
-                    "bench-0", qualified, scan, min(step, burst_end - scan)
-                )
-                scan += result.payload.size
-            # ...then serve the whole hot range again.
-            yield from hot_pass()
-
-    sim.run_until_complete(sim.process(driver()), timeout=600)
-    wall = time.perf_counter() - start
-    hits = _sum_counter(cluster, "read.cache_hits")
-    misses = _sum_counter(cluster, "read.cache_misses")
-    hot_total = hot_stats["hits"] + hot_stats["misses"]
-    manager = container.cache_manager
-    return {
-        "eviction": "generation",  # the only order; kept so rows stay as committed
-        "admission": manager.admission,
-        "hit_rate": round(hits / (hits + misses), 6) if hits + misses else 0.0,
-        "hot_hit_rate": (
-            round(hot_stats["hits"] / hot_total, 6) if hot_total else 0.0
-        ),
-        "cache_hits": hits,
-        "cache_misses": misses,
-        "lts_fetch_ops": _sum_counter(cluster, "read.lts_fetch_ops"),
-        "promotions": manager.promotions,
-        "ghost_hits": manager.ghost_hits,
-        "evicted_probation": manager.evicted_probation,
-        "rounds": total_rounds,
-        "kernel_events": _kernel_events([sim]),
-        "sim_time_s": round(sim.now, 9),
-        "wall_s": wall,
-    }
-
-
-# ----------------------------------------------------------------------
 # reader_heavy: full client stack, wall-clock headline
 # ----------------------------------------------------------------------
 def run_reader_heavy(
@@ -470,7 +380,6 @@ _MB = 1024 * 1024
 #: whose claim rows name it by its reader count)
 _SMOKE_FANOUT = dict(readers=100, events=12)
 _SMOKE_REPLAY = dict(readers=12, backlog_bytes=6 * _MB, cache_bytes=2 * _MB)
-ADMISSIONS = ("always", "second_touch")
 
 
 def _fanout(smoke: bool) -> Dict[str, object]:
@@ -484,10 +393,6 @@ def _replay(**kwargs) -> Dict[str, object]:
     off, on = run_replay(False, **kwargs), run_replay(True, **kwargs)
     ratio = off["lts_fetch_ops"] / max(on["lts_fetch_ops"], 1.0)
     return {"off": off, "on": on, "lts_ops_ratio": round(ratio, 3)}
-
-
-def _policies(**kwargs) -> Dict[str, object]:
-    return {f"generation/{adm}": run_policy(adm, **kwargs) for adm in ADMISSIONS}
 
 
 def _reader_heavy(repeats: int):
@@ -513,7 +418,6 @@ def _seeded(run):
 _FAMILIES = (
     ("fanout", lambda r: _fanout(smoke=False), lambda r: _fanout(smoke=True), 60.0),
     ("replay", lambda r: _replay(), lambda r: _replay(**_SMOKE_REPLAY), 60.0),
-    ("policies", lambda r: _policies(), lambda r: _policies(backlog_bytes=8 * _MB), 60.0),
     ("reader_heavy", _reader_heavy, lambda r: _reader_heavy(1), 120.0),
 )
 SCENARIOS = [
@@ -532,6 +436,4 @@ def describe(record: Dict) -> str:
             f"LTS ops {record['off']['lts_fetch_ops']:.0f} -> "
             f"{record['on']['lts_fetch_ops']:.0f} ({record['lts_ops_ratio']}x)"
         )
-    if "baseline" in record:
-        return f"default {record['default']['wall_s']:.3f}s"
-    return ", ".join(f"{k} hot {record[k]['hot_hit_rate']}" for k in record if k != "seed")
+    return f"default {record['default']['wall_s']:.3f}s"

@@ -23,7 +23,7 @@ import argparse
 import sys
 
 from repro.bench import gate, harness
-from repro.bench.adapters import KafkaAdapter, PravegaAdapter, PulsarAdapter
+from repro.bench.adapters import KafkaAdapter, PravegaAdapter, PulsarAdapter, attach_tracer
 from repro.bench.runner import WorkloadSpec, run_workload
 from repro.bench.results import fmt_latency
 from repro.obs import Tracer, event_records, export_chrome_trace, median_record
@@ -44,7 +44,8 @@ def trace(args) -> int:
     sim = Simulator()
     tracer = Tracer(sim, enabled=not args.no_tracing)
     adapter_cls, config = SYSTEMS[args.system]
-    adapter = adapter_cls(sim, tracer=tracer, **config)
+    adapter = adapter_cls(sim, **config)
+    attach_tracer(adapter, tracer)
     spec = WorkloadSpec(
         event_size=args.event_size,
         target_rate=args.rate,

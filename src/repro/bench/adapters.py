@@ -176,11 +176,10 @@ class PravegaAdapter:
         writer_config: Optional[WriterConfig] = None,
         slice_factor: float = 1.0,
         scaling_policy: Optional[ScalingPolicy] = None,
-        tracer=None,
     ) -> None:
         self.sim = sim
         self.slice_factor = slice_factor
-        self.tracer = tracer
+        self.tracer = None
         base = PravegaClusterConfig()
         lts_spec = None
         if slice_factor != 1 and lts_kind == "efs":
@@ -196,11 +195,6 @@ class PravegaAdapter:
             lts_spec=lts_spec,
         )
         self.cluster = PravegaCluster.build(sim, config)
-        if tracer is not None:
-            # Containers are created lazily by the stores; they pick the
-            # tracer up from their store at host_container time.
-            for store in self.cluster.stores.values():
-                store.tracer = tracer
         self.writer_config = writer_config or WriterConfig()
         self.scaling_policy = scaling_policy
         self.keys: List[str] = []
@@ -375,11 +369,10 @@ class KafkaAdapter:
         flush_every_message: bool = False,
         producer_config: Optional[KafkaProducerConfig] = None,
         slice_factor: float = 1.0,
-        tracer=None,
     ) -> None:
         self.sim = sim
         self.slice_factor = slice_factor
-        self.tracer = tracer
+        self.tracer = None
         network = Network(sim, scaled_network_spec(NetworkSpec(), slice_factor))
         self.cluster = KafkaCluster(sim, network)
         disk_spec = scaled_disk_spec(DiskSpec(), slice_factor)
@@ -514,11 +507,10 @@ class PulsarAdapter:
         broker_config: Optional[PulsarBrokerConfig] = None,
         producer_config: Optional[PulsarProducerConfig] = None,
         slice_factor: float = 1.0,
-        tracer=None,
     ) -> None:
         self.sim = sim
         self.slice_factor = slice_factor
-        self.tracer = tracer
+        self.tracer = None
         network = Network(sim, scaled_network_spec(NetworkSpec(), slice_factor))
         bk = BookKeeperCluster(sim, network)
         lts_spec = scaled_lts_spec(
@@ -628,12 +620,11 @@ class _PulsarTenant:
 
 
 def attach_tracer(adapter, tracer) -> None:
-    """Wire a tracer into an already-built adapter.
+    """Wire a tracer into an already-built adapter (the one way to
+    attach one).
 
-    Equivalent to passing ``tracer=`` at construction, for callers (the
-    figure benchmarks) that build adapters through tracer-unaware
-    factories.  Must run before ``setup()``: Pravega containers created
-    afterwards inherit the tracer from their segment store, and
+    Must run before ``setup()``: Pravega containers are created lazily
+    by the stores and inherit the tracer from their segment store, and
     producers read ``adapter.tracer`` when the runner creates them.
     """
     adapter.tracer = tracer

@@ -260,16 +260,6 @@ def _replay_rows(mode: str) -> List[tuple]:
     ]
 
 
-def _policy_rows(admission: str) -> List[tuple]:
-    policy = f"generation/{admission}"
-    return [
-        (f"policies.{admission}_{rate}_is_a_fraction",
-         f"{policy}: the {rate} lies in [0, 1]",
-         both(ge(f"{policy}.{rate}", 0), le(f"{policy}.{rate}", 1)))
-        for rate in ("hit_rate", "hot_hit_rate")
-    ]
-
-
 CLAIMS: Tuple[Claim, ...] = tuple(Claim(*row) for row in [
     # ---- Fig. 5: durability (§5.2) ------------------------------------
     ("fig05a.durable_beats_kafka",
@@ -443,7 +433,7 @@ CLAIMS: Tuple[Claim, ...] = tuple(Claim(*row) for row in [
     ) for row in _kernel_rows(scenario)),
     # ---- BENCH_read.json: the read-path serving tier ------------------
     *((f"{family}.seeded", f"{family}: the record carries the seed its run replays from",
-       ge("seed", 0)) for family in ("fanout", "replay", "policies", "reader_heavy")),
+       ge("seed", 0)) for family in ("fanout", "replay", "reader_heavy")),
     *(row for readers in (10, 100, 1000) for row in _fanout_rows(readers)),
     *(row for mode in ("off", "on") for row in _replay_rows(mode)),
     ("replay.coalescing_cuts_ops", "single-flight coalescing never increases LTS fetch ops",
@@ -456,10 +446,6 @@ CLAIMS: Tuple[Claim, ...] = tuple(Claim(*row) for row in [
      ge("lts_ops_ratio", 4)),
     ("replay.ops_cut_10x", "at full size coalescing cuts LTS fetch ops >= 10x",
      ge("lts_ops_ratio", 10), None, True),
-    *(row for admission in ("always", "second_touch") for row in _policy_rows(admission)),
-    ("policies.second_touch_protects_hot_set",
-     "second-touch admission keeps the hot set resident through a one-pass cold scan",
-     ge("generation/second_touch.hot_hit_rate", "generation/always.hot_hit_rate")),
     ("reader_heavy.default_caught_up", "default config: all 64 reader groups catch up",
      equal("default.caught_up", True)),
     ("reader_heavy.default_event_neutral",

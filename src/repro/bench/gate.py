@@ -16,7 +16,7 @@ gate closes that hole in three layers, cheapest first:
 2. **smoke re-runs** — a configurable subset of scenarios is re-run
    fresh — by the function a ``run`` worker runs it with — and compared
    field by field against the committed records: the deterministic
-   fields (``harness.deterministic``: kernel events, simulated time,
+   fields (``harness.field_kind`` "exact": kernel events, simulated time,
    figure metrics, max-throughput probe logs) must match exactly, wall-clock fields
    only within a generous ratio (different machines are expected to
    differ);
@@ -153,8 +153,8 @@ def compare(
     overrides: Sequence[Tuple[str, float]] = (),
 ) -> List[Drift]:
     """Recursive structured diff of a committed record vs a fresh one:
-    exact over :func:`repro.bench.harness.deterministic`'s fields, as a
-    ratio over the wall-clock ones."""
+    exact over :func:`repro.bench.harness.field_kind`'s "exact" fields, as
+    a ratio over the wall-clock ones."""
     drifts: List[Drift] = []
     if harness.field_kind(path) == "uncompared":
         return drifts

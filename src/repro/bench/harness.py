@@ -17,9 +17,9 @@ report and the JSON writer.  A plain record is ``{name, metrics,
 claims}``: its verdicts are the rows of :mod:`repro.bench.claims`
 evaluated over the metrics, and ``claims.check`` — what the regression
 gate (:mod:`repro.bench.gate`) applies to the committed file — holds a
-fresh report to the same rows.  :func:`deterministic` is what must not
-change between two runs of a record: what the gate compares exactly and
-what ``--jobs`` may not move.
+fresh report to the same rows.  :func:`field_kind`'s ``"exact"`` fields
+are what must not change between two runs of a record: what the gate
+compares exactly and what ``--jobs`` may not move.
 
 Usage (the one parser is :mod:`repro.bench.__main__`)::
 
@@ -50,7 +50,7 @@ from typing import Callable, Iterator, List, Sequence, Tuple, TypeVar
 from repro.bench import claims
 
 __all__ = [
-    "BENCHES", "WALL_PATTERNS", "UNCOMPARED_PATTERNS", "field_kind", "deterministic",
+    "BENCHES", "WALL_PATTERNS", "UNCOMPARED_PATTERNS", "field_kind",
     "load", "scenario_names", "select", "best_of", "record", "row", "run_row",
     "manifest", "write_json", "main",
 ]
@@ -86,21 +86,6 @@ def field_kind(path: str) -> str:
     if any(fnmatch.fnmatch(path, pattern) for pattern in WALL_PATTERNS):
         return "wall"
     return "exact"
-
-
-def deterministic(node, path: str = ""):
-    """The view of a record that is a pure function of its scenario:
-    every field but the wall-clock and the uncompared ones."""
-    if isinstance(node, dict):
-        view = {}
-        for key, value in node.items():
-            sub = f"{path}.{key}" if path else str(key)
-            if field_kind(sub) == "exact":
-                view[key] = deterministic(value, sub)
-        return view
-    if isinstance(node, list):
-        return [deterministic(value, f"{path}[{i}]") for i, value in enumerate(node)]
-    return node
 
 
 def load(name: str) -> ModuleType:

@@ -26,6 +26,7 @@ the single-workload entry point with unchanged behaviour.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
@@ -84,16 +85,24 @@ class WorkloadSpec:
 
     def __post_init__(self) -> None:
         # bad configs fail here, not mid-run: tick=0 never advances the
-        # clock, producers=0 divides by zero inside a process, and a
-        # typo'd key_mode would silently mean "random"
+        # clock, producers=0 divides by zero inside a process, duration=0
+        # divides by zero at finalize, a negative rate, warmup or grace
+        # reports a silent 0 events/s, backlog_cap<=0 sheds every tick, a
+        # NaN anywhere reports NaN, and a typo'd key_mode would silently
+        # mean "random"
         for name, low in (
             ("event_size", 1), ("partitions", 1), ("producers", 1),
             ("bench_hosts", 1), ("consumers", 0),
         ):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)!r}")
-        if not self.tick > 0:
-            raise ValueError(f"tick must be > 0, got {self.tick!r}")
+        positive = ["tick", "duration"] + ([] if self.backlog_cap is None else ["backlog_cap"])
+        for name in positive:
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)!r}")
+        for name in ("warmup", "target_rate", "ack_grace"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)!r}")
         if self.key_mode not in ("random", "none"):
             raise ValueError(f"key_mode must be 'random' or 'none', got {self.key_mode!r}")
 

@@ -195,14 +195,6 @@ class AvlTree(Generic[K, V]):
                 node = node.right
         return (best.key, best.value) if best is not None else None
 
-    def min_item(self) -> Optional[Tuple[K, V]]:
-        node = self._root
-        if node is None:
-            return None
-        while node.left is not None:
-            node = node.left
-        return (node.key, node.value)
-
     def items(self) -> Iterator[Tuple[K, V]]:
         """In-order traversal (ascending keys), iterative to bound stack use."""
         stack: list[_Node[K, V]] = []

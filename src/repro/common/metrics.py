@@ -202,18 +202,12 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
-        self._histograms: Dict[str, LatencyHistogram] = {}
         self._series: Dict[str, TimeSeries] = {}
 
     def counter(self, name: str) -> Counter:
         if name not in self._counters:
             self._counters[name] = Counter(name)
         return self._counters[name]
-
-    def histogram(self, name: str) -> LatencyHistogram:
-        if name not in self._histograms:
-            self._histograms[name] = LatencyHistogram(name)
-        return self._histograms[name]
 
     def series(self, name: str) -> TimeSeries:
         if name not in self._series:
@@ -225,5 +219,4 @@ class MetricsRegistry:
 
     def names(self) -> Iterable[str]:
         yield from self._counters
-        yield from self._histograms
         yield from self._series

@@ -117,14 +117,6 @@ class FaultPlan:
         self.rules.append(rule)
         return self
 
-    def fault(self, action: str, target: str = "*", **kw) -> "FaultPlan":
-        """Generic builder: any action from :data:`ACTIONS` by name.
-
-        Lets composition helpers (e.g. ``repro.workload.fault_at_peak``)
-        and table-driven schedules build rules without a per-action
-        method lookup."""
-        return self.add(FaultRule(action, target, **kw))
-
     def crash(self, target: str, **kw) -> "FaultPlan":
         return self.add(FaultRule("crash", target, **kw))
 
@@ -133,9 +125,6 @@ class FaultPlan:
 
     def disk_stall(self, target: str, **kw) -> "FaultPlan":
         return self.add(FaultRule("disk_stall", target, **kw))
-
-    def disk_fail(self, target: str, **kw) -> "FaultPlan":
-        return self.add(FaultRule("disk_fail", target, **kw))
 
     def net_delay(self, link: str, **kw) -> "FaultPlan":
         return self.add(FaultRule("net_delay", link, **kw))

@@ -34,11 +34,6 @@ class KafkaConsumerGroup:
         self.members.append(consumer)
         self._rebalance()
 
-    def leave(self, consumer: "KafkaConsumer") -> None:
-        if consumer in self.members:
-            self.members.remove(consumer)
-            self._rebalance()
-
     def _rebalance(self) -> None:
         partitions = list(range(self.cluster.topics[self.topic]))
         for member in self.members:

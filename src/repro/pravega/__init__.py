@@ -14,7 +14,6 @@ from repro.pravega.model import (
     ScaleType,
     ScalingPolicy,
     StreamConfiguration,
-    StreamCut,
 )
 from repro.pravega.segment_store import SegmentStore, SegmentStoreCluster, SegmentStoreConfig
 
@@ -29,7 +28,6 @@ __all__ = [
     "ScaleType",
     "RetentionPolicy",
     "RetentionType",
-    "StreamCut",
     "SegmentStore",
     "SegmentStoreCluster",
     "SegmentStoreConfig",

@@ -1,15 +1,9 @@
 """Pravega client libraries: writer, reader, reader groups, state
-synchronizer, serializers (§2.1, §3)."""
+synchronizer, key-value tables (§2.1, §3)."""
 
 from repro.pravega.client.controller_client import ControllerClient
 from repro.pravega.client.reader import EventBatch, EventStreamReader, ReaderConfig
 from repro.pravega.client.reader_group import ReaderGroup
-from repro.pravega.client.serializers import (
-    BytesSerializer,
-    JsonSerializer,
-    Serializer,
-    UTF8StringSerializer,
-)
 from repro.pravega.client.state_synchronizer import StateSynchronizer
 from repro.pravega.client.tables import KeyValueTable, TableEntry
 from repro.pravega.client.writer import EventStreamWriter, WriterConfig
@@ -25,8 +19,4 @@ __all__ = [
     "EventBatch",
     "ReaderGroup",
     "StateSynchronizer",
-    "Serializer",
-    "UTF8StringSerializer",
-    "JsonSerializer",
-    "BytesSerializer",
 ]

@@ -1,10 +1,10 @@
-"""Event (de)serialization and wire framing.
+"""Event wire framing.
 
 "Applications make sense of events using (de)serializers as internally
 Pravega does not keep the notion of events (i.e., Pravega does not
-internally track event boundaries)" (§2.1).  The client frames each
-serialized event with a small header; the segment store only ever sees
-bytes.
+internally track event boundaries)" (§2.1).  Applications hand the
+client bytes; the client frames each event with a small header, and the
+segment store only ever sees bytes.
 
 Two framing modes exist, matching the :class:`~repro.common.payload.Payload`
 duality: real content uses an 8-byte length prefix and round-trips exactly;
@@ -16,19 +16,14 @@ need.
 
 from __future__ import annotations
 
-import json
 import struct
-from typing import Any, List, Tuple
+from typing import List, Tuple
 
 from repro.common.errors import ReproError
 from repro.common.payload import Payload
 
 __all__ = [
     "EVENT_HEADER_SIZE",
-    "Serializer",
-    "UTF8StringSerializer",
-    "JsonSerializer",
-    "BytesSerializer",
     "frame_event",
     "frame_synthetic_event",
     "unframe_events",
@@ -36,43 +31,6 @@ __all__ = [
 ]
 
 EVENT_HEADER_SIZE = 8
-
-
-class Serializer:
-    """Application object <-> bytes."""
-
-    def serialize(self, value: Any) -> bytes:
-        raise NotImplementedError
-
-    def deserialize(self, data: bytes) -> Any:
-        raise NotImplementedError
-
-
-class UTF8StringSerializer(Serializer):
-    """str <-> UTF-8 bytes."""
-    def serialize(self, value: str) -> bytes:
-        return value.encode("utf-8")
-
-    def deserialize(self, data: bytes) -> str:
-        return data.decode("utf-8")
-
-
-class JsonSerializer(Serializer):
-    """JSON-serializable objects <-> canonical (sorted-keys) JSON bytes."""
-    def serialize(self, value: Any) -> bytes:
-        return json.dumps(value, sort_keys=True).encode("utf-8")
-
-    def deserialize(self, data: bytes) -> Any:
-        return json.loads(data.decode("utf-8"))
-
-
-class BytesSerializer(Serializer):
-    """Pass-through bytes serializer."""
-    def serialize(self, value: bytes) -> bytes:
-        return bytes(value)
-
-    def deserialize(self, data: bytes) -> bytes:
-        return bytes(data)
 
 
 def framed_size(event_bytes: int) -> int:

@@ -3,9 +3,10 @@
 "Controller instances maintain the stream metadata (which is stored in
 Pravega itself via the key-value API built on top of streams)" — the same
 API is public: applications get durable, replicated key-value tables with
-per-key conditional updates and multi-key transactions (§4.3: "All LTS
-metadata operations are performed using conditional updates and using
-transactions to update multiple keys at once").
+per-key conditional updates.  The table segments underneath also apply
+multi-key updates atomically (§4.3: "All LTS metadata operations are
+performed using conditional updates and using transactions to update
+multiple keys at once").
 
 A table is backed by one table segment per key-space partition; keys are
 hashed to partitions, so tables scale like streams do.
@@ -14,9 +15,9 @@ hashed to partitions, so tables scale like streams do.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
-from repro.common.errors import ConditionalUpdateError, StreamError
+from repro.common.errors import StreamError
 from repro.common.hashing import stable_hash64
 from repro.sim.core import SimFuture, Simulator
 
@@ -125,30 +126,6 @@ class KeyValueTable:
             )
 
         return self.sim.process(run())
-
-    # ------------------------------------------------------------------
-    def transact(
-        self, updates: Dict[str, Tuple[Any, Optional[int]]]
-    ) -> SimFuture:
-        """Atomically apply conditional updates to multiple keys (§4.3).
-
-        All keys must hash to the same table partition — cross-partition
-        transactions are rejected (as in Pravega, where a transaction is
-        scoped to one table segment).  Resolves with {key: new version}.
-        """
-        segments = {self._segment_for(key) for key in updates}
-        if len(segments) != 1:
-            fut = self.sim.future()
-            fut.set_exception(
-                ConditionalUpdateError(
-                    "multi-key transactions must target one table partition; "
-                    f"got keys spanning {len(segments)} partitions"
-                )
-            )
-            return fut
-        segment = segments.pop()
-        store = self._store_for_segment(segment)
-        return store.rpc_table_update(self.host, segment, dict(updates))
 
     def keys(self) -> SimFuture:
         """Resolves with all keys across the table's partitions."""

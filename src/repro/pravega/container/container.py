@@ -68,18 +68,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ServingConfig:
-    """Read-path serving-tier policy knobs (DESIGN.md §13).
+    """Read-path serving-tier policy knob (DESIGN.md §13).
 
-    Both default off; scenarios opt in per cluster.
+    Defaults off; scenarios opt in per cluster.
     """
 
     #: single-flight coalescing of LTS chunk fetches: concurrent readers
     #: (and read-ahead) of the same cold chunk share one storage read
     coalesce_lts_fetches: bool = False
-    #: CacheManager admission of LTS-fetched runs: "always" admits
-    #: directly; "second_touch" starts runs on probation (a one-pass
-    #: mass replay cannot evict the tail working set)
-    admission_policy: str = "always"
 
 
 @dataclass(frozen=True)
@@ -87,7 +83,7 @@ class ContainerConfig:
     durable_log: DurableLogConfig = field(default_factory=DurableLogConfig)
     storage: StorageWriterConfig = field(default_factory=StorageWriterConfig)
     cache: CacheSpec = field(default_factory=CacheSpec)
-    #: read-path serving-tier policies (coalescing, admission)
+    #: read-path serving-tier policy (coalescing)
     serving: ServingConfig = field(default_factory=ServingConfig)
     #: take a metadata checkpoint every this many operations ...
     checkpoint_interval_ops: int = 20_000
@@ -190,9 +186,7 @@ class SegmentContainer:
         self.tracer = tracer
         self.segments: Dict[str, SegmentState] = {}
         self.cache = BlockCache(self.config.cache)
-        self.cache_manager = CacheManager(
-            self.cache, admission=self.config.serving.admission_policy
-        )
+        self.cache_manager = CacheManager(self.cache)
         self.cache_manager.eviction_counter = self.metrics.counter("cache.evictions")
         self.read_indexes: Dict[str, SegmentReadIndex] = {}
         self.durable_log = DurableLog(

@@ -11,17 +11,14 @@ A read at the current end of a segment returns a *tail-read future* that
 completes when new data is appended — the mechanism behind low-latency
 tail reads (Fig. 8).
 
-The :class:`CacheManager` is the serving tier's policy seam (DESIGN.md
-§13): eviction is by generation (Pravega's native scheme) and admission
-of LTS-fetched runs is pluggable (``always`` or ``second_touch``, with a
-ghost list so a re-fetched run is admitted on its second life).  The
-default reproduces the pre-serving-tier behavior exactly.
+The :class:`CacheManager` evicts by generation, Pravega's native
+scheme (DESIGN.md §13).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.common.avl import AvlTree
 from repro.common.payload import Payload
@@ -31,10 +28,6 @@ __all__ = ["IndexEntry", "SegmentReadIndex", "CacheManager"]
 
 #: an index entry stops growing past this size so eviction stays granular
 MAX_ENTRY_BYTES = 1024 * 1024
-
-#: ghost-list capacity: evicted-before-promotion fetch keys remembered
-#: for second-touch admission across an eviction
-GHOST_CAPACITY = 4096
 
 
 @dataclass(slots=True)
@@ -46,12 +39,6 @@ class IndexEntry:
     cache_address: int
     #: cache-manager generation of the last access
     generation: int = 0
-    #: False while on probation (second-touch admission): evicts before
-    #: any admitted entry; promoted by a touch in a later generation
-    admitted: bool = True
-    #: cache-manager generation when the entry was inserted (promotion
-    #: requires a touch *after* the inserting fetch's generation)
-    born: int = 0
 
     @property
     def end_offset(self) -> int:
@@ -95,7 +82,7 @@ class SegmentReadIndex:
             tail.generation = mgr.current_generation
         else:
             entry = IndexEntry(offset, payload.size, self.cache.insert(payload))
-            entry.generation = entry.born = mgr.current_generation
+            entry.generation = mgr.current_generation
             self._entries.insert(offset, entry)
             self._tail_entry = entry
         self._append_offset = offset + payload.size
@@ -108,10 +95,6 @@ class SegmentReadIndex:
         start or begin inside it — so afterwards every byte of the range
         is readable and no two entries overlap.  A repeated call (the
         caller's retry after ``CacheFullError``) fills what is left.
-
-        Admission policy applies here: under ``second_touch`` a run
-        starts on probation (evicts first) unless its key is in the
-        ghost list — i.e. this is its second fetch.
         """
         end = offset + payload.size
         covering = self._floor_covering(offset)
@@ -134,8 +117,7 @@ class SegmentReadIndex:
                 else payload.slice(lo - offset, hi - offset)
             )
             entry = IndexEntry(lo, hi - lo, self.cache.insert(piece))
-            entry.generation = entry.born = mgr.current_generation
-            entry.admitted = mgr.admit_fetch(self.segment, lo)
+            entry.generation = mgr.current_generation
             self._entries.insert(lo, entry)
 
     # ------------------------------------------------------------------
@@ -148,13 +130,6 @@ class SegmentReadIndex:
             return None
         entry = found[1]
         return entry if entry.start_offset <= offset < entry.end_offset else None
-
-    def _touch(self, entry: IndexEntry, mgr: "CacheManager") -> None:
-        entry.generation = mgr.current_generation
-        if not entry.admitted and entry.born != mgr.current_generation:
-            # Second touch in a later generation: off probation.
-            entry.admitted = True
-            mgr.promotions += 1
 
     def read_cached(self, offset: int, max_bytes: int) -> Optional[Payload]:
         """Contiguous cached data at ``offset`` (up to ``max_bytes``),
@@ -176,7 +151,7 @@ class SegmentReadIndex:
             entry = self._floor_covering(offset)
             if entry is None:
                 return None
-        self._touch(entry, mgr)
+        entry.generation = mgr.current_generation
         start = offset - entry.start_offset
         end = min(entry.length, start + max_bytes)
         piece = self.cache.read_range(entry.cache_address, start, end, entry.length)
@@ -190,7 +165,7 @@ class SegmentReadIndex:
             return piece
         pieces: List[Payload] = [piece]
         while entry is not None and taken < max_bytes:
-            self._touch(entry, mgr)
+            entry.generation = mgr.current_generation
             start = cursor - entry.start_offset
             end = min(entry.length, start + (max_bytes - taken))
             pieces.append(
@@ -258,48 +233,26 @@ class SegmentReadIndex:
 
 
 class CacheManager:
-    """Eviction and admission across all read indexes of a container.
+    """Eviction across all read indexes of a container.
 
     Mirrors Pravega's cache manager: every access stamps the entry with
     the current generation; when utilization crosses the target, the
-    oldest evictable entries are freed first.  One policy axis plugs in:
-    ``admission`` — ``always`` (default) or ``second_touch``: an
-    LTS-fetched run starts on *probation* and evicts before any admitted
-    entry; it is admitted by a touch in a later generation, or
-    immediately when its key sits in the ghost list of recently evicted
-    probationers (its second fetch).  A one-pass mass replay therefore
-    cycles through probationary slots and cannot evict the tail working
-    set.
+    oldest evictable entries are freed first.
     """
 
-    def __init__(
-        self,
-        cache: BlockCache,
-        target_utilization: float = 0.85,
-        admission: str = "always",
-    ) -> None:
-        if admission not in ("always", "second_touch"):
-            raise ValueError(f"unknown admission policy: {admission!r}")
+    def __init__(self, cache: BlockCache, target_utilization: float = 0.85) -> None:
         self.cache = cache
         self.target_utilization = target_utilization
-        self.admission = admission
         self.current_generation = 0
         #: lookups served by the O(1) tail entry (no tree probe)
         self.tail_read_hits = 0
         #: lookups that went through an AVL floor probe
         self.avl_probes = 0
-        #: probationary entries promoted by a second touch
-        self.promotions = 0
-        #: fetches admitted straight from the ghost list
-        self.ghost_hits = 0
-        #: entries evicted (total / while still on probation)
+        #: entries evicted
         self.evicted_entries = 0
-        self.evicted_probation = 0
         self._indexes: List[SegmentReadIndex] = []
         #: optional metrics Counter mirroring ``evicted_entries``
         self.eviction_counter = None
-        #: FIFO ghost list of evicted-before-promotion fetch keys
-        self._ghosts: Dict[Tuple[str, int], None] = {}
         #: callback answering "flushed-to-LTS offset" per segment name
         self.flushed_offset_provider = lambda segment: 0
 
@@ -313,26 +266,6 @@ class CacheManager:
     def advance_generation(self) -> None:
         self.current_generation += 1
 
-    # ------------------------------------------------------------------
-    # Admission
-    # ------------------------------------------------------------------
-    def admit_fetch(self, segment: str, offset: int) -> bool:
-        """Should this LTS-fetched run bypass probation?"""
-        if self.admission == "always":
-            return True
-        key = (segment, offset)
-        if key in self._ghosts:
-            del self._ghosts[key]
-            self.ghost_hits += 1
-            return True
-        return False
-
-    def _remember_ghost(self, segment: str, offset: int) -> None:
-        ghosts = self._ghosts
-        ghosts[segment, offset] = None
-        if len(ghosts) > GHOST_CAPACITY:
-            del ghosts[next(iter(ghosts))]
-
     @property
     def utilization(self) -> float:
         capacity = self.cache.spec.max_blocks
@@ -341,31 +274,26 @@ class CacheManager:
     def maybe_evict(self) -> int:
         """Evict entries until below target utilization.
 
-        Probationary entries go first (in recency order), then admitted
-        entries by generation.  Entries touched in the *current*
-        generation are never evicted: they are being actively served (a
-        fetch must not evict the chunk it just brought in — probationary
-        or not).
+        Entries go oldest generation first.  Entries touched in the
+        *current* generation are never evicted: they are being actively
+        served (a fetch must not evict the chunk it just brought in).
         """
         if self.utilization <= self.target_utilization:
             return 0
         current = self.current_generation
-        candidates: List[Tuple[Tuple[bool, int], SegmentReadIndex, IndexEntry]] = []
+        candidates: List[Tuple[int, SegmentReadIndex, IndexEntry]] = []
         for index in self._indexes:
             flushed = self.flushed_offset_provider(index.segment)
             for entry in index.evictable_entries(flushed):
                 if entry.generation >= current:
                     continue
-                candidates.append(((entry.admitted, entry.generation), index, entry))
+                candidates.append((entry.generation, index, entry))
         candidates.sort(key=lambda item: item[0])
         released = 0
         evicted = 0
         for _, index, entry in candidates:
             if self.utilization <= self.target_utilization:
                 break
-            if not entry.admitted:
-                self.evicted_probation += 1
-                self._remember_ghost(index.segment, entry.start_offset)
             evicted += 1
             released += index.evict_entry(entry)
         if evicted:

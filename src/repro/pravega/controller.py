@@ -551,22 +551,6 @@ class Controller:
 
         return self.sim.process(run())
 
-    def update_stream_config(
-        self, scope: str, stream: str, config: StreamConfiguration
-    ) -> SimFuture:
-        """Update a stream's policies in place (§2.1: "stream policies can
-        be updated along the stream life-cycle")."""
-
-        def run():
-            metadata = self._metadata(scope, stream)
-            metadata.config = config
-            persist = self._persist_stream(metadata)
-            if persist is not None:
-                yield persist
-            return metadata
-
-        return self.sim.process(run())
-
     def _retention_loop(self):
         while True:
             yield self.sim.timeout(self.config.retention_poll_interval)

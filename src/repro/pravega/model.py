@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import List
 
 from repro.common.keyspace import KeyRange
 
@@ -25,7 +25,6 @@ __all__ = [
     "SegmentRecord",
     "EpochRecord",
     "segment_qualified_name",
-    "StreamCut",
 ]
 
 
@@ -137,14 +136,3 @@ class EpochRecord:
     epoch: int
     active_segments: List[int]
     start_time: float = 0.0
-
-
-@dataclass(frozen=True)
-class StreamCut:
-    """A consistent position in a stream: segment number -> offset."""
-
-    positions: tuple  # tuple of (segment_number, offset) pairs, sorted
-
-    @classmethod
-    def of(cls, positions: Dict[int, int]) -> "StreamCut":
-        return cls(tuple(sorted(positions.items())))

@@ -8,11 +8,10 @@ from repro.sim.core import (
     SimStats,
     Simulator,
     all_of,
-    any_of,
 )
 from repro.sim.disk import Disk, DiskSpec, PageCache, PageCacheSpec
 from repro.sim.network import Host, Network, NetworkSpec
-from repro.sim.resources import FifoServer, Resource, Store
+from repro.sim.resources import FifoServer, Store
 
 __all__ = [
     "Simulator",
@@ -22,7 +21,6 @@ __all__ = [
     "Interrupt",
     "Drain",
     "all_of",
-    "any_of",
     "Disk",
     "DiskSpec",
     "PageCache",
@@ -31,6 +29,5 @@ __all__ = [
     "NetworkSpec",
     "Host",
     "FifoServer",
-    "Resource",
     "Store",
 ]

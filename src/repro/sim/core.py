@@ -48,7 +48,6 @@ __all__ = [
     "Interrupt",
     "Drain",
     "all_of",
-    "any_of",
 ]
 
 
@@ -928,25 +927,3 @@ class Drain:
             self._future = SimFuture(self.sim)
         return self._future
 
-
-def any_of(sim: Simulator, futures: Iterable[SimFuture]) -> SimFuture:
-    """A future resolving with (index, value) of the first input to resolve."""
-    futures = list(futures)
-    if not futures:
-        raise SimulationError("any_of requires at least one future")
-    result = sim.future()
-
-    def make_callback(index: int) -> Callable[[SimFuture], None]:
-        def on_done(fut: SimFuture) -> None:
-            if result._done:
-                return
-            if fut._exception is not None:
-                result.set_exception(fut._exception)
-            else:
-                result.set_result((index, fut._value))
-
-        return on_done
-
-    for i, fut in enumerate(futures):
-        fut.add_callback(make_callback(i))
-    return result

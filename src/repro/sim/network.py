@@ -102,8 +102,3 @@ class Network:
         for callers that attach callbacks instead of waiting in a process."""
         return self.sim.resolve_after(self.delay(src, dst, nbytes), payload)
 
-    def rtt_between(self, src: str, dst: str) -> float:
-        """Nominal round-trip time between two hosts."""
-        if src == dst:
-            return 2.0 * self.spec.local_latency
-        return self.spec.rtt

@@ -1,4 +1,4 @@
-"""Generic simulation resources: FIFO servers, semaphores and queues.
+"""Generic simulation resources: FIFO servers and queues.
 
 These sit directly under the kernel on the hot path (every disk op and
 network message crosses a :class:`FifoServer`), so they avoid per-request
@@ -14,47 +14,7 @@ from typing import Any, Deque
 from repro.common.errors import SimulationError
 from repro.sim.core import SimFuture, Simulator
 
-__all__ = ["Resource", "FifoServer", "Store"]
-
-
-class Resource:
-    """A counted resource (semaphore) with FIFO granting.
-
-    ``acquire()`` returns a future that resolves when a unit is granted;
-    the holder must call ``release()`` exactly once per grant.
-    """
-
-    __slots__ = ("sim", "capacity", "_in_use", "_waiters")
-
-    def __init__(self, sim: Simulator, capacity: int = 1) -> None:
-        if capacity < 1:
-            raise SimulationError("capacity must be >= 1")
-        self.sim = sim
-        self.capacity = capacity
-        self._in_use = 0
-        self._waiters: Deque[SimFuture] = deque()
-
-    @property
-    def in_use(self) -> int:
-        return self._in_use
-
-    def acquire(self) -> SimFuture:
-        fut = SimFuture(self.sim)
-        if self._in_use < self.capacity:
-            self._in_use += 1
-            fut.set_result(None)
-        else:
-            self._waiters.append(fut)
-        return fut
-
-    def release(self) -> None:
-        if self._in_use <= 0:
-            raise SimulationError("release without acquire")
-        if self._waiters:
-            waiter = self._waiters.popleft()
-            waiter.set_result(None)
-        else:
-            self._in_use -= 1
+__all__ = ["FifoServer", "Store"]
 
 
 class FifoServer:
@@ -179,12 +139,3 @@ class Store:
             self._getters.append(fut)
         return fut
 
-    def get_nowait(self) -> Any:
-        if not self._items:
-            raise SimulationError("store is empty")
-        return self._items.popleft()
-
-    def drain(self) -> list[Any]:
-        items = list(self._items)
-        self._items.clear()
-        return items

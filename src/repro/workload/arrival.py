@@ -5,16 +5,14 @@ traffic shape: a constant open-loop rate.  Realistic evaluations of
 auto-scaling and tiering need time-varying load — "sustainable
 throughput" surveys (Karimov et al.) treat the arrival process as part
 of the workload definition, not an afterthought.  This module provides
-composable rate functions:
+the rate functions the figures and examples drive:
 
 * :class:`Constant` — the classic OMB fixed rate
 * :class:`Poisson` — stochastic counts around a (possibly time-varying)
   mean rate
-* :class:`Ramp` — linear rate change over a window
 * :class:`Diurnal` — sinusoidal day/night cycle (trough -> peak -> trough)
 * :class:`MMPP` — 2-state Markov-modulated Poisson process (bursty)
 * :class:`FlashCrowd` — baseline with a sudden spike (rise/hold/fall)
-* :class:`Piecewise` — replay of an arbitrary (time, rate) trace
 
 Every process separates its *shape* (``rate(t)``, pure and stateless)
 from its *sampler* (``sampler(seed, fraction)``), the stateful object a
@@ -22,16 +20,13 @@ producer uses to draw per-tick event counts.  Samplers are seeded with
 :func:`repro.common.hashing.stable_hash64`, so counts are bit-identical
 across runs and across ``--jobs`` fan-out, and never consult wall-clock
 or global RNG state.
-
-Composition: ``a + b`` superimposes two processes (rates add; samplers
-draw from each independently).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Tuple
 
 from repro.common.hashing import stable_hash64
 
@@ -40,12 +35,9 @@ __all__ = [
     "ArrivalSampler",
     "Constant",
     "Poisson",
-    "Ramp",
     "Diurnal",
     "MMPP",
     "FlashCrowd",
-    "Piecewise",
-    "Composite",
 ]
 
 
@@ -88,23 +80,9 @@ class ArrivalProcess:
             total += self.mean_events(t0 + i * dt, t0 + (i + 1) * dt)
         return total / (t1 - t0)
 
-    def peak_time(self, t0: float, t1: float, steps: int = 512) -> float:
-        """Time of the highest rate in ``[t0, t1]`` (grid scan; used to
-        align fault injection with a burst — see repro.workload.faults)."""
-        best_t, best_r = t0, self.rate(t0)
-        for i in range(1, steps + 1):
-            t = t0 + (t1 - t0) * i / steps
-            r = self.rate(t)
-            if r > best_r:
-                best_t, best_r = t, r
-        return best_t
-
     def sampler(self, seed: int, fraction: float = 1.0) -> ArrivalSampler:
         """Sampler for one producer carrying ``fraction`` of the load."""
         return _CarrySampler(self, fraction)
-
-    def __add__(self, other: "ArrivalProcess") -> "Composite":
-        return Composite((self, other))
 
 
 class _CarrySampler(ArrivalSampler):
@@ -207,28 +185,6 @@ class Poisson(ArrivalProcess):
 
 
 @dataclass(frozen=True)
-class Ramp(ArrivalProcess):
-    """Linear ramp from ``start_eps`` to ``end_eps`` over ``duration``."""
-
-    start_eps: float
-    end_eps: float
-    duration: float
-    begin: float = 0.0
-
-    def rate(self, t: float) -> float:
-        if t <= self.begin:
-            return self.start_eps
-        if t >= self.begin + self.duration:
-            return self.end_eps
-        frac = (t - self.begin) / self.duration
-        return self.start_eps + (self.end_eps - self.start_eps) * frac
-
-    @property
-    def peak_rate(self) -> float:
-        return max(self.start_eps, self.end_eps)
-
-
-@dataclass(frozen=True)
 class Diurnal(ArrivalProcess):
     """Sinusoidal cycle: trough at ``t = phase``, peak half a period later.
 
@@ -278,37 +234,6 @@ class FlashCrowd(ArrivalProcess):
 
 
 @dataclass(frozen=True)
-class Piecewise(ArrivalProcess):
-    """Replay of a (time, rate) trace with linear interpolation."""
-
-    points: Tuple[Tuple[float, float], ...]
-
-    def __post_init__(self) -> None:
-        if not self.points:
-            raise ValueError("Piecewise needs at least one (time, rate) point")
-        times = [t for t, _ in self.points]
-        if times != sorted(times):
-            raise ValueError("Piecewise points must be time-ordered")
-
-    def rate(self, t: float) -> float:
-        points = self.points
-        if t <= points[0][0]:
-            return points[0][1]
-        if t >= points[-1][0]:
-            return points[-1][1]
-        for (t0, r0), (t1, r1) in zip(points, points[1:]):
-            if t0 <= t <= t1:
-                if t1 == t0:
-                    return r1
-                return r0 + (r1 - r0) * (t - t0) / (t1 - t0)
-        return points[-1][1]
-
-    @property
-    def peak_rate(self) -> float:
-        return max(r for _, r in self.points)
-
-
-@dataclass(frozen=True)
 class MMPP(ArrivalProcess):
     """2-state Markov-modulated Poisson process (quiet/burst).
 
@@ -330,11 +255,6 @@ class MMPP(ArrivalProcess):
     @property
     def peak_rate(self) -> float:
         return max(self.rates_eps)
-
-    @property
-    def burst_factor(self) -> float:
-        """Burst-state rate over the stationary mean rate."""
-        return self.peak_rate / max(self.rate(0.0), 1e-12)
 
     def sampler(self, seed: int, fraction: float = 1.0) -> ArrivalSampler:
         return _MMPPSampler(self, fraction, _seeded_rng(seed, "mmpp"))
@@ -364,36 +284,3 @@ class _MMPPSampler(ArrivalSampler):
                     1.0 / self.process.mean_dwell[self.state]
                 )
         return _poisson_draw(self.rng, lam * self.fraction)
-
-
-@dataclass(frozen=True)
-class Composite(ArrivalProcess):
-    """Superposition: rates add; each component samples independently."""
-
-    parts: Tuple[ArrivalProcess, ...]
-
-    def rate(self, t: float) -> float:
-        return sum(p.rate(t) for p in self.parts)
-
-    @property
-    def peak_rate(self) -> float:
-        # Upper bound: peaks may not coincide, but a cap must cover them.
-        return sum(p.peak_rate for p in self.parts)
-
-    def sampler(self, seed: int, fraction: float = 1.0) -> ArrivalSampler:
-        return _CompositeSampler(
-            [
-                p.sampler(stable_hash64(f"composite:{i}:{seed}"), fraction)
-                for i, p in enumerate(self.parts)
-            ]
-        )
-
-
-class _CompositeSampler(ArrivalSampler):
-    __slots__ = ("parts",)
-
-    def __init__(self, parts: List[ArrivalSampler]) -> None:
-        self.parts = parts
-
-    def events(self, t0: float, t1: float) -> int:
-        return sum(p.events(t0, t1) for p in self.parts)

@@ -3,9 +3,9 @@
 The driver's historical "random" key mode spreads each tick's event
 group uniformly over the key table (``bench.runner._spread``).  Real
 tenants are rarely uniform: web workloads follow Zipf-like popularity
-curves, and operational hot spots move over time.  A :class:`KeySkew`
-plugs into the same group-spreading point of the hot loop: given a
-tick's event count it returns ``(key_index, share)`` pairs, where
+curves.  A :class:`KeySkew` plugs into the same group-spreading point of
+the hot loop: given a tick's event count it returns ``(key_index,
+share)`` pairs, where
 ``key_index`` selects an entry of the adapter's key table (one key per
 initial partition/segment).
 
@@ -22,7 +22,7 @@ from typing import List, Tuple
 
 from repro.common.hashing import stable_hash64
 
-__all__ = ["KeySkew", "KeyRouter", "UniformSkew", "ZipfSkew", "HotKeyChurn"]
+__all__ = ["KeySkew", "KeyRouter", "ZipfSkew"]
 
 
 class KeyRouter:
@@ -79,14 +79,6 @@ class _WeightedRouter(KeyRouter):
 
 
 @dataclass(frozen=True)
-class UniformSkew(KeySkew):
-    """Even spread — equivalent to the legacy "random" key mode."""
-
-    def router(self, partitions: int, seed: int) -> KeyRouter:
-        return _WeightedRouter([1.0] * partitions)
-
-
-@dataclass(frozen=True)
 class ZipfSkew(KeySkew):
     """Zipf(s) popularity: rank-r key receives weight 1/r^s.
 
@@ -112,49 +104,3 @@ class ZipfSkew(KeySkew):
         for rank, key in enumerate(perm):
             weights[key] = ranks[rank]
         return _WeightedRouter(weights)
-
-
-@dataclass(frozen=True)
-class HotKeyChurn(KeySkew):
-    """A moving hot set: ``hot_share`` of traffic concentrates on
-    ``hot_count`` keys, re-drawn every ``churn_interval`` sim-seconds."""
-
-    hot_share: float = 0.5
-    hot_count: int = 1
-    churn_interval: float = 10.0
-
-    def router(self, partitions: int, seed: int) -> KeyRouter:
-        return _ChurnRouter(self, partitions, seed)
-
-
-class _ChurnRouter(KeyRouter):
-    __slots__ = ("skew", "partitions", "rng", "next_churn", "inner")
-
-    def __init__(self, skew: HotKeyChurn, partitions: int, seed: int) -> None:
-        import random
-
-        self.skew = skew
-        self.partitions = partitions
-        self.rng = random.Random(stable_hash64(f"churn:{seed}"))
-        self.next_churn = 0.0
-        self.inner: _WeightedRouter = None  # built on first shares()
-
-    def _reroll(self) -> None:
-        skew, partitions = self.skew, self.partitions
-        hot_count = min(skew.hot_count, partitions)
-        hot = set(self.rng.sample(range(partitions), hot_count))
-        cold = partitions - hot_count
-        weights = []
-        for i in range(partitions):
-            if i in hot:
-                weights.append(skew.hot_share / hot_count)
-            else:
-                weights.append((1.0 - skew.hot_share) / max(cold, 1))
-        self.inner = _WeightedRouter(weights)
-
-    def shares(self, count: int, now: float) -> List[Tuple[int, int]]:
-        if self.inner is None or now >= self.next_churn:
-            self._reroll()
-            interval = self.skew.churn_interval
-            self.next_churn = (int(now / interval) + 1) * interval
-        return self.inner.shares(count, now)

@@ -1,15 +1,12 @@
 """Zookeeper-like coordination service (substrate for Pravega, §2.2/§4.4)."""
 
-from repro.zookeeper.election import LeaderElection
-from repro.zookeeper.service import NodeStat, WatchEvent, ZkClient, ZookeeperService
+from repro.zookeeper.service import NodeStat, ZkClient, ZookeeperService
 from repro.zookeeper.znode import ZNode, parent_path, split_path, validate_path
 
 __all__ = [
     "ZookeeperService",
     "ZkClient",
     "NodeStat",
-    "WatchEvent",
-    "LeaderElection",
     "ZNode",
     "parent_path",
     "split_path",

@@ -4,8 +4,8 @@ Pravega uses Apache Zookeeper for "leader election and general cluster
 management purposes" (§2.2) and to keep "the assignment of segment
 containers to segment stores in a consistent store" (§4.4).  The
 properties those uses rely on — a linearizable znode tree with versioned
-compare-and-set, ephemeral nodes tied to client sessions, and one-shot
-watches — are implemented here; the ZAB replication protocol itself is
+compare-and-set and ephemeral nodes tied to client sessions — are
+implemented here; the ZAB replication protocol itself is
 below the level of abstraction the paper's evaluation exercises, so the
 service is a single linearization point whose operations cost one network
 round trip from the caller's host.
@@ -26,7 +26,7 @@ from repro.sim.core import SimFuture, Simulator
 from repro.sim.network import Network
 from repro.zookeeper.znode import ZNode, parent_path, split_path
 
-__all__ = ["ZookeeperService", "ZkClient", "NodeStat", "WatchEvent"]
+__all__ = ["ZookeeperService", "ZkClient", "NodeStat"]
 
 
 @dataclass(frozen=True)
@@ -38,16 +38,8 @@ class NodeStat:
     num_children: int
 
 
-@dataclass(frozen=True)
-class WatchEvent:
-    """Delivered (once) to a watch callback."""
-
-    kind: str  # "data" | "children" | "deleted" | "created"
-    path: str
-
-
 class ZookeeperService:
-    """The server side: the znode tree, sessions and watch dispatch."""
+    """The server side: the znode tree and sessions."""
 
     host = "zookeeper"
 
@@ -58,8 +50,6 @@ class ZookeeperService:
         self._next_session_id = 1
         self._sessions: Dict[int, List[str]] = {}
         self._session_hosts: Dict[int, str] = {}
-        self._data_watches: Dict[str, List[Callable[[WatchEvent], None]]] = {}
-        self._child_watches: Dict[str, List[Callable[[WatchEvent], None]]] = {}
 
     def connect(self, client_host: str) -> "ZkClient":
         """Open a session from ``client_host``."""
@@ -108,8 +98,6 @@ class ZookeeperService:
         created = (parent_path(path).rstrip("/") or "") + "/" + name
         if ephemeral and session_id is not None:
             self._sessions[session_id].append(created)
-        self._fire_child_watches(parent_path(path))
-        self._fire_data_watches(created, "created")
         return created
 
     def do_get(self, path: str) -> tuple[bytes, NodeStat]:
@@ -124,7 +112,6 @@ class ZookeeperService:
             )
         node.data = data
         node.version += 1
-        self._fire_data_watches(path, "data")
         return self._stat(node)
 
     def do_delete(self, path: str, expected_version: int = -1) -> None:
@@ -144,17 +131,12 @@ class ZookeeperService:
             owned = self._sessions.get(node.ephemeral_owner)
             if owned and path in owned:
                 owned.remove(path)
-        self._fire_data_watches(path, "deleted")
-        self._fire_child_watches(parent_path(path))
 
     def do_exists(self, path: str) -> Optional[NodeStat]:
         try:
             return self._stat(self._lookup(path))
         except NoNodeError:
             return None
-
-    def do_get_children(self, path: str) -> List[str]:
-        return sorted(self._lookup(path).children.keys())
 
     # ------------------------------------------------------------------
     # Sessions
@@ -186,27 +168,6 @@ class ZookeeperService:
 
     def session_alive(self, session_id: int) -> bool:
         return session_id in self._sessions
-
-    # ------------------------------------------------------------------
-    # Watches (one-shot, like Zookeeper)
-    # ------------------------------------------------------------------
-    def add_data_watch(self, path: str, callback: Callable[[WatchEvent], None]) -> None:
-        self._data_watches.setdefault(path, []).append(callback)
-
-    def add_child_watch(self, path: str, callback: Callable[[WatchEvent], None]) -> None:
-        self._child_watches.setdefault(path, []).append(callback)
-
-    def _fire_data_watches(self, path: str, kind: str) -> None:
-        watches = self._data_watches.pop(path, [])
-        event = WatchEvent(kind, path)
-        for callback in watches:
-            self.sim.call_soon(lambda cb=callback: cb(event))
-
-    def _fire_child_watches(self, path: str) -> None:
-        watches = self._child_watches.pop(path, [])
-        event = WatchEvent("children", path)
-        for callback in watches:
-            self.sim.call_soon(lambda cb=callback: cb(event))
 
 
 class ZkClient:
@@ -287,9 +248,6 @@ class ZkClient:
         """Resolves with a NodeStat or None."""
         return self._roundtrip(lambda: self.service.do_exists(path))
 
-    def get_children(self, path: str) -> SimFuture:
-        return self._roundtrip(lambda: self.service.do_get_children(path))
-
     def ensure_path(self, path: str) -> SimFuture:
         """Create ``path`` and all missing ancestors (persistent nodes)."""
 
@@ -304,11 +262,3 @@ class ZkClient:
                     continue
 
         return self._roundtrip(build)
-
-    def watch_data(self, path: str, callback: Callable[[WatchEvent], None]) -> None:
-        """One-shot watch on data changes/deletion of ``path``."""
-        self.service.add_data_watch(path, callback)
-
-    def watch_children(self, path: str, callback: Callable[[WatchEvent], None]) -> None:
-        """One-shot watch on membership changes under ``path``."""
-        self.service.add_child_watch(path, callback)

@@ -22,7 +22,8 @@ from __future__ import annotations
 import json
 from typing import List, Tuple
 
-from repro.sim import Interrupt, Simulator, Store, all_of, any_of
+from helpers import any_of
+from repro.sim import Interrupt, Simulator, Store, all_of
 
 
 def build_trace() -> List[Tuple[float, str]]:

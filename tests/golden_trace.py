@@ -27,6 +27,7 @@ from repro.bench import (
     PravegaAdapter,
     PulsarAdapter,
     WorkloadSpec,
+    attach_tracer,
     run_workload,
 )
 from repro.obs import Tracer, to_chrome_trace
@@ -50,31 +51,28 @@ def build_pravega_trace() -> dict:
     from repro.pravega.client.writer import EventStreamWriter
 
     EventStreamWriter._writer_counter = 0
-    return _build_trace(lambda sim, tracer: PravegaAdapter(
-        sim, journal_sync=True, tracer=tracer
-    ))
+    return _build_trace(lambda sim: PravegaAdapter(sim, journal_sync=True))
 
 
 def build_kafka_trace() -> dict:
     from repro.kafka.producer import KafkaProducer
 
     KafkaProducer._counter = 0
-    return _build_trace(lambda sim, tracer: KafkaAdapter(
-        sim, flush_every_message=True, tracer=tracer
-    ))
+    return _build_trace(lambda sim: KafkaAdapter(sim, flush_every_message=True))
 
 
 def build_pulsar_trace() -> dict:
     from repro.pulsar.producer import PulsarProducer
 
     PulsarProducer._counter = 0
-    return _build_trace(lambda sim, tracer: PulsarAdapter(sim, tracer=tracer))
+    return _build_trace(PulsarAdapter)
 
 
 def _build_trace(make_adapter) -> dict:
     sim = Simulator()
     tracer = Tracer(sim)
-    adapter = make_adapter(sim, tracer)
+    adapter = make_adapter(sim)
+    attach_tracer(adapter, tracer)
     result = run_workload(sim, adapter, SPEC, tracer=tracer)
     # Let background timers fire (storage-writer age seal, offload
     # polls) so the tree includes the tiering spans where applicable.

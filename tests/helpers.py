@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+from repro.common.errors import SimulationError
 from repro.pravega import PravegaCluster, PravegaClusterConfig
-from repro.sim import Simulator
+from repro.sim import SimFuture, Simulator
 
 
 def build_cluster(sim: Simulator, **overrides) -> PravegaCluster:
@@ -34,3 +35,26 @@ def drain_reader(sim, reader, expected_events, timeout=120.0):
         batches.append(batch)
         count += batch.event_count
     return batches
+
+
+def any_of(sim: Simulator, futures) -> SimFuture:
+    """A future resolving with (index, value) of the first input to resolve."""
+    futures = list(futures)
+    if not futures:
+        raise SimulationError("any_of requires at least one future")
+    result = sim.future()
+
+    def make_callback(index: int):
+        def on_done(fut: SimFuture) -> None:
+            if result.done:
+                return
+            if fut.exception is not None:
+                result.set_exception(fut.exception)
+            else:
+                result.set_result((index, fut.value))
+
+        return on_done
+
+    for i, fut in enumerate(futures):
+        fut.add_callback(make_callback(i))
+    return result

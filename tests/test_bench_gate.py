@@ -267,18 +267,18 @@ def test_gate_reports_the_owning_benchs_message(committed, fname, mutate, fragme
 def test_the_probes_one_check_per_file_catches(committed):
     # a file without one of its scenarios (a kernel file without
     # mini_workload, a suite file without fig10a and its 14 rows) and a
-    # metric past a documented bound (a cache hit rate above 1) are drifts
+    # metric past a documented bound (a replay that saves no LTS fetch)
+    # are drifts
     def drop(name):
         return lambda r: r.update(scenarios=[s for s in r["scenarios"] if s["name"] != name])
 
-    def hit_rate_above_one(report):
-        claims.records(report)["policies"]["metrics"]["generation/always"]["hit_rate"] = 1.4
+    def no_fetch_saved(report):
+        claims.records(report)["replay"]["metrics"]["lts_ops_ratio"] = 1.0
 
     for fname, mutate, message in (
         ("BENCH_kernel.json", drop("mini_workload"), "mini_workload: not recorded"),
         ("BENCH_suite.json", drop("fig10a"), "fig10a: not recorded"),
-        ("BENCH_read.json", hit_rate_above_one,
-         "policies: claim failed: policies.always_hit_rate_is_a_fraction"),
+        ("BENCH_read.json", no_fetch_saved, "replay: claim failed: replay.ops_cut_4x"),
     ):
         files = copy.deepcopy(committed)
         mutate(files[fname])

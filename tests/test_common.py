@@ -129,7 +129,7 @@ class TestAvlTree:
         assert len(tree) == 0
         assert tree.get(1) is None
         assert tree.floor(10) is None
-        assert tree.min_item() is None
+        assert list(tree.items()) == []
 
     def test_insert_and_get(self):
         tree = AvlTree()

@@ -192,22 +192,3 @@ class TestRetentionPolicies:
         info = run(sim, store.rpc_get_info("bench-0", "test/timed/0"))
         assert info.start_offset > 0
         assert cluster.controller.metrics.counter("retention.truncations").value >= 1
-
-    def test_update_stream_config_switches_policy(self, sim, cluster, client):
-        from repro.pravega import (
-            RetentionPolicy,
-            ScalingPolicy,
-            ScaleType,
-            StreamConfiguration,
-        )
-
-        run(sim, client.create_stream("test", "mutable"))
-        metadata = cluster.controller.streams["test/mutable"]
-        assert metadata.config.scaling.scale_type is ScaleType.FIXED
-        new_config = StreamConfiguration(
-            scaling=ScalingPolicy.by_event_rate(500),
-            retention=RetentionPolicy.by_size(10_000),
-        )
-        run(sim, cluster.controller.update_stream_config("test", "mutable", new_config))
-        assert metadata.config.scaling.scale_type is ScaleType.BY_RATE_IN_EVENTS_PER_SEC
-        assert metadata.config.retention.limit == 10_000

@@ -109,41 +109,6 @@ class TestConditionalUpdates:
         assert run(sim, table.get("counter")).value == 15
 
 
-class TestTransactions:
-    def test_multi_key_transaction(self, sim, cluster):
-        table = make_table(sim, cluster)
-        versions = run(
-            sim,
-            table.transact({"a": (b"1", None), "b": (b"2", None)}),
-        )
-        assert versions == {"a": 0, "b": 0}
-
-    def test_transaction_all_or_nothing(self, sim, cluster):
-        table = make_table(sim, cluster)
-        run(sim, table.put("a", b"1"))
-        fut = table.transact({"a": (b"1x", 0), "b": (b"2x", 42)})
-        sim.run(until=sim.now + 1)
-        assert isinstance(fut.exception, ConditionalUpdateError)
-        assert run(sim, table.get("a")).value == b"1"
-        assert run(sim, table.get("b")) is None
-
-    def test_cross_partition_transaction_rejected(self, sim, cluster):
-        table = make_table(sim, cluster, name="sharded", partitions=8)
-        # Find two keys in different partitions.
-        keys, seen = [], set()
-        i = 0
-        while len(keys) < 2:
-            key = f"key-{i}"
-            i += 1
-            partition = table._segment_for(key)
-            if partition not in seen:
-                seen.add(partition)
-                keys.append(key)
-        fut = table.transact({keys[0]: (b"x", None), keys[1]: (b"y", None)})
-        sim.run(until=sim.now + 1)
-        assert isinstance(fut.exception, ConditionalUpdateError)
-
-
 class TestPartitionedTables:
     def test_keys_spread_over_partitions(self, sim, cluster):
         table = make_table(sim, cluster, name="wide", partitions=4)

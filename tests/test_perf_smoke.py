@@ -27,12 +27,13 @@ def _timed_mini_run(tracer):
     """One small Pravega run through the bench driver (~20 ms); returns
     the host CPU seconds it took, with the collector quiesced so neither
     side pays for the other's garbage."""
-    from repro.bench import PravegaAdapter, WorkloadSpec, run_workload
+    from repro.bench import PravegaAdapter, WorkloadSpec, attach_tracer, run_workload
 
     sim = Simulator()
+    adapter = PravegaAdapter(sim)
     if tracer is not None:
         tracer.sim = sim
-    adapter = PravegaAdapter(sim, tracer=tracer)
+        attach_tracer(adapter, tracer)
     spec = WorkloadSpec(
         event_size=100,
         target_rate=5_000,
@@ -227,11 +228,12 @@ def test_tail_reads_skip_avl_and_allocate_no_spans():
     """Tail-read fast path: streaming consumers that keep up must be
     served from the O(1) tail entry (zero AVL probes) and, with tracing
     disabled, allocate zero spans."""
-    from repro.bench import PravegaAdapter, WorkloadSpec, run_workload
+    from repro.bench import PravegaAdapter, WorkloadSpec, attach_tracer, run_workload
 
     sim = Simulator()
     tracer = Tracer(sim, enabled=False)
-    adapter = PravegaAdapter(sim, tracer=tracer)
+    adapter = PravegaAdapter(sim)
+    attach_tracer(adapter, tracer)
     spec = WorkloadSpec(
         event_size=100,
         target_rate=5_000,

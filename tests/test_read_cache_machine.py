@@ -56,12 +56,12 @@ def _content(segment: str, start: int, end: int) -> bytes:
 
 
 class ReadCacheMachine(RuleBasedStateMachine):
-    @initialize(admission=st.sampled_from(["always", "second_touch"]))
-    def build(self, admission):
+    @initialize()
+    def build(self):
         self.saved_max_entry = read_index.MAX_ENTRY_BYTES
         read_index.MAX_ENTRY_BYTES = MAX_ENTRY_BYTES
         self.cache = BlockCache(SPEC)
-        self.manager = CacheManager(self.cache, admission=admission)
+        self.manager = CacheManager(self.cache)
         self.manager.flushed_offset_provider = lambda segment: self.flushed[segment]
         self.indexes = {s: SegmentReadIndex(s, self.cache, self.manager) for s in SEGMENTS}
         #: acknowledged length per segment (bytes are ``_content``)

@@ -15,9 +15,7 @@ read path:
   waiter (injected ``lts_fail``), and a retry serves all of them with a
   single storage read; a reader released mid-fetch fails only itself;
 * a detached reader, a withdrawn container read, or an interrupted raw
-  read is removed from the tail wakeup list;
-* the CacheManager policy seam: probation, promotion, ghost-list
-  readmission and rejection of unknown policies.
+  read is removed from the tail wakeup list.
 """
 
 import json
@@ -26,7 +24,6 @@ from pathlib import Path
 import pytest
 
 from repro.common.errors import StorageError
-from repro.common.payload import Payload
 from repro.faults import FaultEngine, FaultPlan
 from repro.pravega import (
     PravegaCluster,
@@ -35,9 +32,7 @@ from repro.pravega import (
     StreamConfiguration,
 )
 from repro.pravega.client.serializers import unframe_events
-from repro.pravega.container.cache import BlockCache, CacheSpec
 from repro.pravega.container.container import ContainerConfig, ServingConfig
-from repro.pravega.container.read_index import CacheManager, SegmentReadIndex
 from repro.pravega.container.storage_writer import StorageWriterConfig
 from repro.pravega.segment_store import SegmentStoreConfig
 from repro.sim import Interrupt, Simulator
@@ -49,7 +44,8 @@ pytestmark = pytest.mark.read
 REPO_ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = REPO_ROOT / "tests" / "data" / "golden_read_default.json"
 
-FULL = ServingConfig(coalesce_lts_fetches=True, admission_policy="second_touch")
+#: every serving-tier feature on (coalescing is the only one)
+FULL = ServingConfig(coalesce_lts_fetches=True)
 
 #: How a tail read reaches the park: "process" through the segment
 #: store's read RPC, a sim process the client reader drives; "direct" as
@@ -492,86 +488,3 @@ class TestTailWaiterLifecycle:
         assert not container._tail_waiters.get(qualified), (
             "cancelled raw read still pinned in the wakeup list"
         )
-
-
-# ----------------------------------------------------------------------
-# CacheManager policy seam
-# ----------------------------------------------------------------------
-class TestCachePolicies:
-    def _manager(self, **kw):
-        cache = BlockCache(
-            CacheSpec(block_size=64, blocks_per_buffer=16, max_buffers=16)
-        )
-        manager = CacheManager(cache, **kw)
-        index = SegmentReadIndex("s", cache, manager)
-        return cache, manager, index
-
-    def test_unknown_policies_rejected(self):
-        cache = BlockCache(
-            CacheSpec(block_size=64, blocks_per_buffer=16, max_buffers=16)
-        )
-        with pytest.raises(ValueError):
-            CacheManager(cache, admission="third_touch")
-
-    def test_second_touch_fetch_starts_on_probation(self):
-        _, manager, index = self._manager(admission="second_touch")
-        index.insert_fetched(0, Payload.of(b"a" * 64))
-        (entry,) = [e for _, e in index._entries.items()]
-        assert entry.admitted is False
-
-    def test_second_touch_promotes_on_a_later_generation_touch(self):
-        _, manager, index = self._manager(admission="second_touch")
-        manager.advance_generation()
-        index.insert_fetched(0, Payload.of(b"a" * 64))
-        # A touch in the inserting generation is the fetch itself: no
-        # promotion until a later generation touches the entry.
-        index.read_cached(0, 64)
-        (entry,) = [e for _, e in index._entries.items()]
-        assert entry.admitted is False
-        manager.advance_generation()
-        index.read_cached(0, 64)
-        assert entry.admitted is True
-        assert manager.promotions == 1
-
-    def test_probation_evicts_before_admitted_entries(self):
-        cache, manager, index = self._manager(admission="second_touch")
-        manager.flushed_offset_provider = lambda segment: 1 << 30
-        manager.advance_generation()
-        index.insert_fetched(0, Payload.of(b"a" * 64))      # probationary
-        manager.advance_generation()
-        index.insert_fetched(64, Payload.of(b"b" * 64))     # probationary
-        manager.advance_generation()
-        index.read_cached(64, 64)                            # promote 2nd
-        manager.advance_generation()
-        saved = manager.target_utilization
-        # Two one-block entries are resident: demand that exactly one
-        # block be freed, so eviction order decides which one survives.
-        manager.target_utilization = 1.5 / cache.spec.max_blocks
-        try:
-            manager.maybe_evict()
-        finally:
-            manager.target_utilization = saved
-        assert manager.evicted_probation >= 1
-        assert index.read_cached(0, 64) is None, "probationer survived"
-        assert index.read_cached(64, 64) is not None, "admitted entry evicted first"
-
-    def test_ghost_list_readmits_a_refetched_run(self):
-        _, manager, index = self._manager(admission="second_touch")
-        manager.flushed_offset_provider = lambda segment: 1 << 30
-        manager.advance_generation()
-        index.insert_fetched(0, Payload.of(b"a" * 64))
-        manager.advance_generation()
-        saved = manager.target_utilization
-        manager.target_utilization = 0.0
-        try:
-            manager.maybe_evict()
-        finally:
-            manager.target_utilization = saved
-        assert index.read_cached(0, 64) is None
-        assert ("s", 0) in manager._ghosts
-        # Second fetch of the same run: the ghost list admits it directly.
-        manager.advance_generation()
-        index.insert_fetched(0, Payload.of(b"a" * 64))
-        (entry,) = [e for _, e in index._entries.items()]
-        assert entry.admitted is True
-        assert manager.ghost_hits == 1

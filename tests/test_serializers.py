@@ -1,4 +1,4 @@
-"""Tests for event serialization and wire framing."""
+"""Tests for event wire framing."""
 
 import pytest
 from hypothesis import given
@@ -6,34 +6,12 @@ from hypothesis import strategies as st
 
 from repro.pravega.client.serializers import (
     EVENT_HEADER_SIZE,
-    BytesSerializer,
-    JsonSerializer,
-    UTF8StringSerializer,
     frame_event,
     frame_synthetic_event,
     framed_size,
     unframe_events,
 )
 from repro.pravega.client.serializers import unframe_fixed
-
-
-class TestSerializers:
-    def test_utf8_roundtrip(self):
-        s = UTF8StringSerializer()
-        assert s.deserialize(s.serialize("héllo wörld")) == "héllo wörld"
-
-    def test_json_roundtrip(self):
-        s = JsonSerializer()
-        value = {"device": "sensor-1", "reading": 21.5, "tags": ["a", "b"]}
-        assert s.deserialize(s.serialize(value)) == value
-
-    def test_json_deterministic(self):
-        s = JsonSerializer()
-        assert s.serialize({"b": 1, "a": 2}) == s.serialize({"a": 2, "b": 1})
-
-    def test_bytes_roundtrip(self):
-        s = BytesSerializer()
-        assert s.deserialize(s.serialize(b"\x00\xff")) == b"\x00\xff"
 
 
 class TestFraming:

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.common.errors import SimulationError
-from repro.sim import Interrupt, Simulator, all_of, any_of
+from helpers import any_of
+from repro.sim import Interrupt, Simulator, all_of
 from repro.sim.core import Process
 
 

@@ -21,7 +21,6 @@ from repro.sim import (
     NetworkSpec,
     PageCache,
     PageCacheSpec,
-    Resource,
     Simulator,
     Store,
     all_of,
@@ -31,30 +30,6 @@ from repro.sim import (
 @pytest.fixture()
 def sim():
     return Simulator()
-
-
-class TestResource:
-    def test_acquire_within_capacity_is_immediate(self, sim):
-        res = Resource(sim, capacity=2)
-        assert res.acquire().done
-        assert res.acquire().done
-        assert res.in_use == 2
-
-    def test_acquire_beyond_capacity_waits_fifo(self, sim):
-        res = Resource(sim, capacity=1)
-        res.acquire()
-        first = res.acquire()
-        second = res.acquire()
-        assert not first.done and not second.done
-        res.release()
-        assert first.done and not second.done
-        res.release()
-        assert second.done
-
-    def test_release_without_acquire_raises(self, sim):
-        res = Resource(sim, capacity=1)
-        with pytest.raises(SimulationError):
-            res.release()
 
 
 class TestFifoServer:
@@ -127,7 +102,7 @@ class TestStore:
         store = Store(sim)
         for item in ("a", "b", "c"):
             store.put(item)
-        assert [store.get_nowait() for _ in range(3)] == ["a", "b", "c"]
+        assert [store.get().value for _ in range(3)] == ["a", "b", "c"]
 
 
 class TestDisk:
@@ -249,11 +224,6 @@ class TestNetwork:
     def test_host_registry_reuses_instances(self, sim):
         net = Network(sim)
         assert net.host("x") is net.host("x")
-
-    def test_rtt_between(self, sim):
-        net = Network(sim, NetworkSpec(rtt=2e-3))
-        assert net.rtt_between("a", "b") == pytest.approx(2e-3)
-        assert net.rtt_between("a", "a") < 2e-3
 
 
 def _arrival(wait, src, dst, nbytes, before=(), faults=None):

@@ -11,7 +11,7 @@ For each system the same traced workload must yield spans that:
 
 import pytest
 
-from repro.bench import KafkaAdapter, PravegaAdapter, PulsarAdapter
+from repro.bench import KafkaAdapter, PravegaAdapter, PulsarAdapter, attach_tracer
 from repro.bench.runner import WorkloadSpec, run_workload
 from repro.obs import COMPONENTS, Tracer, WRITE_ROOT_NAMES, event_records, median_record
 from repro.sim import Simulator
@@ -29,13 +29,9 @@ SPEC = WorkloadSpec(
 )
 
 ADAPTERS = {
-    "pravega": lambda sim, tracer: PravegaAdapter(
-        sim, journal_sync=True, tracer=tracer
-    ),
-    "kafka": lambda sim, tracer: KafkaAdapter(
-        sim, flush_every_message=True, tracer=tracer
-    ),
-    "pulsar": lambda sim, tracer: PulsarAdapter(sim, tracer=tracer),
+    "pravega": lambda sim: PravegaAdapter(sim, journal_sync=True),
+    "kafka": lambda sim: KafkaAdapter(sim, flush_every_message=True),
+    "pulsar": PulsarAdapter,
 }
 
 
@@ -43,7 +39,8 @@ ADAPTERS = {
 def traced_run(request):
     sim = Simulator()
     tracer = Tracer(sim)
-    adapter = ADAPTERS[request.param](sim, tracer)
+    adapter = ADAPTERS[request.param](sim)
+    attach_tracer(adapter, tracer)
     result = run_workload(sim, adapter, SPEC, tracer=tracer)
     return request.param, sim, tracer, result
 

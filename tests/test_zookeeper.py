@@ -1,5 +1,4 @@
-"""Tests for the coordination service: znode tree, CAS, sessions, watches,
-and the leader-election recipe."""
+"""Tests for the coordination service: znode tree, CAS and sessions."""
 
 import pytest
 
@@ -11,7 +10,6 @@ from repro.common.errors import (
 )
 from repro.sim import Network, Simulator
 from repro.zookeeper import (
-    LeaderElection,
     ZookeeperService,
     parent_path,
     split_path,
@@ -109,12 +107,6 @@ class TestCrud:
         with pytest.raises(NoNodeError):
             run(sim, zk.delete("/nope"))
 
-    def test_get_children_sorted(self, sim, zk):
-        run(sim, zk.create("/parent"))
-        for name in ("zz", "aa", "mm"):
-            run(sim, zk.create(f"/parent/{name}"))
-        assert run(sim, zk.get_children("/parent")) == ["aa", "mm", "zz"]
-
     def test_sequential_nodes_numbered(self, sim, zk):
         run(sim, zk.create("/queue"))
         first = run(sim, zk.create("/queue/item-", sequential=True))
@@ -153,108 +145,3 @@ class TestSessions:
         sim.run_until_complete(client.create("/e", ephemeral=True))
         client.close()
         assert not client.alive
-
-
-class TestWatches:
-    def test_data_watch_fires_on_set(self, sim, zk):
-        run(sim, zk.create("/node"))
-        events = []
-        zk.watch_data("/node", events.append)
-        run(sim, zk.set("/node", b"new"))
-        sim.run()
-        assert [e.kind for e in events] == ["data"]
-
-    def test_data_watch_fires_on_delete(self, sim, zk):
-        run(sim, zk.create("/node"))
-        events = []
-        zk.watch_data("/node", events.append)
-        run(sim, zk.delete("/node"))
-        sim.run()
-        assert [e.kind for e in events] == ["deleted"]
-
-    def test_watch_is_one_shot(self, sim, zk):
-        run(sim, zk.create("/node"))
-        events = []
-        zk.watch_data("/node", events.append)
-        run(sim, zk.set("/node", b"1"))
-        run(sim, zk.set("/node", b"2"))
-        sim.run()
-        assert len(events) == 1
-
-    def test_child_watch_fires_on_create_and_delete(self, sim, zk):
-        run(sim, zk.create("/parent"))
-        events = []
-        zk.watch_children("/parent", events.append)
-        run(sim, zk.create("/parent/kid"))
-        sim.run()
-        assert len(events) == 1
-        zk.watch_children("/parent", events.append)
-        run(sim, zk.delete("/parent/kid"))
-        sim.run()
-        assert len(events) == 2
-
-
-class TestLeaderElection:
-    def test_single_candidate_wins(self, sim, zk_service):
-        client = zk_service.connect("host-a")
-        election = LeaderElection(client, "/election", "a")
-        winner = sim.run_until_complete(election.campaign())
-        assert winner == "a"
-        assert election.is_leader
-
-    def test_first_candidate_wins_among_many(self, sim, zk_service):
-        elections = []
-        for name in ("a", "b", "c"):
-            client = zk_service.connect(f"host-{name}")
-            election = LeaderElection(client, "/election", name)
-            election.campaign()
-            elections.append(election)
-            sim.run()  # let each join in order
-        assert [e.is_leader for e in elections] == [True, False, False]
-
-    def test_leadership_transfers_on_expiry(self, sim, zk_service):
-        client_a = zk_service.connect("host-a")
-        client_b = zk_service.connect("host-b")
-        leader = LeaderElection(client_a, "/election", "a")
-        follower = LeaderElection(client_b, "/election", "b")
-        sim.run_until_complete(leader.campaign())
-        follower_future = follower.campaign()
-        sim.run()
-        assert not follower.is_leader
-        zk_service.expire_session(client_a.session_id)
-        winner = sim.run_until_complete(follower_future)
-        assert winner == "b"
-
-    def test_no_herd_middle_crash_does_not_elect(self, sim, zk_service):
-        clients = [zk_service.connect(f"host-{i}") for i in range(3)]
-        elections = []
-        for i, client in enumerate(clients):
-            election = LeaderElection(client, "/election", str(i))
-            election.campaign()
-            elections.append(election)
-            sim.run()
-        # Kill the middle candidate; the leader is unaffected, candidate 2
-        # simply re-watches candidate 0.
-        zk_service.expire_session(clients[1].session_id)
-        sim.run()
-        assert elections[0].is_leader
-        assert not elections[2].is_leader
-
-    def test_on_leadership_callback(self, sim, zk_service):
-        client = zk_service.connect("host-a")
-        election = LeaderElection(client, "/election", "a")
-        calls = []
-        election.on_leadership(lambda: calls.append(1))
-        sim.run_until_complete(election.campaign())
-        assert calls == [1]
-
-    def test_resign_allows_next_leader(self, sim, zk_service):
-        client_a = zk_service.connect("host-a")
-        client_b = zk_service.connect("host-b")
-        first = LeaderElection(client_a, "/election", "a")
-        second = LeaderElection(client_b, "/election", "b")
-        sim.run_until_complete(first.campaign())
-        future_b = second.campaign()
-        sim.run()
-        sim.run_until_complete(first.resign())
-        assert sim.run_until_complete(future_b) == "b"
